@@ -4,10 +4,17 @@ Every subcommand prints one JSON report with the fields
 
     command, input, flags, verdicts, data, counterexamples, timing_s, ok
 
-and exits 0 when every verdict passed, 1 when some verdict is false, and
-2 on malformed or structurally invalid input.  Computed answers (e.g. a
-saturation, or a 2-cell equality) are data, not verdicts: they never flip
-the exit code by themselves.
+and exits with one of three codes:
+
+* 0: every verdict passed;
+* 1: some verdict is false, and nothing else went wrong;
+* 2: the input is malformed or structurally invalid, or a file could not
+  be read or written (including the `--output` report and the document
+  `fixtures` writes).  The report then carries an `error` message and is
+  printed to stdout.
+
+Computed answers (e.g. a saturation, or a 2-cell equality) are data, not
+verdicts: they never flip the exit code by themselves.
 """
 
 from __future__ import annotations
@@ -36,8 +43,6 @@ from .fractions import (
     build_choices,
     cells_equal,
     equality_chain,
-    hom_fraction_cells,
-    identity_fraction_cell,
     is_internal_equiv_closed_form,
     is_internal_equiv_search,
     localize,
@@ -45,18 +50,14 @@ from .fractions import (
     u_mor,
 )
 from .groupoids import (
-    CATALOGS,
     discrete_groupoid,
-    groupoid_twocat,
     is_essentially_surjective,
     is_fully_faithful,
-    is_morita,
     morita_saturated_check,
     morita_two_out_of_six,
     pair_groupoid,
     unit_groupoid,
     functor_problems,
-    compose_gfunctors,
     enumerate_gfunctors,
 )
 from .saturation import check_bf, is_right_saturated, saturate
@@ -95,7 +96,11 @@ def _emit(report: dict, output: str | None) -> None:
 class _Command:
     """Collects report fields; decides the exit code at the end."""
 
-    def __init__(self, args: argparse.Namespace, inputs: list[str]):
+    def __init__(self, args: argparse.Namespace):
+        inputs: list[str] = []
+        for name in args.inputs:  # the arguments that name documents
+            value = getattr(args, name)
+            inputs.extend(value if isinstance(value, list) else [value])
         self.report = {
             "command": args.cmd,
             "input": inputs,
@@ -168,7 +173,7 @@ def _load_checked(cmd: _Command, path: str):
 
 
 def cmd_validate(args) -> int:
-    cmd = _Command(args, [args.path])
+    cmd = _Command(args)
     try:
         c, _w = load_twocat(args.path)
     except DocumentError as exc:
@@ -183,7 +188,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_check_bf(args) -> int:
-    cmd = _Command(args, [args.path])
+    cmd = _Command(args)
     try:
         loaded = _load_checked(cmd, args.path)
     except DocumentError as exc:
@@ -199,7 +204,7 @@ def cmd_check_bf(args) -> int:
 
 
 def cmd_saturate(args) -> int:
-    cmd = _Command(args, [args.path])
+    cmd = _Command(args)
     try:
         loaded = _load_checked(cmd, args.path)
     except DocumentError as exc:
@@ -223,7 +228,7 @@ def _require_bf(cmd: _Command, c, w) -> bool:
 
 
 def cmd_localize(args) -> int:
-    cmd = _Command(args, [args.path])
+    cmd = _Command(args)
     try:
         loaded = _load_checked(cmd, args.path)
     except DocumentError as exc:
@@ -251,7 +256,7 @@ def cmd_localize(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    cmd = _Command(args, [args.path])
+    cmd = _Command(args)
     try:
         loaded = _load_checked(cmd, args.path)
         span = _span_arg(args.span)
@@ -282,7 +287,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_cell_eq(args) -> int:
-    cmd = _Command(args, [args.path])
+    cmd = _Command(args)
     try:
         loaded = _load_checked(cmd, args.path)
         src = _span_arg(args.src)
@@ -310,7 +315,7 @@ def cmd_cell_eq(args) -> int:
 
 
 def cmd_induce(args) -> int:
-    cmd = _Command(args, [args.src, args.dst, args.functor])
+    cmd = _Command(args)
     try:
         src_loaded = _load_checked(cmd, args.src)
         if src_loaded is None:
@@ -369,7 +374,7 @@ def cmd_induce(args) -> int:
 
 
 def cmd_groupoid(args) -> int:
-    cmd = _Command(args, list(args.paths))
+    cmd = _Command(args)
     try:
         gpds = []
         for i, p in enumerate(args.paths):
@@ -438,7 +443,7 @@ _GROUPOID_FIXTURES = {
 
 
 def cmd_fixtures(args) -> int:
-    cmd = _Command(args, [args.name])
+    cmd = _Command(args)
     name = args.name
     if name in fixture_mod.FIXTURES:
         c, w = fixture_mod.fixture(name)
@@ -476,28 +481,28 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("validate", parents=[common],
                         help="check a 2-category document against all the laws")
     sp.add_argument("path")
-    sp.set_defaults(fn=cmd_validate)
+    sp.set_defaults(fn=cmd_validate, inputs=("path",))
 
     sp = sub.add_parser("check-bf", parents=[common],
                         help="verify the fraction axioms for (C, W)")
     sp.add_argument("path")
-    sp.set_defaults(fn=cmd_check_bf)
+    sp.set_defaults(fn=cmd_check_bf, inputs=("path",))
 
     sp = sub.add_parser("saturate", parents=[common],
                         help="compute the right saturation of W")
     sp.add_argument("path")
-    sp.set_defaults(fn=cmd_saturate)
+    sp.set_defaults(fn=cmd_saturate, inputs=("path",))
 
     sp = sub.add_parser("localize", parents=[common],
                         help="enumerate spans and 2-cell classes of C[W^-1]")
     sp.add_argument("path")
-    sp.set_defaults(fn=cmd_localize)
+    sp.set_defaults(fn=cmd_localize, inputs=("path",))
 
     sp = sub.add_parser("equiv", parents=[common],
                         help="decide internal equivalence of a span, both ways")
     sp.add_argument("path")
     sp.add_argument("span", help="the span, written (apex,w,f)")
-    sp.set_defaults(fn=cmd_equiv)
+    sp.set_defaults(fn=cmd_equiv, inputs=("path",))
 
     sp = sub.add_parser("cell-eq", parents=[common],
                         help="decide equality of two 2-cell representatives")
@@ -506,7 +511,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--dst", required=True, help="target span (apex,w,f)")
     sp.add_argument("rep1", help="(apex,v1,v2,alpha,beta)")
     sp.add_argument("rep2", help="(apex,v1,v2,alpha,beta)")
-    sp.set_defaults(fn=cmd_cell_eq)
+    sp.set_defaults(fn=cmd_cell_eq, inputs=("path",))
 
     sp = sub.add_parser("induce", parents=[common],
                         help="push a strict 2-functor down to the localizations")
@@ -515,7 +520,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("functor")
     sp.add_argument("--target", choices=("sat", "plain"), default="sat",
                     help="localize the target at W_sat (default) or W itself")
-    sp.set_defaults(fn=cmd_induce)
+    sp.set_defaults(fn=cmd_induce, inputs=("src", "dst", "functor"))
 
     sp = sub.add_parser("groupoid", parents=[common],
                         help="Morita checks over groupoid documents")
@@ -524,13 +529,13 @@ def _parser() -> argparse.ArgumentParser:
                     choices=("morita", "two-out-of-six", "saturated"))
     sp.add_argument("--functor", default=None,
                     help="functor document for --check=morita")
-    sp.set_defaults(fn=cmd_groupoid)
+    sp.set_defaults(fn=cmd_groupoid, inputs=("paths",))
 
     sp = sub.add_parser("fixtures", parents=[common],
                         help="emit a built-in document (F1..F7, unit, pair2, disc2)")
     sp.add_argument("name")
     sp.add_argument("out")
-    sp.set_defaults(fn=cmd_fixtures)
+    sp.set_defaults(fn=cmd_fixtures, inputs=("name",))
     return p
 
 
@@ -538,9 +543,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except DocumentError as exc:
-        _emit({"command": args.cmd, "error": str(exc), "ok": False}, None)
-        return BAD_INPUT
+    except (DocumentError, OSError) as exc:
+        cmd = _Command(args)
+        cmd.output = None  # the --output path may be what failed
+        return cmd.bad_input(str(exc))
 
 
 if __name__ == "__main__":

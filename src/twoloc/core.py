@@ -16,7 +16,6 @@ table equality, which `validate` checks exhaustively.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -71,6 +70,17 @@ class TwoCat:
             return self.comp1[(g, f)]
         except KeyError:
             raise StructureError(f"1-cells not composable: {g} after {f}") from None
+
+    def right_factors(self, g: str, h: str) -> tuple[str, ...]:
+        """All 1-cells f with g∘f = h, in sorted order."""
+        return self._right_factor_index.get((g, h), ())
+
+    @cached_property
+    def _right_factor_index(self) -> dict[tuple[str, str], tuple[str, ...]]:
+        index: dict[tuple[str, str], list[str]] = {}
+        for (g, f), h in sorted(self.comp1.items()):
+            index.setdefault((g, h), []).append(f)
+        return {k: tuple(v) for k, v in index.items()}
 
     # -- 2-cell structure ---------------------------------------------------
 
@@ -130,7 +140,32 @@ class TwoCat:
         return gamma in self._inverse2
 
     def invertible_cells(self, f: str, g: str) -> tuple[str, ...]:
-        return tuple(a for a in self.hom2(f, g) if a in self._inverse2)
+        return self.invertible_from(f).get(g, ())
+
+    def invertible_from(self, f: str) -> dict[str, tuple[str, ...]]:
+        """g -> the invertible 2-cells f ⇒ g, for every g that has one."""
+        return self._invertible_from_index.get(f, {})
+
+    @cached_property
+    def _invertible_from_index(self) -> dict[str, dict[str, tuple[str, ...]]]:
+        index: dict[str, dict[str, list[str]]] = {}
+        for a in self.cells:
+            if a in self._inverse2:
+                index.setdefault(self.cell_src[a], {}).setdefault(
+                    self.cell_dst[a], []).append(a)
+        return {f: {g: tuple(v) for g, v in by_dst.items()}
+                for f, by_dst in index.items()}
+
+    # -- stores owned by other modules -------------------------------------
+
+    @cached_property
+    def _hom_partitions(self) -> dict:
+        """Per-class 2-cell partitions of the localization, keyed by W.
+
+        `fractions` fills this; keeping it on the instance gives the
+        partitions the lifetime of this 2-category.
+        """
+        return {}
 
 
 # ---------------------------------------------------------------------------

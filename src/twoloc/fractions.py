@@ -9,8 +9,16 @@ classes of representatives
 with w1∘v1 ∈ W and alpha invertible (beta is unconstrained).  Two
 representatives are identified when they are connected by a chain of
 refinements r ↦ (E, v1∘p, v2∘p, alpha∗i_p, beta∗i_p) along any
-p: E → A3 keeping the denominator leg in W; classes are computed by
-exhaustive closure, which is finite here.
+p: E → A3 keeping the denominator leg in W.
+
+Classes are computed once per hom and are output-sensitive: only
+representatives that exist are enumerated (for each v1 with w1∘v1 ∈ W,
+the invertible cells out of w1∘v1 fix the composites w2∘v2, and the
+v2 are read from a right-factor index of composition), and the legs p
+along which a representative refines are read from a table per
+denominator.  Representatives are then joined by union-find.  The
+classes live in a store on the `TwoCat` keyed by W, so they are shared
+by every function here and freed together with the 2-category.
 
 Composition of spans is driven by a `ChoiceTable` assigning a filler to
 every cospan (f, v ∈ W); the table honours the normalisations C1 (f an
@@ -25,10 +33,8 @@ applies s first, and `vcomp_fraction(ch, c1, c2)` applies c1 first.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .core import InternalInconsistency, StructureError, TwoCat
@@ -117,64 +123,6 @@ def rep_problems(c: TwoCat, w, rep: CellRep) -> list[str]:
 # 2-cell classes
 
 
-@lru_cache(maxsize=None)
-def _hom_partition(
-    c: TwoCat, w: frozenset, s1: Span, s2: Span
-) -> dict[CellRep, frozenset[CellRep]]:
-    """Partition all valid representatives s1 ⇒ s2 by refinement-connectivity."""
-    reps: list[CellRep] = []
-    for apex in sorted(c.objects):
-        for v1 in c.hom1(apex, s1.apex):
-            denom = c.compose1(s1.w, v1)
-            if denom not in w:
-                continue
-            for v2 in c.hom1(apex, s2.apex):
-                alphas = c.invertible_cells(denom, c.compose1(s2.w, v2))
-                if not alphas:
-                    continue
-                betas = c.hom2(c.compose1(s1.f, v1), c.compose1(s2.f, v2))
-                for alpha, beta in itertools.product(alphas, betas):
-                    reps.append(CellRep(s1, s2, apex, v1, v2, alpha, beta))
-
-    index = set(reps)
-    parent = {r: r for r in reps}
-
-    def find(r):
-        while parent[r] != r:
-            parent[r] = parent[parent[r]]
-            r = parent[r]
-        return r
-
-    for r in reps:
-        for p in _refinement_legs(c, w, s1, r):
-            refined = _refine(c, r, p)
-            if refined in index:
-                ra, rb = find(r), find(refined)
-                if ra != rb:
-                    parent[rb] = ra
-
-    classes: dict[CellRep, set[CellRep]] = {}
-    for r in reps:
-        classes.setdefault(find(r), set()).add(r)
-    return {r: frozenset(classes[find(r)]) for r in reps}
-
-
-def _refinement_legs(c: TwoCat, w, s1: Span, rep: CellRep):
-    """All p along which rep may be refined (denominator leg stays in W)."""
-    for apex in sorted(c.objects):
-        for p in c.hom1(apex, rep.apex):
-            if c.compose1(c.compose1(s1.w, rep.v1), p) in w:
-                yield p
-
-
-def _refine(c: TwoCat, rep: CellRep, p: str) -> CellRep:
-    return CellRep(
-        rep.src_span, rep.dst_span, c.mor_src[p],
-        c.compose1(rep.v1, p), c.compose1(rep.v2, p),
-        c.whisker_right(rep.alpha, p), c.whisker_right(rep.beta, p),
-    )
-
-
 @dataclass(frozen=True)
 class FractionCell:
     """A 2-cell of the localization: a full refinement-equivalence class."""
@@ -185,21 +133,141 @@ class FractionCell:
     members: frozenset[CellRep] = field(compare=False, repr=False)
 
 
+class _Hom(NamedTuple):
+    """The classes of one hom: sorted by canonical, and by member."""
+
+    cells: tuple[FractionCell, ...]
+    cell_of: dict[CellRep, FractionCell]
+
+
+_EMPTY_HOM = _Hom((), {})
+
+
+class _HomPartitions:
+    """The 2-cell classes of every hom of the localization at one W.
+
+    Stored on the `TwoCat` (see `_partitions`) and holding no reference
+    back to it, so it is freed together with the 2-category; the methods
+    take the 2-category as an argument instead.
+    """
+
+    def __init__(self, w: frozenset[str]):
+        self.w = w
+        self._legs: dict[str, tuple[str, ...]] = {}
+        self._homs: dict[tuple[Span, Span], _Hom] = {}
+
+    def legs(self, c: TwoCat, d: str) -> tuple[str, ...]:
+        """Every p with d∘p ∈ W: the refinement legs at d.
+
+        The identity is left out: refining along it changes nothing.
+        """
+        found = self._legs.get(d)
+        if found is None:
+            a = c.mor_src[d]
+            found = tuple(p for b in sorted(c.objects) for p in c.hom1(b, a)
+                          if p != c.id1[a] and c.comp1[(d, p)] in self.w)
+            self._legs[d] = found
+        return found
+
+    def hom(self, c: TwoCat, s1: Span, s2: Span) -> _Hom:
+        found = self._homs.get((s1, s2))
+        if found is None:
+            found = self._homs[(s1, s2)] = self._partition(c, s1, s2)
+        return found
+
+    def _partition(self, c: TwoCat, s1: Span, s2: Span) -> _Hom:
+        """Enumerate the representatives s1 ⇒ s2, join them along refinements.
+
+        Only representatives that exist are visited: for each v1 with
+        w1∘v1 ∈ W, the invertible alpha out of w1∘v1 name the composites
+        w2∘v2 worth factoring.  Representatives are plain tuples
+        (apex, v1, v2, alpha, beta) until the classes are known.
+        """
+        for s in (s1, s2):
+            if any(c.mor_src.get(leg) != s.apex for leg in (s.w, s.f)):
+                raise StructureError(f"{s} is not a span: legs must leave its apex")
+        comp1, hcomp, id2, mor_src = c.comp1, c.hcomp_table, c.id2, c.mor_src
+        legs_of: dict[tuple, tuple[str, ...]] = {}
+        for apex in sorted(c.objects):
+            for v1 in c.hom1(apex, s1.apex):
+                denom = c.compose1(s1.w, v1)
+                if denom not in self.w:
+                    continue
+                legs = self.legs(c, denom)
+                num1 = c.compose1(s1.f, v1)
+                for g, alphas in c.invertible_from(denom).items():
+                    for v2 in c.right_factors(s2.w, g):
+                        betas = c.hom2(num1, c.compose1(s2.f, v2))
+                        for alpha in alphas:
+                            for beta in betas:
+                                legs_of[(apex, v1, v2, alpha, beta)] = legs
+        if not legs_of:
+            return _EMPTY_HOM
+
+        parent = {r: r for r in legs_of}
+
+        def find(r):
+            while parent[r] != r:
+                parent[r] = parent[parent[r]]
+                r = parent[r]
+            return r
+
+        for r, legs in legs_of.items():
+            root = find(r)
+            _apex, v1, v2, alpha, beta = r
+            for p in legs:
+                i_p = id2[p]
+                refined = (mor_src[p], comp1[(v1, p)], comp1[(v2, p)],
+                           hcomp[(alpha, i_p)], hcomp[(beta, i_p)])
+                if refined in parent:
+                    other = find(refined)
+                    if other != root:
+                        parent[other] = root
+
+        classes: dict[tuple, list[tuple]] = {}
+        for r in legs_of:
+            classes.setdefault(find(r), []).append(r)
+        cells, cell_of = [], {}
+        for keys in classes.values():
+            members = frozenset(CellRep(s1, s2, *k) for k in keys)
+            cell = FractionCell(s1, s2, CellRep(s1, s2, *min(keys)), members)
+            cells.append(cell)
+            cell_of.update(dict.fromkeys(members, cell))
+        cells.sort(key=lambda cell: cell.canonical)
+        return _Hom(tuple(cells), cell_of)
+
+
+def _partitions(c: TwoCat, w: frozenset[str]) -> _HomPartitions:
+    store = c._hom_partitions.get(w)
+    if store is None:
+        store = c._hom_partitions[w] = _HomPartitions(w)
+    return store
+
+
+def _class_of(c: TwoCat, w: frozenset[str], rep: CellRep) -> FractionCell:
+    return _partitions(c, w).hom(c, rep.src_span, rep.dst_span).cell_of[rep]
+
+
+def _refine(c: TwoCat, rep: CellRep, p: str) -> CellRep:
+    return CellRep(
+        rep.src_span, rep.dst_span, c.mor_src[p],
+        c.compose1(rep.v1, p), c.compose1(rep.v2, p),
+        c.whisker_right(rep.alpha, p), c.whisker_right(rep.beta, p),
+    )
+
+
 def cell_from_rep(c: TwoCat, w, rep: CellRep) -> FractionCell:
     w = _as_class(c, w)
     problems = rep_problems(c, w, rep)
     if problems:
         raise StructureError("; ".join(problems))
-    members = _hom_partition(c, w, rep.src_span, rep.dst_span)[rep]
-    return FractionCell(rep.src_span, rep.dst_span, min(members), members)
+    return _class_of(c, w, rep)
 
 
 def hom_fraction_cells(c: TwoCat, w, s1: Span, s2: Span) -> tuple[FractionCell, ...]:
     """All 2-cells s1 ⇒ s2, ordered by canonical representative."""
     w = _as_class(c, w)
-    part = _hom_partition(c, w, s1, s2)
-    seen = sorted({min(m): m for m in part.values()}.items())
-    return tuple(FractionCell(s1, s2, can, m) for can, m in seen)
+    return _partitions(c, w).hom(c, s1, s2).cells
 
 
 def cells_equal(c: TwoCat, w, r1: CellRep, r2: CellRep) -> bool:
@@ -211,7 +279,7 @@ def cells_equal(c: TwoCat, w, r1: CellRep, r2: CellRep) -> bool:
         problems = rep_problems(c, w, r)
         if problems:
             raise StructureError("; ".join(problems))
-    return r2 in _hom_partition(c, w, r1.src_span, r1.dst_span)[r1]
+    return r2 in _class_of(c, w, r1).members
 
 
 def equality_chain(c: TwoCat, w, r1: CellRep, r2: CellRep) -> Optional[list[CellRep]]:
@@ -219,11 +287,11 @@ def equality_chain(c: TwoCat, w, r1: CellRep, r2: CellRep) -> Optional[list[Cell
     if not cells_equal(c, w, r1, r2):
         return None
     w = _as_class(c, w)
-    part = _hom_partition(c, w, r1.src_span, r1.dst_span)
-    nodes = part[r1]
+    nodes = _class_of(c, w, r1).members
+    legs = _partitions(c, w).legs
     edges: dict[CellRep, set[CellRep]] = {r: set() for r in nodes}
     for r in nodes:
-        for p in _refinement_legs(c, w, r1.src_span, r):
+        for p in legs(c, c.compose1(r1.src_span.w, r.v1)):
             refined = _refine(c, r, p)
             if refined in edges:
                 edges[r].add(refined)
@@ -271,8 +339,6 @@ class ChoiceTable:
     c: TwoCat
     w: frozenset[str]
     entries: dict[tuple[str, str], tuple[str, str, str, str]]
-    honors_c1: bool = True
-    honors_c2: bool = True
     honors_c3: bool = True
 
     def entry(self, f: str, v: str) -> tuple[str, str, str, str]:
@@ -300,7 +366,7 @@ def build_choices(c: TwoCat, w, enforce_c3: bool = True) -> ChoiceTable:
                 entries[(f, v)] = (a, c.id1[a], c.id1[a], c.id2[f])
             else:
                 entries[(f, v)] = fill_cospan(c, w, f, v)
-    return ChoiceTable(c, w, entries, True, True, enforce_c3)
+    return ChoiceTable(c, w, entries, enforce_c3)
 
 
 def compose_fractions(ch: ChoiceTable, s: Span, t: Span) -> Span:
@@ -321,8 +387,7 @@ def _cell_from_built_rep(c: TwoCat, w, rep: CellRep, what: str) -> FractionCell:
     if problems:
         raise InternalInconsistency(f"{what} produced an invalid representative: "
                                     + "; ".join(problems))
-    members = _hom_partition(c, w, rep.src_span, rep.dst_span)[rep]
-    return FractionCell(rep.src_span, rep.dst_span, min(members), members)
+    return _class_of(c, w, rep)
 
 
 def vcomp_fraction(ch: ChoiceTable, c1: FractionCell, c2: FractionCell) -> FractionCell:

@@ -183,3 +183,36 @@ def test_console_script_entrypoint(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
+
+
+def test_unwritable_output_is_exit_2_with_full_report(tmp_path, capsys):
+    f3 = emit(tmp_path, "F3")
+    missing = tmp_path / "no-such-dir" / "x.json"
+    code, rep = run(capsys, "saturate", f3, "--output", str(missing))
+    assert code == 2
+    assert SCHEMA_KEYS <= set(rep)
+    assert rep["ok"] is False and rep["command"] == "saturate"
+    assert rep["input"] == [f3]
+    assert "No such file or directory" in rep["error"]
+    assert not missing.parent.exists()
+
+
+def test_unwritable_fixture_path_is_exit_2_with_full_report(tmp_path, capsys):
+    code, rep = run(capsys, "fixtures", "F3", str(tmp_path / "no-such-dir" / "F3.json"))
+    assert code == 2
+    assert SCHEMA_KEYS <= set(rep)
+    assert rep["ok"] is False and rep["input"] == ["F3"]
+    assert "No such file or directory" in rep["error"]
+
+
+def test_uncaught_document_error_is_exit_2_with_full_report(tmp_path, capsys, monkeypatch):
+    import twoloc.cli as cli
+
+    def broken(*_args):
+        raise cli.DocumentError("broken document")
+
+    monkeypatch.setattr(cli, "saturate", broken)
+    code, rep = run(capsys, "saturate", emit(tmp_path, "F3"))
+    assert code == 2
+    assert SCHEMA_KEYS <= set(rep)
+    assert rep["ok"] is False and rep["error"] == "broken document"

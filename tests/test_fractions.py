@@ -163,6 +163,33 @@ def test_c3_collapses_w_roundtrip():
     assert compose_fractions(ch, u_mor(c, w, "w"), back) == identity_span(c, "0")
 
 
+def z4_left_unit_failures(twist_name: str) -> tuple[int, int]:
+    """(classes, classes c with id ⊙ c != c) over all endo-spans of Z/4, W = <2>."""
+    names = [f"g{k}" for k in range(4)]
+    comp = {(names[i], names[j]): names[(i + j) % 4] for i in range(4) for j in range(4)}
+    c = parity_twocat(["x"], {g: ("x", "x") for g in names}, {"x": "g0"}, comp,
+                      twist_name=twist_name)
+    w = frozenset({"g0", "g2"})
+    ch = build_choices(c, w)
+    spans = all_spans(c, w, "x", "x")
+    cells = [cell for s1 in spans for s2 in spans for cell in hom_fraction_cells(c, w, s1, s2)]
+    broken = [cell for cell in cells
+              if vcomp_fraction(ch, identity_fraction_cell(c, w, cell.src_span), cell) != cell]
+    return len(cells), len(broken)
+
+
+def test_identity_cell_is_a_left_unit_with_builder_names():
+    assert z4_left_unit_failures("s") == (64, 0)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect, see bench/README.md 'A defect the renaming exposes': "
+    "vcomp_fraction breaks the unit law when the parity cell's name sorts "
+    "before the identity cell's (today all 64 classes)"))
+def test_identity_cell_is_a_left_unit_when_parity_cell_sorts_first():
+    assert z4_left_unit_failures("a") == (64, 0)
+
+
 def test_quasi_inverse_of_u_requires_witness():
     c, w = fixture("F7")
     with pytest.raises(StructureError):
