@@ -10,8 +10,9 @@ and exits with one of three codes:
 * 1: some verdict is false, and nothing else went wrong;
 * 2: the input is malformed or structurally invalid, or a file could not
   be read or written (including the `--output` report and the document
-  `fixtures` writes).  The report then carries an `error` message and is
-  printed to stdout.
+  `fixtures` writes).  The report then carries an `error` message.  It
+  keeps the data gathered so far and goes where `--output` says, except
+  when a file could not be written: then it is printed to stdout.
 
 Computed answers (e.g. a saturation, or a 2-cell equality) are data, not
 verdicts: they never flip the exit code by themselves.
@@ -158,13 +159,13 @@ def _rep_out(r: CellRep) -> dict:
             "alpha": r.alpha, "beta": r.beta}
 
 
-def _load_checked(cmd: _Command, path: str):
-    """Load and validate a 2-category document; None signals early exit."""
+def _load_checked(cmd: _Command, path: str, name: str = "document"):
+    """Load and validate a 2-category document; DocumentError if it is unlawful."""
     c, w = load_twocat(path)
     rep = validate(c)
     if not rep.ok:
         cmd.report["data"]["validation"] = rep.lines()
-        return None
+        raise DocumentError(f"{name} fails 2-category validation")
     return c, w
 
 
@@ -172,12 +173,8 @@ def _load_checked(cmd: _Command, path: str):
 # subcommands
 
 
-def cmd_validate(args) -> int:
-    cmd = _Command(args)
-    try:
-        c, _w = load_twocat(args.path)
-    except DocumentError as exc:
-        return cmd.bad_input(str(exc))
+def cmd_validate(cmd: _Command, args) -> int:
+    c, _w = load_twocat(args.path)
     rep = validate(c)
     if rep.structural:
         cmd.report["data"]["structural"] = rep.structural
@@ -187,15 +184,8 @@ def cmd_validate(args) -> int:
     return cmd.finish()
 
 
-def cmd_check_bf(args) -> int:
-    cmd = _Command(args)
-    try:
-        loaded = _load_checked(cmd, args.path)
-    except DocumentError as exc:
-        return cmd.bad_input(str(exc))
-    if loaded is None:
-        return cmd.bad_input("document fails 2-category validation")
-    c, w = loaded
+def cmd_check_bf(cmd: _Command, args) -> int:
+    c, w = _load_checked(cmd, args.path)
     bf = check_bf(c, w)
     for axiom, passed in bf.passed.items():
         cmd.verdict(axiom, passed, bf.counterexamples.get(axiom))
@@ -203,15 +193,8 @@ def cmd_check_bf(args) -> int:
     return cmd.finish()
 
 
-def cmd_saturate(args) -> int:
-    cmd = _Command(args)
-    try:
-        loaded = _load_checked(cmd, args.path)
-    except DocumentError as exc:
-        return cmd.bad_input(str(exc))
-    if loaded is None:
-        return cmd.bad_input("document fails 2-category validation")
-    c, w = loaded
+def cmd_saturate(cmd: _Command, args) -> int:
+    c, w = _load_checked(cmd, args.path)
     sat = saturate(c, w)
     cmd.report["data"]["W"] = sorted(w)
     cmd.report["data"]["saturation"] = sorted(sat)
@@ -227,15 +210,8 @@ def _require_bf(cmd: _Command, c, w) -> bool:
     return bf.ok
 
 
-def cmd_localize(args) -> int:
-    cmd = _Command(args)
-    try:
-        loaded = _load_checked(cmd, args.path)
-    except DocumentError as exc:
-        return cmd.bad_input(str(exc))
-    if loaded is None:
-        return cmd.bad_input("document fails 2-category validation")
-    c, w = loaded
+def cmd_localize(cmd: _Command, args) -> int:
+    c, w = _load_checked(cmd, args.path)
     if not _require_bf(cmd, c, w):
         return cmd.finish()
     loc = localize(c, w, build_choices(c, w, enforce_c3=args.c3))
@@ -255,16 +231,9 @@ def cmd_localize(args) -> int:
     return cmd.finish()
 
 
-def cmd_equiv(args) -> int:
-    cmd = _Command(args)
-    try:
-        loaded = _load_checked(cmd, args.path)
-        span = _span_arg(args.span)
-    except DocumentError as exc:
-        return cmd.bad_input(str(exc))
-    if loaded is None:
-        return cmd.bad_input("document fails 2-category validation")
-    c, w = loaded
+def cmd_equiv(cmd: _Command, args) -> int:
+    c, w = _load_checked(cmd, args.path)
+    span = _span_arg(args.span)
     problems = span_problems(c, w, span)
     if problems:
         return cmd.bad_input("; ".join(problems))
@@ -286,19 +255,12 @@ def cmd_equiv(args) -> int:
     return cmd.finish()
 
 
-def cmd_cell_eq(args) -> int:
-    cmd = _Command(args)
-    try:
-        loaded = _load_checked(cmd, args.path)
-        src = _span_arg(args.src)
-        dst = _span_arg(args.dst)
-        r1 = _rep_arg(args.rep1, src, dst)
-        r2 = _rep_arg(args.rep2, src, dst)
-    except DocumentError as exc:
-        return cmd.bad_input(str(exc))
-    if loaded is None:
-        return cmd.bad_input("document fails 2-category validation")
-    c, w = loaded
+def cmd_cell_eq(cmd: _Command, args) -> int:
+    c, w = _load_checked(cmd, args.path)
+    src = _span_arg(args.src)
+    dst = _span_arg(args.dst)
+    r1 = _rep_arg(args.rep1, src, dst)
+    r2 = _rep_arg(args.rep2, src, dst)
     if not _require_bf(cmd, c, w):
         return cmd.finish()
     try:
@@ -314,20 +276,10 @@ def cmd_cell_eq(args) -> int:
     return cmd.finish()
 
 
-def cmd_induce(args) -> int:
-    cmd = _Command(args)
-    try:
-        src_loaded = _load_checked(cmd, args.src)
-        if src_loaded is None:
-            return cmd.bad_input(f"{args.src}: fails 2-category validation")
-        dst_loaded = _load_checked(cmd, args.dst)
-        if dst_loaded is None:
-            return cmd.bad_input(f"{args.dst}: fails 2-category validation")
-        c_src, w_src = src_loaded
-        c_dst, w_dst = dst_loaded
-        fun = load_twofunctor(args.functor, c_src, c_dst)
-    except DocumentError as exc:
-        return cmd.bad_input(str(exc))
+def cmd_induce(cmd: _Command, args) -> int:
+    c_src, w_src = _load_checked(cmd, args.src, f"{args.src}:")
+    c_dst, w_dst = _load_checked(cmd, args.dst, f"{args.dst}:")
+    fun = load_twofunctor(args.functor, c_src, c_dst)
     frep = validate_functor(fun)
     if not frep.ok:
         cmd.report["data"]["functor_validation"] = frep.lines()
@@ -373,17 +325,13 @@ def cmd_induce(args) -> int:
     return cmd.finish()
 
 
-def cmd_groupoid(args) -> int:
-    cmd = _Command(args)
-    try:
-        gpds = []
-        for i, p in enumerate(args.paths):
-            g = load_groupoid(p)
-            if any(other.name == g.name for other in gpds):
-                g.name = f"{g.name}_{i}"
-            gpds.append(g)
-    except DocumentError as exc:
-        return cmd.bad_input(str(exc))
+def cmd_groupoid(cmd: _Command, args) -> int:
+    gpds = []
+    for i, p in enumerate(args.paths):
+        g = load_groupoid(p)
+        if any(other.name == g.name for other in gpds):
+            g.name = f"{g.name}_{i}"
+        gpds.append(g)
     from .groupoids import validate_groupoid
 
     for g in gpds:
@@ -395,10 +343,7 @@ def cmd_groupoid(args) -> int:
     if args.check == "morita":
         if len(gpds) != 2 or not args.functor:
             return cmd.bad_input("--check=morita needs two groupoids and --functor")
-        try:
-            fun = load_gfunctor(args.functor, gpds[0], gpds[1])
-        except DocumentError as exc:
-            return cmd.bad_input(str(exc))
+        fun = load_gfunctor(args.functor, gpds[0], gpds[1])
         problems = functor_problems(fun)
         if problems:
             return cmd.bad_input("; ".join(problems))
@@ -442,8 +387,7 @@ _GROUPOID_FIXTURES = {
 }
 
 
-def cmd_fixtures(args) -> int:
-    cmd = _Command(args)
+def cmd_fixtures(cmd: _Command, args) -> int:
     name = args.name
     if name in fixture_mod.FIXTURES:
         c, w = fixture_mod.fixture(name)
@@ -466,8 +410,6 @@ def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", default=None,
                         help="write the JSON report here instead of stdout")
-    common.add_argument("--json", action="store_true", default=True,
-                        help="emit JSON (the default and only format)")
     common.add_argument("--c3", dest="c3", action="store_true", default=True,
                         help="normalise choice tables with condition C3 (default)")
     common.add_argument("--no-c3", dest="c3", action="store_false")
@@ -541,12 +483,16 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    cmd = _Command(args)
     try:
-        return args.fn(args)
-    except (DocumentError, OSError) as exc:
-        cmd = _Command(args)
-        cmd.output = None  # the --output path may be what failed
-        return cmd.bad_input(str(exc))
+        try:
+            return args.fn(cmd, args)
+        except DocumentError as exc:
+            return cmd.bad_input(str(exc))
+    except OSError as exc:
+        fallback = _Command(args)
+        fallback.output = None  # the --output path may be what failed
+        return fallback.bad_input(str(exc))
 
 
 if __name__ == "__main__":

@@ -294,15 +294,19 @@ def validate(c: TwoCat) -> ValidationReport:
 
     Structural problems (dangling identifiers, partial tables) are reported
     separately from law failures and suppress them, since a partial table
-    makes the law loops meaningless.  Each failing law carries one minimal
-    counterexample tuple, by identifier.
+    makes the law loops meaningless.  Each failing law carries one
+    counterexample tuple, by identifier: the first one found.
     """
     report = ValidationReport()
     if not _check_structure(c, report):
         return report
 
+    failed: set[str] = set()
+
     def law(name: str, witness: tuple) -> None:
-        report.failures.append((name, repr(witness)))
+        if name not in failed:
+            failed.add(name)
+            report.failures.append((name, repr(witness)))
 
     mors, cells = c.mors, c.cells
     for f in mors:

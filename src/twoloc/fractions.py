@@ -517,46 +517,59 @@ def whisker_fraction_right(ch: ChoiceTable, cell: FractionCell, s: Span) -> Frac
 # invertibility, associators, internal equivalences
 
 
+def _invertible_member(ch: ChoiceTable, cell: FractionCell) -> Optional[CellRep]:
+    """The first member (A, v1, v2, α, β) of the class whose swap is a representative.
+
+    A class is invertible iff some member has an invertible β (Tommasini,
+    arXiv:1410.3990); the swap (v2, v1, α⁻¹, β⁻¹) then presents the
+    inverse.  Classes are closed under refinement, so this reads "β∗i_z is
+    invertible for some z with w1∘v1∘z ∈ W".  The swap also needs
+    w2∘v2 ∈ W, which BF5 gives through α; it is checked because nothing
+    here requires BF.  The canonical member is tried first.
+    """
+    c, w = ch.c, ch.w
+    w2 = cell.dst_span.w
+
+    def swappable(r: CellRep) -> bool:
+        return c.is_invertible2(r.beta) and c.comp1[(w2, r.v2)] in w
+
+    if swappable(cell.canonical):
+        return cell.canonical
+    return min(filter(swappable, cell.members), default=None)
+
+
 def fraction_inverse(ch: ChoiceTable, cell: FractionCell) -> Optional[FractionCell]:
     """The two-sided vertical inverse of a fraction cell, if one exists."""
-    c, w = ch.c, ch.w
-    ids = identity_fraction_cell(c, w, cell.src_span)
-    idd = identity_fraction_cell(c, w, cell.dst_span)
-
-    def verify(candidate: FractionCell) -> bool:
-        return (vcomp_fraction(ch, cell, candidate) == ids
-                and vcomp_fraction(ch, candidate, cell) == idd)
-
-    rep = cell.canonical
-    if c.is_invertible2(rep.beta):
-        swapped = CellRep(cell.dst_span, cell.src_span, rep.apex, rep.v2, rep.v1,
-                          c.inverse2(rep.alpha), c.inverse2(rep.beta))
-        if not rep_problems(c, w, swapped):
-            candidate = cell_from_rep(c, w, swapped)
-            if verify(candidate):
-                return candidate
-    for candidate in hom_fraction_cells(c, w, cell.dst_span, cell.src_span):
-        if verify(candidate):
-            return candidate
-    return None
+    rep = _invertible_member(ch, cell)
+    if rep is None:
+        return None
+    c = ch.c
+    swapped = CellRep(cell.dst_span, cell.src_span, rep.apex, rep.v2, rep.v1,
+                      c.inverse2(rep.alpha), c.inverse2(rep.beta))
+    return _class_of(c, ch.w, swapped)
 
 
 def is_invertible_fraction_cell(ch: ChoiceTable, cell: FractionCell) -> bool:
-    return fraction_inverse(ch, cell) is not None
+    return _invertible_member(ch, cell) is not None
+
+
+def first_invertible_cell(ch: ChoiceTable, s1: Span, s2: Span) -> Optional[FractionCell]:
+    """The first invertible 2-cell s1 ⇒ s2 in canonical order, or None."""
+    return next((cell for cell in hom_fraction_cells(ch.c, ch.w, s1, s2)
+                 if is_invertible_fraction_cell(ch, cell)), None)
 
 
 def find_associator_witness(ch: ChoiceTable, s: Span, t: Span, u: Span) -> FractionCell:
     """An invertible cell (s;t);u ⇒ s;(t;u) for a composable triple."""
-    c, w = ch.c, ch.w
     left = compose_fractions(ch, compose_fractions(ch, s, t), u)
     right = compose_fractions(ch, s, compose_fractions(ch, t, u))
     if left == right:
-        return identity_fraction_cell(c, w, left)
-    for cand in hom_fraction_cells(c, w, left, right):
-        if is_invertible_fraction_cell(ch, cand):
-            return cand
-    raise InternalInconsistency(
-        f"no invertible associator between {left} and {right}")
+        return identity_fraction_cell(ch.c, ch.w, left)
+    witness = first_invertible_cell(ch, left, right)
+    if witness is None:
+        raise InternalInconsistency(
+            f"no invertible associator between {left} and {right}")
+    return witness
 
 
 def all_spans(c: TwoCat, w, src: str, dst: str) -> tuple[Span, ...]:
@@ -587,14 +600,10 @@ def is_internal_equiv_search(ch: ChoiceTable, s: Span) -> Optional[SpanEquivalen
     a, b = span_src(c, s), span_dst(c, s)
     ida, idb = identity_span(c, a), identity_span(c, b)
     for g in all_spans(c, w, b, a):
-        fwd = compose_fractions(ch, s, g)
-        delta = next((d for d in hom_fraction_cells(c, w, ida, fwd)
-                      if is_invertible_fraction_cell(ch, d)), None)
+        delta = first_invertible_cell(ch, ida, compose_fractions(ch, s, g))
         if delta is None:
             continue
-        bwd = compose_fractions(ch, g, s)
-        xi = next((x for x in hom_fraction_cells(c, w, bwd, idb)
-                   if is_invertible_fraction_cell(ch, x)), None)
+        xi = first_invertible_cell(ch, compose_fractions(ch, g, s), idb)
         if xi is not None:
             return SpanEquivalence(s, g, delta, xi)
     return None

@@ -38,7 +38,7 @@ from .fractions import (
     build_choices,
     cell_from_rep,
     compose_fractions,
-    hom_fraction_cells,
+    first_invertible_cell,
     identity_fraction_cell,
     is_internal_equiv_closed_form,
     is_invertible_fraction_cell,
@@ -202,9 +202,7 @@ class InducedPseudofunctor:
             if left == right:
                 witness = identity_fraction_cell(tl.c, tl.w, left)
             else:
-                witness = next(
-                    (cand for cand in hom_fraction_cells(tl.c, tl.w, left, right)
-                     if is_invertible_fraction_cell(tl.ch, cand)), None)
+                witness = first_invertible_cell(tl.ch, left, right)
                 if witness is None:
                     raise InternalInconsistency(
                         f"no invertible compositor between {left} and {right}")
@@ -412,11 +410,6 @@ def compare_choice_tables(c: TwoCat, w, ch1: ChoiceTable, ch2: ChoiceTable) -> C
                 out.pairs_checked += 1
                 left = compose_fractions(ch1, s, t)
                 right = compose_fractions(ch2, s, t)
-                if left == right:
-                    continue
-                witness = next(
-                    (cand for cand in hom_fraction_cells(c, w, left, right)
-                     if is_invertible_fraction_cell(ch1, cand)), None)
-                if witness is None:
+                if left != right and first_invertible_cell(ch1, left, right) is None:
                     out.unconnected.append((s, t))
     return out

@@ -13,6 +13,7 @@ Size caps: at most 4 objects, 8 one-cells, 12 two-cells per entry.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -150,6 +151,95 @@ def build_corpus(seed: int = SEED, minimum: int = 100) -> list[CorpusEntry]:
         for tag, w in _candidate_classes(c, rng):
             if check_bf(c, w).ok:
                 out.append(CorpusEntry(f"r{len(out):03d}-{tag}", c, w))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# locally posetal 2-categories: the family with non-invertible 2-cells
+
+
+def posetal_twocat(
+    objects: list[str],
+    mors: dict[str, tuple[str, str]],
+    id1: dict[str, str],
+    comp: dict[tuple[str, str], str],
+    leq: set[tuple[str, str]],
+) -> TwoCat:
+    """One 2-cell `f<=g`: f ⇒ g for each pair (f, g) in the order `leq`.
+
+    `leq` must be a partial order on each hom, and composition must be
+    monotone in both arguments; otherwise the tables are not total and
+    this raises ValueError.  Only the identities `f<=f` are invertible.
+    """
+    def cell(f: str, g: str) -> str:
+        if (f, g) not in leq:
+            raise ValueError(f"order is not transitive or not compatible at {f} <= {g}")
+        return f"{f}<={g}"
+
+    cell_src = {cell(f, g): f for f, g in leq}
+    cell_dst = {cell(f, g): g for f, g in leq}
+    vcomp = {(cell(g, h), cell(f, g2)): cell(f, h)
+             for f, g2 in leq for g, h in leq if g == g2}
+    hcomp = {(cell(g1, g2), cell(f1, f2)): cell(comp[(g1, f1)], comp[(g2, f2)])
+             for f1, f2 in leq for g1, g2 in leq if (g1, f1) in comp}
+    return TwoCat(
+        objects=tuple(objects),
+        mor_src={f: s for f, (s, _) in mors.items()},
+        mor_dst={f: d for f, (_, d) in mors.items()},
+        comp1=dict(comp),
+        id1=dict(id1),
+        cell_src=cell_src,
+        cell_dst=cell_dst,
+        vcomp_table=vcomp,
+        hcomp_table=hcomp,
+        id2={f: cell(f, f) for f in mors},
+    )
+
+
+def _monoid_tables(n: int):
+    """Every monoid multiplication on {1, a, b, ...}[:n] with unit 1."""
+    elems = ["1", "a", "b"][:n]
+    rest = elems[1:]
+    pairs = list(itertools.product(rest, rest))
+    for values in itertools.product(elems, repeat=len(pairs)):
+        table = {(x, "1"): x for x in elems} | {("1", x): x for x in elems}
+        table |= dict(zip(pairs, values))
+        if all(table[(table[(x, y)], z)] == table[(x, table[(y, z)])]
+               for x, y, z in itertools.product(elems, repeat=3)):
+            yield elems, table
+
+
+def _partial_orders(elems: list[str]):
+    """Every partial order on elems, as a set of pairs (x, y) with x <= y."""
+    strict = [(x, y) for x in elems for y in elems if x != y]
+    for bits in itertools.product((False, True), repeat=len(strict)):
+        leq = {(x, x) for x in elems} | {p for p, on in zip(strict, bits) if on}
+        antisymmetric = all((y, x) not in leq for x, y in leq if x != y)
+        transitive = all((x, z) in leq for x, y in leq for y2, z in leq if y == y2)
+        if antisymmetric and transitive:
+            yield leq
+
+
+def posetal_family() -> list[CorpusEntry]:
+    """One-object monoids of at most 3 elements, each with every compatible
+    partial order and every W containing the unit that passes BF."""
+    out = []
+    for n in (1, 2, 3):
+        for elems, table in _monoid_tables(n):
+            for leq in _partial_orders(elems):
+                monotone = all((table[(h, x)], table[(h, y)]) in leq
+                               and (table[(x, h)], table[(y, h)]) in leq
+                               for x, y in leq for h in elems)
+                if not monotone:
+                    continue
+                c = posetal_twocat(["A"], {x: ("A", "A") for x in elems},
+                                   {"A": "1"}, table, leq)
+                assert validate(c).ok, "posetal builder emitted an unlawful table"
+                for k in range(n):
+                    for extra in itertools.combinations(elems[1:], k):
+                        w = frozenset({"1", *extra})
+                        if check_bf(c, w).ok:
+                            out.append(CorpusEntry(f"p{len(out):03d}", c, w))
     return out
 
 

@@ -216,3 +216,18 @@ def test_uncaught_document_error_is_exit_2_with_full_report(tmp_path, capsys, mo
     assert code == 2
     assert SCHEMA_KEYS <= set(rep)
     assert rep["ok"] is False and rep["error"] == "broken document"
+
+
+def test_document_error_keeps_data_and_output(tmp_path, capsys, monkeypatch):
+    import twoloc.cli as cli
+
+    def broken(*_args):
+        raise cli.DocumentError("broken late")
+
+    monkeypatch.setattr(cli, "is_right_saturated", broken)
+    out = tmp_path / "report.json"
+    assert main(["saturate", emit(tmp_path, "F3"), "--output", str(out)]) == 2
+    assert capsys.readouterr().out == ""
+    rep = json.loads(out.read_text())
+    assert rep["error"] == "broken late" and rep["ok"] is False
+    assert rep["data"]["saturation"] == ["id0", "id1", "w"]
