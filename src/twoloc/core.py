@@ -181,6 +181,11 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.structural and not self.failures
 
+    def fail(self, law: str, witness) -> None:
+        """Record that `law` fails; only its first witness is kept."""
+        if all(name != law for name, _ in self.failures):
+            self.failures.append((law, repr(witness)))
+
     def lines(self) -> list[str]:
         out = [f"structural: {msg}" for msg in self.structural]
         out += [f"{law}: {detail}" for law, detail in self.failures]
@@ -301,53 +306,46 @@ def validate(c: TwoCat) -> ValidationReport:
     if not _check_structure(c, report):
         return report
 
-    failed: set[str] = set()
-
-    def law(name: str, witness: tuple) -> None:
-        if name not in failed:
-            failed.add(name)
-            report.failures.append((name, repr(witness)))
-
     mors, cells = c.mors, c.cells
     for f in mors:
         ia, ib = c.id1[c.mor_src[f]], c.id1[c.mor_dst[f]]
         if c.comp1[(f, ia)] != f:
-            law("compose1-right-unit", (f, ia))
+            report.fail("compose1-right-unit", (f, ia))
         if c.comp1[(ib, f)] != f:
-            law("compose1-left-unit", (ib, f))
+            report.fail("compose1-left-unit", (ib, f))
     for (g, f) in c.comp1:
         for h in mors:
             if c.mor_dst[g] == c.mor_src[h]:
                 if c.comp1[(c.comp1[(h, g)], f)] != c.comp1[(h, c.comp1[(g, f)])]:
-                    law("compose1-assoc", (h, g, f))
+                    report.fail("compose1-assoc", (h, g, f))
 
     for a in cells:
         if c.vcomp_table[(a, c.id2[c.cell_src[a]])] != a:
-            law("vcomp-right-unit", (a,))
+            report.fail("vcomp-right-unit", (a,))
         if c.vcomp_table[(c.id2[c.cell_dst[a]], a)] != a:
-            law("vcomp-left-unit", (a,))
+            report.fail("vcomp-left-unit", (a,))
     for (b, a) in c.vcomp_table:
         for d in cells:
             if c.cell_dst[b] == c.cell_src[d]:
                 if c.vcomp_table[(c.vcomp_table[(d, b)], a)] != c.vcomp_table[(d, c.vcomp_table[(b, a)])]:
-                    law("vcomp-assoc", (d, b, a))
+                    report.fail("vcomp-assoc", (d, b, a))
 
     for (g, f) in c.comp1:
         if c.hcomp_table[(c.id2[g], c.id2[f])] != c.id2[c.comp1[(g, f)]]:
-            law("hcomp-identities", (g, f))
+            report.fail("hcomp-identities", (g, f))
     for a in cells:
         f = c.cell_src[a]
         ia = c.id2[c.id1[c.mor_src[f]]]
         ib = c.id2[c.id1[c.mor_dst[f]]]
         if c.hcomp_table[(a, ia)] != a:
-            law("hcomp-right-unit", (a,))
+            report.fail("hcomp-right-unit", (a,))
         if c.hcomp_table[(ib, a)] != a:
-            law("hcomp-left-unit", (a,))
+            report.fail("hcomp-left-unit", (a,))
     for (b, a) in c.hcomp_table:
         for d in cells:
             if c.mor_dst[c.cell_src[b]] == c.mor_src[c.cell_src[d]]:
                 if c.hcomp_table[(c.hcomp_table[(d, b)], a)] != c.hcomp_table[(d, c.hcomp_table[(b, a)])]:
-                    law("hcomp-assoc", (d, b, a))
+                    report.fail("hcomp-assoc", (d, b, a))
 
     # interchange: (b2⊙b1)∗(a2⊙a1) = (b2∗a2)⊙(b1∗a1)
     for (a2, a1) in c.vcomp_table:
@@ -356,7 +354,7 @@ def validate(c: TwoCat) -> ValidationReport:
                 lhs = c.hcomp_table[(c.vcomp_table[(b2, b1)], c.vcomp_table[(a2, a1)])]
                 rhs = c.vcomp_table[(c.hcomp_table[(b2, a2)], c.hcomp_table[(b1, a1)])]
                 if lhs != rhs:
-                    law("interchange", (b2, b1, a2, a1))
+                    report.fail("interchange", (b2, b1, a2, a1))
     return report
 
 

@@ -76,29 +76,32 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
              if g.arr_dst[a] == g.arr_src[b]}
     if set(g.comp) != pairs:
         rep.structural.append("composition table domain mismatch")
+    for (b, a), ba in sorted(g.comp.items()):
+        if ba not in arrows:
+            rep.structural.append(f"compose[{(b, a)}] = {ba!r} is not a declared arrow")
     if rep.structural:
         return rep
 
     for x, u in g.unit.items():
         if g.arr_src[u] != x or g.arr_dst[u] != x:
-            rep.failures.append(("unit endpoints", repr(x)))
+            rep.fail("unit endpoints", x)
     for (b, a), ba in g.comp.items():
         if g.arr_src[ba] != g.arr_src[a] or g.arr_dst[ba] != g.arr_dst[b]:
-            rep.failures.append(("composite endpoints", repr((b, a))))
-    for a in arrows:
-        if g.comp[(a, g.unit[g.arr_src[a]])] != a or \
-           g.comp[(g.unit[g.arr_dst[a]], a)] != a:
-            rep.failures.append(("unit law", repr(a)))
+            rep.fail("composite endpoints", (b, a))
+    for a in g.arrows:  # a unit with wrong endpoints may have no composite
+        if g.comp.get((a, g.unit[g.arr_src[a]])) != a or \
+           g.comp.get((g.unit[g.arr_dst[a]], a)) != a:
+            rep.fail("unit law", a)
         ia = g.inv[a]
         if g.arr_src[ia] != g.arr_dst[a] or g.arr_dst[ia] != g.arr_src[a]:
-            rep.failures.append(("inverse endpoints", repr(a)))
+            rep.fail("inverse endpoints", a)
         elif g.comp[(ia, a)] != g.unit[g.arr_src[a]] or \
                 g.comp[(a, ia)] != g.unit[g.arr_dst[a]]:
-            rep.failures.append(("inverse law", repr(a)))
-    for c_, b, a in itertools.product(arrows, arrows, arrows):
+            rep.fail("inverse law", a)
+    for c_, b, a in itertools.product(g.arrows, repeat=3):
         if g.arr_dst[a] == g.arr_src[b] and g.arr_dst[b] == g.arr_src[c_]:
-            if g.comp[(c_, g.comp[(b, a)])] != g.comp[(g.comp[(c_, b)], a)]:
-                rep.failures.append(("associativity", repr((c_, b, a))))
+            if g.comp.get((c_, g.comp[(b, a)])) != g.comp.get((g.comp[(c_, b)], a)):
+                rep.fail("associativity", (c_, b, a))
     return rep
 
 

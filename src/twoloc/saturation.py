@@ -207,24 +207,17 @@ def quasi_units(c: TwoCat) -> frozenset[str]:
 
 
 def saturate(c: TwoCat, w) -> frozenset[str]:
-    """{ f : ∃g with f∘g ∈ W, ∃h with g∘h ∈ W }, by exhaustive search."""
+    """{ f : ∃g with f∘g ∈ W, ∃h with g∘h ∈ W }, read off the composition table.
+
+    Two passes over `c.comp1`: the entries composing into W give the
+    middle factors g that have some h, then the f before such a g.  The
+    answer is defined on tables that pass `validate`: a missing or stray
+    composite is not looked for.
+    """
     w = _as_class(c, w)
-    out = set()
-    for f in c.mors:
-        src_f = c.mor_src[f]
-        for g in c.mors:
-            if c.mor_dst[g] != src_f or c.compose1(f, g) not in w:
-                continue
-            src_g = c.mor_src[g]
-            if any(
-                c.mor_dst[h] == src_g and c.compose1(g, h) in w
-                for h in c.mors
-            ):
-                out.add(f)
-                break
-    return frozenset(out)
+    middles = {g for (g, _h), gh in c.comp1.items() if gh in w}
+    return frozenset(f for (f, g), fg in c.comp1.items() if fg in w and g in middles)
 
 
 def is_right_saturated(c: TwoCat, w) -> bool:
-    w = _as_class(c, w)
-    return saturate(c, w) == w
+    return saturate(c, w) == frozenset(w)

@@ -4,8 +4,6 @@ import json
 import subprocess
 import sys
 
-import pytest
-
 from twoloc.cli import main
 
 SCHEMA_KEYS = {"command", "input", "flags", "verdicts", "data",
@@ -231,3 +229,34 @@ def test_document_error_keeps_data_and_output(tmp_path, capsys, monkeypatch):
     rep = json.loads(out.read_text())
     assert rep["error"] == "broken late" and rep["ok"] is False
     assert rep["data"]["saturation"] == ["id0", "id1", "w"]
+
+
+def test_induce_with_functor_that_does_not_compose_is_exit_2(tmp_path, capsys):
+    f6 = emit(tmp_path, "F6")
+    doc = json.loads(open(f6).read())
+    bad = tmp_path / "BAD.json"
+    bad.write_text(json.dumps({
+        "f0": {o: o for o in doc["objects"]},
+        "f1": {**{m["id"]: m["id"] for m in doc["morphisms"]}, "f": "idX"},
+        "f2": {a["id"]: a["id"] for a in doc["twocells"]},
+    }))
+    code, rep = run(capsys, "induce", f6, f6, str(bad))
+    assert code == 2
+    assert SCHEMA_KEYS <= set(rep) and rep["ok"] is False
+    assert rep["data"]["functor_validation"] == [
+        "1-cell boundaries: 'f'", "2-cell boundaries: 'i_f'",
+        "identity 2-cells: 'f'", "compose1: ('f', 'g')"]
+
+
+def test_groupoid_with_undeclared_composite_is_exit_2(tmp_path, capsys):
+    disc = tmp_path / "disc.json"
+    doc = json.loads(open(emit(tmp_path, "disc2")).read())
+    doc["compose"] = [{**e, "result": "zz"} if (e["g"], e["f"]) == ("e1", "e1") else e
+                      for e in doc["compose"]]
+    disc.write_text(json.dumps(doc))
+    code, rep = run(capsys, "groupoid", str(disc), "--check", "saturated")
+    assert code == 2
+    assert SCHEMA_KEYS <= set(rep) and rep["ok"] is False
+    assert rep["error"] == "disc: not a groupoid"
+    assert rep["data"]["validation_disc"] == [
+        "structural: compose[('e1', 'e1')] = 'zz' is not a declared arrow"]

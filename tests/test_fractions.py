@@ -163,19 +163,50 @@ def test_c3_collapses_w_roundtrip():
     assert compose_fractions(ch, u_mor(c, w, "w"), back) == identity_span(c, "0")
 
 
-def z4_left_unit_failures(twist_name: str) -> tuple[int, int]:
-    """(classes, classes c with id ⊙ c != c) over all endo-spans of Z/4, W = <2>."""
+def z4_classes(twist_name: str):
+    """Z/4 with a parity cell on every 1-cell, W = <2>: (choices, every endo class)."""
     names = [f"g{k}" for k in range(4)]
     comp = {(names[i], names[j]): names[(i + j) % 4] for i in range(4) for j in range(4)}
     c = parity_twocat(["x"], {g: ("x", "x") for g in names}, {"x": "g0"}, comp,
                       twist_name=twist_name)
     w = frozenset({"g0", "g2"})
-    ch = build_choices(c, w)
     spans = all_spans(c, w, "x", "x")
-    cells = [cell for s1 in spans for s2 in spans for cell in hom_fraction_cells(c, w, s1, s2)]
+    return build_choices(c, w), [cell for s1 in spans for s2 in spans
+                                 for cell in hom_fraction_cells(c, w, s1, s2)]
+
+
+def z4_left_unit_failures(twist_name: str) -> tuple[int, int]:
+    """(classes, classes c with id ⊙ c != c) over all endo-spans of Z/4, W = <2>."""
+    ch, cells = z4_classes(twist_name)
     broken = [cell for cell in cells
-              if vcomp_fraction(ch, identity_fraction_cell(c, w, cell.src_span), cell) != cell]
+              if vcomp_fraction(ch, identity_fraction_cell(ch.c, ch.w, cell.src_span), cell)
+              != cell]
     return len(cells), len(broken)
+
+
+def pronk_equivalent(c, w, r1: CellRep, r2: CellRep) -> bool:
+    """Pronk's relation on representatives of one hom (Pronk 1996, §2.3), by search.
+
+    r1 ~ r2 when some u: B→A3 and u′: B→A3′ with w1∘v1∘u ∈ W carry
+    invertible ε1: v1∘u ⇒ v1′∘u′ and ε2: v2∘u ⇒ v2′∘u′ with
+    (α′∗i_u′)⊙(i_w1∗ε1) = (i_w2∗ε2)⊙(α∗i_u), and likewise for β with f1, f2.
+    Refining along a common leg is the case ε1 = ε2 = identity.
+    """
+    s1, s2 = r1.src_span, r1.dst_span
+    for b in c.objects:
+        for u in c.hom1(b, r1.apex):
+            v1u, v2u = c.compose1(r1.v1, u), c.compose1(r1.v2, u)
+            if c.compose1(s1.w, v1u) not in w:
+                continue
+            for u2 in c.hom1(b, r2.apex):
+                for e1 in c.invertible_cells(v1u, c.compose1(r2.v1, u2)):
+                    for e2 in c.invertible_cells(v2u, c.compose1(r2.v2, u2)):
+                        if all(c.vcomp(c.whisker_right(x2, u2), c.whisker_left(leg1, e1))
+                               == c.vcomp(c.whisker_left(leg2, e2), c.whisker_right(x1, u))
+                               for x1, x2, leg1, leg2 in ((r1.alpha, r2.alpha, s1.w, s2.w),
+                                                          (r1.beta, r2.beta, s1.f, s2.f))):
+                            return True
+    return False
 
 
 def test_identity_cell_is_a_left_unit_with_builder_names():
@@ -183,11 +214,34 @@ def test_identity_cell_is_a_left_unit_with_builder_names():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "known defect, see bench/README.md 'A defect the renaming exposes': "
-    "vcomp_fraction breaks the unit law when the parity cell's name sorts "
-    "before the identity cell's (today all 64 classes)"))
+    "known defect: the hom partition joins representatives only along a "
+    "common refinement leg (ε = identity in Pronk's relation), so it is "
+    "finer than Pronk's 2-cell relation (64 classes where Pronk has 32). "
+    "vcomp_fraction(id, c) then lands in a class that is Pronk-equivalent "
+    "to c but not equal to it (today all 64 classes when the parity cell "
+    "sorts first)"))
 def test_identity_cell_is_a_left_unit_when_parity_cell_sorts_first():
     assert z4_left_unit_failures("a") == (64, 0)
+
+
+@pytest.mark.parametrize("twist_name", ["s", "a"])
+def test_identity_cell_is_a_left_unit_up_to_pronk_equivalence(twist_name):
+    ch, cells = z4_classes(twist_name)
+    assert len(cells) == 64
+    for cell in cells:
+        unit = identity_fraction_cell(ch.c, ch.w, cell.src_span)
+        composite = vcomp_fraction(ch, unit, cell)
+        assert pronk_equivalent(ch.c, ch.w, composite.canonical, cell.canonical)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: the hom partition is finer than Pronk's relation; on "
+    "Z/4 with W = <2> it has 64 classes where Pronk's relation has 32"))
+def test_no_two_classes_of_a_hom_are_pronk_equivalent():
+    ch, cells = z4_classes("s")
+    for one, other in itertools.combinations(cells, 2):
+        if (one.src_span, one.dst_span) == (other.src_span, other.dst_span):
+            assert not pronk_equivalent(ch.c, ch.w, one.canonical, other.canonical)
 
 
 def test_quasi_inverse_of_u_requires_witness():

@@ -44,6 +44,21 @@ def test_validate_groupoid_catches_broken_inverse():
     assert not rep.ok
 
 
+def test_validate_groupoid_keeps_one_witness_per_law():
+    g = pair_groupoid(3)
+    g.inv = {a: a for a in g.arrows}  # six arrows between distinct objects
+    laws = [law for law, _ in validate_groupoid(g).failures]
+    assert laws.count("inverse endpoints") == 1
+    assert len(laws) == len(set(laws))
+
+
+def test_validate_groupoid_reports_units_that_do_not_compose():
+    g = pair_groupoid(2)
+    g.unit = {**g.unit, "1": "p12"}  # p12 ∘ p11 is not in the table
+    laws = [law for law, _ in validate_groupoid(g).failures]
+    assert "unit endpoints" in laws and "unit law" in laws
+
+
 # -- functor enumeration -------------------------------------------------------
 #
 # counts by hand over {Unit, Pair2, Disc2}:

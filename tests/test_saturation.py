@@ -1,8 +1,15 @@
-"""Fraction axioms (BF1-BF5), the right saturation, and their interplay."""
+"""Fraction axioms (BF1-BF5), the right saturation, and their interplay.
+
+`saturate` reads the saturation off the composition table.
+`search_saturation` is the search it replaced, kept here only as a
+reference: it loops over triples of 1-cells.
+"""
 
 import itertools
 
 import pytest
+from corpus import posetal_family
+from test_partitions import cyclic_parity
 
 from twoloc import (
     StructureError,
@@ -14,7 +21,15 @@ from twoloc import (
     saturate,
 )
 from twoloc.fixtures import FIXTURES, parity_twocat
-from twoloc.saturation import AXIOMS, cell_lifts, cospan_fillers, fill_cospan, lift_cell
+from twoloc.groupoids import CATALOGS, groupoid_twocat
+from twoloc.saturation import (
+    AXIOMS,
+    _as_class,
+    cell_lifts,
+    cospan_fillers,
+    fill_cospan,
+    lift_cell,
+)
 
 BF_FIXTURES = ("F1", "F2", "F3", "F5", "F6", "F7")
 
@@ -142,6 +157,58 @@ def test_cell_lifts_all_satisfy_equation(corpus_entries):
 
 
 # -- saturation --------------------------------------------------------------
+
+
+def search_saturation(c, w):
+    """{ f : ∃g with f∘g ∈ W, ∃h with g∘h ∈ W }, by exhaustive search."""
+    w = _as_class(c, w)
+    out = set()
+    for f in c.mors:
+        src_f = c.mor_src[f]
+        for g in c.mors:
+            if c.mor_dst[g] != src_f or c.compose1(f, g) not in w:
+                continue
+            src_g = c.mor_src[g]
+            if any(
+                c.mor_dst[h] == src_g and c.compose1(g, h) in w
+                for h in c.mors
+            ):
+                out.add(f)
+                break
+    return frozenset(out)
+
+
+def assert_saturation_matches_search(c, w) -> None:
+    """Compare on W, the identities, all 1-cells and the quasi-units."""
+    for cls in (w, frozenset(c.id1.values()), frozenset(c.mors), quasi_units(c)):
+        assert saturate(c, cls) == search_saturation(c, cls), sorted(cls)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_fixture_saturation_matches_search(name):
+    assert_saturation_matches_search(*fixture(name))
+
+
+def test_corpus_saturation_matches_search(corpus_entries):
+    for entry in corpus_entries:
+        assert_saturation_matches_search(entry.c, entry.w)
+
+
+def test_posetal_saturation_matches_search():
+    for entry in posetal_family():
+        assert_saturation_matches_search(entry.c, entry.w)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_cyclic_parity_saturation_matches_search(n):
+    c = cyclic_parity(n, "s")
+    for step in (d for d in range(1, n + 1) if n % d == 0):
+        assert_saturation_matches_search(c, frozenset(f"g{k}" for k in range(0, n, step)))
+
+
+@pytest.mark.parametrize("catalog", sorted(CATALOGS))
+def test_catalog_saturation_matches_search(catalog):
+    assert_saturation_matches_search(*groupoid_twocat(CATALOGS[catalog]()))
 
 
 def test_quasi_units_by_fixture():

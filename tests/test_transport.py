@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from twoloc import (
-    InternalInconsistency,
     StructureError,
     StrictTwoFunctor,
     build_choices,
@@ -54,6 +53,17 @@ def test_validate_functor_catches_breakage():
     rep = validate_functor(broken)
     assert not rep.ok
     assert any(law == "hcomp" for law, _ in rep.failures)
+
+
+def test_validate_functor_keeps_one_witness_per_law():
+    # s_f ↦ i_f breaks eight horizontal composites; the first one is kept
+    c, _ = fixture("F6")
+    fun = identity_functor(c)
+    broken = StrictTwoFunctor(c, c, dict(fun.f0), dict(fun.f1),
+                              {**fun.f2, "s_f": "i_f"})
+    laws = [law for law, _ in validate_functor(broken).failures]
+    assert laws.count("hcomp") == 1
+    assert len(laws) == len(set(laws))
 
 
 def test_enumerator_agrees_with_validator():
