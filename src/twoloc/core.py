@@ -301,60 +301,74 @@ def validate(c: TwoCat) -> ValidationReport:
     separately from law failures and suppress them, since a partial table
     makes the law loops meaningless.  Each failing law carries one
     counterexample tuple, by identifier: the first one found.
+
+    The associativity and interchange loops visit only composable tuples,
+    through boundary indexes built here in the order of `c.mors`, `c.cells`
+    and `c.vcomp_table`, so the first counterexample is the one an
+    all-tuples scan in that order would find.
     """
     report = ValidationReport()
     if not _check_structure(c, report):
         return report
 
     mors, cells = c.mors, c.cells
+    comp1, vt, ht = c.comp1, c.vcomp_table, c.hcomp_table
+    mor_src, mor_dst = c.mor_src, c.mor_dst
+    cell_src, cell_dst = c.cell_src, c.cell_dst
+    mors_from: dict[str, list[str]] = {}        # object -> 1-cells out of it
     for f in mors:
-        ia, ib = c.id1[c.mor_src[f]], c.id1[c.mor_dst[f]]
-        if c.comp1[(f, ia)] != f:
+        mors_from.setdefault(mor_src[f], []).append(f)
+    cells_on: dict[str, list[str]] = {}         # 1-cell -> 2-cells out of it
+    cells_at: dict[str, list[str]] = {}         # object -> 2-cells over 1-cells out of it
+    for a in cells:
+        cells_on.setdefault(cell_src[a], []).append(a)
+        cells_at.setdefault(mor_src[cell_src[a]], []).append(a)
+    vpairs_at: dict[str, list[tuple[str, str]]] = {}  # object -> vcomp pairs over it
+    for b, a in vt:
+        vpairs_at.setdefault(mor_src[cell_src[a]], []).append((b, a))
+
+    for f in mors:
+        ia, ib = c.id1[mor_src[f]], c.id1[mor_dst[f]]
+        if comp1[(f, ia)] != f:
             report.fail("compose1-right-unit", (f, ia))
-        if c.comp1[(ib, f)] != f:
+        if comp1[(ib, f)] != f:
             report.fail("compose1-left-unit", (ib, f))
-    for (g, f) in c.comp1:
-        for h in mors:
-            if c.mor_dst[g] == c.mor_src[h]:
-                if c.comp1[(c.comp1[(h, g)], f)] != c.comp1[(h, c.comp1[(g, f)])]:
-                    report.fail("compose1-assoc", (h, g, f))
+    for (g, f), gf in comp1.items():
+        for h in mors_from.get(mor_dst[g], ()):
+            if comp1[(comp1[(h, g)], f)] != comp1[(h, gf)]:
+                report.fail("compose1-assoc", (h, g, f))
 
     for a in cells:
-        if c.vcomp_table[(a, c.id2[c.cell_src[a]])] != a:
+        if vt[(a, c.id2[cell_src[a]])] != a:
             report.fail("vcomp-right-unit", (a,))
-        if c.vcomp_table[(c.id2[c.cell_dst[a]], a)] != a:
+        if vt[(c.id2[cell_dst[a]], a)] != a:
             report.fail("vcomp-left-unit", (a,))
-    for (b, a) in c.vcomp_table:
-        for d in cells:
-            if c.cell_dst[b] == c.cell_src[d]:
-                if c.vcomp_table[(c.vcomp_table[(d, b)], a)] != c.vcomp_table[(d, c.vcomp_table[(b, a)])]:
-                    report.fail("vcomp-assoc", (d, b, a))
+    for (b, a), ba in vt.items():
+        for d in cells_on.get(cell_dst[b], ()):
+            if vt[(vt[(d, b)], a)] != vt[(d, ba)]:
+                report.fail("vcomp-assoc", (d, b, a))
 
-    for (g, f) in c.comp1:
-        if c.hcomp_table[(c.id2[g], c.id2[f])] != c.id2[c.comp1[(g, f)]]:
+    for (g, f), gf in comp1.items():
+        if ht[(c.id2[g], c.id2[f])] != c.id2[gf]:
             report.fail("hcomp-identities", (g, f))
     for a in cells:
-        f = c.cell_src[a]
-        ia = c.id2[c.id1[c.mor_src[f]]]
-        ib = c.id2[c.id1[c.mor_dst[f]]]
-        if c.hcomp_table[(a, ia)] != a:
+        f = cell_src[a]
+        ia = c.id2[c.id1[mor_src[f]]]
+        ib = c.id2[c.id1[mor_dst[f]]]
+        if ht[(a, ia)] != a:
             report.fail("hcomp-right-unit", (a,))
-        if c.hcomp_table[(ib, a)] != a:
+        if ht[(ib, a)] != a:
             report.fail("hcomp-left-unit", (a,))
-    for (b, a) in c.hcomp_table:
-        for d in cells:
-            if c.mor_dst[c.cell_src[b]] == c.mor_src[c.cell_src[d]]:
-                if c.hcomp_table[(c.hcomp_table[(d, b)], a)] != c.hcomp_table[(d, c.hcomp_table[(b, a)])]:
-                    report.fail("hcomp-assoc", (d, b, a))
+    for (b, a), ba in ht.items():
+        for d in cells_at.get(mor_dst[cell_src[b]], ()):
+            if ht[(ht[(d, b)], a)] != ht[(d, ba)]:
+                report.fail("hcomp-assoc", (d, b, a))
 
     # interchange: (b2⊙b1)∗(a2⊙a1) = (b2∗a2)⊙(b1∗a1)
-    for (a2, a1) in c.vcomp_table:
-        for (b2, b1) in c.vcomp_table:
-            if c.mor_dst[c.cell_src[a1]] == c.mor_src[c.cell_src[b1]]:
-                lhs = c.hcomp_table[(c.vcomp_table[(b2, b1)], c.vcomp_table[(a2, a1)])]
-                rhs = c.vcomp_table[(c.hcomp_table[(b2, a2)], c.hcomp_table[(b1, a1)])]
-                if lhs != rhs:
-                    report.fail("interchange", (b2, b1, a2, a1))
+    for (a2, a1), a in vt.items():
+        for b2, b1 in vpairs_at.get(mor_dst[cell_src[a1]], ()):
+            if ht[(vt[(b2, b1)], a)] != vt[(ht[(b2, a2)], ht[(b1, a1)])]:
+                report.fail("interchange", (b2, b1, a2, a1))
     return report
 
 

@@ -12,6 +12,14 @@ surjective and fully faithful in the finite sense:
 * full faithfulness: the comparison map  Y₁ → (Y₀×Y₀) ×_{X₀×X₀} X₁,
   y₁ ↦ (s y₁, t y₁, φ₁ y₁), is a bijection.
 
+Essential surjectivity is decided from `FiniteGroupoid.reach`, the objects
+each object has an arrow to: the union of the reach sets over the image
+must hold every target object.  Full faithfulness is decided one pair
+(o1, o2) of source objects at a time: φ₁ must be injective on Y(o1, o2)
+with image exactly X(φ o1, φ o2).  Both predicates take a functor, or a
+source, a target and the two maps as functions, so `morita_two_out_of_six`
+tests composites without building them.
+
 Enumeration cost is exponential in groupoid size; keep catalogs to ~3
 groupoids with ≤3 objects and ≤12 arrows each.
 """
@@ -19,6 +27,7 @@ groupoids with ≤3 objects and ≤12 arrows each.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -48,6 +57,14 @@ class FiniteGroupoid:
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
         return self._hom.get((x, y), ())
+
+    @cached_property
+    def reach(self) -> dict[str, frozenset[str]]:
+        """object -> the objects it has an arrow to (objects with no arrow out are absent)."""
+        out: dict[str, set[str]] = {}
+        for a in self.arrows:
+            out.setdefault(self.arr_src[a], set()).add(self.arr_dst[a])
+        return {o: frozenset(v) for o, v in out.items()}
 
     def compose(self, g: str, f: str) -> str:
         try:
@@ -98,10 +115,15 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
         elif g.comp[(ia, a)] != g.unit[g.arr_src[a]] or \
                 g.comp[(a, ia)] != g.unit[g.arr_dst[a]]:
             rep.fail("inverse law", a)
-    for c_, b, a in itertools.product(g.arrows, repeat=3):
-        if g.arr_dst[a] == g.arr_src[b] and g.arr_dst[b] == g.arr_src[c_]:
-            if g.comp.get((c_, g.comp[(b, a)])) != g.comp.get((g.comp[(c_, b)], a)):
-                rep.fail("associativity", (c_, b, a))
+    into: dict[str, list[str]] = {}  # object -> arrows into it, sorted
+    for a in g.arrows:
+        into.setdefault(g.arr_dst[a], []).append(a)
+    for c_ in g.arrows:
+        for b in into.get(g.arr_src[c_], ()):
+            cb = g.comp[(c_, b)]
+            for a in into.get(g.arr_src[b], ()):
+                if g.comp.get((c_, g.comp[(b, a)])) != g.comp.get((cb, a)):
+                    rep.fail("associativity", (c_, b, a))
     return rep
 
 
@@ -197,30 +219,58 @@ def natural_transformations(f: GroupoidFunctor, g: GroupoidFunctor) -> list[dict
 # Morita equivalence
 
 
-def is_essentially_surjective(fun: GroupoidFunctor) -> bool:
-    """Every target object receives an arrow from the image of the object map."""
-    x = fun.target
-    image = set(fun.obj_map.values())
-    return all(
-        any(x.hom(src, x0) for src in image)
-        for x0 in x.objects
-    )
+Map = Callable[[str], str]
 
 
-def is_fully_faithful(fun: GroupoidFunctor) -> bool:
-    """Is y₁ ↦ (s y₁, t y₁, φ y₁) a bijection onto the comparison fiber set?"""
-    y, x = fun.source, fun.target
-    gamma = {a: (y.arr_src[a], y.arr_dst[a], fun.arr_map[a]) for a in y.arrows}
-    fiber = {(o1, o2, x1)
-             for o1, o2 in itertools.product(y.objects, y.objects)
-             for x1 in x.hom(fun.obj_map[o1], fun.obj_map[o2])}
-    injective = len(set(gamma.values())) == len(gamma)
-    surjective = set(gamma.values()) == fiber
-    return injective and surjective
+def _maps(y, x, obj_of, arr_of):
+    """(source, target, object map, arrow map) of a functor, or of the maps given."""
+    if x is None:
+        return y.source, y.target, y.obj_map.__getitem__, y.arr_map.__getitem__
+    return y, x, obj_of, arr_of
 
 
-def is_morita(fun: GroupoidFunctor) -> bool:
-    return is_essentially_surjective(fun) and is_fully_faithful(fun)
+def is_essentially_surjective(y: GroupoidFunctor | FiniteGroupoid, x: FiniteGroupoid | None = None,
+                              obj_of: Map | None = None, arr_of: Map | None = None) -> bool:
+    """Every target object receives an arrow from the image of the object map.
+
+    Pass a functor, or a source y, a target x and the object and arrow
+    maps as functions (the arrow map is not read).
+    """
+    y, x, obj_of, _ = _maps(y, x, obj_of, arr_of)
+    reached: set[str] = set()
+    for o in y.objects:
+        reached |= x.reach.get(obj_of(o), frozenset())
+    return reached.issuperset(x.objects)
+
+
+def is_fully_faithful(y: GroupoidFunctor | FiniteGroupoid, x: FiniteGroupoid | None = None,
+                      obj_of: Map | None = None, arr_of: Map | None = None) -> bool:
+    """Is y₁ ↦ (s y₁, t y₁, φ y₁) a bijection onto the comparison fiber set?
+
+    Decided one pair of source objects at a time: φ is injective on
+    y.hom(o1, o2) with image x.hom(φ o1, φ o2), and no arrow of y has an
+    endpoint outside y.objects.  Arguments as for
+    `is_essentially_surjective`.
+    """
+    y, x, obj_of, arr_of = _maps(y, x, obj_of, arr_of)
+    objects = dict.fromkeys(y.objects)
+    covered = 0
+    for o1 in objects:
+        x1 = obj_of(o1)
+        for o2 in objects:
+            arrows = y.hom(o1, o2)
+            images = {arr_of(a) for a in arrows}
+            if len(images) != len(arrows) or images != set(x.hom(x1, obj_of(o2))):
+                return False
+            covered += len(arrows)
+    return covered == len(y.arrows)
+
+
+def is_morita(y: GroupoidFunctor | FiniteGroupoid, x: FiniteGroupoid | None = None,
+              obj_of: Map | None = None, arr_of: Map | None = None) -> bool:
+    """Essentially surjective and fully faithful; arguments as for either."""
+    return (is_essentially_surjective(y, x, obj_of, arr_of)
+            and is_fully_faithful(y, x, obj_of, arr_of))
 
 
 @dataclass
@@ -244,8 +294,12 @@ def morita_two_out_of_six(xi: GroupoidFunctor, psi: GroupoidFunctor,
     """
     if xi.target is not psi.source or psi.target is not phi.source:
         raise StructureError("functors do not form a composable chain")
-    if not (is_morita(compose_gfunctors(phi, psi))
-            and is_morita(compose_gfunctors(psi, xi))):
+    if not (is_morita(psi.source, phi.target,
+                      lambda o: phi.obj_map[psi.obj_map[o]],
+                      lambda a: phi.arr_map[psi.arr_map[a]])
+            and is_morita(xi.source, psi.target,
+                          lambda o: psi.obj_map[xi.obj_map[o]],
+                          lambda a: psi.arr_map[xi.arr_map[a]])):
         return MoritaCancellation(vacuous=True)
     return MoritaCancellation(False, {
         "phi": is_morita(phi),

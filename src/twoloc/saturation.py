@@ -97,32 +97,42 @@ def lift_cell(
     raise StructureError(f"no lift of {alpha!r} through {wm!r}")
 
 
-def _coequalized(
-    c: TwoCat, w: frozenset[str],
-    f1: str, f2: str,
-    lift1: tuple[str, str], lift2: tuple[str, str],
-) -> bool:
-    """Can two lifts (v, beta), (v', beta') be merged by a further zig?
+def _zigs(c: TwoCat, w: frozenset[str], v: str, v2: str) -> tuple[tuple[str, str, str], ...]:
+    """All (s, p, nu) that could merge lifts along v and v2, in search order.
 
-    Wanted: E, s: E→dom v, p: E→dom v', invertible nu: v∘s ⇒ v'∘p with
-    v∘s ∈ W and (beta'∗i_p)⊙(i_{f1}∗nu) = (i_{f2}∗nu)⊙(beta∗i_s).
-    The condition is symmetric in the two lifts (replace nu by its inverse),
-    so callers may check unordered pairs.
+    s: E→dom v and p: E→dom v' with v∘s ∈ W, and nu: v∘s ⇒ v'∘p
+    invertible.  The candidates depend only on the two denominators.
     """
-    v, beta = lift1
-    v2, beta2 = lift2
+    out = []
     for apex in c.objects:
         for s in c.hom1(apex, c.mor_src[v]):
             vs = c.compose1(v, s)
             if vs not in w:
                 continue
             for p in c.hom1(apex, c.mor_src[v2]):
-                v2p = c.compose1(v2, p)
-                for nu in c.invertible_cells(vs, v2p):
-                    left = c.vcomp(c.whisker_right(beta2, p), c.whisker_left(f1, nu))
-                    right = c.vcomp(c.whisker_left(f2, nu), c.whisker_right(beta, s))
-                    if left == right:
-                        return True
+                for nu in c.invertible_cells(vs, c.compose1(v2, p)):
+                    out.append((s, p, nu))
+    return tuple(out)
+
+
+def _coequalized(
+    c: TwoCat, f1: str, f2: str,
+    lift1: tuple[str, str], lift2: tuple[str, str],
+    zigs: tuple[tuple[str, str, str], ...],
+) -> bool:
+    """Can two lifts (v, beta), (v', beta') be merged by a further zig?
+
+    Wanted: one of `zigs`, the `_zigs` of v and v', with
+    (beta'∗i_p)⊙(i_{f1}∗nu) = (i_{f2}∗nu)⊙(beta∗i_s).
+    The condition is symmetric in the two lifts (replace nu by its inverse),
+    so callers may check unordered pairs.
+    """
+    beta, beta2 = lift1[1], lift2[1]
+    for s, p, nu in zigs:
+        left = c.vcomp(c.whisker_right(beta2, p), c.whisker_left(f1, nu))
+        right = c.vcomp(c.whisker_left(f2, nu), c.whisker_right(beta, s))
+        if left == right:
+            return True
     return False
 
 
@@ -156,6 +166,7 @@ def check_bf(c: TwoCat, w) -> BFReport:
             break
 
     rep.passed["BF4a"] = rep.passed["BF4b"] = rep.passed["BF4c"] = True
+    zigs: dict[tuple[str, str], tuple] = {}  # (v, v') -> _zigs(c, w, v, v')
     for wm in sorted(w):
         b = c.mor_src[wm]
         for a_obj in c.objects:
@@ -174,7 +185,10 @@ def check_bf(c: TwoCat, w) -> BFReport:
                             rep.passed["BF4b"] = False
                             rep.counterexamples["BF4b"] = (wm, f1, f2, alpha)
                     for l1, l2 in itertools.combinations(lifts, 2):
-                        if not _coequalized(c, w, f1, f2, l1, l2):
+                        vv = (l1[0], l2[0])
+                        if vv not in zigs:
+                            zigs[vv] = _zigs(c, w, *vv)
+                        if not _coequalized(c, f1, f2, l1, l2, zigs[vv]):
                             if rep.passed["BF4c"]:
                                 rep.passed["BF4c"] = False
                                 rep.counterexamples["BF4c"] = (wm, alpha, l1, l2)

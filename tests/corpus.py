@@ -18,7 +18,14 @@ import random
 from dataclasses import dataclass
 
 from twoloc.core import TwoCat, internal_equivalences, validate
-from twoloc.fixtures import disjoint_union, parity_twocat
+from twoloc.fixtures import FIXTURES, disjoint_union, fixture, parity_twocat
+from twoloc.groupoids import (
+    CATALOGS,
+    discrete_groupoid,
+    groupoid_twocat,
+    pair_groupoid,
+    unit_groupoid,
+)
 from twoloc.saturation import check_bf, quasi_units
 
 SEED = 20260814
@@ -240,6 +247,22 @@ def posetal_family() -> list[CorpusEntry]:
                         w = frozenset({"1", *extra})
                         if check_bf(c, w).ok:
                             out.append(CorpusEntry(f"p{len(out):03d}", c, w))
+    return out
+
+
+def oracle_inputs() -> list[CorpusEntry]:
+    """The inputs the oracle tests share, each with its W.
+
+    F1-F7, the corpus, the posetal family, the shipped groupoid catalogs and
+    the catalog Unit, Pair2, Disc3 with its Morita class.
+    """
+    out = [CorpusEntry(name, *fixture(name)) for name in sorted(FIXTURES)]
+    out += corpus() + posetal_family()
+    catalogs = {name: make() for name, make in sorted(CATALOGS.items())}
+    catalogs["unit-pair-disc3"] = [unit_groupoid(), pair_groupoid(2),
+                                   discrete_groupoid(3)]
+    out += [CorpusEntry(name, *groupoid_twocat(catalog))
+            for name, catalog in catalogs.items()]
     return out
 
 

@@ -1,8 +1,10 @@
 """Ambient 2-category tables, validation, and equivalence witnesses."""
 
 import dataclasses
+import random
 
 import pytest
+from corpus import oracle_inputs
 
 from twoloc import (
     StructureError,
@@ -17,6 +19,7 @@ from twoloc import (
     validate,
     witness_problems,
 )
+from twoloc.core import ValidationReport, _check_structure
 from twoloc.fixtures import FIXTURES
 
 
@@ -191,3 +194,124 @@ def test_witnesses_on_corpus(corpus_entries):
             assert w is not None and witness_problems(c, w) == [], entry.name
             adj = adjointify(c, w)
             assert witness_problems(c, adj) == [], entry.name
+
+
+# -- validate against the all-tuples scan ------------------------------------
+#
+# `validate` walks composable tuples through boundary indexes.
+# `exhaustive_validate` is the scan it replaced, kept here only as a
+# reference: it loops over every pair and triple and filters afterwards.
+
+LAWS = ("compose1-right-unit", "compose1-left-unit", "compose1-assoc",
+        "vcomp-right-unit", "vcomp-left-unit", "vcomp-assoc",
+        "hcomp-identities", "hcomp-right-unit", "hcomp-left-unit",
+        "hcomp-assoc", "interchange")
+
+
+def exhaustive_validate(c):
+    report = ValidationReport()
+    if not _check_structure(c, report):
+        return report
+
+    mors, cells = c.mors, c.cells
+    for f in mors:
+        ia, ib = c.id1[c.mor_src[f]], c.id1[c.mor_dst[f]]
+        if c.comp1[(f, ia)] != f:
+            report.fail("compose1-right-unit", (f, ia))
+        if c.comp1[(ib, f)] != f:
+            report.fail("compose1-left-unit", (ib, f))
+    for (g, f) in c.comp1:
+        for h in mors:
+            if c.mor_dst[g] == c.mor_src[h]:
+                if c.comp1[(c.comp1[(h, g)], f)] != c.comp1[(h, c.comp1[(g, f)])]:
+                    report.fail("compose1-assoc", (h, g, f))
+
+    for a in cells:
+        if c.vcomp_table[(a, c.id2[c.cell_src[a]])] != a:
+            report.fail("vcomp-right-unit", (a,))
+        if c.vcomp_table[(c.id2[c.cell_dst[a]], a)] != a:
+            report.fail("vcomp-left-unit", (a,))
+    for (b, a) in c.vcomp_table:
+        for d in cells:
+            if c.cell_dst[b] == c.cell_src[d]:
+                if c.vcomp_table[(c.vcomp_table[(d, b)], a)] != c.vcomp_table[(d, c.vcomp_table[(b, a)])]:
+                    report.fail("vcomp-assoc", (d, b, a))
+
+    for (g, f) in c.comp1:
+        if c.hcomp_table[(c.id2[g], c.id2[f])] != c.id2[c.comp1[(g, f)]]:
+            report.fail("hcomp-identities", (g, f))
+    for a in cells:
+        f = c.cell_src[a]
+        ia = c.id2[c.id1[c.mor_src[f]]]
+        ib = c.id2[c.id1[c.mor_dst[f]]]
+        if c.hcomp_table[(a, ia)] != a:
+            report.fail("hcomp-right-unit", (a,))
+        if c.hcomp_table[(ib, a)] != a:
+            report.fail("hcomp-left-unit", (a,))
+    for (b, a) in c.hcomp_table:
+        for d in cells:
+            if c.mor_dst[c.cell_src[b]] == c.mor_src[c.cell_src[d]]:
+                if c.hcomp_table[(c.hcomp_table[(d, b)], a)] != c.hcomp_table[(d, c.hcomp_table[(b, a)])]:
+                    report.fail("hcomp-assoc", (d, b, a))
+
+    for (a2, a1) in c.vcomp_table:
+        for (b2, b1) in c.vcomp_table:
+            if c.mor_dst[c.cell_src[a1]] == c.mor_src[c.cell_src[b1]]:
+                lhs = c.hcomp_table[(c.vcomp_table[(b2, b1)], c.vcomp_table[(a2, a1)])]
+                rhs = c.vcomp_table[(c.hcomp_table[(b2, a2)], c.hcomp_table[(b1, a1)])]
+                if lhs != rhs:
+                    report.fail("interchange", (b2, b1, a2, a1))
+    return report
+
+
+def distinct_tables(entries):
+    return list({id(e.c): e.c for e in entries}.values())
+
+
+def mutants(c, rng, per_table):
+    """Copies of c with one entry of comp1, vcomp or hcomp redirected.
+
+    The new value is parallel to the old one, so a vcomp or hcomp mutant
+    breaks a law, not the structure.  A redirected g∘f takes the hcomp
+    entry i_g∗i_f along to the new identity cell, so tables whose only
+    2-cells are identities can break the compose1 laws too.
+    """
+    boundary = {"comp1": lambda f: (c.mor_src[f], c.mor_dst[f]),
+                "vcomp_table": lambda a: (c.cell_src[a], c.cell_dst[a]),
+                "hcomp_table": lambda a: (c.cell_src[a], c.cell_dst[a])}
+    for name, edge in boundary.items():
+        table = getattr(c, name)
+        pool = c.mors if name == "comp1" else c.cells
+        for _ in range(per_table):
+            key = rng.choice(sorted(table))
+            old = table[key]
+            parallel = [x for x in pool if x != old and edge(x) == edge(old)]
+            if not parallel:
+                continue
+            new = rng.choice(parallel)
+            changes = {name: {**table, key: new}}
+            if name == "comp1":
+                g, f = key
+                changes["hcomp_table"] = {**c.hcomp_table,
+                                          (c.id2[g], c.id2[f]): c.id2[new]}
+            yield dataclasses.replace(c, **changes)
+
+
+def test_validate_matches_exhaustive_scan():
+    for entry in oracle_inputs():
+        assert validate(entry.c).lines() == exhaustive_validate(entry.c).lines(), entry.name
+
+
+def test_validate_matches_exhaustive_scan_on_mutants():
+    rng = random.Random(20261018)
+    laws_seen = set()
+    failing = 0
+    small = [c for c in distinct_tables(oracle_inputs()) if len(c.cells) <= 60]
+    for c in small:
+        for m in mutants(c, rng, per_table=10):
+            got = validate(m)
+            assert got.lines() == exhaustive_validate(m).lines()
+            failing += not got.ok
+            laws_seen.update(law for law, _ in got.failures)
+    assert failing > len(small)
+    assert laws_seen == set(LAWS)

@@ -27,7 +27,7 @@ from twoloc import (
     validate,
     validate_groupoid,
 )
-from twoloc.groupoids import GroupoidFunctor, functor_problems
+from twoloc.groupoids import FiniteGroupoid, GroupoidFunctor, functor_problems
 
 
 def test_builders_are_groupoids():
@@ -50,6 +50,23 @@ def test_validate_groupoid_keeps_one_witness_per_law():
     laws = [law for law, _ in validate_groupoid(g).failures]
     assert laws.count("inverse endpoints") == 1
     assert len(laws) == len(set(laws))
+
+
+def test_validate_groupoid_keeps_the_first_associativity_witness():
+    # the first failing triple in the order of product(arrows, repeat=3)
+    for n in (2, 3):
+        base = cyclic_group(n)
+        for key, other in itertools.product(sorted(base.comp), base.arrows):
+            if other == base.comp[key]:
+                continue
+            g = cyclic_group(n)
+            g.comp = {**g.comp, key: other}
+            first = next(((c_, b, a)
+                          for c_, b, a in itertools.product(g.arrows, repeat=3)
+                          if g.comp[(c_, g.comp[(b, a)])] != g.comp[(g.comp[(c_, b)], a)]),
+                         None)
+            got = dict(validate_groupoid(g).failures).get("associativity")
+            assert got == (None if first is None else repr(first)), (n, key, other)
 
 
 def test_validate_groupoid_reports_units_that_do_not_compose():
@@ -231,3 +248,88 @@ def test_catalog_localized_decider_matches_morita():
 def test_shipped_catalogs_are_saturated():
     for name, make in CATALOGS.items():
         assert morita_saturated_check(make()), name
+
+
+# -- Morita predicates against their literal definitions ---------------------------
+#
+# `is_essentially_surjective` reads the target's reach sets and
+# `is_fully_faithful` compares homs one pair of source objects at a time.
+# The functions below are the literal definitions they replaced, kept here
+# only as a reference.
+
+
+def literal_essentially_surjective(fun):
+    x = fun.target
+    image = set(fun.obj_map.values())
+    return all(any(x.hom(src, x0) for src in image) for x0 in x.objects)
+
+
+def literal_fully_faithful(fun):
+    y, x = fun.source, fun.target
+    gamma = {a: (y.arr_src[a], y.arr_dst[a], fun.arr_map[a]) for a in y.arrows}
+    fiber = {(o1, o2, x1)
+             for o1, o2 in itertools.product(y.objects, y.objects)
+             for x1 in x.hom(fun.obj_map[o1], fun.obj_map[o2])}
+    return len(set(gamma.values())) == len(gamma) and set(gamma.values()) == fiber
+
+
+def literal_morita(fun):
+    return literal_essentially_surjective(fun) and literal_fully_faithful(fun)
+
+
+def cyclic_group(n):
+    """Z/n as a one-object groupoid, so that a hom holds more than one arrow."""
+    arrows = [f"r{k}" for k in range(n)]
+    return FiniteGroupoid(
+        f"Z{n}", ("1",), dict.fromkeys(arrows, "1"), dict.fromkeys(arrows, "1"),
+        {(arrows[i], arrows[j]): arrows[(i + j) % n]
+         for i in range(n) for j in range(n)},
+        {arrows[k]: arrows[-k % n] for k in range(n)}, {"1": "r0"})
+
+
+def test_morita_predicates_match_literal_definitions():
+    gpds = [unit_groupoid(), pair_groupoid(2), pair_groupoid(3),
+            discrete_groupoid(2), discrete_groupoid(3), cyclic_group(2),
+            cyclic_group(3)]
+    assert all(validate_groupoid(g).ok for g in gpds)
+    funs = [fun for a, b in itertools.product(gpds, repeat=2)
+            for fun in enumerate_gfunctors(a, b)]
+    verdicts = set()
+    for fun in funs:
+        es, ff = is_essentially_surjective(fun), is_fully_faithful(fun)
+        assert es == literal_essentially_surjective(fun), fun.signature()
+        assert ff == literal_fully_faithful(fun), fun.signature()
+        assert is_morita(fun) == literal_morita(fun), fun.signature()
+        verdicts.add((es, ff))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_morita_predicates_match_on_tables_that_are_not_functors():
+    u, p = unit_groupoid(), pair_groupoid(2)
+    p.arr_src = {**p.arr_src, "stray": "9"}  # an arrow out of no object
+    p.arr_dst = {**p.arr_dst, "stray": "1"}
+    fun = GroupoidFunctor(p, u, {"1": "1", "2": "1"},
+                          {a: "e1" for a in p.arr_src})
+    assert is_essentially_surjective(fun) == literal_essentially_surjective(fun)
+    assert is_fully_faithful(fun) == literal_fully_faithful(fun) is False
+
+
+def test_two_out_of_six_matches_built_composites():
+    cat = CATALOGS["unit-pair-disc"]()
+    funs = {(a.name, b.name): enumerate_gfunctors(a, b)
+            for a, b in itertools.product(cat, repeat=2)}
+    real = 0
+    for u, z, y, x in itertools.product(cat, repeat=4):
+        for xi, psi, phi in itertools.product(funs[(u.name, z.name)],
+                                              funs[(z.name, y.name)],
+                                              funs[(y.name, x.name)]):
+            rep = morita_two_out_of_six(xi, psi, phi)
+            vacuous = not (literal_morita(compose_gfunctors(phi, psi))
+                           and literal_morita(compose_gfunctors(psi, xi)))
+            assert rep.vacuous == vacuous
+            if not vacuous:
+                real += 1
+                assert rep.verdicts == {"phi": literal_morita(phi),
+                                        "psi": literal_morita(psi),
+                                        "xi": literal_morita(xi)}
+    assert real > 0

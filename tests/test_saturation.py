@@ -8,7 +8,7 @@ reference: it loops over triples of 1-cells.
 import itertools
 
 import pytest
-from corpus import posetal_family
+from corpus import oracle_inputs, posetal_family
 from test_partitions import cyclic_parity
 
 from twoloc import (
@@ -274,3 +274,75 @@ def test_bf_survives_saturation_on_fixtures():
         c, w = fixture(name)
         rep = check_bf(c, saturate(c, w))
         assert rep.ok, (name, rep.lines())
+
+
+# -- BF4c against the per-pair search ------------------------------------------
+#
+# `check_bf` reads BF4c's zig candidates (s, p, nu) from a table built once
+# per pair of denominators.  `search_coequalized` is the per-pair search it
+# replaced, kept here only as a reference; `search_check_bf` redoes the
+# BF4 loop with it.
+
+
+def search_coequalized(c, w, f1, f2, lift1, lift2):
+    v, beta = lift1
+    v2, beta2 = lift2
+    for apex in c.objects:
+        for s in c.hom1(apex, c.mor_src[v]):
+            vs = c.compose1(v, s)
+            if vs not in w:
+                continue
+            for p in c.hom1(apex, c.mor_src[v2]):
+                v2p = c.compose1(v2, p)
+                for nu in c.invertible_cells(vs, v2p):
+                    left = c.vcomp(c.whisker_right(beta2, p), c.whisker_left(f1, nu))
+                    right = c.vcomp(c.whisker_left(f2, nu), c.whisker_right(beta, s))
+                    if left == right:
+                        return True
+    return False
+
+
+def search_check_bf(c, w):
+    """`check_bf`'s report with BF4a-c redone by the per-pair search."""
+    w = _as_class(c, w)
+    rep = check_bf(c, w)
+    for axiom in ("BF4a", "BF4b", "BF4c"):
+        rep.passed[axiom] = True
+        rep.counterexamples.pop(axiom, None)
+    for wm in sorted(w):
+        b = c.mor_src[wm]
+        for a_obj in c.objects:
+            for f1, f2 in itertools.product(c.hom1(a_obj, b), c.hom1(a_obj, b)):
+                for alpha in c.hom2(c.compose1(wm, f1), c.compose1(wm, f2)):
+                    lifts = list(cell_lifts(c, w, wm, f1, f2, alpha))
+                    if not lifts:
+                        if rep.passed["BF4a"]:
+                            rep.passed["BF4a"] = False
+                            rep.counterexamples["BF4a"] = (wm, f1, f2, alpha)
+                        continue
+                    if c.is_invertible2(alpha) and not any(
+                        c.is_invertible2(beta) for _, beta in lifts
+                    ):
+                        if rep.passed["BF4b"]:
+                            rep.passed["BF4b"] = False
+                            rep.counterexamples["BF4b"] = (wm, f1, f2, alpha)
+                    for l1, l2 in itertools.combinations(lifts, 2):
+                        if not search_coequalized(c, w, f1, f2, l1, l2):
+                            if rep.passed["BF4c"]:
+                                rep.passed["BF4c"] = False
+                                rep.counterexamples["BF4c"] = (wm, alpha, l1, l2)
+                            break
+    return rep
+
+
+def test_check_bf_matches_per_pair_search():
+    bf4c_failures = 0
+    for entry in oracle_inputs():
+        c = entry.c
+        for w in (entry.w, frozenset(c.mors),
+                  quasi_units(c) | frozenset(c.id1.values())):
+            got, want = check_bf(c, w), search_check_bf(c, w)
+            assert (got.passed, got.counterexamples) == \
+                (want.passed, want.counterexamples), (entry.name, sorted(w))
+            bf4c_failures += not got.passed["BF4c"]
+    assert bf4c_failures > 0
