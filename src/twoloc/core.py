@@ -71,15 +71,26 @@ class TwoCat:
         except KeyError:
             raise StructureError(f"1-cells not composable: {g} after {f}") from None
 
-    def right_factors(self, g: str, h: str) -> tuple[str, ...]:
-        """All 1-cells f with g∘f = h, in sorted order."""
-        return self._right_factor_index.get((g, h), ())
+    def factorisations(self, h: str) -> tuple[tuple[str, str], ...]:
+        """All pairs (g, f) with g∘f = h, in sorted order."""
+        return self._factorisation_index.get(h, ())
 
     @cached_property
-    def _right_factor_index(self) -> dict[tuple[str, str], tuple[str, ...]]:
+    def _factorisation_index(self) -> dict[str, tuple[tuple[str, str], ...]]:
+        index: dict[str, list[tuple[str, str]]] = {}
+        for gf, h in sorted(self.comp1.items()):
+            index.setdefault(h, []).append(gf)
+        return {k: tuple(v) for k, v in index.items()}
+
+    def left_factors(self, f: str, h: str) -> tuple[str, ...]:
+        """All 1-cells g with g∘f = h, in sorted order."""
+        return self._left_factor_index.get((f, h), ())
+
+    @cached_property
+    def _left_factor_index(self) -> dict[tuple[str, str], tuple[str, ...]]:
         index: dict[tuple[str, str], list[str]] = {}
         for (g, f), h in sorted(self.comp1.items()):
-            index.setdefault((g, h), []).append(f)
+            index.setdefault((f, h), []).append(g)
         return {k: tuple(v) for k, v in index.items()}
 
     # -- 2-cell structure ---------------------------------------------------
@@ -94,6 +105,17 @@ class TwoCat:
         for a in self.cells:
             index.setdefault((self.cell_src[a], self.cell_dst[a]), []).append(a)
         return {k: tuple(v) for k, v in index.items()}
+
+    def cells_from(self, f: str) -> dict[str, tuple[str, ...]]:
+        """g -> the 2-cells f ⇒ g, for every g that has one."""
+        return self._cells_from_index.get(f, {})
+
+    @cached_property
+    def _cells_from_index(self) -> dict[str, dict[str, tuple[str, ...]]]:
+        index: dict[str, dict[str, tuple[str, ...]]] = {}
+        for (f, g), cells in self._hom2_index.items():
+            index.setdefault(f, {})[g] = cells
+        return index
 
     def vcomp(self, b: str, a: str) -> str:
         """b⊙a: first a, then b."""
@@ -211,7 +233,7 @@ def _check_structure(c: TwoCat, report: ValidationReport) -> bool:
             gripe(f"1-cell {f} has a dangling endpoint")
     if set(c.mor_dst) != set(c.mor_src):
         gripe("mor_src and mor_dst disagree on declared 1-cells")
-    for obj in objset:
+    for obj in sorted(objset):
         e = c.id1.get(obj)
         if e is None:
             gripe(f"no identity 1-cell for object {obj}")
@@ -227,9 +249,9 @@ def _check_structure(c: TwoCat, report: ValidationReport) -> bool:
         for f in morset
         if c.mor_dst[f] == c.mor_src[g]
     }
-    for pair in comp_dom - set(c.comp1):
+    for pair in sorted(comp_dom - set(c.comp1)):
         gripe(f"compose1 missing entry for {pair}")
-    for pair in set(c.comp1) - comp_dom:
+    for pair in sorted(set(c.comp1) - comp_dom):
         gripe(f"compose1 has a non-composable entry {pair}")
     for (g, f), h in c.comp1.items():
         if h not in morset:
@@ -247,7 +269,7 @@ def _check_structure(c: TwoCat, report: ValidationReport) -> bool:
             gripe(f"2-cell {a}: boundary 1-cells {sf}, {df} are not parallel")
     if set(c.cell_dst) != set(c.cell_src):
         gripe("cell_src and cell_dst disagree on declared 2-cells")
-    for f in morset:
+    for f in sorted(morset):
         i = c.id2.get(f)
         if i is None:
             gripe(f"no identity 2-cell for 1-cell {f}")
@@ -263,9 +285,9 @@ def _check_structure(c: TwoCat, report: ValidationReport) -> bool:
         for a in cellset
         if c.cell_dst[a] == c.cell_src[b]
     }
-    for pair in vdom - set(c.vcomp_table):
+    for pair in sorted(vdom - set(c.vcomp_table)):
         gripe(f"vcomp missing entry for {pair}")
-    for pair in set(c.vcomp_table) - vdom:
+    for pair in sorted(set(c.vcomp_table) - vdom):
         gripe(f"vcomp has a non-composable entry {pair}")
     for (b, a), r in c.vcomp_table.items():
         if r not in cellset:
@@ -279,9 +301,9 @@ def _check_structure(c: TwoCat, report: ValidationReport) -> bool:
         return c.mor_dst[c.cell_src[a]] == c.mor_src[c.cell_src[b]]
 
     hdom = {(b, a) for b in cellset for a in cellset if hcomposable(b, a)}
-    for pair in hdom - set(c.hcomp_table):
+    for pair in sorted(hdom - set(c.hcomp_table)):
         gripe(f"hcomp missing entry for {pair}")
-    for pair in set(c.hcomp_table) - hdom:
+    for pair in sorted(set(c.hcomp_table) - hdom):
         gripe(f"hcomp has a non-composable entry {pair}")
     for (b, a), r in c.hcomp_table.items():
         if r not in cellset:

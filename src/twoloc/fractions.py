@@ -11,14 +11,20 @@ representatives are identified when they are connected by a chain of
 refinements r ↦ (E, v1∘p, v2∘p, alpha∗i_p, beta∗i_p) along any
 p: E → A3 keeping the denominator leg in W.
 
-Classes are computed once per hom and are output-sensitive: only
-representatives that exist are enumerated (for each v1 with w1∘v1 ∈ W,
-the invertible cells out of w1∘v1 fix the composites w2∘v2, and the
-v2 are read from a right-factor index of composition), and the legs p
-along which a representative refines are read from a table per
-denominator.  Representatives are then joined by union-find.  The
-classes live in a store on the `TwoCat` keyed by W, so they are shared
-by every function here and freed together with the 2-category.
+Classes are output-sensitive.  The first request for a hom out of a
+span s1 sweeps every representative out of s1 in one pass and groups
+them by target span: for each v1 with w1∘v1 ∈ W, the invertible cells
+out of w1∘v1 fix the composites w2∘v2, whose factorisations with
+w2 ∈ W give the v2, and the cells out of f1∘v1 fix the composites
+f2∘v2, whose left factors give the f2.  A hom's classes are built from
+its group when it is first asked for; a hom with no group is empty at
+no cost.  Within a hom, each class is expanded by union-find from its
+first member not yet reached as a refinement: a refinement r·p refines
+further only to r·(p∘q), which r reaches itself, so it adds no union.
+The legs p along which a representative refines are read from a table
+per denominator.  The classes live in a store on the `TwoCat` keyed by
+W, so they are shared by every function here and freed together with
+the 2-category.  They are defined on tables that pass `validate`.
 
 Composition of spans is driven by a `ChoiceTable` assigning a filler to
 every cospan (f, v ∈ W); the table honours the normalisations C1 (f an
@@ -149,12 +155,26 @@ class _HomPartitions:
     Stored on the `TwoCat` (see `_partitions`) and holding no reference
     back to it, so it is freed together with the 2-category; the methods
     take the 2-category as an argument instead.
+
+    The first request for a hom out of s1 sweeps every representative out
+    of s1 at once and groups them by target span; the classes of a hom are
+    built from its group when that hom is first asked for, and the group is
+    then dropped.  A target with no group has no representatives.
+
+    Partitions are defined on tables that pass `validate`: the shortcut in
+    `_partition` rests on its composition laws.
+
+    `counters` records the work done: source spans swept, representatives
+    enumerated, class members expanded and refinement edges walked.
     """
 
     def __init__(self, w: frozenset[str]):
         self.w = w
         self._legs: dict[str, tuple[str, ...]] = {}
         self._homs: dict[tuple[Span, Span], _Hom] = {}
+        self._groups: dict[Span, dict[Span, list[tuple]]] = {}
+        self.counters = dict.fromkeys(
+            ("sweeps", "representatives", "members_expanded", "refinement_edges"), 0)
 
     def legs(self, c: TwoCat, d: str) -> tuple[str, ...]:
         """Every p with d∘p ∈ W: the refinement legs at d.
@@ -171,40 +191,69 @@ class _HomPartitions:
 
     def hom(self, c: TwoCat, s1: Span, s2: Span) -> _Hom:
         found = self._homs.get((s1, s2))
-        if found is None:
-            found = self._homs[(s1, s2)] = self._partition(c, s1, s2)
+        if found is not None:
+            return found
+        groups = self._groups.get(s1)
+        if groups is None:
+            self._check_span(c, s1)
+            groups = self._groups[s1] = self._sweep(c, s1)
+        self._check_span(c, s2)
+        reps = groups.pop(s2, None)
+        if reps is None:
+            return _EMPTY_HOM
+        found = self._homs[(s1, s2)] = self._partition(c, s1, s2, reps)
         return found
 
-    def _partition(self, c: TwoCat, s1: Span, s2: Span) -> _Hom:
-        """Enumerate the representatives s1 ⇒ s2, join them along refinements.
+    def _check_span(self, c: TwoCat, s: Span) -> None:
+        if c.mor_src.get(s.w) != s.apex or c.mor_src.get(s.f) != s.apex:
+            raise StructureError(f"{s} is not a span: legs must leave its apex")
+        if s.w not in self.w:
+            raise StructureError(f"{s} is not a span of the localization: "
+                                 "its denominator is not in W")
+
+    def _sweep(self, c: TwoCat, s1: Span) -> dict[Span, list[tuple]]:
+        """Every representative out of s1, as plain tuples grouped by target.
 
         Only representatives that exist are visited: for each v1 with
-        w1∘v1 ∈ W, the invertible alpha out of w1∘v1 name the composites
-        w2∘v2 worth factoring.  Representatives are plain tuples
-        (apex, v1, v2, alpha, beta) until the classes are known.
+        w1∘v1 ∈ W, each invertible alpha: w1∘v1 ⇒ g, each factorisation
+        g = w2∘v2 with w2 ∈ W, each beta out of f1∘v1 with target h, and
+        each f2 with f2∘v2 = h give one representative
+        (apex, v1, v2, alpha, beta) of the hom s1 ⇒ (B, w2, f2), where B
+        is the target of v2.
         """
-        for s in (s1, s2):
-            if any(c.mor_src.get(leg) != s.apex for leg in (s.w, s.f)):
-                raise StructureError(f"{s} is not a span: legs must leave its apex")
-        comp1, hcomp, id2, mor_src = c.comp1, c.hcomp_table, c.id2, c.mor_src
-        legs_of: dict[tuple, tuple[str, ...]] = {}
+        w, comp1, mor_dst = self.w, c.comp1, c.mor_dst
+        groups: dict[Span, list[tuple]] = {}
         for apex in sorted(c.objects):
             for v1 in c.hom1(apex, s1.apex):
-                denom = c.compose1(s1.w, v1)
-                if denom not in self.w:
+                denom = comp1[(s1.w, v1)]
+                if denom not in w:
                     continue
-                legs = self.legs(c, denom)
-                num1 = c.compose1(s1.f, v1)
+                betas_to = c.cells_from(comp1[(s1.f, v1)])
                 for g, alphas in c.invertible_from(denom).items():
-                    for v2 in c.right_factors(s2.w, g):
-                        betas = c.hom2(num1, c.compose1(s2.f, v2))
-                        for alpha in alphas:
-                            for beta in betas:
-                                legs_of[(apex, v1, v2, alpha, beta)] = legs
-        if not legs_of:
-            return _EMPTY_HOM
+                    for w2, v2 in c.factorisations(g):
+                        if w2 not in w:
+                            continue
+                        for h, betas in betas_to.items():
+                            for f2 in c.left_factors(v2, h):
+                                group = groups.setdefault(Span(mor_dst[v2], w2, f2), [])
+                                group.extend((apex, v1, v2, alpha, beta)
+                                             for alpha in alphas for beta in betas)
+        self.counters["sweeps"] += 1
+        self.counters["representatives"] += sum(map(len, groups.values()))
+        return groups
 
-        parent = {r: r for r in legs_of}
+    def _partition(self, c: TwoCat, s1: Span, s2: Span, reps: list[tuple]) -> _Hom:
+        """Join the representatives s1 ⇒ s2 along refinements.
+
+        Each class is expanded from its first member r not yet covered:
+        every refinement r·p is joined to r and marked covered, and a
+        covered member is not expanded.  It would add no union: for a leg
+        q of r·p, (r·p)·q = r·(p∘q), and p∘q is the identity or a leg of
+        r, so both ends are already joined to r.  That uses associativity
+        of comp1 and hcomp and i_p∗i_q = i_{p∘q}.
+        """
+        comp1, hcomp, id2, mor_src = c.comp1, c.hcomp_table, c.id2, c.mor_src
+        parent = {r: r for r in reps}
 
         def find(r):
             while parent[r] != r:
@@ -212,20 +261,30 @@ class _HomPartitions:
                 r = parent[r]
             return r
 
-        for r, legs in legs_of.items():
+        covered: set[tuple] = set()
+        expanded = edges = 0
+        for r in reps:
+            if r in covered:
+                continue
             root = find(r)
             _apex, v1, v2, alpha, beta = r
+            legs = self.legs(c, comp1[(s1.w, v1)])
+            expanded += 1
+            edges += len(legs)
             for p in legs:
                 i_p = id2[p]
                 refined = (mor_src[p], comp1[(v1, p)], comp1[(v2, p)],
                            hcomp[(alpha, i_p)], hcomp[(beta, i_p)])
                 if refined in parent:
+                    covered.add(refined)
                     other = find(refined)
                     if other != root:
                         parent[other] = root
+        self.counters["members_expanded"] += expanded
+        self.counters["refinement_edges"] += edges
 
         classes: dict[tuple, list[tuple]] = {}
-        for r in legs_of:
+        for r in reps:
             classes.setdefault(find(r), []).append(r)
         cells, cell_of = [], {}
         for keys in classes.values():

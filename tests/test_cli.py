@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, report schema, document round-trips."""
 
+import dataclasses
 import json
+import os
 import subprocess
 import sys
 
+from twoloc import fixture
 from twoloc.cli import main
+from twoloc.documents import dump_twocat
 
 SCHEMA_KEYS = {"command", "input", "flags", "verdicts", "data",
                "counterexamples", "timing_s", "ok"}
@@ -181,6 +185,26 @@ def test_console_script_entrypoint(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
+
+
+def test_validate_report_on_a_partial_table_does_not_depend_on_the_hash_seed(tmp_path):
+    c, w = fixture("F6")
+    hcomp = dict(c.hcomp_table)
+    for key in sorted(hcomp)[:5]:
+        del hcomp[key]
+    doc = tmp_path / "F6-partial.json"
+    doc.write_text(dump_twocat(dataclasses.replace(c, hcomp_table=hcomp), w))
+    reports = []
+    for seed in ("1", "2", "3"):
+        proc = subprocess.run([sys.executable, "-m", "twoloc.cli", "validate", str(doc)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONHASHSEED": seed})
+        assert proc.returncode == 2
+        report = json.loads(proc.stdout)
+        assert len(report["data"]["structural"]) == 5
+        del report["timing_s"]
+        reports.append(report)
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_unwritable_output_is_exit_2_with_full_report(tmp_path, capsys):

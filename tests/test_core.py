@@ -85,6 +85,18 @@ def test_hom_indices():
     assert c.hom1("B", "A") == ()
     assert set(c.hom2("f", "f")) == {"i_f", "tau_f"}
     assert c.hom2("idA", "f") == ()
+    assert c.factorisations("f") == (("f", "idA"), ("idB", "f"))
+    assert c.left_factors("idA", "f") == ("f",)
+    assert c.left_factors("f", "idA") == ()
+    assert c.cells_from("f") == {"f": c.hom2("f", "f")}
+    for entry in oracle_inputs():
+        d = entry.c
+        for h in d.mors:
+            assert d.factorisations(h) == tuple(sorted(gf for gf, k in d.comp1.items() if k == h))
+            for f in d.mors:
+                assert d.left_factors(f, h) == tuple(
+                    sorted(g for (g, f2), k in d.comp1.items() if (f2, k) == (f, h)))
+            assert d.cells_from(h) == {g: d.hom2(h, g) for g in d.mors if d.hom2(h, g)}
 
 
 def test_parity_cells_are_involutive():

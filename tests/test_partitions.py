@@ -1,28 +1,33 @@
 """The hom partitions against the exhaustive closure they replace.
 
 `oracle_partition` and `oracle_equality_chain` are the original
-implementations: every (v1, v2) leg pair is tried and every object is
-scanned for refinement legs.  They are kept here only as a reference.
+implementations: every (v1, v2) leg pair is tried, every object is
+scanned for refinement legs, and every representative is expanded.
+They are kept here only as a reference.
 """
 
 import gc
 import itertools
+import random
 import tracemalloc
 import weakref
 from collections import deque
 
 import pytest
 
+from twoloc.core import StructureError
 from twoloc.fixtures import FIXTURES, fixture, parity_twocat
 from twoloc.fractions import (
     CellRep,
     Span,
+    _partitions,
     all_spans,
     cell_from_rep,
     equality_chain,
     hom_fraction_cells,
     localize,
 )
+from twoloc.saturation import saturate
 
 
 def oracle_partition(c, w, s1: Span, s2: Span) -> dict[CellRep, frozenset[CellRep]]:
@@ -142,15 +147,30 @@ def assert_partitions_match(c, w) -> int:
     return homs
 
 
+def classes_to_compare(c, w):
+    """W, its right saturation and all 1-cells, without repeats.
+
+    The larger classes give every representative more refinement legs,
+    so most class members are reached as refinements and not expanded.
+    """
+    out = []
+    for cls in (frozenset(w), saturate(c, w), frozenset(c.mors)):
+        if cls not in out:
+            out.append(cls)
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_fixture_partitions_match_oracle(name):
     c, w = fixture(name)
-    assert assert_partitions_match(c, w) > 0
+    for cls in classes_to_compare(c, w):
+        assert assert_partitions_match(c, cls) > 0
 
 
 def test_corpus_partitions_match_oracle(corpus_entries):
     for entry in corpus_entries:
-        assert_partitions_match(entry.c, entry.w)
+        for cls in classes_to_compare(entry.c, entry.w):
+            assert_partitions_match(entry.c, cls)
 
 
 def cyclic_parity(n: int, twist_name: str):
@@ -164,10 +184,88 @@ def cyclic_parity(n: int, twist_name: str):
 @pytest.mark.parametrize("twist_name", ["s", "a"])
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_cyclic_parity_partitions_match_oracle(n, twist_name):
+    # Every subgroup is compared, the whole group among them: Z/n is a
+    # group, so it is the right saturation of each subgroup.
     c = cyclic_parity(n, twist_name)
     for step in (d for d in range(1, n + 1) if n % d == 0):
         w = frozenset(f"g{k}" for k in range(0, n, step))
+        assert saturate(c, w) == frozenset(c.mors)
         assert_partitions_match(c, w)
+
+
+def shuffled_requests(c, w, seed: int):
+    """Every span pair of (c, w), empty homs first, each part shuffled."""
+    empty, full = [], []
+    for pair in span_pairs(c, w):
+        (full if oracle_partition(c, w, *pair) else empty).append(pair)
+    rng = random.Random(seed)
+    rng.shuffle(empty)
+    rng.shuffle(full)
+    return empty + full
+
+
+def fresh_inputs():
+    """(label, build): each call of build gives new tables and their W."""
+    for name in sorted(FIXTURES):
+        yield name, lambda name=name: fixture(name)
+    for n in (4, 6):
+        yield f"Z/{n}", lambda n=n: (cyclic_parity(n, "s"), frozenset({"g0", f"g{n // 2}"}))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_homs_asked_in_any_order_match_oracle(seed):
+    for label, build in fresh_inputs():
+        c, w = build()
+        for cls in classes_to_compare(c, w):
+            fresh, _ = build()
+            for s1, s2 in shuffled_requests(c, cls, seed):
+                want = oracle_partition(c, cls, s1, s2)
+                cells = hom_fraction_cells(fresh, cls, s1, s2)
+                got = {r: cell.members for cell in cells for r in cell.members}
+                assert got == want, (label, sorted(cls), s1, s2)
+
+
+def test_malformed_target_span_raises_after_its_source_was_swept():
+    c, w = fixture("F2")
+    s1 = Span("X", "idX", "f")
+    assert hom_fraction_cells(c, w, s1, s1)
+    assert s1 in _partitions(c, w)._groups
+    for bad in (Span("X", "idX", "g"), Span("X", "g", "f")):
+        with pytest.raises(StructureError, match="legs must leave its apex"):
+            hom_fraction_cells(c, w, s1, bad)
+        with pytest.raises(StructureError, match="legs must leave its apex"):
+            hom_fraction_cells(c, w, bad, s1)
+    outside = Span("Y", "g", "idY")  # a span X → Y, but g is not in W
+    for s, t in ((s1, outside), (outside, s1)):
+        with pytest.raises(StructureError, match="denominator is not in W"):
+            hom_fraction_cells(c, w, s, t)
+
+
+def counters_after_every_hom(c, w):
+    classes = sum(len(hom_fraction_cells(c, w, s1, s2)) for s1, s2 in span_pairs(c, w))
+    return classes, _partitions(c, w).counters
+
+
+def test_work_counters_on_z8():
+    # Z/8, W = <2>, localized at W and at W_sat = all of Z/8.  A hom
+    # s1 ⇒ s2 is non-empty iff f2 - w2 = f1 - w1, and a non-empty hom has
+    # one representative per (v1 with w1 + v1 ∈ W, alpha, beta): 4 × 2 × 2
+    # at W over 4 targets per source, 8 × 2 × 2 at W_sat over 8.  Every
+    # class is one orbit of the legs (3 at W, 7 at W_sat), so only its
+    # first member is expanded.
+    c = cyclic_parity(8, "s")
+    w = frozenset({"g0", "g2", "g4", "g6"})
+    w_sat = saturate(c, w)
+    assert w_sat == frozenset(c.mors)
+    for cls, sources, targets, reps, legs in ((w, 32, 4, 16, 3), (w_sat, 64, 8, 32, 7)):
+        classes, counters = counters_after_every_hom(c, cls)
+        assert classes == sources * targets * reps // (legs + 1)
+        assert counters == {
+            "sweeps": sources,
+            "representatives": sources * targets * reps,
+            "members_expanded": classes,
+            "refinement_edges": classes * legs,
+        }
 
 
 # -- lifetime: partitions live and die with their 2-category -----------------
