@@ -329,8 +329,12 @@ def cmd_groupoid(cmd: _Command, args) -> int:
     gpds = []
     for i, p in enumerate(args.paths):
         g = load_groupoid(p)
-        if any(other.name == g.name for other in gpds):
-            g.name = f"{g.name}_{i}"
+        taken = {other.name for other in gpds}
+        if g.name in taken:  # first free suffix, from the position on
+            k = i
+            while f"{g.name}_{k}" in taken:
+                k += 1
+            g.name = f"{g.name}_{k}"
         gpds.append(g)
     from .groupoids import validate_groupoid
 
@@ -373,6 +377,8 @@ def cmd_groupoid(cmd: _Command, args) -> int:
         cmd.verdict("no_counterexample", not failures, failures or None)
         cmd.report["data"]["triples_checked"] = checked
         cmd.report["data"]["vacuous"] = vacuous
+        cmd.report["data"]["composites_decided"] = sum(
+            len(f.composites_decided) for fs in funs.values() for f in fs)
     elif args.check == "saturated":
         cmd.verdict("morita_class_saturated", morita_saturated_check(gpds))
     else:

@@ -16,9 +16,14 @@ Essential surjectivity is decided from `FiniteGroupoid.reach`, the objects
 each object has an arrow to: the union of the reach sets over the image
 must hold every target object.  Full faithfulness is decided one pair
 (o1, o2) of source objects at a time: φ₁ must be injective on Y(o1, o2)
-with image exactly X(φ o1, φ o2).  Both predicates take a functor, or a
-source, a target and the two maps as functions, so `morita_two_out_of_six`
-tests composites without building them.
+with image exactly X(φ o1, φ o2).
+
+A Morita verdict belongs to the functor: `GroupoidFunctor.morita` is
+decided once per functor, and `GroupoidFunctor.morita_after(g)` decides
+g∘f once per composable pair (f, g), so `morita_two_out_of_six` over
+every chain of a catalog builds and decides each composite only once.
+Groupoid and functor tables must therefore not be mutated after the
+first decision on them (`FiniteGroupoid.reach` already assumes this).
 
 Enumeration cost is exponential in groupoid size; keep catalogs to ~3
 groupoids with ≤3 objects and ≤12 arrows each.
@@ -27,7 +32,6 @@ groupoids with ≤3 objects and ≤12 arrows each.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -129,10 +133,33 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
 
 @dataclass(eq=False)
 class GroupoidFunctor:
+    """A functor given by its object and arrow tables.
+
+    The Morita verdicts below are decided on first use and kept on the
+    functor, so its tables (and those of its source and target) must not
+    be mutated after that.
+    """
+
     source: FiniteGroupoid
     target: FiniteGroupoid
     obj_map: dict[str, str]
     arr_map: dict[str, str]
+    # g -> is g∘self Morita?  Keyed by identity; holds verdicts, not composites.
+    composites_decided: dict[GroupoidFunctor, bool] = field(
+        default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def morita(self) -> bool:
+        return is_morita(self)
+
+    def morita_after(self, g: GroupoidFunctor) -> bool:
+        """Is g∘self Morita?  Decided once per g."""
+        try:
+            return self.composites_decided[g]
+        except KeyError:
+            verdict = is_morita(compose_gfunctors(g, self))
+            self.composites_decided[g] = verdict
+            return verdict
 
     def signature(self) -> tuple:
         return (self.source.name, self.target.name,
@@ -219,58 +246,39 @@ def natural_transformations(f: GroupoidFunctor, g: GroupoidFunctor) -> list[dict
 # Morita equivalence
 
 
-Map = Callable[[str], str]
-
-
-def _maps(y, x, obj_of, arr_of):
-    """(source, target, object map, arrow map) of a functor, or of the maps given."""
-    if x is None:
-        return y.source, y.target, y.obj_map.__getitem__, y.arr_map.__getitem__
-    return y, x, obj_of, arr_of
-
-
-def is_essentially_surjective(y: GroupoidFunctor | FiniteGroupoid, x: FiniteGroupoid | None = None,
-                              obj_of: Map | None = None, arr_of: Map | None = None) -> bool:
-    """Every target object receives an arrow from the image of the object map.
-
-    Pass a functor, or a source y, a target x and the object and arrow
-    maps as functions (the arrow map is not read).
-    """
-    y, x, obj_of, _ = _maps(y, x, obj_of, arr_of)
+def is_essentially_surjective(fun: GroupoidFunctor) -> bool:
+    """Every target object receives an arrow from the image of the object map."""
+    x = fun.target
     reached: set[str] = set()
-    for o in y.objects:
-        reached |= x.reach.get(obj_of(o), frozenset())
+    for o in fun.source.objects:
+        reached |= x.reach.get(fun.obj_map[o], frozenset())
     return reached.issuperset(x.objects)
 
 
-def is_fully_faithful(y: GroupoidFunctor | FiniteGroupoid, x: FiniteGroupoid | None = None,
-                      obj_of: Map | None = None, arr_of: Map | None = None) -> bool:
+def is_fully_faithful(fun: GroupoidFunctor) -> bool:
     """Is y₁ ↦ (s y₁, t y₁, φ y₁) a bijection onto the comparison fiber set?
 
     Decided one pair of source objects at a time: φ is injective on
     y.hom(o1, o2) with image x.hom(φ o1, φ o2), and no arrow of y has an
-    endpoint outside y.objects.  Arguments as for
-    `is_essentially_surjective`.
+    endpoint outside y.objects.
     """
-    y, x, obj_of, arr_of = _maps(y, x, obj_of, arr_of)
+    y, x, obj_map, arr_map = fun.source, fun.target, fun.obj_map, fun.arr_map
     objects = dict.fromkeys(y.objects)
     covered = 0
     for o1 in objects:
-        x1 = obj_of(o1)
+        x1 = obj_map[o1]
         for o2 in objects:
             arrows = y.hom(o1, o2)
-            images = {arr_of(a) for a in arrows}
-            if len(images) != len(arrows) or images != set(x.hom(x1, obj_of(o2))):
+            images = {arr_map[a] for a in arrows}
+            if len(images) != len(arrows) or images != set(x.hom(x1, obj_map[o2])):
                 return False
             covered += len(arrows)
     return covered == len(y.arrows)
 
 
-def is_morita(y: GroupoidFunctor | FiniteGroupoid, x: FiniteGroupoid | None = None,
-              obj_of: Map | None = None, arr_of: Map | None = None) -> bool:
-    """Essentially surjective and fully faithful; arguments as for either."""
-    return (is_essentially_surjective(y, x, obj_of, arr_of)
-            and is_fully_faithful(y, x, obj_of, arr_of))
+def is_morita(fun: GroupoidFunctor) -> bool:
+    """Essentially surjective and fully faithful."""
+    return is_essentially_surjective(fun) and is_fully_faithful(fun)
 
 
 @dataclass
@@ -290,21 +298,18 @@ def morita_two_out_of_six(xi: GroupoidFunctor, psi: GroupoidFunctor,
     """From phi∘psi and psi∘xi Morita, conclude all three factors are.
 
     The chain is xi: U→Z, psi: Z→Y, phi: Y→X; when either composite fails
-    to be Morita the check is vacuous.
+    to be Morita the check is vacuous.  Every verdict is read from the
+    functors' memos, so a sweep over chains decides each composable pair
+    and each functor once.
     """
     if xi.target is not psi.source or psi.target is not phi.source:
         raise StructureError("functors do not form a composable chain")
-    if not (is_morita(psi.source, phi.target,
-                      lambda o: phi.obj_map[psi.obj_map[o]],
-                      lambda a: phi.arr_map[psi.arr_map[a]])
-            and is_morita(xi.source, psi.target,
-                          lambda o: psi.obj_map[xi.obj_map[o]],
-                          lambda a: psi.arr_map[xi.arr_map[a]])):
+    if not (psi.morita_after(phi) and xi.morita_after(psi)):
         return MoritaCancellation(vacuous=True)
     return MoritaCancellation(False, {
-        "phi": is_morita(phi),
-        "psi": is_morita(psi),
-        "xi": is_morita(xi),
+        "phi": phi.morita,
+        "psi": psi.morita,
+        "xi": xi.morita,
     })
 
 
@@ -395,7 +400,7 @@ def groupoid_twocat(catalog: list[FiniteGroupoid]) -> tuple[TwoCat, frozenset[st
         hcomp_table=hcomp,
         id2=id2,
     )
-    w_morita = frozenset(fid for fid, fun in funs.items() if is_morita(fun))
+    w_morita = frozenset(fid for fid, fun in funs.items() if fun.morita)
     return c, w_morita
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report schema, document round-trips."""
 
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -164,6 +165,26 @@ def test_groupoid_checks(tmp_path, capsys):
     code, rep = run(capsys, "groupoid", unit, pair, "--check", "two-out-of-six")
     assert code == 0 and rep["verdicts"]["no_counterexample"] is True
     assert rep["data"]["triples_checked"] > 0
+
+
+def test_groupoid_names_stay_distinct_after_renaming(tmp_path, capsys):
+    # the third stem "u" must not be renamed onto the second file's "u_2"
+    unit = emit(tmp_path, "unit")
+    disc = str(tmp_path / "u_2.json")
+    assert main(["fixtures", "disc2", disc, "--output", str(tmp_path / "_r.json")]) == 0
+    capsys.readouterr()
+    counts = [[1, 2, 1], [1, 4, 1], [1, 2, 1]]  # functors among Unit, Disc2, Unit
+    chains = sum(counts[u][z] * counts[z][y] * counts[y][x]
+                 for u, z, y, x in itertools.product(range(3), repeat=4))
+    pairs = sum(counts[a][b] * counts[b][c]
+                for a, b, c in itertools.product(range(3), repeat=3))
+
+    code, rep = run(capsys, "groupoid", unit, disc, unit, "--check", "saturated")
+    assert code == 0 and rep["verdicts"]["morita_class_saturated"] is True
+    code, rep = run(capsys, "groupoid", unit, disc, unit, "--check", "two-out-of-six")
+    assert code == 0 and rep["verdicts"]["no_counterexample"] is True
+    assert rep["data"]["triples_checked"] == chains == 376
+    assert rep["data"]["composites_decided"] == pairs
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

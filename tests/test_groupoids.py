@@ -253,9 +253,11 @@ def test_shipped_catalogs_are_saturated():
 # -- Morita predicates against their literal definitions ---------------------------
 #
 # `is_essentially_surjective` reads the target's reach sets and
-# `is_fully_faithful` compares homs one pair of source objects at a time.
-# The functions below are the literal definitions they replaced, kept here
-# only as a reference.
+# `is_fully_faithful` compares homs one pair of source objects at a time;
+# `morita_two_out_of_six` reads verdicts memoized on the functors, one per
+# functor and one per composable pair.  The functions below are the literal
+# definitions they replaced, kept here only as a reference; the oracle for
+# two-out-of-six builds both composites afresh for every chain.
 
 
 def literal_essentially_surjective(fun):
@@ -315,21 +317,59 @@ def test_morita_predicates_match_on_tables_that_are_not_functors():
 
 
 def test_two_out_of_six_matches_built_composites():
+    # Z2 has a non-trivial vertex group, so composites depend on the arrow map
+    for cat in (CATALOGS["unit-pair-disc"](),
+                [cyclic_group(2), pair_groupoid(2), discrete_groupoid(2)]):
+        funs = {(a.name, b.name): enumerate_gfunctors(a, b)
+                for a, b in itertools.product(cat, repeat=2)}
+        # content-equal but distinct functors: the memos are keyed by identity
+        twins = {(a.name, b.name): enumerate_gfunctors(a, b)
+                 for a, b in itertools.product(cat, repeat=2)}
+        real = 0
+        for u, z, y, x in itertools.product(cat, repeat=4):
+            for (i, xi), psi, (j, phi) in itertools.product(
+                    enumerate(funs[(u.name, z.name)]), funs[(z.name, y.name)],
+                    enumerate(funs[(y.name, x.name)])):
+                rep = morita_two_out_of_six(xi, psi, phi)
+                vacuous = not (literal_morita(compose_gfunctors(phi, psi))
+                               and literal_morita(compose_gfunctors(psi, xi)))
+                assert rep.vacuous == vacuous
+                if not vacuous:
+                    real += 1
+                    assert rep.verdicts == {"phi": literal_morita(phi),
+                                            "psi": literal_morita(psi),
+                                            "xi": literal_morita(xi)}
+                twin = morita_two_out_of_six(twins[(u.name, z.name)][i], psi,
+                                             twins[(y.name, x.name)][j])
+                assert (twin.vacuous, twin.verdicts) == (rep.vacuous, rep.verdicts)
+        assert real > 0, [g.name for g in cat]
+
+
+def test_two_out_of_six_decides_each_pair_once(monkeypatch):
+    import twoloc.groupoids
+
+    decisions = 0
+    decide = twoloc.groupoids.is_morita
+
+    def counted(*args):
+        nonlocal decisions
+        decisions += 1
+        return decide(*args)
+
+    monkeypatch.setattr(twoloc.groupoids, "is_morita", counted)
     cat = CATALOGS["unit-pair-disc"]()
     funs = {(a.name, b.name): enumerate_gfunctors(a, b)
             for a, b in itertools.product(cat, repeat=2)}
-    real = 0
+    chains = 0
     for u, z, y, x in itertools.product(cat, repeat=4):
         for xi, psi, phi in itertools.product(funs[(u.name, z.name)],
                                               funs[(z.name, y.name)],
                                               funs[(y.name, x.name)]):
-            rep = morita_two_out_of_six(xi, psi, phi)
-            vacuous = not (literal_morita(compose_gfunctors(phi, psi))
-                           and literal_morita(compose_gfunctors(psi, xi)))
-            assert rep.vacuous == vacuous
-            if not vacuous:
-                real += 1
-                assert rep.verdicts == {"phi": literal_morita(phi),
-                                        "psi": literal_morita(psi),
-                                        "xi": literal_morita(xi)}
-    assert real > 0
+            morita_two_out_of_six(xi, psi, phi)
+            chains += 1
+    functors = sum(len(fs) for fs in funs.values())
+    pairs = sum(len(funs[(a.name, b.name)]) * len(funs[(b.name, c.name)])
+                for a, b, c in itertools.product(cat, repeat=3))
+    assert 0 < decisions <= pairs + functors < chains
+    assert sum(len(f.composites_decided)
+               for fs in funs.values() for f in fs) <= pairs
