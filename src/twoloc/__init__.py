@@ -7,202 +7,80 @@ localized bicategory itself (spans, 2-cell classes, composition),
 ``transport`` induced pseudofunctors between localizations, and
 ``groupoids`` the worked finite-groupoid/Morita instance.  ``documents``
 and ``cli`` give a JSON interchange format and a command-line front end.
+
+Names load on first use: ``import twoloc`` runs no submodule, and
+``twoloc.check_bf`` (or ``from twoloc import check_bf``) imports
+``twoloc.saturation`` and the modules it needs, and nothing else.  The
+name is then bound in the package, as an eager import would bind it.
+The seven modules that define these names are attributes too
+(``twoloc.groupoids``).
 """
 
-from .core import (
-    EquivalenceWitness,
-    InternalInconsistency,
-    StructureError,
-    TwoCat,
-    ValidationReport,
-    adjointify,
-    equivalence_from_cancellation,
-    equivalence_of_composite,
-    find_quasi_inverse,
-    internal_equivalences,
-    quasi_inverse_witness,
-    transport_witness,
-    validate,
-    witness_problems,
-)
-from .saturation import (
-    AXIOMS,
-    BFReport,
-    check_bf,
-    fill_cospan,
-    is_right_saturated,
-    lift_cell,
-    quasi_units,
-    saturate,
-)
-from .fractions import (
-    CellRep,
-    ChoiceTable,
-    FractionCell,
-    Localization,
-    Span,
-    SpanEquivalence,
-    build_choices,
-    cell_from_rep,
-    cells_equal,
-    compose_fractions,
-    equality_chain,
-    find_associator_witness,
-    fraction_inverse,
-    hom_fraction_cells,
-    identity_fraction_cell,
-    identity_span,
-    is_internal_equiv_closed_form,
-    is_internal_equiv_search,
-    is_invertible_fraction_cell,
-    localize,
-    quasi_inverse_of_u,
-    u_cell,
-    u_mor,
-    vcomp_fraction,
-    whisker_fraction_left,
-    whisker_fraction_right,
-)
-from .transport import (
-    InducedPseudofunctor,
-    SaturationCompat,
-    StrictTwoFunctor,
-    WeakEquivalenceReport,
-    collapse_functor,
-    compare_choice_tables,
-    comparison_to_saturation,
-    identity_functor,
-    induce,
-    preserves_into,
-    saturation_compatibility,
-    validate_functor,
-    weak_equivalence_report,
-    x_conditions_for_functor,
-    x_conditions_for_induced,
-)
-from .groupoids import (
-    CATALOGS,
-    FiniteGroupoid,
-    GroupoidFunctor,
-    compose_gfunctors,
-    discrete_groupoid,
-    enumerate_gfunctors,
-    groupoid_twocat,
-    identity_gfunctor,
-    is_essentially_surjective,
-    is_fully_faithful,
-    is_morita,
-    morita_saturated_check,
-    morita_two_out_of_six,
-    natural_transformations,
-    pair_groupoid,
-    unit_groupoid,
-    validate_groupoid,
-)
-from .documents import (
-    DocumentError,
-    dump_gfunctor,
-    dump_groupoid,
-    dump_twocat,
-    dump_twofunctor,
-    load_gfunctor,
-    load_groupoid,
-    load_twocat,
-    load_twofunctor,
-)
-from .fixtures import FIXTURES, fixture
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AXIOMS",
-    "BFReport",
-    "CATALOGS",
-    "CellRep",
-    "ChoiceTable",
-    "DocumentError",
-    "EquivalenceWitness",
-    "FIXTURES",
-    "FiniteGroupoid",
-    "FractionCell",
-    "GroupoidFunctor",
-    "InducedPseudofunctor",
-    "InternalInconsistency",
-    "Localization",
-    "SaturationCompat",
-    "Span",
-    "SpanEquivalence",
-    "StrictTwoFunctor",
-    "StructureError",
-    "TwoCat",
-    "ValidationReport",
-    "WeakEquivalenceReport",
-    "adjointify",
-    "build_choices",
-    "cell_from_rep",
-    "cells_equal",
-    "check_bf",
-    "collapse_functor",
-    "compare_choice_tables",
-    "comparison_to_saturation",
-    "compose_fractions",
-    "compose_gfunctors",
-    "discrete_groupoid",
-    "dump_gfunctor",
-    "dump_groupoid",
-    "dump_twocat",
-    "dump_twofunctor",
-    "enumerate_gfunctors",
-    "equality_chain",
-    "equivalence_from_cancellation",
-    "equivalence_of_composite",
-    "fill_cospan",
-    "find_associator_witness",
-    "find_quasi_inverse",
-    "fixture",
-    "fraction_inverse",
-    "groupoid_twocat",
-    "hom_fraction_cells",
-    "identity_fraction_cell",
-    "identity_functor",
-    "identity_gfunctor",
-    "identity_span",
-    "induce",
-    "internal_equivalences",
-    "is_essentially_surjective",
-    "is_fully_faithful",
-    "is_internal_equiv_closed_form",
-    "is_internal_equiv_search",
-    "is_invertible_fraction_cell",
-    "is_morita",
-    "is_right_saturated",
-    "lift_cell",
-    "load_gfunctor",
-    "load_groupoid",
-    "load_twocat",
-    "load_twofunctor",
-    "localize",
-    "morita_saturated_check",
-    "morita_two_out_of_six",
-    "natural_transformations",
-    "pair_groupoid",
-    "preserves_into",
-    "quasi_inverse_of_u",
-    "quasi_inverse_witness",
-    "quasi_units",
-    "saturate",
-    "saturation_compatibility",
-    "transport_witness",
-    "u_cell",
-    "u_mor",
-    "unit_groupoid",
-    "validate",
-    "validate_functor",
-    "validate_groupoid",
-    "weak_equivalence_report",
-    "whisker_fraction_left",
-    "whisker_fraction_right",
-    "witness_problems",
-    "x_conditions_for_functor",
-    "x_conditions_for_induced",
-]
+_EXPORTS = {
+    "core": (
+        "EquivalenceWitness", "InternalInconsistency", "StructureError",
+        "TwoCat", "ValidationReport", "adjointify",
+        "equivalence_from_cancellation", "equivalence_of_composite",
+        "find_quasi_inverse", "internal_equivalences", "quasi_inverse_witness",
+        "transport_witness", "validate", "witness_problems",
+    ),
+    "saturation": (
+        "AXIOMS", "BFReport", "check_bf", "fill_cospan", "is_right_saturated",
+        "lift_cell", "quasi_units", "saturate",
+    ),
+    "fractions": (
+        "CellRep", "ChoiceTable", "FractionCell", "Localization", "Span",
+        "SpanEquivalence", "build_choices", "cell_from_rep", "cells_equal",
+        "compose_fractions", "equality_chain", "find_associator_witness",
+        "fraction_inverse", "hom_fraction_cells", "identity_fraction_cell",
+        "identity_span", "is_internal_equiv_closed_form",
+        "is_internal_equiv_search", "is_invertible_fraction_cell", "localize",
+        "quasi_inverse_of_u", "u_cell", "u_mor", "vcomp_fraction",
+        "whisker_fraction_left", "whisker_fraction_right",
+    ),
+    "transport": (
+        "InducedPseudofunctor", "SaturationCompat", "StrictTwoFunctor",
+        "WeakEquivalenceReport", "collapse_functor", "compare_choice_tables",
+        "comparison_to_saturation", "identity_functor", "induce",
+        "preserves_into", "saturation_compatibility", "validate_functor",
+        "weak_equivalence_report", "x_conditions_for_functor",
+        "x_conditions_for_induced",
+    ),
+    "groupoids": (
+        "CATALOGS", "FiniteGroupoid", "GroupoidFunctor", "compose_gfunctors",
+        "discrete_groupoid", "enumerate_gfunctors", "groupoid_twocat",
+        "identity_gfunctor", "is_essentially_surjective", "is_fully_faithful",
+        "is_morita", "morita_saturated_check", "morita_two_out_of_six",
+        "natural_transformations", "pair_groupoid", "unit_groupoid",
+        "validate_groupoid",
+    ),
+    "documents": (
+        "DocumentError", "dump_gfunctor", "dump_groupoid", "dump_twocat",
+        "dump_twofunctor", "load_gfunctor", "load_groupoid", "load_twocat",
+        "load_twofunctor",
+    ),
+    "fixtures": ("FIXTURES", "fixture"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _MODULE_OF:
+        value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+        # Bound here, as an eager import would have, so a `twoloc.name`
+        # lookup inside a loop does not run the import machinery each time.
+        globals()[name] = value
+        return value
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _MODULE_OF.keys() | _EXPORTS.keys())

@@ -26,8 +26,8 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import fixtures as fixture_mod
 from .core import InternalInconsistency, StructureError, validate
 from .documents import (
     DocumentError,
@@ -38,37 +38,12 @@ from .documents import (
     load_twocat,
     load_twofunctor,
 )
-from .fractions import (
-    CellRep,
-    Span,
-    build_choices,
-    cells_equal,
-    equality_chain,
-    is_internal_equiv_closed_form,
-    is_internal_equiv_search,
-    localize,
-    span_problems,
-    u_mor,
-)
-from .groupoids import (
-    discrete_groupoid,
-    is_essentially_surjective,
-    is_fully_faithful,
-    morita_saturated_check,
-    morita_two_out_of_six,
-    pair_groupoid,
-    unit_groupoid,
-    functor_problems,
-    enumerate_gfunctors,
-)
-from .saturation import check_bf, is_right_saturated, saturate
-from .transport import (
-    induce,
-    preserves_into,
-    saturation_compatibility,
-    validate_functor,
-    x_conditions_for_induced,
-)
+
+if TYPE_CHECKING:
+    from .fractions import CellRep, Span
+
+# Each subcommand imports the layers it calls, so a query compiles only
+# the modules it uses.
 
 OK, FAIL, BAD_INPUT = 0, 1, 2
 
@@ -136,6 +111,8 @@ class _Command:
 
 
 def _span_arg(text: str) -> Span:
+    from .fractions import Span
+
     parts = [p.strip() for p in text.strip().strip("()").split(",")]
     if len(parts) != 3 or not all(parts):
         raise DocumentError(f"span must be (apex,w,f): got {text!r}")
@@ -143,6 +120,8 @@ def _span_arg(text: str) -> Span:
 
 
 def _rep_arg(text: str, src: Span, dst: Span) -> CellRep:
+    from .fractions import CellRep
+
     parts = [p.strip() for p in text.strip().strip("()").split(",")]
     if len(parts) != 5 or not all(parts):
         raise DocumentError(f"representative must be (apex,v1,v2,alpha,beta): got {text!r}")
@@ -185,6 +164,8 @@ def cmd_validate(cmd: _Command, args) -> int:
 
 
 def cmd_check_bf(cmd: _Command, args) -> int:
+    from .saturation import check_bf
+
     c, w = _load_checked(cmd, args.path)
     bf = check_bf(c, w)
     for axiom, passed in bf.passed.items():
@@ -194,6 +175,8 @@ def cmd_check_bf(cmd: _Command, args) -> int:
 
 
 def cmd_saturate(cmd: _Command, args) -> int:
+    from .saturation import is_right_saturated, saturate
+
     c, w = _load_checked(cmd, args.path)
     sat = saturate(c, w)
     cmd.report["data"]["W"] = sorted(w)
@@ -203,6 +186,8 @@ def cmd_saturate(cmd: _Command, args) -> int:
 
 
 def _require_bf(cmd: _Command, c, w) -> bool:
+    from .saturation import check_bf
+
     bf = check_bf(c, w)
     if not bf.ok:
         for axiom, passed in bf.passed.items():
@@ -211,6 +196,8 @@ def _require_bf(cmd: _Command, c, w) -> bool:
 
 
 def cmd_localize(cmd: _Command, args) -> int:
+    from .fractions import build_choices, localize
+
     c, w = _load_checked(cmd, args.path)
     if not _require_bf(cmd, c, w):
         return cmd.finish()
@@ -232,6 +219,9 @@ def cmd_localize(cmd: _Command, args) -> int:
 
 
 def cmd_equiv(cmd: _Command, args) -> int:
+    from .fractions import (build_choices, is_internal_equiv_closed_form,
+                            is_internal_equiv_search, span_problems)
+
     c, w = _load_checked(cmd, args.path)
     span = _span_arg(args.span)
     problems = span_problems(c, w, span)
@@ -256,6 +246,8 @@ def cmd_equiv(cmd: _Command, args) -> int:
 
 
 def cmd_cell_eq(cmd: _Command, args) -> int:
+    from .fractions import cells_equal, equality_chain
+
     c, w = _load_checked(cmd, args.path)
     src = _span_arg(args.src)
     dst = _span_arg(args.dst)
@@ -277,6 +269,10 @@ def cmd_cell_eq(cmd: _Command, args) -> int:
 
 
 def cmd_induce(cmd: _Command, args) -> int:
+    from .fractions import build_choices, u_mor
+    from .transport import (induce, preserves_into, saturation_compatibility,
+                            validate_functor, x_conditions_for_induced)
+
     c_src, w_src = _load_checked(cmd, args.src, f"{args.src}:")
     c_dst, w_dst = _load_checked(cmd, args.dst, f"{args.dst}:")
     fun = load_twofunctor(args.functor, c_src, c_dst)
@@ -326,6 +322,11 @@ def cmd_induce(cmd: _Command, args) -> int:
 
 
 def cmd_groupoid(cmd: _Command, args) -> int:
+    from .groupoids import (enumerate_gfunctors, functor_problems,
+                            is_essentially_surjective, is_fully_faithful,
+                            morita_saturated_check, morita_two_out_of_six,
+                            validate_groupoid)
+
     gpds = []
     for i, p in enumerate(args.paths):
         g = load_groupoid(p)
@@ -336,7 +337,6 @@ def cmd_groupoid(cmd: _Command, args) -> int:
                 k += 1
             g.name = f"{g.name}_{k}"
         gpds.append(g)
-    from .groupoids import validate_groupoid
 
     for g in gpds:
         grep = validate_groupoid(g)
@@ -386,22 +386,27 @@ def cmd_groupoid(cmd: _Command, args) -> int:
     return cmd.finish()
 
 
+# Each builder is handed the `groupoids` module, which only these fixtures load.
 _GROUPOID_FIXTURES = {
-    "unit": unit_groupoid,
-    "pair2": lambda: pair_groupoid(2),
-    "disc2": lambda: discrete_groupoid(2),
+    "unit": lambda groupoids: groupoids.unit_groupoid(),
+    "pair2": lambda groupoids: groupoids.pair_groupoid(2),
+    "disc2": lambda groupoids: groupoids.discrete_groupoid(2),
 }
 
 
 def cmd_fixtures(cmd: _Command, args) -> int:
+    from .fixtures import FIXTURES, fixture
+
     name = args.name
-    if name in fixture_mod.FIXTURES:
-        c, w = fixture_mod.fixture(name)
+    if name in FIXTURES:
+        c, w = fixture(name)
         text = dump_twocat(c, w)
     elif name in _GROUPOID_FIXTURES:
-        text = dump_groupoid(_GROUPOID_FIXTURES[name]())
+        from . import groupoids
+
+        text = dump_groupoid(_GROUPOID_FIXTURES[name](groupoids))
     else:
-        known = sorted(fixture_mod.FIXTURES) + sorted(_GROUPOID_FIXTURES)
+        known = sorted(FIXTURES) + sorted(_GROUPOID_FIXTURES)
         return cmd.bad_input(f"unknown fixture {name!r}; have {known}")
     Path(args.out).write_text(text, encoding="utf-8")
     cmd.report["data"]["written"] = args.out

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .core import TwoCat
-from .groupoids import FiniteGroupoid, GroupoidFunctor
-from .transport import StrictTwoFunctor
+
+if TYPE_CHECKING:  # the loaders import these when they build one
+    from .groupoids import FiniteGroupoid, GroupoidFunctor
+    from .transport import StrictTwoFunctor
 
 
 class DocumentError(ValueError):
@@ -143,6 +146,8 @@ def dump_twocat(c: TwoCat, w) -> str:
 
 
 def load_groupoid(path: str | Path, name: str | None = None) -> FiniteGroupoid:
+    from .groupoids import FiniteGroupoid
+
     where = str(path)
     doc = _load_json(path)
     expected = {"objects", "arrows", "compose", "inverse", "unit"}
@@ -178,6 +183,8 @@ def dump_groupoid(g: FiniteGroupoid) -> str:
 
 
 def load_twofunctor(path: str | Path, source: TwoCat, target: TwoCat) -> StrictTwoFunctor:
+    from .transport import StrictTwoFunctor
+
     where = str(path)
     doc = _load_json(path)
     for key in ("f0", "f1", "f2"):
@@ -198,6 +205,8 @@ def dump_twofunctor(fun: StrictTwoFunctor) -> str:
 
 def load_gfunctor(path: str | Path, source: FiniteGroupoid,
                   target: FiniteGroupoid) -> GroupoidFunctor:
+    from .groupoids import GroupoidFunctor
+
     where = str(path)
     doc = _load_json(path)
     for key in ("obj_map", "arr_map"):

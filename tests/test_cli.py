@@ -51,7 +51,8 @@ def test_fixture_emission_is_byte_stable(tmp_path, capsys):
 def test_unknown_fixture_is_exit_2(tmp_path, capsys):
     code, rep = run(capsys, "fixtures", "F99", str(tmp_path / "x.json"))
     assert code == 2
-    assert "unknown fixture" in rep["error"]
+    assert rep["error"] == ("unknown fixture 'F99'; have ['F1', 'F2', 'F3', 'F4', "
+                            "'F5', 'F6', 'F7', 'disc2', 'pair2', 'unit']")
 
 
 def test_parse_error_is_exit_2(tmp_path, capsys):
@@ -117,16 +118,22 @@ def test_cell_eq_distinguishes_f7_cells(tmp_path, capsys):
     assert rep["data"]["chain_length"] == 0
 
 
-def test_induce_identity(tmp_path, capsys):
-    f3 = emit(tmp_path, "F3")
+def identity_functor_doc(tmp_path, path):
+    """Write the identity 2-functor on the document at `path`; return its path."""
     fun = tmp_path / "id.json"
-    doc = json.loads(open(f3).read())
+    doc = json.loads(open(path).read())
     fun.write_text(json.dumps({
         "f0": {o: o for o in doc["objects"]},
         "f1": {m["id"]: m["id"] for m in doc["morphisms"]},
         "f2": {a["id"]: a["id"] for a in doc["twocells"]},
     }))
-    code, rep = run(capsys, "induce", f3, f3, str(fun), "--xchecks")
+    return str(fun)
+
+
+def test_induce_identity(tmp_path, capsys):
+    f3 = emit(tmp_path, "F3")
+    code, rep = run(capsys, "induce", f3, f3, identity_functor_doc(tmp_path, f3),
+                    "--xchecks")
     assert code == 0
     for name in ("image_in_target_saturation", "induced_well_defined",
                  "strict_square", "x_obj_surjective_up_to_equiv",
@@ -250,11 +257,14 @@ def test_unwritable_fixture_path_is_exit_2_with_full_report(tmp_path, capsys):
 
 def test_uncaught_document_error_is_exit_2_with_full_report(tmp_path, capsys, monkeypatch):
     import twoloc.cli as cli
+    import twoloc.saturation as saturation
 
     def broken(*_args):
         raise cli.DocumentError("broken document")
 
-    monkeypatch.setattr(cli, "saturate", broken)
+    # cli imports its layers inside each subcommand, so the name is patched
+    # where it is defined.
+    monkeypatch.setattr(saturation, "saturate", broken)
     code, rep = run(capsys, "saturate", emit(tmp_path, "F3"))
     assert code == 2
     assert SCHEMA_KEYS <= set(rep)
@@ -263,11 +273,12 @@ def test_uncaught_document_error_is_exit_2_with_full_report(tmp_path, capsys, mo
 
 def test_document_error_keeps_data_and_output(tmp_path, capsys, monkeypatch):
     import twoloc.cli as cli
+    import twoloc.saturation as saturation
 
     def broken(*_args):
         raise cli.DocumentError("broken late")
 
-    monkeypatch.setattr(cli, "is_right_saturated", broken)
+    monkeypatch.setattr(saturation, "is_right_saturated", broken)
     out = tmp_path / "report.json"
     assert main(["saturate", emit(tmp_path, "F3"), "--output", str(out)]) == 2
     assert capsys.readouterr().out == ""
@@ -305,3 +316,52 @@ def test_groupoid_with_undeclared_composite_is_exit_2(tmp_path, capsys):
     assert rep["error"] == "disc: not a groupoid"
     assert rep["data"]["validation_disc"] == [
         "structural: compose[('e1', 'e1')] = 'zz' is not a declared arrow"]
+
+
+# The twoloc modules a subcommand loads, beyond those `import twoloc.cli` loads.
+BASE_MODULES = {"twoloc", "twoloc.cli", "twoloc.core", "twoloc.documents"}
+FOOTPRINTS = [
+    ([], set()),
+    (["validate", "{F3}"], set()),
+    (["check-bf", "{F3}"], {"saturation"}),
+    (["saturate", "{F3}"], {"saturation"}),
+    (["localize", "{F3}"], {"saturation", "fractions"}),
+    (["equiv", "{F3}", "(0,id0,w)"], {"saturation", "fractions"}),
+    (["cell-eq", "{F7}", "--src", "(A,idA,f)", "--dst", "(A,idA,f)",
+      "(A,idA,idA,i_idA,i_f)", "(A,idA,idA,i_idA,tau_f)"], {"saturation", "fractions"}),
+    (["induce", "{F3}", "{F3}", "{ID}"], {"saturation", "fractions", "transport"}),
+    (["groupoid", "{unit}", "--check", "two-out-of-six"], {"groupoids"}),
+    (["groupoid", "{unit}", "--check", "saturated"], {"groupoids", "saturation"}),
+    (["fixtures", "F3", "{out}"], {"fixtures"}),
+    (["fixtures", "unit", "{out}"], {"fixtures", "groupoids"}),
+]
+LOADED_AFTER_MAIN = """
+import json, sys
+argv = json.loads(sys.argv[1])
+if argv:
+    from twoloc.cli import main
+    main(argv)
+else:
+    import twoloc.cli
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "twoloc")))
+"""
+
+
+def test_each_command_loads_only_the_modules_it_uses(tmp_path):
+    import twoloc
+
+    docs = {name: emit(tmp_path, name) for name in ("F3", "F7", "unit")}
+    docs["ID"] = identity_functor_doc(tmp_path, docs["F3"])
+    docs["out"] = str(tmp_path / "out.json")
+    src = os.path.dirname(os.path.dirname(twoloc.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv, extra in FOOTPRINTS:
+        argv = [a.format(**docs) for a in argv]
+        if argv:
+            argv += ["--output", str(tmp_path / "report.json")]
+        proc = subprocess.run([sys.executable, "-c", LOADED_AFTER_MAIN, json.dumps(argv)],
+                              capture_output=True, text=True, env=env, check=True)
+        loaded = set(json.loads(proc.stdout))
+        assert loaded == BASE_MODULES | {f"twoloc.{m}" for m in extra}, argv
+        if argv:
+            assert json.loads((tmp_path / "report.json").read_text())["ok"] is True, argv
