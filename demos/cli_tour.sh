@@ -1,6 +1,6 @@
 #!/bin/sh
 # A quick tour of the twoloc command line. Run from anywhere after
-#   pip install -e . --no-build-isolation
+#   pip install -e .
 # Every command prints a JSON report; exit status is 0 (all verdicts hold),
 # 1 (some verdict failed) or 2 (unreadable or unlawful input).
 set -e
@@ -32,3 +32,23 @@ twoloc cell-eq "$work/F7.json" --src "(A,idA,f)" --dst "(A,idA,f)" \
 
 echo "== groupoid checks =="
 twoloc groupoid --check=saturated "$work/unit.json" "$work/pair2.json"
+
+echo "== induce the identity of F6 on its localization, with the X-conditions =="
+twoloc fixtures F6 "$work/F6.json"
+cat > "$work/id.json" <<'JSON'
+{"f0": {"X": "X", "Y": "Y"},
+ "f1": {"f": "f", "g": "g", "idX": "idX", "idY": "idY"},
+ "f2": {"i_f": "i_f", "i_g": "i_g", "i_idX": "i_idX", "i_idY": "i_idY",
+        "s_f": "s_f", "s_g": "s_g", "s_idX": "s_idX", "s_idY": "s_idY"}}
+JSON
+twoloc induce "$work/F6.json" "$work/F6.json" "$work/id.json" --xchecks
+
+echo "== sending s_f to i_f breaks hcomp, so it is not a functor (exit 2) =="
+sed 's/"s_f": "s_f"/"s_f": "i_f"/' "$work/id.json" > "$work/bad.json"
+status=0
+twoloc induce "$work/F6.json" "$work/F6.json" "$work/bad.json" \
+    > "$work/bad.out" || status=$?
+cat "$work/bad.out"
+test "$status" -eq 2
+grep -q functor_validation "$work/bad.out"
+echo "(exit $status as expected)"

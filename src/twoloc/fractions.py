@@ -710,20 +710,11 @@ class Localization:
     def hom_cells(self, s1: Span, s2: Span) -> tuple[FractionCell, ...]:
         return hom_fraction_cells(self.c, self.w, s1, s2)
 
-    def identity_span(self, a: str) -> Span:
-        return identity_span(self.c, a)
-
-    def identity_cell(self, s: Span) -> FractionCell:
-        return identity_fraction_cell(self.c, self.w, s)
-
     def compose(self, s: Span, t: Span) -> Span:
         return compose_fractions(self.ch, s, t)
 
     def vcomp(self, c1: FractionCell, c2: FractionCell) -> FractionCell:
         return vcomp_fraction(self.ch, c1, c2)
-
-    def embed_mor(self, f: str) -> Span:
-        return u_mor(self.c, self.w, f)
 
     def embed_cell(self, gamma: str) -> FractionCell:
         return u_cell(self.c, self.w, gamma)

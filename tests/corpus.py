@@ -250,6 +250,30 @@ def posetal_family() -> list[CorpusEntry]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# the cyclic groups Z/n with parity cells
+
+
+def cyclic_parity(n: int, twist_name: str) -> TwoCat:
+    names = [f"g{k}" for k in range(n)]
+    mors = {g: ("x", "x") for g in names}
+    comp = {(names[i], names[j]): names[(i + j) % n]
+            for i in range(n) for j in range(n)}
+    return parity_twocat(["x"], mors, {"x": "g0"}, comp, twist_name=twist_name)
+
+
+def cyclic_family() -> list[CorpusEntry]:
+    """Z/4, Z/6 and Z/8 under both twist names, with every subgroup as W."""
+    out = []
+    for n in (4, 6, 8):
+        for twist_name in ("s", "a"):
+            c = cyclic_parity(n, twist_name)
+            for step in (d for d in range(1, n + 1) if n % d == 0):
+                w = frozenset(f"g{k}" for k in range(0, n, step))
+                out.append(CorpusEntry(f"Z/{n}-{twist_name}-<g{step % n}>", c, w))
+    return out
+
+
 def oracle_inputs() -> list[CorpusEntry]:
     """The inputs the oracle tests share, each with its W.
 

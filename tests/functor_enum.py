@@ -1,9 +1,13 @@
-"""Brute-force enumeration of strict 2-functors between tiny 2-categories.
+"""Brute-force enumeration of strict 2-functors between tiny 2-categories,
+and the exhaustive well-definedness search for their induced maps.
 
 Candidates are constrained slot-by-slot (identities are forced, boundaries
 must match) and then filtered through the exhaustive validate_functor, so
 everything yielded is checked rather than trusted.  Only usable for the
 fixture-sized inputs in this test suite.
+
+`search_constancy` is the exhaustive check of the lemma `induce` relies
+on: it maps every member of every class and classifies each image.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ import itertools
 
 from twoloc import StrictTwoFunctor, validate_functor
 from twoloc.core import TwoCat
+from twoloc.fractions import CellRep, cell_from_rep
+from twoloc.transport import InducedPseudofunctor
 
 
 def enumerate_strict_functors(src: TwoCat, dst: TwoCat) -> list[StrictTwoFunctor]:
@@ -44,3 +50,23 @@ def enumerate_strict_functors(src: TwoCat, dst: TwoCat) -> list[StrictTwoFunctor
                 if validate_functor(fun).ok:
                     out.append(fun)
     return out
+
+
+def search_constancy(ind: InducedPseudofunctor) -> CellRep | None:
+    """Map every member of every class of every source hom and classify it.
+
+    Returns the canonical representative of the first class whose members
+    land in two or more target classes, or None if the cell map is
+    constant on every class.
+    """
+    src_loc, dst_loc = ind.source_loc, ind.target_loc
+    objs = sorted(ind.functor.source.objects)
+    for a, b in itertools.product(objs, objs):
+        spans = src_loc.spans(a, b)
+        for s1, s2 in itertools.product(spans, spans):
+            for cell in src_loc.hom_cells(s1, s2):
+                images = {cell_from_rep(dst_loc.c, dst_loc.w, ind.map_rep(r))
+                          for r in cell.members}
+                if len(images) != 1:
+                    return cell.canonical
+    return None

@@ -49,7 +49,7 @@ from twoloc.fixtures import FIXTURES
 from twoloc.fractions import all_spans
 from twoloc.groupoids import CATALOGS
 
-from functor_enum import enumerate_strict_functors
+from functor_enum import enumerate_strict_functors, search_constancy
 
 BF_FIXTURES = ("F1", "F2", "F3", "F5", "F6", "F7")
 
@@ -249,8 +249,10 @@ def test_c07_induced_functors(capsys):
                 problems.append((na, nb, "clauses disagree"))
             if not preserves_into(fun, wa, sat_b):
                 continue
-            ind = induce(fun, wa, ch_b)  # raises if not well defined
+            ind = induce(fun, wa, ch_b)
             induced += 1
+            if search_constancy(ind) is not None:
+                problems.append((na, nb, "cell map not constant on a class"))
             for f in ca.mors:
                 if ind.map_span(u_mor(ca, wa, f)) != u_mor(cb, sat_b, fun.f1[f]):
                     problems.append((na, nb, "square on 1-cells", f))

@@ -16,7 +16,7 @@ from collections import deque
 import pytest
 
 from twoloc.core import StructureError
-from twoloc.fixtures import FIXTURES, fixture, parity_twocat
+from twoloc.fixtures import FIXTURES, fixture
 from twoloc.fractions import (
     CellRep,
     Span,
@@ -28,6 +28,8 @@ from twoloc.fractions import (
     localize,
 )
 from twoloc.saturation import saturate
+
+from corpus import cyclic_parity
 
 
 def oracle_partition(c, w, s1: Span, s2: Span) -> dict[CellRep, frozenset[CellRep]]:
@@ -171,14 +173,6 @@ def test_corpus_partitions_match_oracle(corpus_entries):
     for entry in corpus_entries:
         for cls in classes_to_compare(entry.c, entry.w):
             assert_partitions_match(entry.c, cls)
-
-
-def cyclic_parity(n: int, twist_name: str):
-    names = [f"g{k}" for k in range(n)]
-    mors = {g: ("x", "x") for g in names}
-    comp = {(names[i], names[j]): names[(i + j) % n]
-            for i in range(n) for j in range(n)}
-    return parity_twocat(["x"], mors, {"x": "g0"}, comp, twist_name=twist_name)
 
 
 @pytest.mark.parametrize("twist_name", ["s", "a"])

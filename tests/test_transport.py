@@ -1,13 +1,17 @@
 """Strict 2-functors, induced pseudofunctors, and weak-equivalence checks."""
 
 import itertools
+import re
 
 import pytest
 
 from twoloc import (
+    FIXTURES,
+    InducedPseudofunctor,
     StructureError,
     StrictTwoFunctor,
     build_choices,
+    check_bf,
     collapse_functor,
     compare_choice_tables,
     comparison_to_saturation,
@@ -25,7 +29,8 @@ from twoloc import (
     x_conditions_for_functor,
     x_conditions_for_induced,
 )
-from functor_enum import enumerate_strict_functors
+from corpus import CorpusEntry, cyclic_family, cyclic_parity, posetal_family
+from functor_enum import enumerate_strict_functors, search_constancy
 
 
 def test_identity_and_collapse_validate():
@@ -114,6 +119,67 @@ def test_induce_requires_image_in_class():
         induce(identity_functor(c), saturate(c, w), ch)
 
 
+def f2_mutants(c):
+    """Each identity-functor copy with one 2-cell sent to another cell."""
+    fun = identity_functor(c)
+    for a, b in itertools.permutations(c.cells, 2):
+        yield (a, b), StrictTwoFunctor(c, c, dict(fun.f0), dict(fun.f1),
+                                       {**fun.f2, a: b})
+
+
+def test_induce_rejects_every_single_cell_mutant_of_the_identity():
+    # constancy is a lemma about strict 2-functors, so induce must refuse
+    # anything validate_functor rejects, naming its first failing law
+    c, w = fixture("F6")
+    ch = build_choices(c, w)
+    mutants = list(f2_mutants(c))
+    assert len(mutants) == 56
+    for (a, b), fun in mutants:
+        rep = validate_functor(fun)
+        assert not rep.ok, (a, b)
+        with pytest.raises(StructureError, match=re.escape(rep.lines()[0])):
+            induce(fun, w, ch)
+
+
+def test_constancy_search_rejects_non_functors():
+    # the oracle is not vacuous: bypassing induce's functor check, the
+    # search finds a class with two images for each mutant that keeps
+    # every boundary but breaks a composition law
+    c, w = fixture("F6")
+    loc = localize(c, w)
+    rejected = []
+    for (a, b), fun in f2_mutants(c):
+        if (c.cell_src[a], c.cell_dst[a]) != (c.cell_src[b], c.cell_dst[b]):
+            continue
+        if search_constancy(InducedPseudofunctor(fun, loc, loc)) is not None:
+            rejected.append((a, b))
+    assert ("s_f", "i_f") in rejected
+    assert len(rejected) == 8
+
+
+def test_comparison_to_saturation_agrees_with_constancy_search(corpus_entries):
+    # every input but F4 (built to fail BF) passes the fraction axioms
+    inputs = [CorpusEntry(name, *fixture(name)) for name in sorted(FIXTURES)
+              if name != "F4"]
+    inputs += corpus_entries + posetal_family() + cyclic_family()
+    assert len(inputs) == 6 + 101 + 244 + 22
+    for entry in inputs:
+        assert check_bf(entry.c, entry.w).ok, entry.name
+        ind = comparison_to_saturation(entry.c, entry.w)
+        assert search_constancy(ind) is None, entry.name
+
+
+@pytest.mark.parametrize("step", [4, 2])
+def test_comparison_to_saturation_builds_no_partition(step):
+    # classes are formed only when a cell is asked for
+    c = cyclic_parity(8, "s")
+    w = frozenset(f"g{k}" for k in range(0, 8, step))
+    ind = comparison_to_saturation(c, w)
+    assert c._hom_partitions == {}
+    ind.map_cell(u_cell(c, w, "s_g0"))
+    assert set(c._hom_partitions) == {w, frozenset(c.mors)}
+
+
 def test_induced_identity_is_strict():
     c, w = fixture("F3")
     ch = build_choices(c, w)
@@ -136,7 +202,8 @@ def test_induced_swap_on_walking_iso():
     swap = next(f for f in enumerate_strict_functors(c, c)
                 if f.f0 == {"X": "Y", "Y": "X"} and f.f2.get("s_f") == "s_g")
     ch = build_choices(c, w)
-    ind = induce(swap, w, ch)  # construction itself checks well-definedness
+    ind = induce(swap, w, ch)
+    assert search_constancy(ind) is None
     loc = localize(c, w, ch)
     for s in loc.spans("X", "Y"):
         img = ind.map_span(s)
