@@ -7,7 +7,6 @@ span and every hom-category collapses to a single invertible cell.
 """
 
 from twoloc import (
-    build_choices,
     fixture,
     is_internal_equiv_search,
     localize,
@@ -22,12 +21,11 @@ print(f"inverted: {sorted(w)}")
 print(f"saturation of W: {sorted(saturate(c, w))}  (already everything)")
 print()
 
-ch = build_choices(c, w)
-loc = localize(c, w, ch)
+loc = localize(c, w)  # the bicategory of fractions, with its choice of fillers
 
 span_w = u_mor(c, w, "w")
 print(f"w embeds as the span {span_w}")
-witness = is_internal_equiv_search(ch, span_w)
+witness = is_internal_equiv_search(loc, span_w)
 assert witness is not None
 print("equivalence witness found by search:")
 print(f"  reverse span: {witness.e_bar}")

@@ -8,7 +8,6 @@ and the image of tau, and tau composed with itself is the identity class.
 """
 
 from twoloc import (
-    build_choices,
     fixture,
     is_invertible_fraction_cell,
     localize,
@@ -18,8 +17,7 @@ from twoloc import (
 )
 
 c, w = fixture("F7")
-ch = build_choices(c, w)
-loc = localize(c, w, ch)
+loc = localize(c, w)
 
 uf = u_mor(c, w, "f")
 cells = loc.hom_cells(uf, uf)
@@ -31,7 +29,7 @@ for cell in cells:
 tau = u_cell(c, w, "tau_f")
 ident = u_cell(c, w, "i_f")
 assert tau != ident, "tau must stay distinct from the identity"
-assert vcomp_fraction(ch, tau, tau) == ident, "tau is an involution"
-assert is_invertible_fraction_cell(ch, tau)
+assert vcomp_fraction(loc, tau, tau) == ident, "tau is an involution"
+assert is_invertible_fraction_cell(loc, tau)
 print()
 print("u(tau) != u(i_f), u(tau) . u(tau) == u(i_f): the involution survives.")

@@ -33,7 +33,7 @@ _EXPORTS = {
         "lift_cell", "quasi_units", "saturate",
     ),
     "fractions": (
-        "CellRep", "ChoiceTable", "FractionCell", "Localization", "Span",
+        "CellRep", "FractionCell", "Localization", "Span",
         "SpanEquivalence", "build_choices", "cell_from_rep", "cells_equal",
         "compose_fractions", "equality_chain", "find_associator_witness",
         "fraction_inverse", "hom_fraction_cells", "identity_fraction_cell",

@@ -196,12 +196,12 @@ def _require_bf(cmd: _Command, c, w) -> bool:
 
 
 def cmd_localize(cmd: _Command, args) -> int:
-    from .fractions import build_choices, localize
+    from .fractions import build_choices
 
     c, w = _load_checked(cmd, args.path)
     if not _require_bf(cmd, c, w):
         return cmd.finish()
-    loc = localize(c, w, build_choices(c, w, enforce_c3=args.c3))
+    loc = build_choices(c, w, enforce_c3=args.c3)
     homs = []
     for a, b in itertools.product(sorted(c.objects), sorted(c.objects)):
         spans = loc.spans(a, b)
@@ -229,9 +229,9 @@ def cmd_equiv(cmd: _Command, args) -> int:
         return cmd.bad_input("; ".join(problems))
     if not _require_bf(cmd, c, w):
         return cmd.finish()
-    ch = build_choices(c, w, enforce_c3=args.c3)
+    loc = build_choices(c, w, enforce_c3=args.c3)
     closed = is_internal_equiv_closed_form(c, w, span)
-    witness = is_internal_equiv_search(ch, span)
+    witness = is_internal_equiv_search(loc, span)
     cmd.verdict("deciders_agree", closed == (witness is not None),
                 {"closed_form": closed, "search": witness is not None})
     cmd.report["data"]["span"] = _span_out(span)
@@ -271,14 +271,16 @@ def cmd_cell_eq(cmd: _Command, args) -> int:
 def cmd_induce(cmd: _Command, args) -> int:
     from .fractions import build_choices, u_mor
     from .transport import (induce, preserves_into, saturation_compatibility,
-                            validate_functor, x_conditions_for_induced)
+                            x_conditions_for_induced)
 
+    if not args.c3:  # `induce` needs a C3 target table, so the flag cannot hold
+        return cmd.bad_input("--no-c3 is not supported by induce: "
+                             "the target choice table must honour C3")
     c_src, w_src = _load_checked(cmd, args.src, f"{args.src}:")
     c_dst, w_dst = _load_checked(cmd, args.dst, f"{args.dst}:")
     fun = load_twofunctor(args.functor, c_src, c_dst)
-    frep = validate_functor(fun)
-    if not frep.ok:
-        cmd.report["data"]["functor_validation"] = frep.lines()
+    if not fun.validation.ok:
+        cmd.report["data"]["functor_validation"] = fun.validation.lines()
         return cmd.bad_input("functor tables do not define a strict 2-functor")
 
     try:
@@ -299,8 +301,7 @@ def cmd_induce(cmd: _Command, args) -> int:
         return cmd.finish()
     cmd.verdict("image_in_target_class", True)
 
-    ch_dst = build_choices(c_dst, target_w, enforce_c3=True)
-    ind = induce(fun, w_src, ch_dst)
+    ind = induce(fun, w_src, build_choices(c_dst, target_w))
     # constant on classes by the lemma in `transport`, whose hypotheses
     # (lawful tables, strict F, image in the target class) hold here
     cmd.verdict("induced_well_defined", True)

@@ -26,21 +26,23 @@ per denominator.  The classes live in a store on the `TwoCat` keyed by
 W, so they are shared by every function here and freed together with
 the 2-category.  They are defined on tables that pass `validate`.
 
-Composition of spans is driven by a `ChoiceTable` assigning a filler to
-every cospan (f, v ∈ W); the table honours the normalisations C1 (f an
-identity), C2 (v an identity) and optionally C3 (f = v ∈ W), which make
-identity spans strict units.  Vertical composition and the two
-whiskerings are built from fresh filler/lift searches; determinism comes
-from the fixed lexicographic search order underneath.
+A `Localization` is C[W⁻¹] for one choice of fillers: `build_choices`
+checks W once and picks a filler for every cospan (f, v ∈ W), honouring
+C1 (f an identity), C2 (v an identity) and optionally C3 (f = v ∈ W),
+which make identity spans strict units.  Its methods trust W; the
+functions taking (c, w) check it on every call.  Vertical composition and
+the two whiskerings are built from fresh filler/lift searches;
+determinism comes from the fixed lexicographic search order underneath.
 
-Argument order is diagrammatic throughout: `compose_fractions(ch, s, t)`
-applies s first, and `vcomp_fraction(ch, c1, c2)` applies c1 first.
+Argument order is diagrammatic throughout: `compose_fractions(loc, s, t)`
+applies s first, and `vcomp_fraction(loc, c1, c2)` applies c1 first.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .core import InternalInconsistency, StructureError, TwoCat
@@ -75,9 +77,14 @@ def span_dst(c: TwoCat, s: Span) -> str:
     return c.mor_dst[s.f]
 
 
+def _raise_if(problems: list[str]) -> None:
+    if problems:
+        raise StructureError("; ".join(problems))
+
+
 def span_problems(c: TwoCat, w, s: Span) -> list[str]:
     out = []
-    if s.apex not in set(c.objects):
+    if s.apex not in c.objects:
         return [f"apex {s.apex!r} is not an object"]
     for leg in (s.w, s.f):
         if leg not in c.mor_src:
@@ -159,7 +166,8 @@ class _HomPartitions:
     The first request for a hom out of s1 sweeps every representative out
     of s1 at once and groups them by target span; the classes of a hom are
     built from its group when that hom is first asked for, and the group is
-    then dropped.  A target with no group has no representatives.
+    then dropped.  A target with no group has no representatives; it is
+    checked to be a span, as every group's target is by construction.
 
     Partitions are defined on tables that pass `validate`: the shortcut in
     `_partition` rests on its composition laws.
@@ -195,21 +203,25 @@ class _HomPartitions:
             return found
         groups = self._groups.get(s1)
         if groups is None:
-            self._check_span(c, s1)
+            _raise_if(span_problems(c, self.w, s1))
             groups = self._groups[s1] = self._sweep(c, s1)
-        self._check_span(c, s2)
         reps = groups.pop(s2, None)
         if reps is None:
+            _raise_if(span_problems(c, self.w, s2))
             return _EMPTY_HOM
         found = self._homs[(s1, s2)] = self._partition(c, s1, s2, reps)
         return found
 
-    def _check_span(self, c: TwoCat, s: Span) -> None:
-        if c.mor_src.get(s.w) != s.apex or c.mor_src.get(s.f) != s.apex:
-            raise StructureError(f"{s} is not a span: legs must leave its apex")
-        if s.w not in self.w:
-            raise StructureError(f"{s} is not a span of the localization: "
-                                 "its denominator is not in W")
+    def refinements(self, c: TwoCat, w1: str, rep: tuple) -> list[tuple]:
+        """The refinements of rep = (apex, v1, v2, α, β) out of a span with denominator w1.
+
+        One per leg p at w1∘v1: (source of p, v1∘p, v2∘p, α∗i_p, β∗i_p).
+        """
+        _apex, v1, v2, alpha, beta = rep
+        comp1, hcomp, id2, mor_src = c.comp1, c.hcomp_table, c.id2, c.mor_src
+        return [(mor_src[p], comp1[(v1, p)], comp1[(v2, p)],
+                 hcomp[(alpha, id2[p])], hcomp[(beta, id2[p])])
+                for p in self.legs(c, comp1[(w1, v1)])]
 
     def _sweep(self, c: TwoCat, s1: Span) -> dict[Span, list[tuple]]:
         """Every representative out of s1, as plain tuples grouped by target.
@@ -252,7 +264,6 @@ class _HomPartitions:
         r, so both ends are already joined to r.  That uses associativity
         of comp1 and hcomp and i_p∗i_q = i_{p∘q}.
         """
-        comp1, hcomp, id2, mor_src = c.comp1, c.hcomp_table, c.id2, c.mor_src
         parent = {r: r for r in reps}
 
         def find(r):
@@ -267,14 +278,10 @@ class _HomPartitions:
             if r in covered:
                 continue
             root = find(r)
-            _apex, v1, v2, alpha, beta = r
-            legs = self.legs(c, comp1[(s1.w, v1)])
+            refined_all = self.refinements(c, s1.w, r)
             expanded += 1
-            edges += len(legs)
-            for p in legs:
-                i_p = id2[p]
-                refined = (mor_src[p], comp1[(v1, p)], comp1[(v2, p)],
-                           hcomp[(alpha, i_p)], hcomp[(beta, i_p)])
+            edges += len(refined_all)
+            for refined in refined_all:
                 if refined in parent:
                     covered.add(refined)
                     other = find(refined)
@@ -307,19 +314,9 @@ def _class_of(c: TwoCat, w: frozenset[str], rep: CellRep) -> FractionCell:
     return _partitions(c, w).hom(c, rep.src_span, rep.dst_span).cell_of[rep]
 
 
-def _refine(c: TwoCat, rep: CellRep, p: str) -> CellRep:
-    return CellRep(
-        rep.src_span, rep.dst_span, c.mor_src[p],
-        c.compose1(rep.v1, p), c.compose1(rep.v2, p),
-        c.whisker_right(rep.alpha, p), c.whisker_right(rep.beta, p),
-    )
-
-
 def cell_from_rep(c: TwoCat, w, rep: CellRep) -> FractionCell:
     w = _as_class(c, w)
-    problems = rep_problems(c, w, rep)
-    if problems:
-        raise StructureError("; ".join(problems))
+    _raise_if(rep_problems(c, w, rep))
     return _class_of(c, w, rep)
 
 
@@ -335,9 +332,7 @@ def cells_equal(c: TwoCat, w, r1: CellRep, r2: CellRep) -> bool:
         raise StructureError("representatives do not share source/target spans")
     w = _as_class(c, w)
     for r in (r1, r2):
-        problems = rep_problems(c, w, r)
-        if problems:
-            raise StructureError("; ".join(problems))
+        _raise_if(rep_problems(c, w, r))
     return r2 in _class_of(c, w, r1).members
 
 
@@ -347,11 +342,12 @@ def equality_chain(c: TwoCat, w, r1: CellRep, r2: CellRep) -> Optional[list[Cell
         return None
     w = _as_class(c, w)
     nodes = _class_of(c, w, r1).members
-    legs = _partitions(c, w).legs
+    store = _partitions(c, w)
+    s1, s2 = r1.src_span, r1.dst_span
     edges: dict[CellRep, set[CellRep]] = {r: set() for r in nodes}
     for r in nodes:
-        for p in legs(c, c.compose1(r1.src_span.w, r.v1)):
-            refined = _refine(c, r, p)
+        for key in store.refinements(c, s1.w, r[2:]):
+            refined = CellRep(s1, s2, *key)
             if refined in edges:
                 edges[r].add(refined)
                 edges[refined].add(r)
@@ -388,12 +384,15 @@ def u_cell(c: TwoCat, w, gamma: str) -> FractionCell:
 
 
 # ---------------------------------------------------------------------------
-# choice tables and span composition
+# the localized bicategory: a choice of fillers, and span composition
 
 
 @dataclass(eq=False)
-class ChoiceTable:
-    """A filler for every cospan (f, v ∈ W), normalised per C1/C2/(C3)."""
+class Localization:
+    """C[W⁻¹] with a filler for every cospan (f, v ∈ W), normalised per C1/C2/(C3).
+
+    Built by `build_choices`, which checks W; the methods trust it.
+    """
 
     c: TwoCat
     w: frozenset[str]
@@ -406,8 +405,33 @@ class ChoiceTable:
         except KeyError:
             raise StructureError(f"no choice entry for cospan ({f!r}, {v!r})") from None
 
+    @property
+    def objects(self) -> tuple[str, ...]:
+        return self.c.objects
 
-def build_choices(c: TwoCat, w, enforce_c3: bool = True) -> ChoiceTable:
+    @cached_property
+    def saturation(self) -> frozenset[str]:
+        """W_sat: a span is an internal equivalence iff its numerator lies in it."""
+        return saturate(self.c, self.w)
+
+    def spans(self, src: str, dst: str) -> tuple[Span, ...]:
+        return all_spans(self.c, self.w, src, dst)
+
+    def hom_cells(self, s1: Span, s2: Span) -> tuple[FractionCell, ...]:
+        """All 2-cells s1 ⇒ s2, ordered by canonical representative."""
+        return _partitions(self.c, self.w).hom(self.c, s1, s2).cells
+
+    def compose(self, s: Span, t: Span) -> Span:
+        return compose_fractions(self, s, t)
+
+    def vcomp(self, c1: FractionCell, c2: FractionCell) -> FractionCell:
+        return vcomp_fraction(self, c1, c2)
+
+    def embed_cell(self, gamma: str) -> FractionCell:
+        return u_cell(self.c, self.w, gamma)
+
+
+def build_choices(c: TwoCat, w, enforce_c3: bool = True) -> Localization:
     """Choose a filler (A'', v' ∈ W, f', invertible rho) per cospan (f, v ∈ W)."""
     w = _as_class(c, w)
     identities = set(c.id1.values())
@@ -425,15 +449,25 @@ def build_choices(c: TwoCat, w, enforce_c3: bool = True) -> ChoiceTable:
                 entries[(f, v)] = (a, c.id1[a], c.id1[a], c.id2[f])
             else:
                 entries[(f, v)] = fill_cospan(c, w, f, v)
-    return ChoiceTable(c, w, entries, enforce_c3)
+    return Localization(c, w, entries, enforce_c3)
 
 
-def compose_fractions(ch: ChoiceTable, s: Span, t: Span) -> Span:
+def localize(c: TwoCat, w, ch: Optional[Localization] = None) -> Localization:
+    """C[W⁻¹]: `ch` itself if given, once it is checked to be built for c and W."""
+    w = _as_class(c, w)
+    if ch is None:
+        return build_choices(c, w)
+    if ch.c is not c or ch.w != w:
+        raise StructureError("choice table was built for another 2-category or class W")
+    return ch
+
+
+def compose_fractions(loc: Localization, s: Span, t: Span) -> Span:
     """The composite span (s applied first, then t)."""
-    c = ch.c
+    c = loc.c
     if span_dst(c, s) != span_src(c, t):
         raise StructureError(f"spans {s} and {t} are not composable")
-    apex, v2, f2, _rho = ch.entry(s.f, t.w)
+    apex, v2, f2, _rho = loc.entry(s.f, t.w)
     return Span(apex, c.compose1(s.w, v2), c.compose1(t.f, f2))
 
 
@@ -449,9 +483,9 @@ def _cell_from_built_rep(c: TwoCat, w, rep: CellRep, what: str) -> FractionCell:
     return _class_of(c, w, rep)
 
 
-def vcomp_fraction(ch: ChoiceTable, c1: FractionCell, c2: FractionCell) -> FractionCell:
+def vcomp_fraction(loc: Localization, c1: FractionCell, c2: FractionCell) -> FractionCell:
     """Vertical composite (c1 applied first)."""
-    c, w = ch.c, ch.w
+    c, w = loc.c, loc.w
     if c1.dst_span != c2.src_span:
         raise StructureError("fraction cells are not vertically composable")
     r1, r2 = c1.canonical, c2.canonical
@@ -479,15 +513,15 @@ def vcomp_fraction(ch: ChoiceTable, c1: FractionCell, c2: FractionCell) -> Fract
     return _cell_from_built_rep(c, w, rep, "vcomp_fraction")
 
 
-def whisker_fraction_left(ch: ChoiceTable, t: Span, cell: FractionCell) -> FractionCell:
+def whisker_fraction_left(loc: Localization, t: Span, cell: FractionCell) -> FractionCell:
     """Post-compose a cell between spans A→B with a span t: B→C."""
-    c, w = ch.c, ch.w
+    c, w = loc.c, loc.w
     s1, s2 = cell.src_span, cell.dst_span
     if span_dst(c, s1) != span_src(c, t):
         raise StructureError("span does not post-compose with this cell")
     rep = cell.canonical
-    d1, vp1, fp1, rho1 = ch.entry(s1.f, t.w)
-    d2, vp2, fp2, rho2 = ch.entry(s2.f, t.w)
+    d1, vp1, fp1, rho1 = loc.entry(s1.f, t.w)
+    d2, vp2, fp2, rho2 = loc.entry(s2.f, t.w)
 
     # Drag the representative apex over both choice pullbacks.
     _p_apex, p, pp, tau1 = fill_cospan(c, w, rep.v1, vp1)
@@ -523,15 +557,15 @@ def whisker_fraction_left(ch: ChoiceTable, t: Span, cell: FractionCell) -> Fract
     return _cell_from_built_rep(c, w, out, "whisker_fraction_left")
 
 
-def whisker_fraction_right(ch: ChoiceTable, cell: FractionCell, s: Span) -> FractionCell:
+def whisker_fraction_right(loc: Localization, cell: FractionCell, s: Span) -> FractionCell:
     """Pre-compose a cell between spans B→C with a span s: A→B."""
-    c, w = ch.c, ch.w
+    c, w = loc.c, loc.w
     t1s, t2s = cell.src_span, cell.dst_span
     if span_dst(c, s) != span_src(c, t1s):
         raise StructureError("span does not pre-compose with this cell")
     rep = cell.canonical
-    d1, vp1, fp1, rho1 = ch.entry(s.f, t1s.w)
-    d2, vp2, fp2, rho2 = ch.entry(s.f, t2s.w)
+    d1, vp1, fp1, rho1 = loc.entry(s.f, t1s.w)
+    d2, vp2, fp2, rho2 = loc.entry(s.f, t2s.w)
 
     # Stage 1: compare s's first pullback with the representative apex.
     _p, p, pp, tau = fill_cospan(c, w, c.compose1(s.f, vp1),
@@ -576,7 +610,7 @@ def whisker_fraction_right(ch: ChoiceTable, cell: FractionCell, s: Span) -> Frac
 # invertibility, associators, internal equivalences
 
 
-def _invertible_member(ch: ChoiceTable, cell: FractionCell) -> Optional[CellRep]:
+def _invertible_member(loc: Localization, cell: FractionCell) -> Optional[CellRep]:
     """The first member (A, v1, v2, α, β) of the class whose swap is a representative.
 
     A class is invertible iff some member has an invertible β (Tommasini,
@@ -586,7 +620,7 @@ def _invertible_member(ch: ChoiceTable, cell: FractionCell) -> Optional[CellRep]
     w2∘v2 ∈ W, which BF5 gives through α; it is checked because nothing
     here requires BF.  The canonical member is tried first.
     """
-    c, w = ch.c, ch.w
+    c, w = loc.c, loc.w
     w2 = cell.dst_span.w
 
     def swappable(r: CellRep) -> bool:
@@ -597,34 +631,34 @@ def _invertible_member(ch: ChoiceTable, cell: FractionCell) -> Optional[CellRep]
     return min(filter(swappable, cell.members), default=None)
 
 
-def fraction_inverse(ch: ChoiceTable, cell: FractionCell) -> Optional[FractionCell]:
+def fraction_inverse(loc: Localization, cell: FractionCell) -> Optional[FractionCell]:
     """The two-sided vertical inverse of a fraction cell, if one exists."""
-    rep = _invertible_member(ch, cell)
+    rep = _invertible_member(loc, cell)
     if rep is None:
         return None
-    c = ch.c
+    c = loc.c
     swapped = CellRep(cell.dst_span, cell.src_span, rep.apex, rep.v2, rep.v1,
                       c.inverse2(rep.alpha), c.inverse2(rep.beta))
-    return _class_of(c, ch.w, swapped)
+    return _class_of(c, loc.w, swapped)
 
 
-def is_invertible_fraction_cell(ch: ChoiceTable, cell: FractionCell) -> bool:
-    return _invertible_member(ch, cell) is not None
+def is_invertible_fraction_cell(loc: Localization, cell: FractionCell) -> bool:
+    return _invertible_member(loc, cell) is not None
 
 
-def first_invertible_cell(ch: ChoiceTable, s1: Span, s2: Span) -> Optional[FractionCell]:
+def first_invertible_cell(loc: Localization, s1: Span, s2: Span) -> Optional[FractionCell]:
     """The first invertible 2-cell s1 ⇒ s2 in canonical order, or None."""
-    return next((cell for cell in hom_fraction_cells(ch.c, ch.w, s1, s2)
-                 if is_invertible_fraction_cell(ch, cell)), None)
+    return next((cell for cell in loc.hom_cells(s1, s2)
+                 if is_invertible_fraction_cell(loc, cell)), None)
 
 
-def find_associator_witness(ch: ChoiceTable, s: Span, t: Span, u: Span) -> FractionCell:
+def find_associator_witness(loc: Localization, s: Span, t: Span, u: Span) -> FractionCell:
     """An invertible cell (s;t);u ⇒ s;(t;u) for a composable triple."""
-    left = compose_fractions(ch, compose_fractions(ch, s, t), u)
-    right = compose_fractions(ch, s, compose_fractions(ch, t, u))
+    left = compose_fractions(loc, compose_fractions(loc, s, t), u)
+    right = compose_fractions(loc, s, compose_fractions(loc, t, u))
     if left == right:
-        return identity_fraction_cell(ch.c, ch.w, left)
-    witness = first_invertible_cell(ch, left, right)
+        return identity_fraction_cell(loc.c, loc.w, left)
+    witness = first_invertible_cell(loc, left, right)
     if witness is None:
         raise InternalInconsistency(
             f"no invertible associator between {left} and {right}")
@@ -653,16 +687,16 @@ class SpanEquivalence:
     xi: FractionCell     # e_bar;e ⇒ identity span, invertible
 
 
-def is_internal_equiv_search(ch: ChoiceTable, s: Span) -> Optional[SpanEquivalence]:
+def is_internal_equiv_search(loc: Localization, s: Span) -> Optional[SpanEquivalence]:
     """Decide internal equivalence by exhaustive quasi-inverse search."""
-    c, w = ch.c, ch.w
+    c = loc.c
     a, b = span_src(c, s), span_dst(c, s)
     ida, idb = identity_span(c, a), identity_span(c, b)
-    for g in all_spans(c, w, b, a):
-        delta = first_invertible_cell(ch, ida, compose_fractions(ch, s, g))
+    for g in loc.spans(b, a):
+        delta = first_invertible_cell(loc, ida, compose_fractions(loc, s, g))
         if delta is None:
             continue
-        xi = first_invertible_cell(ch, compose_fractions(ch, g, s), idb)
+        xi = first_invertible_cell(loc, compose_fractions(loc, g, s), idb)
         if xi is not None:
             return SpanEquivalence(s, g, delta, xi)
     return None
@@ -671,9 +705,7 @@ def is_internal_equiv_search(ch: ChoiceTable, s: Span) -> Optional[SpanEquivalen
 def is_internal_equiv_closed_form(c: TwoCat, w, s: Span) -> bool:
     """Membership test: denominator in W, numerator in the right saturation."""
     w = _as_class(c, w)
-    problems = span_problems(c, w, s)
-    if problems:
-        raise StructureError("; ".join(problems))
+    _raise_if(span_problems(c, w, s))
     return s.w in w and s.f in saturate(c, w)
 
 
@@ -687,41 +719,3 @@ def quasi_inverse_of_u(c: TwoCat, w, f: str, g: str) -> Span:
         raise StructureError(f"{fg!r} = {f!r}∘{g!r} is not in W")
     return Span(c.mor_src[g], fg, g)
 
-
-# ---------------------------------------------------------------------------
-# the assembled localization
-
-
-@dataclass(eq=False)
-class Localization:
-    """Enumerable view of the localized bicategory for a fixed choice table."""
-
-    c: TwoCat
-    w: frozenset[str]
-    ch: ChoiceTable
-
-    @property
-    def objects(self) -> tuple[str, ...]:
-        return self.c.objects
-
-    def spans(self, src: str, dst: str) -> tuple[Span, ...]:
-        return all_spans(self.c, self.w, src, dst)
-
-    def hom_cells(self, s1: Span, s2: Span) -> tuple[FractionCell, ...]:
-        return hom_fraction_cells(self.c, self.w, s1, s2)
-
-    def compose(self, s: Span, t: Span) -> Span:
-        return compose_fractions(self.ch, s, t)
-
-    def vcomp(self, c1: FractionCell, c2: FractionCell) -> FractionCell:
-        return vcomp_fraction(self.ch, c1, c2)
-
-    def embed_cell(self, gamma: str) -> FractionCell:
-        return u_cell(self.c, self.w, gamma)
-
-
-def localize(c: TwoCat, w, ch: Optional[ChoiceTable] = None) -> Localization:
-    w = _as_class(c, w)
-    if ch is None:
-        ch = build_choices(c, w)
-    return Localization(c, w, ch)

@@ -12,7 +12,9 @@ composed with r's first leg).  So F maps each refinement class into one
 class; this is the "simple description" of the induced pseudofunctor in
 arXiv:1410.5075.  F also sends a conjugate of r by invertible cells to the
 conjugate of F(r) by their images, so the lemma carries over unchanged
-once the classes join conjugates as well (Pronk 1996, §2.3).
+once the classes join conjugates as well (Pronk 1996, §2.3).  `induce`
+takes the target's `Localization` (W and its fillers) and localizes the
+source at W_src; F is validated once, by `StrictTwoFunctor.validation`.
 
 `weak_equivalence_report` checks the four finite biequivalence conditions
 (essential surjectivity on objects up to internal equivalence, local
@@ -37,17 +39,14 @@ from .core import (
 )
 from .fractions import (
     CellRep,
-    ChoiceTable,
     FractionCell,
     Localization,
     Span,
-    all_spans,
     build_choices,
     cell_from_rep,
     compose_fractions,
     first_invertible_cell,
     identity_fraction_cell,
-    is_internal_equiv_closed_form,
     is_invertible_fraction_cell,
     localize,
 )
@@ -66,6 +65,11 @@ class StrictTwoFunctor:
 
     def map_class(self, w) -> frozenset[str]:
         return frozenset(self.f1[m] for m in _as_class(self.source, w))
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """`validate_functor` of these tables, decided once."""
+        return validate_functor(self)
 
 
 def identity_functor(c: TwoCat) -> StrictTwoFunctor:
@@ -207,13 +211,13 @@ class InducedPseudofunctor:
         """Invertible witness G(s;t) ⇒ G(s);G(t) for a composable pair."""
         key = (s, t)
         if key not in self._compositors:
-            left = self.map_span(self.source_loc.compose(s, t))
-            right = self.target_loc.compose(self.map_span(s), self.map_span(t))
             tl = self.target_loc
+            left = self.map_span(self.source_loc.compose(s, t))
+            right = tl.compose(self.map_span(s), self.map_span(t))
             if left == right:
                 witness = identity_fraction_cell(tl.c, tl.w, left)
             else:
-                witness = first_invertible_cell(tl.ch, left, right)
+                witness = first_invertible_cell(tl, left, right)
                 if witness is None:
                     raise InternalInconsistency(
                         f"no invertible compositor between {left} and {right}")
@@ -221,36 +225,33 @@ class InducedPseudofunctor:
         return self._compositors[key]
 
 
-def induce(fun: StrictTwoFunctor, w_src, ch_dst: ChoiceTable) -> InducedPseudofunctor:
+def induce(fun: StrictTwoFunctor, w_src, target_loc: Localization) -> InducedPseudofunctor:
     """Push a strict functor down to the localizations.
 
     The cell map is constant on refinement classes by the lemma in the
     module docstring, so only its hypotheses are checked: F is a strict
     2-functor (the first failing law is named otherwise), the target table
-    honours C3, and the 1-cell image of w_src lands in ch_dst's class.  The
-    source and target tables are assumed validated.  No localized hom is
-    built here; classes are formed only when a cell is asked for.
+    honours C3, and the 1-cell image of w_src lands in the target's class.
+    The source and target tables are assumed validated.  No localized hom
+    is built here; classes are formed only when a cell is asked for.
     """
-    frep = validate_functor(fun)
-    if not frep.ok:
-        raise StructureError(f"not a strict 2-functor: {frep.lines()[0]}")
+    if not fun.validation.ok:
+        raise StructureError(f"not a strict 2-functor: {fun.validation.lines()[0]}")
     w_src = _as_class(fun.source, w_src)
-    if ch_dst.c is not fun.target:
+    if target_loc.c is not fun.target:
         raise StructureError("choice table does not belong to the target 2-category")
-    if not ch_dst.honors_c3:
+    if not target_loc.honors_c3:
         raise StructureError("target choice table must honour C3")
-    if not preserves_into(fun, w_src, ch_dst.w):
-        escaped = sorted(fun.map_class(w_src) - ch_dst.w)
-        raise StructureError(f"1-cell image escapes the target class: {escaped}")
-    return InducedPseudofunctor(fun, localize(fun.source, w_src),
-                                Localization(fun.target, ch_dst.w, ch_dst))
+    escaped = fun.map_class(w_src) - target_loc.w
+    if escaped:
+        raise StructureError(f"1-cell image escapes the target class: {sorted(escaped)}")
+    return InducedPseudofunctor(fun, localize(fun.source, w_src), target_loc)
 
 
 def comparison_to_saturation(c: TwoCat, w) -> InducedPseudofunctor:
     """The canonical localization-comparison C[W⁻¹] → C[W_sat⁻¹]."""
     w = _as_class(c, w)
-    ch_sat = build_choices(c, saturate(c, w))
-    return induce(identity_functor(c), w, ch_sat)
+    return induce(identity_functor(c), w, build_choices(c, saturate(c, w)))
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +302,12 @@ class LocalizationView:
         return self.loc.hom_cells(s, t)
 
     def invertible(self, cell) -> bool:
-        return is_invertible_fraction_cell(self.loc.ch, cell)
+        return is_invertible_fraction_cell(self.loc, cell)
 
     def equivalent_objects(self, a: str, b: str) -> bool:
-        return any(is_internal_equiv_closed_form(self.loc.c, self.loc.w, s)
-                   for s in self.loc.spans(a, b))
+        # every span of loc has its denominator in W, so it is an internal
+        # equivalence iff its numerator is in W_sat (the closed form)
+        return any(s.f in self.loc.saturation for s in self.loc.spans(a, b))
 
 
 @dataclass
@@ -397,18 +399,19 @@ class ChoiceComparison:
         return not self.unconnected
 
 
-def compare_choice_tables(c: TwoCat, w, ch1: ChoiceTable, ch2: ChoiceTable) -> ChoiceComparison:
+def compare_choice_tables(c: TwoCat, w, ch1: Localization, ch2: Localization) -> ChoiceComparison:
     """Connect every pair of composites computed with two different tables.
 
     The composites present the same localized 1-cell, so an invertible
-    comparison cell must exist; any pair without one is reported.
+    comparison cell must exist; any pair without one is reported.  Both
+    tables must be built for c and w.
     """
-    w = _as_class(c, w)
+    ch1, ch2 = localize(c, w, ch1), localize(c, w, ch2)
     out = ChoiceComparison()
     objs = sorted(c.objects)
     for a, b, d in itertools.product(objs, objs, objs):
-        for s in all_spans(c, w, a, b):
-            for t in all_spans(c, w, b, d):
+        for s in ch1.spans(a, b):
+            for t in ch1.spans(b, d):
                 out.pairs_checked += 1
                 left = compose_fractions(ch1, s, t)
                 right = compose_fractions(ch2, s, t)

@@ -142,6 +142,30 @@ def test_induce_identity(tmp_path, capsys):
         assert rep["verdicts"][name] is True, name
 
 
+def test_induce_validates_the_functor_once(tmp_path, capsys, monkeypatch):
+    import twoloc.transport as transport
+
+    calls = []
+    validate_functor = transport.validate_functor
+    monkeypatch.setattr(transport, "validate_functor",
+                        lambda fun: calls.append(fun) or validate_functor(fun))
+    f6 = emit(tmp_path, "F6")
+    code, rep = run(capsys, "induce", f6, f6, identity_functor_doc(tmp_path, f6))
+    assert code == 0 and rep["ok"] is True
+    assert len(calls) == 1
+
+
+def test_induce_refuses_no_c3(tmp_path, capsys):
+    # induce needs a C3 target table, so --no-c3 cannot be honoured
+    f6 = emit(tmp_path, "F6")
+    code, rep = run(capsys, "induce", f6, f6, identity_functor_doc(tmp_path, f6),
+                    "--no-c3")
+    assert code == 2
+    assert rep["ok"] is False and rep["flags"]["c3"] is False
+    assert "--no-c3" in rep["error"]
+    assert rep["verdicts"] == {}
+
+
 def test_groupoid_checks(tmp_path, capsys):
     unit = emit(tmp_path, "unit")
     pair = emit(tmp_path, "pair2")

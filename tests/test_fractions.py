@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from twoloc import (
     CellRep,
+    Localization,
     Span,
     StructureError,
     build_choices,
@@ -150,6 +151,18 @@ def test_strict_units_on_fixture_spans():
             for s in all_spans(c, w, a, b):
                 assert compose_fractions(ch, identity_span(c, a), s) == s
                 assert compose_fractions(ch, s, identity_span(c, b)) == s
+
+
+def test_build_choices_is_the_localization_and_localize_returns_it():
+    c, w = fixture("F2")  # W = the identities, W_sat = every 1-cell
+    loc = build_choices(c, w)
+    assert isinstance(loc, Localization)
+    assert localize(c, w, loc) is loc
+    assert localize(c, set(w), loc) is loc
+    other, _ = fixture("F2")  # equal tables, another 2-category
+    for cat, cls in ((other, w), (c, frozenset(c.mors))):
+        with pytest.raises(StructureError, match="another 2-category or class W"):
+            localize(cat, cls, loc)
 
 
 def test_c3_collapses_w_roundtrip():

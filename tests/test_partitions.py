@@ -225,13 +225,13 @@ def test_malformed_target_span_raises_after_its_source_was_swept():
     assert hom_fraction_cells(c, w, s1, s1)
     assert s1 in _partitions(c, w)._groups
     for bad in (Span("X", "idX", "g"), Span("X", "g", "f")):
-        with pytest.raises(StructureError, match="legs must leave its apex"):
+        with pytest.raises(StructureError, match="leg 'g' does not start at the apex"):
             hom_fraction_cells(c, w, s1, bad)
-        with pytest.raises(StructureError, match="legs must leave its apex"):
+        with pytest.raises(StructureError, match="leg 'g' does not start at the apex"):
             hom_fraction_cells(c, w, bad, s1)
     outside = Span("Y", "g", "idY")  # a span X → Y, but g is not in W
     for s, t in ((s1, outside), (outside, s1)):
-        with pytest.raises(StructureError, match="denominator is not in W"):
+        with pytest.raises(StructureError, match="denominator 'g' is not in W"):
             hom_fraction_cells(c, w, s, t)
 
 

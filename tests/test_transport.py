@@ -18,6 +18,7 @@ from twoloc import (
     fixture,
     identity_functor,
     induce,
+    is_internal_equiv_closed_form,
     is_invertible_fraction_cell,
     localize,
     preserves_into,
@@ -29,6 +30,7 @@ from twoloc import (
     x_conditions_for_functor,
     x_conditions_for_induced,
 )
+from twoloc.transport import LocalizationView
 from corpus import CorpusEntry, cyclic_family, cyclic_parity, posetal_family
 from functor_enum import enumerate_strict_functors, search_constancy
 
@@ -213,6 +215,25 @@ def test_induced_swap_on_walking_iso():
                                                    ind.map_span(u_mor(c, w, "f")))
 
 
+def test_localization_view_reads_the_saturation(corpus_entries):
+    # a span of the localization is an internal equivalence iff its
+    # numerator is in W_sat, the closed form, on every span of every input
+    inputs = [CorpusEntry(name, *fixture(name)) for name in sorted(FIXTURES)]
+    inputs += corpus_entries + cyclic_family()
+    assert len(inputs) == 7 + 101 + 22
+    spans = 0
+    for entry in inputs:
+        c, w = entry.c, entry.w
+        loc = build_choices(c, w)
+        view = LocalizationView(loc)
+        for a, b in itertools.product(c.objects, repeat=2):
+            closed = [is_internal_equiv_closed_form(c, w, s) for s in loc.spans(a, b)]
+            assert [s.f in loc.saturation for s in loc.spans(a, b)] == closed, entry.name
+            assert view.equivalent_objects(a, b) == any(closed), (entry.name, a, b)
+            spans += len(closed)
+    assert spans > 1000
+
+
 def test_comparison_functor_is_weak_equivalence_on_f2():
     c, w = fixture("F2")
     ind = comparison_to_saturation(c, w)
@@ -250,3 +271,6 @@ def test_compare_choice_tables_connects_everything():
     assert comp.ok
     assert comp.pairs_checked > 0
     assert not comp.unconnected
+    other, _ = fixture("F3")  # equal tables, another 2-category
+    with pytest.raises(StructureError, match="another 2-category or class W"):
+        compare_choice_tables(c, w, ch1, build_choices(other, w))
