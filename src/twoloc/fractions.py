@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .core import InternalInconsistency, StructureError, TwoCat
@@ -167,7 +166,11 @@ class _HomPartitions:
     of s1 at once and groups them by target span; the classes of a hom are
     built from its group when that hom is first asked for, and the group is
     then dropped.  A target with no group has no representatives; it is
-    checked to be a span, as every group's target is by construction.
+    checked to be a span, as every group's target is by construction.  Each
+    span is checked at most once: the spans that passed are kept, not the
+    empty homs, which would take an entry per empty pair.  A span that
+    fails is not kept, so it raises on every request.  W_sat is computed on
+    first use and kept (`saturation`).
 
     Partitions are defined on tables that pass `validate`: the shortcut in
     `_partition` rests on its composition laws.
@@ -181,6 +184,8 @@ class _HomPartitions:
         self._legs: dict[str, tuple[str, ...]] = {}
         self._homs: dict[tuple[Span, Span], _Hom] = {}
         self._groups: dict[Span, dict[Span, list[tuple]]] = {}
+        self._spans: set[Span] = set()  # spans that passed `span_problems`
+        self._saturation: Optional[frozenset[str]] = None
         self.counters = dict.fromkeys(
             ("sweeps", "representatives", "members_expanded", "refinement_edges"), 0)
 
@@ -203,14 +208,25 @@ class _HomPartitions:
             return found
         groups = self._groups.get(s1)
         if groups is None:
-            _raise_if(span_problems(c, self.w, s1))
+            self._require_span(c, s1)
             groups = self._groups[s1] = self._sweep(c, s1)
         reps = groups.pop(s2, None)
         if reps is None:
-            _raise_if(span_problems(c, self.w, s2))
+            self._require_span(c, s2)
             return _EMPTY_HOM
         found = self._homs[(s1, s2)] = self._partition(c, s1, s2, reps)
         return found
+
+    def _require_span(self, c: TwoCat, s: Span) -> None:
+        if s not in self._spans:
+            _raise_if(span_problems(c, self.w, s))
+            self._spans.add(s)
+
+    def saturation(self, c: TwoCat) -> frozenset[str]:
+        """W_sat, computed on first use."""
+        if self._saturation is None:
+            self._saturation = saturate(c, self.w)
+        return self._saturation
 
     def refinements(self, c: TwoCat, w1: str, rep: tuple) -> list[tuple]:
         """The refinements of rep = (apex, v1, v2, α, β) out of a span with denominator w1.
@@ -409,10 +425,10 @@ class Localization:
     def objects(self) -> tuple[str, ...]:
         return self.c.objects
 
-    @cached_property
+    @property
     def saturation(self) -> frozenset[str]:
         """W_sat: a span is an internal equivalence iff its numerator lies in it."""
-        return saturate(self.c, self.w)
+        return _partitions(self.c, self.w).saturation(self.c)
 
     def spans(self, src: str, dst: str) -> tuple[Span, ...]:
         return all_spans(self.c, self.w, src, dst)
@@ -706,7 +722,7 @@ def is_internal_equiv_closed_form(c: TwoCat, w, s: Span) -> bool:
     """Membership test: denominator in W, numerator in the right saturation."""
     w = _as_class(c, w)
     _raise_if(span_problems(c, w, s))
-    return s.w in w and s.f in saturate(c, w)
+    return s.w in w and s.f in _partitions(c, w).saturation(c)
 
 
 def quasi_inverse_of_u(c: TwoCat, w, f: str, g: str) -> Span:

@@ -4,23 +4,28 @@ import dataclasses
 import random
 
 import pytest
-from corpus import oracle_inputs
+from corpus import cyclic_parity, oracle_inputs
 
 from twoloc import (
     StructureError,
     adjointify,
     equivalence_from_cancellation,
     equivalence_of_composite,
+    discrete_groupoid,
     find_quasi_inverse,
     fixture,
+    groupoid_twocat,
     internal_equivalences,
+    pair_groupoid,
     quasi_inverse_witness,
     transport_witness,
+    unit_groupoid,
     validate,
     witness_problems,
 )
-from twoloc.core import ValidationReport, _check_structure
+from twoloc.core import TwoCat, ValidationReport, _check_structure, _generators, _is_two_category
 from twoloc.fixtures import FIXTURES
+from twoloc.groupoids import CATALOGS
 
 
 def test_all_fixtures_validate():
@@ -327,3 +332,166 @@ def test_validate_matches_exhaustive_scan_on_mutants():
             laws_seen.update(law for law, _ in got.failures)
     assert failing > len(small)
     assert laws_seen == set(LAWS)
+
+
+# -- the whiskering decider --------------------------------------------------
+#
+# `validate` decides the laws with `_is_two_category` and runs its law loops
+# only to name witnesses.  The decider is compared with the all-tuples scan
+# past the 60-cell cap above: on the catalog Unit, Pair2, Disc3 (120
+# 2-cells, 4,740 hcomp entries) and on Z/8 with parity cells.
+
+
+def decider_inputs(rng):
+    """(label, tables): seeded single-entry mutants, then every oracle table."""
+    catalog = groupoid_twocat([unit_groupoid(), pair_groupoid(2),
+                               discrete_groupoid(3)])[0]
+    yield "catalog mutant", mutants(catalog, rng, per_table=20)
+    yield "Z/8 mutant", mutants(cyclic_parity(8, "s"), rng, per_table=100)
+    yield "oracle table", distinct_tables(oracle_inputs())
+
+
+def test_decider_matches_exhaustive_scan():
+    rng = random.Random(20261018)
+    seen = {}
+    for label, tables in decider_inputs(rng):
+        verdicts = seen[label] = [0, 0]
+        for c in tables:
+            # the decider is defined on tables that pass the structure
+            # check; most redirected composites break it, since the other
+            # entries over them still name the old composite
+            if not _check_structure(c, ValidationReport()):
+                continue
+            ok = exhaustive_validate(c).ok
+            assert _is_two_category(c) == ok, label
+            verdicts[ok] += 1
+    assert seen["catalog mutant"][False] >= 15
+    assert seen["Z/8 mutant"][False] >= 200
+    assert seen["oracle table"] == [0, len(distinct_tables(oracle_inputs()))]
+
+
+def reached_by_left_composition(c, gens):
+    """The identities and `gens`, closed under x ↦ s∘x for s in `gens`."""
+    reached = set(c.id1.values()) | set(gens)
+    todo = list(reached)
+    while todo:
+        x = todo.pop()
+        for s in gens:
+            y = c.comp1.get((s, x))
+            if y is not None and y not in reached:
+                reached.add(y)
+                todo.append(y)
+    return reached
+
+
+def test_generators_reach_every_one_cell():
+    """The order `_is_two_category`'s induction runs along exists.
+
+    Every 1-cell is an identity, a generator, or s∘x with s a generator and
+    x reached before it; the generators are distinct and in `c.mors` order.
+    """
+    tables = distinct_tables(oracle_inputs()) + [cyclic_parity(8, "s")]
+    for c in tables:
+        gens = _generators(c)
+        assert reached_by_left_composition(c, gens) == set(c.mors)
+        assert gens == sorted(set(gens), key=c.mors.index)
+        assert not set(gens) & set(c.id1.values())
+    z8 = cyclic_parity(8, "s")
+    assert _generators(z8) == ["g1"]
+
+
+def test_validate_decides_the_four_groupoid_catalog():
+    # 80 1-cells, 1,014 2-cells, 727,484 hcomp entries: the law loops walk
+    # 5.4·10⁸ hcomp-associativity triples here and do not finish
+    c, _w = groupoid_twocat(CATALOGS["unit-pair-disc"]() + [pair_groupoid(3)])
+    assert validate(c).ok
+
+
+# -- one table per decider check ---------------------------------------------
+#
+# Single-entry mutants break several checks at once, so they cannot show
+# that a check is needed.  Each table below breaks the laws but fails
+# exactly one check of `_is_two_category`, which must then say no.  Four
+# checks can have no such table.  The hcomp unit laws imply the compose1
+# unit laws (i_f∗i_id runs from f∘id) and, with (W) at i_id∗a, the vcomp
+# unit laws.  With (L) and the hcomp unit laws, i_g∗i_f = i_{g∘f} and (A)
+# each imply the other.
+
+
+def action_twocat(monoid, add, left=(), right=(), flipped=False):
+    """One object; 1-cells the elements of a monoid, with unit "1".
+
+    The 2-cells f ⇒ f are the pairs "f:v" for v in a unital magma A, with
+    unit "0"; vcomp adds in A, and (g:v)∗(f:u) is g∘f:(right_f v + left_g u),
+    summed the other way round when `flipped`.  `left` and `right` map a
+    1-cell to a map of A (the identity where not given).  This is a strict
+    2-category when A is a commutative monoid, left_g and right_f are monoid
+    maps, left is a left action, right a right action, and they commute.
+    """
+    mors = sorted({f for pair in monoid for f in pair})
+    elems = sorted({v for pair in add for v in pair})
+    left, right = dict(left), dict(right)
+
+    def act(maps, f, v):
+        return maps[f][v] if f in maps else v
+
+    def hcomp(g, v, f, u):
+        terms = (act(right, f, v), act(left, g, u))
+        return f"{monoid[(g, f)]}:{add[terms[::-1] if flipped else terms]}"
+
+    return TwoCat(
+        objects=("x",), mor_src=dict.fromkeys(mors, "x"), mor_dst=dict.fromkeys(mors, "x"),
+        comp1=dict(monoid), id1={"x": "1"},
+        cell_src={f"{f}:{v}": f for f in mors for v in elems},
+        cell_dst={f"{f}:{v}": f for f in mors for v in elems},
+        vcomp_table={(f"{f}:{v}", f"{f}:{u}"): f"{f}:{add[(v, u)]}"
+                     for f in mors for v in elems for u in elems},
+        hcomp_table={(f"{g}:{v}", f"{f}:{u}"): hcomp(g, v, f, u)
+                     for g in mors for f in mors for v in elems for u in elems},
+        id2={f: f"{f}:0" for f in mors})
+
+
+def unital(table):
+    """A magma table with unit "0", from the products of the other elements."""
+    elems = {"0"} | {v for pair in table for v in pair}
+    return {**{(v, "0"): v for v in elems}, **{("0", v): v for v in elems}, **table}
+
+
+TRIVIAL = {("1", "1"): "1"}
+Z2 = {("1", "1"): "1", ("1", "t"): "t", ("t", "1"): "t", ("t", "t"): "1"}
+KLEIN = unital({(v, u): "0" if v == u else ({"a", "b", "c"} - {v, u}).pop()
+                for v in "abc" for u in "abc"})
+Z4 = {(str(i), str(j)): str((i + j) % 4) for i in range(4) for j in range(4)}
+CYCLE = {"t": {"0": "0", "a": "b", "b": "c", "c": "a"}}       # order 3: not an action
+SWAP_AB = {"t": {"0": "0", "a": "b", "b": "a", "c": "c"}}
+SWAP_BC = {"t": {"0": "0", "a": "a", "b": "c", "c": "b"}}     # does not commute with SWAP_AB
+SWAP_12 = {"t": {"0": "0", "1": "2", "2": "1", "3": "3"}}     # not additive on Z/4
+LEFT_ZERO = unital({(v, u): v for v in "pq" for u in "pq"})   # p + q = p, q + p = q
+NONASSOC = unital({("x", "x"): "y", ("x", "y"): "x", ("y", "x"): "x", ("y", "y"): "0"})
+
+ONE_CHECK_FAILS = {
+    "vcomp-assoc": action_twocat(TRIVIAL, NONASSOC),
+    "hcomp unit laws": action_twocat(TRIVIAL, unital({("z", "z"): "0"}),
+                                     right={"1": {"0": "0", "z": "0"}}),
+    "(W) first form": action_twocat(TRIVIAL, LEFT_ZERO, flipped=True),
+    "(W) second form": action_twocat(TRIVIAL, LEFT_ZERO),
+    "(F) for L": action_twocat(Z2, Z4, left=SWAP_12),
+    "(F) for R": action_twocat(Z2, Z4, right=SWAP_12),
+    "(L)": action_twocat(Z2, KLEIN, left=CYCLE),
+    "(R)": action_twocat(Z2, KLEIN, right=CYCLE),
+    "(M)": action_twocat(Z2, KLEIN, left=SWAP_AB, right=SWAP_BC),
+}
+
+
+@pytest.mark.parametrize("check", sorted(ONE_CHECK_FAILS))
+def test_decider_needs_each_check(check):
+    c = ONE_CHECK_FAILS[check]
+    assert _check_structure(c, ValidationReport())
+    assert not exhaustive_validate(c).ok
+    assert validate(c).lines() == exhaustive_validate(c).lines()
+    assert not _is_two_category(c)
+
+
+def test_action_twocat_with_commuting_actions_is_lawful():
+    c = action_twocat(Z2, KLEIN, left=SWAP_AB, right=SWAP_AB)
+    assert exhaustive_validate(c).ok and _is_two_category(c)

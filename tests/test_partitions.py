@@ -11,10 +11,11 @@ import itertools
 import random
 import tracemalloc
 import weakref
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
+from twoloc import discrete_groupoid, groupoid_twocat, pair_groupoid, unit_groupoid
 from twoloc.core import StructureError
 from twoloc.fixtures import FIXTURES, fixture
 from twoloc.fractions import (
@@ -25,7 +26,9 @@ from twoloc.fractions import (
     cell_from_rep,
     equality_chain,
     hom_fraction_cells,
+    is_internal_equiv_closed_form,
     localize,
+    u_mor,
 )
 from twoloc.saturation import saturate
 
@@ -260,6 +263,42 @@ def test_work_counters_on_z8():
             "members_expanded": classes,
             "refinement_edges": classes * legs,
         }
+
+
+def test_hom_checks_each_span_at_most_once(monkeypatch):
+    # Z/8, W = <2>: a hom s1 ⇒ s2 is empty unless f2 - w2 = f1 - w1, so
+    # most of the 1,024 requests, each asked twice, are for empty homs
+    import twoloc.fractions as fractions
+
+    checked = Counter()
+    span_problems = fractions.span_problems
+    monkeypatch.setattr(fractions, "span_problems",
+                        lambda c, w, s: checked.update([s]) or span_problems(c, w, s))
+    c = cyclic_parity(8, "s")
+    w = frozenset({"g0", "g2", "g4", "g6"})
+    pairs = list(span_pairs(c, w)) * 2
+    empty = sum(not hom_fraction_cells(c, w, s1, s2) for s1, s2 in pairs)
+    assert empty == 2 * 32 * 28
+    assert len(checked) == 32 and max(checked.values()) == 1
+    bad = Span("x", "g1", "g0")  # g1 is not in W
+    for _ in range(2):
+        with pytest.raises(StructureError, match="denominator 'g1' is not in W"):
+            hom_fraction_cells(c, w, pairs[0][0], bad)
+
+
+def test_closed_form_saturates_once(monkeypatch):
+    import twoloc.fractions as fractions
+
+    calls = []
+    saturate_ = fractions.saturate
+    monkeypatch.setattr(fractions, "saturate",
+                        lambda c, w: calls.append(w) or saturate_(c, w))
+    c, w = groupoid_twocat([unit_groupoid(), pair_groupoid(2), discrete_groupoid(3)])
+    equivalences = {f for f in c.mors
+                    if is_internal_equiv_closed_form(c, w, u_mor(c, w, f))}
+    assert len(c.mors) == 50 and equivalences == w
+    assert len(calls) <= 1
+    assert localize(c, w).saturation == w and len(calls) <= 1
 
 
 # -- lifetime: partitions live and die with their 2-category -----------------
