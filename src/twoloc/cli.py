@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -61,12 +62,22 @@ def _jsonable(x):
 
 def _emit(report: dict, output: str | None) -> None:
     text = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
-    if output:
-        tmp = Path(output).with_suffix(".tmp")
-        tmp.write_text(text, encoding="utf-8")
-        tmp.replace(output)
-    else:
+    if not output:
         sys.stdout.write(text)
+        return
+    import tempfile  # slow to import, and needed only here
+    # a fresh file beside the output, so that no other file is touched
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(os.path.abspath(output)))
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
+            f.write(text)
+        umask = os.umask(0)  # mkstemp makes the file private; give the usual mode
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, output)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 class _Command:

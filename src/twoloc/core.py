@@ -185,10 +185,9 @@ class TwoCat:
 
     @cached_property
     def _hom_partitions(self) -> dict:
-        """Per-class 2-cell partitions of the localization, keyed by W.
+        """The class stores of `fractions`, one per W, as long-lived as this 2-category.
 
-        `fractions` fills this; keeping it on the instance gives the
-        partitions the lifetime of this 2-category.
+        Each checks W once, each span once and representatives by membership.
         """
         return {}
 
@@ -483,8 +482,9 @@ def validate(c: TwoCat) -> ValidationReport:
     separately from law failures and suppress them, since a partial table
     makes the law loops meaningless.  The laws are then decided by
     `_is_two_category`, which checks them on whiskerings by a generating
-    set of 1-cells; its docstring proves that this is exact.  Only when it says no do the per-law loops below run, to name one
-    counterexample tuple per failing law, by identifier: the first one found.
+    set of 1-cells; its docstring proves that this is exact.  Only when it
+    says no do the per-law loops below run, to name one counterexample
+    tuple per failing law, by identifier: the first one found.
 
     Those loops visit only composable tuples, through boundary indexes built
     here in the order of `c.mors`, `c.cells` and `c.vcomp_table`, so the

@@ -22,17 +22,17 @@ no cost.  Within a hom, each class is expanded by union-find from its
 first member not yet reached as a refinement: a refinement r·p refines
 further only to r·(p∘q), which r reaches itself, so it adds no union.
 The legs p along which a representative refines are read from a table
-per denominator.  The classes live in a store on the `TwoCat` keyed by
-W, so they are shared by every function here and freed together with
-the 2-category.  They are defined on tables that pass `validate`.
+per denominator.  The classes depend only on (C, W), not on the fillers:
+one store per (C, W), kept on the `TwoCat`, serves every function here
+and alone checks input (W once, each span once, a representative by
+membership).  Classes are defined on tables that pass `validate`.
 
 A `Localization` is C[W⁻¹] for one choice of fillers: `build_choices`
-checks W once and picks a filler for every cospan (f, v ∈ W), honouring
-C1 (f an identity), C2 (v an identity) and optionally C3 (f = v ∈ W),
-which make identity spans strict units.  Its methods trust W; the
-functions taking (c, w) check it on every call.  Vertical composition and
-the two whiskerings are built from fresh filler/lift searches;
-determinism comes from the fixed lexicographic search order underneath.
+picks a filler for every cospan (f, v ∈ W), honouring C1 (f an
+identity), C2 (v an identity) and optionally C3 (f = v ∈ W), which make
+identity spans strict units; it keeps the store of its (C, W).  Vertical
+composition and the two whiskerings are built from fresh filler/lift
+searches; determinism comes from the fixed lexicographic search order.
 
 Argument order is diagrammatic throughout: `compose_fractions(loc, s, t)`
 applies s first, and `vcomp_fraction(loc, c1, c2)` applies c1 first.
@@ -74,11 +74,6 @@ def span_src(c: TwoCat, s: Span) -> str:
 
 def span_dst(c: TwoCat, s: Span) -> str:
     return c.mor_dst[s.f]
-
-
-def _raise_if(problems: list[str]) -> None:
-    if problems:
-        raise StructureError("; ".join(problems))
 
 
 def span_problems(c: TwoCat, w, s: Span) -> list[str]:
@@ -156,21 +151,19 @@ _EMPTY_HOM = _Hom((), {})
 
 
 class _HomPartitions:
-    """The 2-cell classes of every hom of the localization at one W.
+    """The 2-cell classes of every hom of the localization at one (C, W).
 
-    Stored on the `TwoCat` (see `_partitions`) and holding no reference
-    back to it, so it is freed together with the 2-category; the methods
-    take the 2-category as an argument instead.
+    Made by `_partitions`, which checks W then and only then, and kept on
+    the `TwoCat` with no reference back to it, so it is freed together
+    with the 2-category; the methods take the 2-category as an argument.
 
     The first request for a hom out of s1 sweeps every representative out
-    of s1 at once and groups them by target span; the classes of a hom are
-    built from its group when that hom is first asked for, and the group is
-    then dropped.  A target with no group has no representatives; it is
-    checked to be a span, as every group's target is by construction.  Each
-    span is checked at most once: the spans that passed are kept, not the
-    empty homs, which would take an entry per empty pair.  A span that
-    fails is not kept, so it raises on every request.  W_sat is computed on
-    first use and kept (`saturation`).
+    of s1 and groups them by target span; a hom's classes are built from
+    its group when it is first asked for, and the group is dropped.  Each
+    span is checked once (`require_span`): the spans that passed are kept,
+    not the empty homs, which would take an entry per empty pair, and a
+    failing span raises on every request.  A representative is checked by
+    membership (`cell`).  W_sat is computed on first use (`saturation`).
 
     Partitions are defined on tables that pass `validate`: the shortcut in
     `_partition` rests on its composition laws.
@@ -208,19 +201,43 @@ class _HomPartitions:
             return found
         groups = self._groups.get(s1)
         if groups is None:
-            self._require_span(c, s1)
+            self.require_span(c, s1)
             groups = self._groups[s1] = self._sweep(c, s1)
         reps = groups.pop(s2, None)
         if reps is None:
-            self._require_span(c, s2)
+            self.require_span(c, s2)
             return _EMPTY_HOM
         found = self._homs[(s1, s2)] = self._partition(c, s1, s2, reps)
         return found
 
-    def _require_span(self, c: TwoCat, s: Span) -> None:
+    def require_span(self, c: TwoCat, s: Span) -> None:
         if s not in self._spans:
-            _raise_if(span_problems(c, self.w, s))
+            problems = span_problems(c, self.w, s)
+            if problems:
+                raise StructureError("; ".join(problems))
             self._spans.add(s)
+
+    def cell(self, c: TwoCat, rep: CellRep, built_by: str = "") -> FractionCell:
+        """The class of rep, looked up in its swept hom.
+
+        On tables that pass `validate`, the sweep out of a valid s1 yields
+        exactly the tuples `rep_problems` accepts: it takes every v1 with
+        w1∘v1 ∈ W, every invertible α out of w1∘v1 and β out of f1∘v1, and
+        reads w2 ∈ W, v2 and f2 off the composition table; the target
+        (cod v2, w2, f2) is parallel to s1 since 2-cells join parallel
+        1-cells.  So only a miss runs `rep_problems`, to raise what is wrong
+        (`InternalInconsistency` if the operation `built_by` made rep).
+        """
+        try:
+            return self.hom(c, rep.src_span, rep.dst_span).cell_of[rep]
+        except (StructureError, KeyError):  # a bad span, or not a member
+            pass
+        problems = "; ".join(rep_problems(c, self.w, rep))
+        if not problems:
+            raise InternalInconsistency(f"valid representative {rep} is missing from its hom")
+        if built_by:
+            raise InternalInconsistency(f"{built_by} produced an invalid representative: {problems}")
+        raise StructureError(problems)
 
     def saturation(self, c: TwoCat) -> frozenset[str]:
         """W_sat, computed on first use."""
@@ -319,26 +336,21 @@ class _HomPartitions:
         return _Hom(tuple(cells), cell_of)
 
 
-def _partitions(c: TwoCat, w: frozenset[str]) -> _HomPartitions:
-    store = c._hom_partitions.get(w)
+def _partitions(c: TwoCat, w) -> _HomPartitions:
+    """The class store of (c, W); W is checked only when its store is made."""
+    key = frozenset(w)
+    store = c._hom_partitions.get(key)
     if store is None:
-        store = c._hom_partitions[w] = _HomPartitions(w)
+        store = c._hom_partitions[key] = _HomPartitions(_as_class(c, key))
     return store
 
 
-def _class_of(c: TwoCat, w: frozenset[str], rep: CellRep) -> FractionCell:
-    return _partitions(c, w).hom(c, rep.src_span, rep.dst_span).cell_of[rep]
-
-
 def cell_from_rep(c: TwoCat, w, rep: CellRep) -> FractionCell:
-    w = _as_class(c, w)
-    _raise_if(rep_problems(c, w, rep))
-    return _class_of(c, w, rep)
+    return _partitions(c, w).cell(c, rep)
 
 
 def hom_fraction_cells(c: TwoCat, w, s1: Span, s2: Span) -> tuple[FractionCell, ...]:
     """All 2-cells s1 ⇒ s2, ordered by canonical representative."""
-    w = _as_class(c, w)
     return _partitions(c, w).hom(c, s1, s2).cells
 
 
@@ -346,19 +358,16 @@ def cells_equal(c: TwoCat, w, r1: CellRep, r2: CellRep) -> bool:
     """Do two representatives present the same localized 2-cell?"""
     if (r1.src_span, r1.dst_span) != (r2.src_span, r2.dst_span):
         raise StructureError("representatives do not share source/target spans")
-    w = _as_class(c, w)
-    for r in (r1, r2):
-        _raise_if(rep_problems(c, w, r))
-    return r2 in _class_of(c, w, r1).members
+    store = _partitions(c, w)
+    return store.cell(c, r1) == store.cell(c, r2)
 
 
 def equality_chain(c: TwoCat, w, r1: CellRep, r2: CellRep) -> Optional[list[CellRep]]:
     """A witness path r1 ~ ... ~ r2 of single refinements (either direction)."""
     if not cells_equal(c, w, r1, r2):
         return None
-    w = _as_class(c, w)
-    nodes = _class_of(c, w, r1).members
     store = _partitions(c, w)
+    nodes = store.cell(c, r1).members
     s1, s2 = r1.src_span, r1.dst_span
     edges: dict[CellRep, set[CellRep]] = {r: set() for r in nodes}
     for r in nodes:
@@ -407,13 +416,17 @@ def u_cell(c: TwoCat, w, gamma: str) -> FractionCell:
 class Localization:
     """C[W⁻¹] with a filler for every cospan (f, v ∈ W), normalised per C1/C2/(C3).
 
-    Built by `build_choices`, which checks W; the methods trust it.
+    Built by `build_choices`; reads its classes and W_sat in its store.
     """
 
     c: TwoCat
     w: frozenset[str]
     entries: dict[tuple[str, str], tuple[str, str, str, str]]
     honors_c3: bool = True
+    _store: _HomPartitions = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._store = _partitions(self.c, self.w)
 
     def entry(self, f: str, v: str) -> tuple[str, str, str, str]:
         try:
@@ -428,14 +441,14 @@ class Localization:
     @property
     def saturation(self) -> frozenset[str]:
         """W_sat: a span is an internal equivalence iff its numerator lies in it."""
-        return _partitions(self.c, self.w).saturation(self.c)
+        return self._store.saturation(self.c)
 
     def spans(self, src: str, dst: str) -> tuple[Span, ...]:
         return all_spans(self.c, self.w, src, dst)
 
     def hom_cells(self, s1: Span, s2: Span) -> tuple[FractionCell, ...]:
         """All 2-cells s1 ⇒ s2, ordered by canonical representative."""
-        return _partitions(self.c, self.w).hom(self.c, s1, s2).cells
+        return self._store.hom(self.c, s1, s2).cells
 
     def compose(self, s: Span, t: Span) -> Span:
         return compose_fractions(self, s, t)
@@ -449,7 +462,7 @@ class Localization:
 
 def build_choices(c: TwoCat, w, enforce_c3: bool = True) -> Localization:
     """Choose a filler (A'', v' ∈ W, f', invertible rho) per cospan (f, v ∈ W)."""
-    w = _as_class(c, w)
+    w = _partitions(c, w).w
     identities = set(c.id1.values())
     entries: dict[tuple[str, str], tuple[str, str, str, str]] = {}
     for f in c.mors:
@@ -470,7 +483,7 @@ def build_choices(c: TwoCat, w, enforce_c3: bool = True) -> Localization:
 
 def localize(c: TwoCat, w, ch: Optional[Localization] = None) -> Localization:
     """C[W⁻¹]: `ch` itself if given, once it is checked to be built for c and W."""
-    w = _as_class(c, w)
+    w = _partitions(c, w).w
     if ch is None:
         return build_choices(c, w)
     if ch.c is not c or ch.w != w:
@@ -489,14 +502,6 @@ def compose_fractions(loc: Localization, s: Span, t: Span) -> Span:
 
 # ---------------------------------------------------------------------------
 # vertical composition and whiskering of fraction cells
-
-
-def _cell_from_built_rep(c: TwoCat, w, rep: CellRep, what: str) -> FractionCell:
-    problems = rep_problems(c, w, rep)
-    if problems:
-        raise InternalInconsistency(f"{what} produced an invalid representative: "
-                                    + "; ".join(problems))
-    return _class_of(c, w, rep)
 
 
 def vcomp_fraction(loc: Localization, c1: FractionCell, c2: FractionCell) -> FractionCell:
@@ -526,7 +531,7 @@ def vcomp_fraction(loc: Localization, c1: FractionCell, c2: FractionCell) -> Fra
     )
     rep = CellRep(c1.src_span, c2.dst_span, c.mor_src[z],
                   c.compose1(r1.v1, rz), c.compose1(r2.v2, rpz), alpha, beta)
-    return _cell_from_built_rep(c, w, rep, "vcomp_fraction")
+    return loc._store.cell(c, rep, "vcomp_fraction")
 
 
 def whisker_fraction_left(loc: Localization, t: Span, cell: FractionCell) -> FractionCell:
@@ -570,7 +575,7 @@ def whisker_fraction_left(loc: Localization, t: Span, cell: FractionCell) -> Fra
     out = CellRep(src, dst, c.mor_src[z],
                   c.compose1(t1, z), c.compose1(qp, z),
                   c.whisker_right(alpha, z), c.whisker_left(t.f, phi))
-    return _cell_from_built_rep(c, w, out, "whisker_fraction_left")
+    return loc._store.cell(c, out, "whisker_fraction_left")
 
 
 def whisker_fraction_right(loc: Localization, cell: FractionCell, s: Span) -> FractionCell:
@@ -619,7 +624,7 @@ def whisker_fraction_right(loc: Localization, cell: FractionCell, s: Span) -> Fr
     )
     out = CellRep(src, dst, c.mor_src[z2], leg1, leg2,
                   c.whisker_left(s.w, c.whisker_right(taup, z2)), beta)
-    return _cell_from_built_rep(c, w, out, "whisker_fraction_right")
+    return loc._store.cell(c, out, "whisker_fraction_right")
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +660,7 @@ def fraction_inverse(loc: Localization, cell: FractionCell) -> Optional[Fraction
     c = loc.c
     swapped = CellRep(cell.dst_span, cell.src_span, rep.apex, rep.v2, rep.v1,
                       c.inverse2(rep.alpha), c.inverse2(rep.beta))
-    return _class_of(c, loc.w, swapped)
+    return loc._store.cell(c, swapped, "fraction_inverse")
 
 
 def is_invertible_fraction_cell(loc: Localization, cell: FractionCell) -> bool:
@@ -668,29 +673,27 @@ def first_invertible_cell(loc: Localization, s1: Span, s2: Span) -> Optional[Fra
                  if is_invertible_fraction_cell(loc, cell)), None)
 
 
-def find_associator_witness(loc: Localization, s: Span, t: Span, u: Span) -> FractionCell:
-    """An invertible cell (s;t);u ⇒ s;(t;u) for a composable triple."""
-    left = compose_fractions(loc, compose_fractions(loc, s, t), u)
-    right = compose_fractions(loc, s, compose_fractions(loc, t, u))
+def _comparison_cell(loc: Localization, left: Span, right: Span, what: str) -> FractionCell:
+    """The identity if left == right, else the first invertible cell left ⇒ right."""
     if left == right:
         return identity_fraction_cell(loc.c, loc.w, left)
     witness = first_invertible_cell(loc, left, right)
     if witness is None:
-        raise InternalInconsistency(
-            f"no invertible associator between {left} and {right}")
+        raise InternalInconsistency(f"no invertible {what} between {left} and {right}")
     return witness
 
 
+def find_associator_witness(loc: Localization, s: Span, t: Span, u: Span) -> FractionCell:
+    """An invertible cell (s;t);u ⇒ s;(t;u) for a composable triple."""
+    left = compose_fractions(loc, compose_fractions(loc, s, t), u)
+    right = compose_fractions(loc, s, compose_fractions(loc, t, u))
+    return _comparison_cell(loc, left, right, "associator")
+
+
 def all_spans(c: TwoCat, w, src: str, dst: str) -> tuple[Span, ...]:
-    w = _as_class(c, w)
-    out = []
-    for apex in sorted(c.objects):
-        for wm in c.hom1(apex, src):
-            if wm not in w:
-                continue
-            for f in c.hom1(apex, dst):
-                out.append(Span(apex, wm, f))
-    return tuple(out)
+    w = _partitions(c, w).w
+    return tuple(Span(apex, wm, f) for apex in sorted(c.objects)
+                 for wm in c.hom1(apex, src) if wm in w for f in c.hom1(apex, dst))
 
 
 @dataclass(frozen=True)
@@ -719,15 +722,15 @@ def is_internal_equiv_search(loc: Localization, s: Span) -> Optional[SpanEquival
 
 
 def is_internal_equiv_closed_form(c: TwoCat, w, s: Span) -> bool:
-    """Membership test: denominator in W, numerator in the right saturation."""
-    w = _as_class(c, w)
-    _raise_if(span_problems(c, w, s))
-    return s.w in w and s.f in _partitions(c, w).saturation(c)
+    """Membership test: numerator in the right saturation; the store checks the span."""
+    store = _partitions(c, w)
+    store.require_span(c, s)
+    return s.f in store.saturation(c)
 
 
 def quasi_inverse_of_u(c: TwoCat, w, f: str, g: str) -> Span:
     """The span inverting u_mor(f), built from a saturation witness g."""
-    w = _as_class(c, w)
+    w = _partitions(c, w).w
     if c.mor_dst.get(g) != c.mor_src.get(f):
         raise StructureError(f"{g!r} does not land in the source of {f!r}")
     fg = c.compose1(f, g)

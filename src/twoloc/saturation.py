@@ -36,13 +36,8 @@ class BFReport:
         return all(self.passed.get(a, False) for a in AXIOMS)
 
     def lines(self) -> list[str]:
-        out = []
-        for a in AXIOMS:
-            if self.passed.get(a, False):
-                out.append(f"{a}: pass")
-            else:
-                out.append(f"{a}: FAIL {self.counterexamples.get(a)}")
-        return out
+        return [f"{a}: pass" if self.passed.get(a, False)
+                else f"{a}: FAIL {self.counterexamples.get(a)}" for a in AXIOMS]
 
 
 def cospan_fillers(c: TwoCat, w: frozenset[str], f: str, v: str):
@@ -212,12 +207,8 @@ def check_bf(c: TwoCat, w) -> BFReport:
 
 def quasi_units(c: TwoCat) -> frozenset[str]:
     """Endo-1-cells u: A→A isomorphic to id_A via an invertible 2-cell."""
-    out = set()
-    for u in c.mors:
-        a = c.mor_src[u]
-        if c.mor_dst[u] == a and c.invertible_cells(u, c.id1[a]):
-            out.add(u)
-    return frozenset(out)
+    return frozenset(u for u in c.mors if c.mor_dst[u] == c.mor_src[u]
+                     and c.invertible_cells(u, c.id1[c.mor_src[u]]))
 
 
 def saturate(c: TwoCat, w) -> frozenset[str]:

@@ -42,11 +42,12 @@ from .fractions import (
     FractionCell,
     Localization,
     Span,
+    _comparison_cell,
+    _partitions,
     build_choices,
     cell_from_rep,
     compose_fractions,
     first_invertible_cell,
-    identity_fraction_cell,
     is_invertible_fraction_cell,
     localize,
 )
@@ -209,20 +210,12 @@ class InducedPseudofunctor:
 
     def compositor(self, s: Span, t: Span) -> FractionCell:
         """Invertible witness G(s;t) ⇒ G(s);G(t) for a composable pair."""
-        key = (s, t)
-        if key not in self._compositors:
+        if (s, t) not in self._compositors:
             tl = self.target_loc
             left = self.map_span(self.source_loc.compose(s, t))
             right = tl.compose(self.map_span(s), self.map_span(t))
-            if left == right:
-                witness = identity_fraction_cell(tl.c, tl.w, left)
-            else:
-                witness = first_invertible_cell(tl, left, right)
-                if witness is None:
-                    raise InternalInconsistency(
-                        f"no invertible compositor between {left} and {right}")
-            self._compositors[key] = witness
-        return self._compositors[key]
+            self._compositors[(s, t)] = _comparison_cell(tl, left, right, "compositor")
+        return self._compositors[(s, t)]
 
 
 def induce(fun: StrictTwoFunctor, w_src, target_loc: Localization) -> InducedPseudofunctor:
@@ -237,7 +230,7 @@ def induce(fun: StrictTwoFunctor, w_src, target_loc: Localization) -> InducedPse
     """
     if not fun.validation.ok:
         raise StructureError(f"not a strict 2-functor: {fun.validation.lines()[0]}")
-    w_src = _as_class(fun.source, w_src)
+    w_src = _partitions(fun.source, w_src).w
     if target_loc.c is not fun.target:
         raise StructureError("choice table does not belong to the target 2-category")
     if not target_loc.honors_c3:
@@ -250,8 +243,8 @@ def induce(fun: StrictTwoFunctor, w_src, target_loc: Localization) -> InducedPse
 
 def comparison_to_saturation(c: TwoCat, w) -> InducedPseudofunctor:
     """The canonical localization-comparison C[W⁻¹] → C[W_sat⁻¹]."""
-    w = _as_class(c, w)
-    return induce(identity_functor(c), w, build_choices(c, saturate(c, w)))
+    store = _partitions(c, w)
+    return induce(identity_functor(c), store.w, build_choices(c, store.saturation(c)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -225,6 +226,21 @@ def test_output_flag_writes_file(tmp_path, capsys):
     capsys.readouterr()
     rep = json.loads(out.read_text())
     assert rep["ok"] is True and rep["command"] == "validate"
+
+
+def test_output_flag_leaves_sibling_files_alone(tmp_path, capsys):
+    # the report goes through a temp file of its own, not through out.tmp
+    sibling = tmp_path / "out.tmp"
+    sibling.write_text("someone else's file\n")
+    out = tmp_path / "out.json"
+    assert main(["fixtures", "F3", str(tmp_path / "f3.json"), "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert sibling.read_text() == "someone else's file\n"
+    assert json.loads(out.read_text())["ok"] is True
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f3.json", "out.json", "out.tmp"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
 
 
 def test_console_script_entrypoint(tmp_path):

@@ -28,11 +28,13 @@ from twoloc.fractions import (
     hom_fraction_cells,
     is_internal_equiv_closed_form,
     localize,
+    rep_problems,
     u_mor,
 )
 from twoloc.saturation import saturate
+from twoloc.transport import comparison_to_saturation, x_conditions_for_induced
 
-from corpus import cyclic_parity
+from corpus import cyclic_parity, oracle_inputs
 
 
 def oracle_partition(c, w, s1: Span, s2: Span) -> dict[CellRep, frozenset[CellRep]]:
@@ -190,6 +192,68 @@ def test_cyclic_parity_partitions_match_oracle(n, twist_name):
         assert_partitions_match(c, w)
 
 
+def sampled_reps(c, w, rng: random.Random, count: int):
+    """count tuples (s1, s2, apex, v1, v2, α, β) drawn from the tables.
+
+    Each entry is drawn from those of the right type four times in five
+    (spans of (c, w), legs into the span apexes, cells between the
+    composites) and from the whole table otherwise, so valid and invalid
+    representatives both occur.
+    """
+    objs, mors, cells, comp1 = sorted(c.objects), c.mors, c.cells, c.comp1
+
+    def pick(typed, anything):
+        return rng.choice(typed) if typed and rng.random() < 0.8 else anything()
+
+    def any_span():
+        return Span(rng.choice(objs), rng.choice(mors), rng.choice(mors))
+
+    for _ in range(count):
+        s1, s2 = (pick(all_spans(c, w, rng.choice(objs), rng.choice(objs)), any_span)
+                  for _ in range(2))
+        apex = rng.choice(objs)
+        v1 = pick(c.hom1(apex, s1.apex), lambda: rng.choice(mors))
+        v2 = pick(c.hom1(apex, s2.apex), lambda: rng.choice(mors))
+        alpha, beta = (pick(c.hom2(comp1.get((x1, v1)), comp1.get((x2, v2))),
+                            lambda: rng.choice(cells))
+                       for x1, x2 in ((s1.w, s2.w), (s1.f, s2.f)))
+        yield CellRep(s1, s2, apex, v1, v2, alpha, beta)
+
+
+def swept_hom(c, w, rep: CellRep) -> tuple:
+    """The classes of rep's hom, or () when a span of rep is invalid."""
+    try:
+        return hom_fraction_cells(c, w, rep.src_span, rep.dst_span)
+    except StructureError:
+        return ()
+
+
+def test_store_membership_matches_rep_problems():
+    # the store checks a representative by looking it up in its swept hom;
+    # `rep_problems` is the check it replaces
+    rng = random.Random(20261018)
+    seen = Counter()
+    for entry in oracle_inputs():
+        for cls in classes_to_compare(entry.c, entry.w):
+            c = entry.c
+            for rep in sampled_reps(c, cls, rng, 20):
+                problems = rep_problems(c, cls, rep)
+                seen["invalid" if problems else "valid"] += 1
+                hom = swept_hom(c, cls, rep)
+                assert (not problems) == any(rep in cell.members for cell in hom), \
+                    (entry.name, rep, problems)
+                if problems:
+                    with pytest.raises(StructureError) as raised:
+                        cell_from_rep(c, cls, rep)
+                    assert str(raised.value) == "; ".join(problems)
+                else:
+                    assert rep in cell_from_rep(c, cls, rep).members
+                for cell in hom:
+                    seen["members"] += len(cell.members)
+                    assert all(rep_problems(c, cls, r) == [] for r in cell.members)
+    assert min(seen.values()) > 1000, seen
+
+
 def shuffled_requests(c, w, seed: int):
     """Every span pair of (c, w), empty homs first, each part shuffled."""
     empty, full = [], []
@@ -270,16 +334,40 @@ def test_hom_checks_each_span_at_most_once(monkeypatch):
     # most of the 1,024 requests, each asked twice, are for empty homs
     import twoloc.fractions as fractions
 
-    checked = Counter()
+    checked = Counter()  # (W, span) -> span_problems calls
     span_problems = fractions.span_problems
     monkeypatch.setattr(fractions, "span_problems",
-                        lambda c, w, s: checked.update([s]) or span_problems(c, w, s))
+                        lambda c, w, s: checked.update([(w, s)]) or span_problems(c, w, s))
+    valid_reps_checked = []
+    rep_problems_ = fractions.rep_problems
+
+    def rep_problems(c, w, rep):
+        problems = rep_problems_(c, w, rep)
+        if not problems:
+            valid_reps_checked.append(rep)
+        return problems
+
+    monkeypatch.setattr(fractions, "rep_problems", rep_problems)
     c = cyclic_parity(8, "s")
     w = frozenset({"g0", "g2", "g4", "g6"})
     pairs = list(span_pairs(c, w)) * 2
     empty = sum(not hom_fraction_cells(c, w, s1, s2) for s1, s2 in pairs)
     assert empty == 2 * 32 * 28
     assert len(checked) == 32 and max(checked.values()) == 1
+
+    # the other entry points reach the same checked spans: a class looked up
+    # from each member, the closed form on every span, and the comparison
+    # C[W⁻¹] → C[W_sat⁻¹] with its X-conditions, which sweep the W_sat store
+    for s1, s2 in pairs:
+        for cell in hom_fraction_cells(c, w, s1, s2):
+            assert all(cell_from_rep(c, w, r) is cell for r in cell.members)
+    spans = {s for pair in pairs for s in pair}
+    assert all(is_internal_equiv_closed_form(c, w, s) for s in spans for _ in range(2))
+    assert len(checked) == 32
+    assert x_conditions_for_induced(comparison_to_saturation(c, w)).ok
+    assert {key[0] for key in checked} == {w, frozenset(c.mors)}
+    assert len(checked) > 32 and max(checked.values()) == 1
+    assert valid_reps_checked == []
     bad = Span("x", "g1", "g0")  # g1 is not in W
     for _ in range(2):
         with pytest.raises(StructureError, match="denominator 'g1' is not in W"):

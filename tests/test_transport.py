@@ -173,13 +173,18 @@ def test_comparison_to_saturation_agrees_with_constancy_search(corpus_entries):
 
 @pytest.mark.parametrize("step", [4, 2])
 def test_comparison_to_saturation_builds_no_partition(step):
-    # classes are formed only when a cell is asked for
+    # classes are formed only when a cell is asked for; the stores of W
+    # and W_sat exist from the start, since they are what checks each class
     c = cyclic_parity(8, "s")
     w = frozenset(f"g{k}" for k in range(0, 8, step))
+
+    def swept():
+        return {k for k, store in c._hom_partitions.items() if store.counters["sweeps"]}
+
     ind = comparison_to_saturation(c, w)
-    assert c._hom_partitions == {}
+    assert set(c._hom_partitions) == {w, frozenset(c.mors)} and swept() == set()
     ind.map_cell(u_cell(c, w, "s_g0"))
-    assert set(c._hom_partitions) == {w, frozenset(c.mors)}
+    assert swept() == {w, frozenset(c.mors)}
 
 
 def test_induced_identity_is_strict():
