@@ -230,14 +230,15 @@ def cmd_localize(cmd: _Command, args) -> int:
 
 
 def cmd_equiv(cmd: _Command, args) -> int:
-    from .fractions import (build_choices, is_internal_equiv_closed_form,
-                            is_internal_equiv_search, span_problems)
+    from .fractions import (_partitions, build_choices, is_internal_equiv_closed_form,
+                            is_internal_equiv_search)
 
     c, w = _load_checked(cmd, args.path)
     span = _span_arg(args.span)
-    problems = span_problems(c, w, span)
-    if problems:
-        return cmd.bad_input("; ".join(problems))
+    try:  # the class store checks the span once, before BF is checked
+        _partitions(c, w).require_span(c, span)
+    except StructureError as exc:
+        return cmd.bad_input(str(exc))
     if not _require_bf(cmd, c, w):
         return cmd.finish()
     loc = build_choices(c, w, enforce_c3=args.c3)

@@ -18,9 +18,12 @@ out of w1∘v1 fix the composites w2∘v2, whose factorisations with
 w2 ∈ W give the v2, and the cells out of f1∘v1 fix the composites
 f2∘v2, whose left factors give the f2.  A hom's classes are built from
 its group when it is first asked for; a hom with no group is empty at
-no cost.  Within a hom, each class is expanded by union-find from its
-first member not yet reached as a refinement: a refinement r·p refines
-further only to r·(p∘q), which r reaches itself, so it adds no union.
+no cost, and whether it has an invertible class is read off its group
+without building any.  Within a hom, each class is expanded by
+union-find from its first member not yet reached as a refinement: a
+refinement r·p refines further only to r·(p∘q), which r reaches itself,
+so it adds no union.  A class builds its members from the sweep's tuples
+when they are read.
 The legs p along which a representative refines are read from a table
 per denominator.  The classes depend only on (C, W), not on the fillers:
 one store per (C, W), kept on the `TwoCat`, serves every function here
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .core import InternalInconsistency, StructureError, TwoCat
@@ -137,14 +141,18 @@ class FractionCell:
     src_span: Span
     dst_span: Span
     canonical: CellRep
-    members: frozenset[CellRep] = field(compare=False, repr=False)
+    _keys: tuple[tuple, ...] = field(compare=False, repr=False)  # (apex, v1, v2, α, β)
+
+    @cached_property
+    def members(self) -> frozenset[CellRep]:
+        return frozenset(CellRep(self.src_span, self.dst_span, *k) for k in self._keys)
 
 
 class _Hom(NamedTuple):
-    """The classes of one hom: sorted by canonical, and by member."""
+    """The classes of one hom: sorted by canonical, and by member tuple."""
 
     cells: tuple[FractionCell, ...]
-    cell_of: dict[CellRep, FractionCell]
+    cell_of: dict[tuple, FractionCell]
 
 
 _EMPTY_HOM = _Hom((), {})
@@ -159,7 +167,9 @@ class _HomPartitions:
 
     The first request for a hom out of s1 sweeps every representative out
     of s1 and groups them by target span; a hom's classes are built from
-    its group when it is first asked for, and the group is dropped.  Each
+    its group when it is first asked for, and the group is dropped; asking
+    whether it has an invertible class reads the group and keeps it
+    (`has_invertible`).  Classes are keyed by the sweep's tuples.  Each
     span is checked once (`require_span`): the spans that passed are kept,
     not the empty homs, which would take an entry per empty pair, and a
     failing span raises on every request.  A representative is checked by
@@ -197,18 +207,35 @@ class _HomPartitions:
 
     def hom(self, c: TwoCat, s1: Span, s2: Span) -> _Hom:
         found = self._homs.get((s1, s2))
-        if found is not None:
-            return found
+        if found is None:
+            reps = self._group(c, s1, s2)
+            if reps is None:
+                return _EMPTY_HOM
+            found = self._homs[(s1, s2)] = self._partition(c, s1, s2, reps)
+            del self._groups[s1][s2]
+        return found
+
+    def has_invertible(self, c: TwoCat, s1: Span, s2: Span) -> bool:
+        """Is some 2-cell s1 ⇒ s2 invertible?  Read off the sweep; no class is built.
+
+        A class is invertible iff a member passes `_swappable` (α is always
+        invertible), and the classes partition the hom's representatives,
+        so this holds iff one of them passes it.
+        """
+        found = self._homs.get((s1, s2))
+        reps = found.cell_of if found is not None else self._group(c, s1, s2) or ()
+        return any(_swappable(c, self.w, s2.w, r) for r in reps)
+
+    def _group(self, c: TwoCat, s1: Span, s2: Span) -> Optional[list[tuple]]:
+        """The swept representatives of an unbuilt hom s1 ⇒ s2, or None if it is empty."""
         groups = self._groups.get(s1)
         if groups is None:
             self.require_span(c, s1)
             groups = self._groups[s1] = self._sweep(c, s1)
-        reps = groups.pop(s2, None)
+        reps = groups.get(s2)
         if reps is None:
             self.require_span(c, s2)
-            return _EMPTY_HOM
-        found = self._homs[(s1, s2)] = self._partition(c, s1, s2, reps)
-        return found
+        return reps
 
     def require_span(self, c: TwoCat, s: Span) -> None:
         if s not in self._spans:
@@ -229,7 +256,7 @@ class _HomPartitions:
         (`InternalInconsistency` if the operation `built_by` made rep).
         """
         try:
-            return self.hom(c, rep.src_span, rep.dst_span).cell_of[rep]
+            return self.hom(c, rep.src_span, rep.dst_span).cell_of[rep[2:]]
         except (StructureError, KeyError):  # a bad span, or not a member
             pass
         problems = "; ".join(rep_problems(c, self.w, rep))
@@ -328,10 +355,9 @@ class _HomPartitions:
             classes.setdefault(find(r), []).append(r)
         cells, cell_of = [], {}
         for keys in classes.values():
-            members = frozenset(CellRep(s1, s2, *k) for k in keys)
-            cell = FractionCell(s1, s2, CellRep(s1, s2, *min(keys)), members)
+            cell = FractionCell(s1, s2, CellRep(s1, s2, *min(keys)), tuple(keys))
             cells.append(cell)
-            cell_of.update(dict.fromkeys(members, cell))
+            cell_of.update(dict.fromkeys(keys, cell))
         cells.sort(key=lambda cell: cell.canonical)
         return _Hom(tuple(cells), cell_of)
 
@@ -631,6 +657,11 @@ def whisker_fraction_right(loc: Localization, cell: FractionCell, s: Span) -> Fr
 # invertibility, associators, internal equivalences
 
 
+def _swappable(c: TwoCat, w, w2: str, rep: tuple) -> bool:
+    """Tommasini's test on rep = (A, v1, v2, α, β) into denominator w2: β invertible, w2∘v2 ∈ W."""
+    return c.is_invertible2(rep[4]) and c.comp1[(w2, rep[2])] in w
+
+
 def _invertible_member(loc: Localization, cell: FractionCell) -> Optional[CellRep]:
     """The first member (A, v1, v2, α, β) of the class whose swap is a representative.
 
@@ -639,17 +670,15 @@ def _invertible_member(loc: Localization, cell: FractionCell) -> Optional[CellRe
     inverse.  Classes are closed under refinement, so this reads "β∗i_z is
     invertible for some z with w1∘v1∘z ∈ W".  The swap also needs
     w2∘v2 ∈ W, which BF5 gives through α; it is checked because nothing
-    here requires BF.  The canonical member is tried first.
+    here requires BF.  The canonical member is tried first, then the
+    member tuples, so `members` is not built; `has_invertible` runs the
+    same test on a hom's sweep.
     """
-    c, w = loc.c, loc.w
     w2 = cell.dst_span.w
-
-    def swappable(r: CellRep) -> bool:
-        return c.is_invertible2(r.beta) and c.comp1[(w2, r.v2)] in w
-
-    if swappable(cell.canonical):
+    if _swappable(loc.c, loc.w, w2, cell.canonical[2:]):
         return cell.canonical
-    return min(filter(swappable, cell.members), default=None)
+    found = min((r for r in cell._keys if _swappable(loc.c, loc.w, w2, r)), default=None)
+    return None if found is None else CellRep(cell.src_span, cell.dst_span, *found)
 
 
 def fraction_inverse(loc: Localization, cell: FractionCell) -> Optional[FractionCell]:
@@ -668,9 +697,13 @@ def is_invertible_fraction_cell(loc: Localization, cell: FractionCell) -> bool:
 
 
 def first_invertible_cell(loc: Localization, s1: Span, s2: Span) -> Optional[FractionCell]:
-    """The first invertible 2-cell s1 ⇒ s2 in canonical order, or None."""
-    return next((cell for cell in loc.hom_cells(s1, s2)
-                 if is_invertible_fraction_cell(loc, cell)), None)
+    """The first invertible 2-cell s1 ⇒ s2 in canonical order, or None.
+
+    Whether one exists is read off the sweep; the classes are built only if so.
+    """
+    if not loc._store.has_invertible(loc.c, s1, s2):
+        return None
+    return next(cell for cell in loc.hom_cells(s1, s2) if is_invertible_fraction_cell(loc, cell))
 
 
 def _comparison_cell(loc: Localization, left: Span, right: Span, what: str) -> FractionCell:

@@ -20,7 +20,10 @@ source at W_src; F is validated once, by `StrictTwoFunctor.validation`.
 (essential surjectivity on objects up to internal equivalence, local
 essential surjectivity on 1-cells up to invertible 2-cell, and local
 bijectivity on 2-cells) against enumerable views of either an ambient
-2-category or a localization.
+2-category or a localization.  The 1-cell condition asks a view only
+whether an invertible 2-cell G(f) ⇒ g exists (`invertible_between`); a
+localization reads that off its class store's sweep, so only the 2-cell
+conditions build classes, and only between images of source spans.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .fractions import (
     cell_from_rep,
     compose_fractions,
     first_invertible_cell,
-    is_invertible_fraction_cell,
     localize,
 )
 from .saturation import _as_class, check_bf, saturate
@@ -267,8 +269,8 @@ class AmbientView:
     def twos(self, f, g):
         return self.c.hom2(f, g)
 
-    def invertible(self, cell) -> bool:
-        return self.c.is_invertible2(cell)
+    def invertible_between(self, f: str, g: str) -> bool:
+        return any(map(self.c.is_invertible2, self.c.hom2(f, g)))
 
     @cached_property
     def _equivs(self) -> frozenset[str]:
@@ -294,8 +296,8 @@ class LocalizationView:
     def twos(self, s, t):
         return self.loc.hom_cells(s, t)
 
-    def invertible(self, cell) -> bool:
-        return is_invertible_fraction_cell(self.loc, cell)
+    def invertible_between(self, s: Span, t: Span) -> bool:
+        return self.loc._store.has_invertible(self.loc.c, s, t)
 
     def equivalent_objects(self, a: str, b: str) -> bool:
         # every span of loc has its denominator in W, so it is an internal
@@ -340,10 +342,7 @@ def weak_equivalence_report(
         src_ones = src_view.ones(a, b)
         for g in dst_view.ones(map_object(a), map_object(b)):
             if rep.verdicts["mor_surjective_up_to_iso"] and not any(
-                dst_view.invertible(t)
-                for f in src_ones
-                for t in dst_view.twos(map_one(f), g)
-            ):
+                    dst_view.invertible_between(map_one(f), g) for f in src_ones):
                 rep.verdicts["mor_surjective_up_to_iso"] = False
                 rep.counterexamples["mor_surjective_up_to_iso"] = (a, b, g)
         for f1, f2 in itertools.product(src_ones, src_ones):

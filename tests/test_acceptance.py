@@ -5,12 +5,12 @@ plain test run shows the per-criterion scoreboard, then asserts.  Time
 bounds are enforced with perf_counter around exactly the work they cover.
 """
 
+import dataclasses
 import itertools
 import json
 import time
 
 from twoloc import (
-    FractionCell,
     build_choices,
     check_bf,
     comparison_to_saturation,
@@ -205,8 +205,7 @@ def test_c06_localized_operations_well_defined(capsys):
                     for cell in loc.hom_cells(s, t):
                         # any member representative gives the same composites
                         for r in sorted(cell.members)[:4]:
-                            alias = FractionCell(cell.src_span, cell.dst_span,
-                                                 r, cell.members)
+                            alias = dataclasses.replace(cell, canonical=r)
                             for u in spans:
                                 for nxt in loc.hom_cells(t, u):
                                     if vcomp_fraction(ch, alias, nxt) != \

@@ -7,6 +7,7 @@ import os
 import stat
 import subprocess
 import sys
+from collections import Counter
 
 from twoloc import fixture
 from twoloc.cli import main
@@ -105,6 +106,25 @@ def test_equiv_bad_span_is_exit_2(tmp_path, capsys):
     assert run(capsys, "equiv", f3, "(0,id0)")[0] == 2
     assert run(capsys, "equiv", f3, "(0,w,id0,x)")[0] == 2
     assert run(capsys, "equiv", f3, "(1,w,id1)")[0] == 2  # invalid span
+
+
+def test_equiv_checks_each_span_once(tmp_path, capsys, monkeypatch):
+    # the span argument is checked by the class store that the deciders
+    # read, so the closed form does not check it a second time
+    import twoloc.fractions as fractions
+
+    f3 = emit(tmp_path, "F3")
+    checked = Counter()
+    span_problems = fractions.span_problems
+    monkeypatch.setattr(fractions, "span_problems",
+                        lambda c, w, s: checked.update([s]) or span_problems(c, w, s))
+    assert run(capsys, "equiv", f3, "(0,id0,w)")[0] == 0
+    assert checked[fractions.Span("0", "id0", "w")] == 1
+    assert max(checked.values()) == 1
+    checked.clear()
+    code, rep = run(capsys, "equiv", f3, "(1,w,id1)")
+    assert (code, rep["error"], rep["verdicts"]) == (2, "leg 'w' does not start at the apex", {})
+    assert list(checked.values()) == [1]
 
 
 def test_cell_eq_distinguishes_f7_cells(tmp_path, capsys):

@@ -20,13 +20,17 @@ from twoloc.core import StructureError
 from twoloc.fixtures import FIXTURES, fixture
 from twoloc.fractions import (
     CellRep,
+    Localization,
     Span,
+    _HomPartitions,
     _partitions,
     all_spans,
     cell_from_rep,
     equality_chain,
+    first_invertible_cell,
     hom_fraction_cells,
     is_internal_equiv_closed_form,
+    is_invertible_fraction_cell,
     localize,
     rep_problems,
     u_mor,
@@ -252,6 +256,57 @@ def test_store_membership_matches_rep_problems():
                     seen["members"] += len(cell.members)
                     assert all(rep_problems(c, cls, r) == [] for r in cell.members)
     assert min(seen.values()) > 1000, seen
+
+
+def oracle_first_invertible_cell(loc, s1: Span, s2: Span):
+    """The class-by-class scan that `first_invertible_cell` replaces."""
+    return next((cell for cell in loc.hom_cells(s1, s2)
+                 if is_invertible_fraction_cell(loc, cell)), None)
+
+
+def existence_inputs():
+    """(label, c, class): the oracle inputs at each class, and Z/8 at <4> and <2>."""
+    for entry in oracle_inputs():
+        for cls in classes_to_compare(entry.c, entry.w):
+            yield entry.name, entry.c, cls
+    for twist_name, step in itertools.product("sa", (4, 2)):
+        c = cyclic_parity(8, twist_name)
+        for cls in classes_to_compare(c, {f"g{k}" for k in range(0, 8, step)}):
+            yield f"Z/8 {twist_name} <{step}>", c, cls
+
+
+def existence_pairs(c, w, rng: random.Random, most: int = 50_000) -> list:
+    """Every span pair of (c, w); past `most`, the pairs out of 10 sampled source spans.
+
+    Only the 50-cell groupoid catalog at all 1-cells passes `most`: its
+    677,156 pairs sweep 12,468,096 representatives.
+    """
+    pairs = list(span_pairs(c, w))
+    if len(pairs) <= most:
+        return pairs
+    sources = set(rng.sample(sorted({s1 for s1, _ in pairs}), 10))
+    return [pair for pair in pairs if pair[0] in sources]
+
+
+def test_has_invertible_matches_class_scan():
+    # the existence check reads the sweep, before the hom's classes are
+    # built and after; the classes are built only when a cell exists.  A
+    # fresh store per class keeps other tests' homs out.  No filler is
+    # read, so the classes need not satisfy BF.
+    rng = random.Random(20261018)
+    homs = Counter()
+    for label, c, cls in existence_inputs():
+        loc = Localization(c, cls, {})
+        store = loc._store = _HomPartitions(cls)
+        for s1, s2 in existence_pairs(c, cls, rng):
+            before = store.has_invertible(c, s1, s2)
+            first = first_invertible_cell(loc, s1, s2)
+            assert before or (s1, s2) not in store._homs, (label, s1, s2)
+            want = any(is_invertible_fraction_cell(loc, x) for x in loc.hom_cells(s1, s2))
+            assert before == want == store.has_invertible(c, s1, s2), (label, s1, s2)
+            assert first == oracle_first_invertible_cell(loc, s1, s2), (label, s1, s2)
+            homs[want] += 1
+    assert min(homs.values()) > 1000, homs
 
 
 def shuffled_requests(c, w, seed: int):

@@ -30,6 +30,8 @@ from twoloc import (
     x_conditions_for_functor,
     x_conditions_for_induced,
 )
+from twoloc.fixtures import parity_twocat
+from twoloc.fractions import Span, all_spans
 from twoloc.transport import LocalizationView
 from corpus import CorpusEntry, cyclic_family, cyclic_parity, posetal_family
 from functor_enum import enumerate_strict_functors, search_constancy
@@ -185,6 +187,39 @@ def test_comparison_to_saturation_builds_no_partition(step):
     assert set(c._hom_partitions) == {w, frozenset(c.mors)} and swept() == set()
     ind.map_cell(u_cell(c, w, "s_g0"))
     assert swept() == {w, frozenset(c.mors)}
+
+
+@pytest.mark.parametrize("step", [4, 2])
+def test_x_conditions_build_classes_only_between_source_spans(step):
+    # whether a target span g receives an invertible cell is read off the
+    # W_sat sweep; only the cell conditions, between images of W-spans,
+    # need W_sat's classes
+    c = cyclic_parity(8, "s")
+    w = frozenset(f"g{k}" for k in range(0, 8, step))
+    assert x_conditions_for_induced(comparison_to_saturation(c, w)).ok
+    sources = set(all_spans(c, w, "x", "x"))
+    built = c._hom_partitions[frozenset(c.mors)]._homs
+    assert built and all(s1 in sources and s2 in sources for s1, s2 in built)
+
+
+@pytest.mark.parametrize("twist_name", ["s", "a"])
+def test_point_into_z8_is_not_mor_surjective(twist_name):
+    # the one-object parity point, sent to the identity of Z/8: no 1-cell
+    # of the point maps near the generator g1, in either view
+    point = parity_twocat(["p"], {"e": ("p", "p")}, {"p": "e"}, {("e", "e"): "e"},
+                          twist_name=twist_name)
+    z8 = cyclic_parity(8, twist_name)
+    fun = StrictTwoFunctor(point, z8, {"p": "x"}, {"e": "g0"},
+                           {"i_e": "i_g0", f"{twist_name}_e": f"{twist_name}_g0"})
+    reports = [(x_conditions_for_functor(fun), "g1")]
+    for w in ({"g0"}, {"g0", "g4"}):
+        ind = induce(fun, {"e"}, build_choices(z8, w))
+        reports.append((x_conditions_for_induced(ind), Span("x", "g0", "g1")))
+    for rep, g in reports:
+        assert rep.verdicts == {"obj_surjective_up_to_equiv": True,
+                                "mor_surjective_up_to_iso": False,
+                                "cell_injective": True, "cell_surjective": True}
+        assert rep.counterexamples == {"mor_surjective_up_to_iso": ("p", "p", g)}
 
 
 def test_induced_identity_is_strict():
