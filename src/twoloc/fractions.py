@@ -658,7 +658,11 @@ def whisker_fraction_right(loc: Localization, cell: FractionCell, s: Span) -> Fr
 
 
 def _swappable(c: TwoCat, w, w2: str, rep: tuple) -> bool:
-    """Tommasini's test on rep = (A, v1, v2, α, β) into denominator w2: β invertible, w2∘v2 ∈ W."""
+    """Tommasini's test on rep = (A, v1, v2, α, β) into denominator w2: β invertible, w2∘v2 ∈ W.
+
+    Under BF5 the second clause follows from α: w1∘v1 ⇒ w2∘v2; it is
+    checked because a class that fails BF5 can break it.
+    """
     return c.is_invertible2(rep[4]) and c.comp1[(w2, rep[2])] in w
 
 

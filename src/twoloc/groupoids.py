@@ -364,29 +364,31 @@ def groupoid_twocat(catalog: list[FiniteGroupoid]) -> tuple[TwoCat, frozenset[st
                              for o in fun.source.objects))
         id2[fid] = by_nt[(fid, fid, ident)]
 
+    # composable pairs only, b-major with a in cell order: `validate` names
+    # its first witness in that order.  Items are sorted by object, so the
+    # composites' items come out sorted.
+    into: dict[str, list[str]] = {}  # functor -> the cells ending at it
+    landing: dict[str, list[str]] = {}  # groupoid -> the cells whose functors land in it
+    for aid, (af, ag, _) in cells.items():
+        into.setdefault(ag, []).append(aid)
+        landing.setdefault(mor_dst[af], []).append(aid)
     vcomp = {}
     hcomp = {}
     for bid, (bf, bg, bitems) in cells.items():
-        for aid, (af, ag, aitems) in cells.items():
-            if ag == bf:  # vertically composable: a then b
-                x = funs[af].target
-                eta = dict(aitems)
-                etap = dict(bitems)
-                comp_items = tuple(sorted(
-                    (o, x.comp[(etap[o], eta[o])]) for o in eta))
-                vcomp[(bid, aid)] = by_nt[(af, bg, comp_items)]
-            if mor_dst[af] == mor_src[bf]:  # horizontally composable: a earlier
-                src_gpd = funs[af].source
-                x = funs[bf].target
-                eta = dict(aitems)
-                etap = dict(bitems)
-                g1 = funs[bf]
-                f2 = funs[ag]
-                comp_items = tuple(sorted(
-                    (o, x.comp[(etap[f2.obj_map[o]], g1.arr_map[eta[o]])])
-                    for o in src_gpd.objects))
-                hcomp[(bid, aid)] = by_nt[(
-                    comp1[(bf, af)], comp1[(bg, ag)], comp_items)]
+        etap = dict(bitems)
+        g1 = funs[bf]
+        x = g1.target
+        for aid in into.get(bf, ()):  # vertically composable: a then b
+            af, _, aitems = cells[aid]
+            comp_items = tuple([(o, x.comp[(etap[o], ao)]) for o, ao in aitems])
+            vcomp[(bid, aid)] = by_nt[(af, bg, comp_items)]
+        for aid in landing.get(mor_src[bf], ()):  # horizontally composable: a earlier
+            af, ag, aitems = cells[aid]
+            f2 = funs[ag]
+            comp_items = tuple([(o, x.comp[(etap[f2.obj_map[o]], g1.arr_map[ao])])
+                                for o, ao in aitems])
+            hcomp[(bid, aid)] = by_nt[(
+                comp1[(bf, af)], comp1[(bg, ag)], comp_items)]
 
     c = TwoCat(
         objects=tuple(names),

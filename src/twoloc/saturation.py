@@ -2,8 +2,9 @@
 
 A "class" of 1-cells is passed around as a plain set of identifiers together
 with its ambient `TwoCat`; helpers normalise and sanity-check membership at
-the boundary.  All searches run in a fixed lexicographic order so that any
-reported filler or counterexample is deterministic.
+the boundary.  All searches run in a fixed lexicographic order, over sorted
+objects and 1-cells, so that any reported filler or counterexample is
+deterministic and does not depend on the order a document lists them in.
 """
 
 from __future__ import annotations
@@ -35,6 +36,12 @@ class BFReport:
     def ok(self) -> bool:
         return all(self.passed.get(a, False) for a in AXIOMS)
 
+    def fail(self, axiom: str, counterexample: tuple) -> None:
+        """Mark axiom failed; its first counterexample is the one kept."""
+        if self.passed.get(axiom, True):
+            self.passed[axiom] = False
+            self.counterexamples[axiom] = counterexample
+
     def lines(self) -> list[str]:
         return [f"{a}: pass" if self.passed.get(a, False)
                 else f"{a}: FAIL {self.counterexamples.get(a)}" for a in AXIOMS]
@@ -46,7 +53,7 @@ def cospan_fillers(c: TwoCat, w: frozenset[str], f: str, v: str):
     rho: f∘v'' ⇒ v∘f'' is invertible and v'' ∈ W.  Lexicographic generator.
     """
     a, cc = c.mor_src[f], c.mor_src[v]
-    for apex in c.objects:
+    for apex in sorted(c.objects):
         for v2 in c.hom1(apex, a):
             if v2 not in w:
                 continue
@@ -71,7 +78,7 @@ def cell_lifts(c: TwoCat, w: frozenset[str], wm: str, f1: str, f2: str, alpha: s
     alpha after whiskering with wm (up to restriction along v).
     """
     a = c.mor_src[f1]
-    for apex in c.objects:
+    for apex in sorted(c.objects):
         for v in c.hom1(apex, a):
             if v not in w:
                 continue
@@ -99,7 +106,7 @@ def _zigs(c: TwoCat, w: frozenset[str], v: str, v2: str) -> tuple[tuple[str, str
     invertible.  The candidates depend only on the two denominators.
     """
     out = []
-    for apex in c.objects:
+    for apex in sorted(c.objects):
         for s in c.hom1(apex, c.mor_src[v]):
             vs = c.compose1(v, s)
             if vs not in w:
@@ -119,8 +126,9 @@ def _coequalized(
 
     Wanted: one of `zigs`, the `_zigs` of v and v', with
     (beta'∗i_p)⊙(i_{f1}∗nu) = (i_{f2}∗nu)⊙(beta∗i_s).
-    The condition is symmetric in the two lifts (replace nu by its inverse),
-    so callers may check unordered pairs.
+    Under BF5 the condition is symmetric in the two lifts: (p, s, nu⁻¹)
+    merges them the other way, as v'∘p ≅ v∘s ∈ W puts v'∘p in W.  Without
+    BF5 it need not be; `check_bf` asks it with the earlier lift first.
     """
     beta, beta2 = lift1[1], lift2[1]
     for s, p, nu in zigs:
@@ -131,77 +139,95 @@ def _coequalized(
     return False
 
 
-def check_bf(c: TwoCat, w) -> BFReport:
-    """Exhaustively verify BF1-BF5 for the class w inside c."""
-    w = _as_class(c, w)
-    rep = BFReport()
+def _lift_pairs(first, rest, first_only: bool):
+    """The pairs of one alpha's lifts that BF4c compares, in `combinations` order.
 
-    bad = sorted(i for i in c.id1.values() if i not in w)
-    rep.passed["BF1"] = not bad
-    if bad:
-        rep.counterexamples["BF1"] = (bad[0],)
+    With `first_only` each later lift meets only the first, as it is found,
+    so no lift is kept.
+    """
+    if first_only:
+        return ((first, lift) for lift in rest)
+    return itertools.combinations([first, *rest], 2)
 
-    rep.passed["BF2"] = True
-    for g, f in itertools.product(sorted(w), sorted(w)):
-        if c.mor_dst[f] == c.mor_src[g] and c.compose1(g, f) not in w:
-            rep.passed["BF2"] = False
-            rep.counterexamples["BF2"] = (g, f, c.compose1(g, f))
-            break
 
-    rep.passed["BF3"] = True
-    for f in c.mors:
-        for v in sorted(w):
-            if c.mor_dst[v] != c.mor_dst[f]:
-                continue
-            if next(cospan_fillers(c, w, f, v), None) is None:
-                rep.passed["BF3"] = False
-                rep.counterexamples["BF3"] = (f, v)
-                break
-        if not rep.passed["BF3"]:
-            break
-
-    rep.passed["BF4a"] = rep.passed["BF4b"] = rep.passed["BF4c"] = True
+def _check_bf4(c: TwoCat, w: frozenset[str], rep: BFReport, first_only: bool) -> None:
+    """Decide BF4a-c over every alpha: wm∘f1 ⇒ wm∘f2 with wm ∈ W."""
     zigs: dict[tuple[str, str], tuple] = {}  # (v, v') -> _zigs(c, w, v, v')
     for wm in sorted(w):
         b = c.mor_src[wm]
-        for a_obj in c.objects:
-            for f1, f2 in itertools.product(c.hom1(a_obj, b), c.hom1(a_obj, b)):
-                for alpha in c.hom2(c.compose1(wm, f1), c.compose1(wm, f2)):
-                    lifts = list(cell_lifts(c, w, wm, f1, f2, alpha))
-                    if not lifts:
-                        if rep.passed["BF4a"]:
-                            rep.passed["BF4a"] = False
-                            rep.counterexamples["BF4a"] = (wm, f1, f2, alpha)
+        for a_obj in sorted(c.objects):
+            legs = [(f, c.compose1(wm, f)) for f in c.hom1(a_obj, b)]
+            for (f1, wm_f1), (f2, wm_f2) in itertools.product(legs, legs):
+                for alpha in c.hom2(wm_f1, wm_f2):
+                    lifts = cell_lifts(c, w, wm, f1, f2, alpha)
+                    first = next(lifts, None)
+                    if first is None:
+                        rep.fail("BF4a", (wm, f1, f2, alpha))
                         continue
-                    if c.is_invertible2(alpha) and not any(
-                        c.is_invertible2(beta) for _, beta in lifts
-                    ):
-                        if rep.passed["BF4b"]:
-                            rep.passed["BF4b"] = False
-                            rep.counterexamples["BF4b"] = (wm, f1, f2, alpha)
-                    for l1, l2 in itertools.combinations(lifts, 2):
+                    lifted_invertibly = c.is_invertible2(first[1])
+                    for l1, l2 in _lift_pairs(first, lifts, first_only):
+                        lifted_invertibly = lifted_invertibly or c.is_invertible2(l2[1])
+                        if not rep.passed["BF4c"]:
+                            continue
                         vv = (l1[0], l2[0])
                         if vv not in zigs:
                             zigs[vv] = _zigs(c, w, *vv)
                         if not _coequalized(c, f1, f2, l1, l2, zigs[vv]):
-                            if rep.passed["BF4c"]:
-                                rep.passed["BF4c"] = False
-                                rep.counterexamples["BF4c"] = (wm, alpha, l1, l2)
-                            break
+                            rep.fail("BF4c", (wm, alpha, l1, l2))
+                    if c.is_invertible2(alpha) and not lifted_invertibly:
+                        rep.fail("BF4b", (wm, f1, f2, alpha))
 
-    rep.passed["BF5"] = True
-    for wm in sorted(w):
-        for v in c.mors:
-            if v in w or c.mor_src[v] != c.mor_src[wm] or c.mor_dst[v] != c.mor_dst[wm]:
-                continue
-            alphas = c.invertible_cells(v, wm)
-            if alphas:
-                rep.passed["BF5"] = False
-                rep.counterexamples["BF5"] = (alphas[0], v)
-                break
-        if not rep.passed["BF5"]:
+
+def check_bf(c: TwoCat, w) -> BFReport:
+    """Exhaustively verify BF1-BF5 for the class w inside c, a table that passes `validate`.
+
+    BF4c asks that a zig of `_zigs(v, v')` merges (`_coequalized`) any two
+    lifts l = (v, β), l' = (v', β') of one α.  When BF2, BF3, BF4a, BF4b and
+    BF5 hold, merging is symmetric (see `_coequalized`) and transitive, so
+    all pairs merge iff every lift merges with the first, and the first
+    failing pair in `combinations` order is (l₀, lⱼ) for the least such j.
+    Transitivity: let (s, p, ν) merge l, l' and (s', p', ν') merge l', l''.
+    BF3 fills the cospan (v'∘p, v'∘s' ∈ W) with q ∈ W, q' and an invertible
+    ρ; BF4a/b lift ρ through v' ∈ W to z ∈ W and an invertible
+    σ: p∘q∘z ⇒ s'∘q'∘z.  Then (s∘q∘z, p'∘q'∘z,
+    (ν'∗i_{q'z})⊙(i_{v'}∗σ)⊙(ν∗i_{qz})) is a zig for (l, l''), with
+    v∘s∘q∘z ∈ W by BF2; its equation follows from the two given ones,
+    whiskered by q∘z and q'∘z, and from interchange of β' with σ.
+    So BF2, BF3 and BF5 are decided first; BF4 compares each lift with the
+    first only when they pass, and is decided again with all pairs if BF4a
+    or BF4b then fails.
+    """
+    w = _as_class(c, w)
+    rep = BFReport(dict.fromkeys(AXIOMS, True))
+
+    bad = sorted(i for i in c.id1.values() if i not in w)
+    if bad:
+        rep.fail("BF1", (bad[0],))
+
+    for g, f in itertools.product(sorted(w), sorted(w)):
+        if c.mor_dst[f] == c.mor_src[g] and c.compose1(g, f) not in w:
+            rep.fail("BF2", (g, f, c.compose1(g, f)))
             break
 
+    for f, v in itertools.product(c.mors, sorted(w)):
+        if c.mor_dst[v] == c.mor_dst[f] and next(cospan_fillers(c, w, f, v), None) is None:
+            rep.fail("BF3", (f, v))
+            break
+
+    bf5 = next(((c.invertible_cells(v, wm)[0], v)
+                for wm, v in itertools.product(sorted(w), c.mors)
+                if v not in w and c.mor_src[v] == c.mor_src[wm]
+                and c.mor_dst[v] == c.mor_dst[wm] and c.invertible_cells(v, wm)), None)
+
+    first_only = rep.passed["BF2"] and rep.passed["BF3"] and bf5 is None
+    _check_bf4(c, w, rep, first_only)
+    if first_only and not (rep.passed["BF4a"] and rep.passed["BF4b"]):
+        for axiom in ("BF4a", "BF4b", "BF4c"):
+            rep.passed[axiom] = True
+            rep.counterexamples.pop(axiom, None)
+        _check_bf4(c, w, rep, first_only=False)
+    if bf5 is not None:
+        rep.fail("BF5", bf5)
     return rep
 
 

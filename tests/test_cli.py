@@ -12,6 +12,8 @@ from collections import Counter
 from twoloc import fixture
 from twoloc.cli import main
 from twoloc.documents import dump_twocat
+from twoloc.fractions import all_spans
+from twoloc.groupoids import CATALOGS, groupoid_twocat
 
 SCHEMA_KEYS = {"command", "input", "flags", "verdicts", "data",
                "counterexamples", "timing_s", "ok"}
@@ -125,6 +127,24 @@ def test_equiv_checks_each_span_once(tmp_path, capsys, monkeypatch):
     code, rep = run(capsys, "equiv", f3, "(1,w,id1)")
     assert (code, rep["error"], rep["verdicts"]) == (2, "leg 'w' does not start at the apex", {})
     assert list(checked.values()) == [1]
+
+
+def test_equiv_does_not_depend_on_the_order_objects_are_listed(tmp_path, capsys):
+    # the unit-pair catalog, once with its objects sorted and once reversed:
+    # every span gets the same verdicts and the same δ, ξ witnesses
+    c, w = groupoid_twocat(CATALOGS["unit-pair"]())
+    doc = json.loads(dump_twocat(c, w))
+    paths = []
+    for objects in (doc["objects"], doc["objects"][::-1]):
+        paths.append(tmp_path / f"{'-'.join(objects)}.json")
+        paths[-1].write_text(json.dumps({**doc, "objects": objects}), encoding="utf-8")
+    spans = [s for a, b in itertools.product(c.objects, repeat=2) for s in all_spans(c, w, a, b)]
+    assert len(spans) == 34
+    for s in spans:
+        arg = f"({s.apex},{s.w},{s.f})"
+        (code, got), (_, want) = (run(capsys, "equiv", str(p), arg) for p in paths)
+        assert code == 0 and "witness" in want["data"], arg
+        assert (got["verdicts"], got["data"]) == (want["verdicts"], want["data"]), arg
 
 
 def test_cell_eq_distinguishes_f7_cells(tmp_path, capsys):

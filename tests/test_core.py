@@ -9,6 +9,7 @@ from corpus import cyclic_parity, oracle_inputs
 from twoloc import (
     StructureError,
     adjointify,
+    check_bf,
     equivalence_from_cancellation,
     equivalence_of_composite,
     discrete_groupoid,
@@ -402,9 +403,11 @@ def test_generators_reach_every_one_cell():
 
 def test_validate_decides_the_four_groupoid_catalog():
     # 80 1-cells, 1,014 2-cells, 727,484 hcomp entries: the law loops walk
-    # 5.4·10⁸ hcomp-associativity triples here and do not finish
-    c, _w = groupoid_twocat(CATALOGS["unit-pair-disc"]() + [pair_groupoid(3)])
+    # 5.4·10⁸ hcomp-associativity triples here and do not finish, and BF4c
+    # over all pairs of lifts takes about a minute
+    c, w = groupoid_twocat(CATALOGS["unit-pair-disc"]() + [pair_groupoid(3)])
     assert validate(c).ok
+    assert check_bf(c, w).ok
 
 
 # -- one table per decider check ---------------------------------------------

@@ -15,8 +15,15 @@ from collections import Counter, deque
 
 import pytest
 
-from twoloc import discrete_groupoid, groupoid_twocat, pair_groupoid, unit_groupoid
-from twoloc.core import StructureError
+from twoloc import (
+    check_bf,
+    discrete_groupoid,
+    groupoid_twocat,
+    pair_groupoid,
+    unit_groupoid,
+    validate,
+)
+from twoloc.core import StructureError, TwoCat
 from twoloc.fixtures import FIXTURES, fixture
 from twoloc.fractions import (
     CellRep,
@@ -307,6 +314,52 @@ def test_has_invertible_matches_class_scan():
             assert first == oracle_first_invertible_cell(loc, s1, s2), (label, s1, s2)
             homs[want] += 1
     assert min(homs.values()) > 1000, homs
+
+
+def swapped_leg_outside_w() -> tuple[TwoCat, frozenset[str]]:
+    """A hom whose only representative has an invertible β but w2∘v2 ∉ W.
+
+    Objects A, P, X, Z; m, n: A→X, w2: P→X, v2: A→P, f1: A→Z, f2: P→Z
+    with w2∘v2 = n and f2∘v2 = f1; the only other 2-cells are an
+    invertible alpha: m ⇒ n and its inverse.  W is the identities, m and w2.
+    """
+    mors = {"idA": ("A", "A"), "idP": ("P", "P"), "idX": ("X", "X"), "idZ": ("Z", "Z"),
+            "m": ("A", "X"), "n": ("A", "X"), "w2": ("P", "X"), "v2": ("A", "P"),
+            "f1": ("A", "Z"), "f2": ("P", "Z")}
+    ids = {m for m in mors if m.startswith("id")}
+    comp1 = {("w2", "v2"): "n", ("f2", "v2"): "f1"}
+    for h, (src, dst) in mors.items():
+        comp1[(f"id{dst}", h)] = comp1[(h, f"id{src}")] = h
+    cell_src = {**{f"i_{h}": h for h in mors}, "alpha": "m", "alpha_inv": "n"}
+    cell_dst = {**{f"i_{h}": h for h in mors}, "alpha": "n", "alpha_inv": "m"}
+    vcomp = {(f"i_{h}", f"i_{h}"): f"i_{h}" for h in mors}
+    vcomp.update({("alpha", "i_m"): "alpha", ("i_n", "alpha"): "alpha",
+                  ("alpha_inv", "i_n"): "alpha_inv", ("i_m", "alpha_inv"): "alpha_inv",
+                  ("alpha_inv", "alpha"): "i_m", ("alpha", "alpha_inv"): "i_n"})
+    hcomp = {}
+    for b, a in itertools.product(cell_src, cell_src):
+        h, k = cell_src[b], cell_src[a]
+        if mors[k][1] == mors[h][0]:
+            hcomp[(b, a)] = a if h in ids else b if k in ids else f"i_{comp1[(h, k)]}"
+    c = TwoCat(objects=("A", "P", "X", "Z"), mor_src={h: sd[0] for h, sd in mors.items()},
+               mor_dst={h: sd[1] for h, sd in mors.items()}, comp1=comp1,
+               id1={o: f"id{o}" for o in "APXZ"}, cell_src=cell_src, cell_dst=cell_dst,
+               vcomp_table=vcomp, hcomp_table=hcomp, id2={h: f"i_{h}" for h in mors})
+    return c, frozenset(ids | {"m", "w2"})
+
+
+def test_has_invertible_needs_the_swapped_leg_in_w():
+    # β = i_f1 is invertible, but the swap (v2, idA, alpha⁻¹, i_f1) has the
+    # leg w2∘v2 = n outside W, so no 2-cell of the hom is invertible; a test
+    # of β alone would say there is one.  BF5 fails (alpha: m ⇒ n, m ∈ W).
+    c, w = swapped_leg_outside_w()
+    assert validate(c).ok and not check_bf(c, w).passed["BF5"]
+    s1, s2 = Span("A", "m", "f1"), Span("P", "w2", "f2")
+    loc = Localization(c, w, {})
+    store = loc._store = _HomPartitions(w)
+    assert store._group(c, s1, s2) == [("A", "idA", "v2", "alpha", "i_f1")]
+    assert not store.has_invertible(c, s1, s2)
+    assert not any(is_invertible_fraction_cell(loc, x) for x in loc.hom_cells(s1, s2))
 
 
 def shuffled_requests(c, w, seed: int):

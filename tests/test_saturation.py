@@ -5,7 +5,9 @@
 reference: it loops over triples of 1-cells.
 """
 
+import dataclasses
 import itertools
+from collections import Counter
 
 import pytest
 from corpus import oracle_inputs, posetal_family
@@ -13,13 +15,17 @@ from test_partitions import cyclic_parity
 
 from twoloc import (
     StructureError,
+    build_choices,
     check_bf,
     fixture,
     internal_equivalences,
     is_right_saturated,
     quasi_units,
     saturate,
+    validate,
 )
+from twoloc import saturation
+from twoloc.core import TwoCat
 from twoloc.fixtures import FIXTURES, parity_twocat
 from twoloc.groupoids import CATALOGS, groupoid_twocat
 from twoloc.saturation import (
@@ -311,7 +317,7 @@ def search_check_bf(c, w):
         rep.counterexamples.pop(axiom, None)
     for wm in sorted(w):
         b = c.mor_src[wm]
-        for a_obj in c.objects:
+        for a_obj in sorted(c.objects):
             for f1, f2 in itertools.product(c.hom1(a_obj, b), c.hom1(a_obj, b)):
                 for alpha in c.hom2(c.compose1(wm, f1), c.compose1(wm, f2)):
                     lifts = list(cell_lifts(c, w, wm, f1, f2, alpha))
@@ -335,14 +341,91 @@ def search_check_bf(c, w):
     return rep
 
 
-def test_check_bf_matches_per_pair_search():
+def lift_pair_modes(monkeypatch) -> list[bool]:
+    """The `first_only` flag of each alpha's BF4c pairs, as `check_bf` runs."""
+    modes = []
+    lift_pairs = saturation._lift_pairs
+    monkeypatch.setattr(saturation, "_lift_pairs", lambda first, rest, first_only:
+                        modes.append(first_only) or lift_pairs(first, rest, first_only))
+    return modes
+
+
+def test_check_bf_matches_per_pair_search(monkeypatch):
+    # check_bf compares each lift with the first only when BF2, BF3 and
+    # BF5 pass; that path, the all-pairs one and the redo must each meet
+    # the search
     bf4c_failures = 0
+    paths = Counter()
+    modes = lift_pair_modes(monkeypatch)
     for entry in oracle_inputs():
         c = entry.c
         for w in (entry.w, frozenset(c.mors),
                   quasi_units(c) | frozenset(c.id1.values())):
-            got, want = check_bf(c, w), search_check_bf(c, w)
+            modes.clear()
+            got = check_bf(c, w)
+            paths[tuple(dict.fromkeys(modes))] += 1
+            want = search_check_bf(c, w)
             assert (got.passed, got.counterexamples) == \
                 (want.passed, want.counterexamples), (entry.name, sorted(w))
             bf4c_failures += not got.passed["BF4c"]
     assert bf4c_failures > 0
+    # (True, False): BF4a or BF4b failed, so BF4 was decided again on all pairs
+    assert min(paths[(True,)], paths[(False,)], paths[(True, False)]) > 0, paths
+
+
+def bf4c_alone() -> tuple[TwoCat, frozenset[str]]:
+    """A 2-category where BF4c is the only failing axiom.
+
+    Objects A, B, C; 1-cells g: A→B, w: B→C and wg = w∘g.  The 2-cells
+    g ⇒ g are i_g, x and y, the monoid {1, x, 0} under vcomp; every
+    whiskering of x or y by w is i_wg.  So i_g, x and y all lift i_wg
+    through w along idA, and only the identity zig of idA can merge them.
+    """
+    mors = {"idA": ("A", "A"), "idB": ("B", "B"), "idC": ("C", "C"),
+            "g": ("A", "B"), "w": ("B", "C"), "wg": ("A", "C")}
+    comp1 = {(h, k): k if h.startswith("id") else h if k.startswith("id") else "wg"
+             for h, k in itertools.product(mors, mors) if mors[k][1] == mors[h][0]}
+    over = {m: [f"i_{m}"] for m in mors}
+    over["g"] += ["x", "y"]
+    vcomp = {(f"i_{m}", f"i_{m}"): f"i_{m}" for m in mors}
+    vcomp.update({(b, a): "y" if "y" in (a, b) else "x" if "x" in (a, b) else "i_g"
+                  for a, b in itertools.product(over["g"], over["g"])})
+    hcomp = {(b, a): a if h.startswith("id") else b if k.startswith("id") else f"i_{hk}"
+             for (h, k), hk in comp1.items() for b in over[h] for a in over[k]}
+    cells = {a: m for m, on in over.items() for a in on}
+    c = TwoCat(objects=("A", "B", "C"), mor_src={m: sd[0] for m, sd in mors.items()},
+               mor_dst={m: sd[1] for m, sd in mors.items()}, comp1=comp1,
+               id1={o: f"id{o}" for o in "ABC"}, cell_src=cells, cell_dst=cells,
+               vcomp_table=vcomp, hcomp_table=hcomp, id2={m: f"i_{m}" for m in mors})
+    return c, frozenset({"idA", "idB", "idC", "w"})
+
+
+def test_bf4c_fails_alone_on_the_first_lift_path(monkeypatch):
+    c, w = bf4c_alone()
+    assert validate(c).ok
+    modes = lift_pair_modes(monkeypatch)
+    rep = check_bf(c, w)
+    assert modes and all(modes)
+    assert [a for a in AXIOMS if not rep.passed[a]] == ["BF4c"]
+    assert rep.counterexamples == {"BF4c": ("w", "i_wg", ("idA", "i_g"), ("idA", "x"))}
+    want = search_check_bf(c, w)
+    assert (rep.passed, rep.counterexamples) == (want.passed, want.counterexamples)
+
+
+def test_witnesses_do_not_depend_on_the_order_objects_are_listed():
+    # the searches run over sorted objects, so a document that lists them
+    # the other way round gets the same counterexamples and fillers
+    flipped_inputs = 0
+    for entry in oracle_inputs():
+        c = entry.c
+        if len(c.objects) < 2:
+            continue
+        flipped = dataclasses.replace(c, objects=c.objects[::-1])
+        got, want = check_bf(flipped, entry.w), check_bf(c, entry.w)
+        assert (got.passed, got.counterexamples) == \
+            (want.passed, want.counterexamples), entry.name
+        if want.passed["BF3"]:
+            assert build_choices(flipped, entry.w).entries == \
+                build_choices(c, entry.w).entries, entry.name
+        flipped_inputs += 1
+    assert flipped_inputs > 50
