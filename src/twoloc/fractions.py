@@ -11,19 +11,21 @@ representatives are identified when they are connected by a chain of
 refinements r ↦ (E, v1∘p, v2∘p, alpha∗i_p, beta∗i_p) along any
 p: E → A3 keeping the denominator leg in W.
 
-Classes are output-sensitive.  The first request for a hom out of a
-span s1 sweeps every representative out of s1 in one pass and groups
-them by target span: for each v1 with w1∘v1 ∈ W, the invertible cells
-out of w1∘v1 fix the composites w2∘v2, whose factorisations with
-w2 ∈ W give the v2, and the cells out of f1∘v1 fix the composites
-f2∘v2, whose left factors give the f2.  A hom's classes are built from
-its group when it is first asked for; a hom with no group is empty at
-no cost, and whether it has an invertible class is read off its group
-without building any.  Within a hom, each class is expanded by
-union-find from its first member not yet reached as a refinement: a
-refinement r·p refines further only to r·(p∘q), which r reaches itself,
-so it adds no union.  A class builds its members from the sweep's tuples
-when they are read.
+Classes are output-sensitive.  The first request for a hom out of a span
+s1 sweeps every representative out of s1 in one pass and groups them by
+target span: for each v1 with w1∘v1 ∈ W, the invertible cells out of
+w1∘v1 fix the composites w2∘v2, whose factorisations with w2 ∈ W give
+the v2, and the cells out of f1∘v1 fix the composites f2∘v2, whose left
+factors give the f2.  A hom's classes are built from its group when it
+is first asked for; a hom with no group is empty at no cost, and whether
+it has an invertible class is read off its group without building any;
+the targets of a sweep are kept, so the non-empty homs out of s1 stay
+known once their classes are built.  Within a hom, each member not yet
+reached as a refinement is expanded under a class label, and the members
+it reaches take that label: a refinement r·p refines further only to
+r·(p∘q), which r reaches itself, so it is not expanded.  Labels merge
+only when one expansion reaches two of them.  A class builds its members
+from the sweep's tuples when they are read.
 The legs p along which a representative refines are read from a table
 per denominator.  The classes depend only on (C, W), not on the fillers:
 one store per (C, W), kept on the `TwoCat`, serves every function here
@@ -167,13 +169,14 @@ class _HomPartitions:
 
     The first request for a hom out of s1 sweeps every representative out
     of s1 and groups them by target span; a hom's classes are built from
-    its group when it is first asked for, and the group is dropped; asking
-    whether it has an invertible class reads the group and keeps it
-    (`has_invertible`).  Classes are keyed by the sweep's tuples.  Each
-    span is checked once (`require_span`): the spans that passed are kept,
-    not the empty homs, which would take an entry per empty pair, and a
-    failing span raises on every request.  A representative is checked by
-    membership (`cell`).  W_sat is computed on first use (`saturation`).
+    its group when it is first asked for, and the group's representatives
+    are dropped, its target kept (`targets`); asking whether it has an
+    invertible class reads the group and keeps it (`has_invertible`).
+    Classes are keyed by the sweep's tuples.  Each span is checked once
+    (`require_span`): the spans that passed are kept, not the empty homs,
+    which would take an entry per empty pair, and a failing span raises
+    on every request.  A representative is checked by membership
+    (`cell`).  W_sat is computed on first use (`saturation`).
 
     Partitions are defined on tables that pass `validate`: the shortcut in
     `_partition` rests on its composition laws.
@@ -186,7 +189,7 @@ class _HomPartitions:
         self.w = w
         self._legs: dict[str, tuple[str, ...]] = {}
         self._homs: dict[tuple[Span, Span], _Hom] = {}
-        self._groups: dict[Span, dict[Span, list[tuple]]] = {}
+        self._groups: dict[Span, dict[Span, Optional[list[tuple]]]] = {}
         self._spans: set[Span] = set()  # spans that passed `span_problems`
         self._saturation: Optional[frozenset[str]] = None
         self.counters = dict.fromkeys(
@@ -212,7 +215,11 @@ class _HomPartitions:
             if reps is None:
                 return _EMPTY_HOM
             found = self._homs[(s1, s2)] = self._partition(c, s1, s2, reps)
-            del self._groups[s1][s2]
+            # s2 stays a target of s1, re-keyed by the span `_homs` holds,
+            # so the sweep's own copy goes with the representatives
+            groups = self._groups[s1]
+            del groups[s2]
+            groups[s2] = None
         return found
 
     def has_invertible(self, c: TwoCat, s1: Span, s2: Span) -> bool:
@@ -226,13 +233,21 @@ class _HomPartitions:
         reps = found.cell_of if found is not None else self._group(c, s1, s2) or ()
         return any(_swappable(c, self.w, s2.w, r) for r in reps)
 
-    def _group(self, c: TwoCat, s1: Span, s2: Span) -> Optional[list[tuple]]:
-        """The swept representatives of an unbuilt hom s1 ⇒ s2, or None if it is empty."""
+    def targets(self, c: TwoCat, s1: Span):
+        """Every s2 with a 2-cell s1 ⇒ s2: the targets of s1's sweep."""
+        return self._swept(c, s1).keys()
+
+    def _swept(self, c: TwoCat, s1: Span) -> dict[Span, Optional[list[tuple]]]:
+        """The groups out of s1, sweeping s1 on first use; built homs map to None."""
         groups = self._groups.get(s1)
         if groups is None:
             self.require_span(c, s1)
             groups = self._groups[s1] = self._sweep(c, s1)
-        reps = groups.get(s2)
+        return groups
+
+    def _group(self, c: TwoCat, s1: Span, s2: Span) -> Optional[list[tuple]]:
+        """The swept representatives of an unbuilt hom s1 ⇒ s2, or None if it is empty."""
+        reps = self._swept(c, s1).get(s2)
         if reps is None:
             self.require_span(c, s2)
         return reps
@@ -315,44 +330,55 @@ class _HomPartitions:
         return groups
 
     def _partition(self, c: TwoCat, s1: Span, s2: Span, reps: list[tuple]) -> _Hom:
-        """Join the representatives s1 ⇒ s2 along refinements.
+        """Join the representatives s1 ⇒ s2 along refinements, labelling each once.
 
-        Each class is expanded from its first member r not yet covered:
-        every refinement r·p is joined to r and marked covered, and a
-        covered member is not expanded.  It would add no union: for a leg
-        q of r·p, (r·p)·q = r·(p∘q), and p∘q is the identity or a leg of
-        r, so both ends are already joined to r.  That uses associativity
-        of comp1 and hcomp and i_p∗i_q = i_{p∘q}.
+        The members are visited in order, and each member r not yet reached
+        is expanded under a fresh class label: every refinement r·p that is
+        a member and not yet reached takes r's label at once.  A reached
+        member is not expanded.  It would join nothing new: for a leg q of
+        r·p, (r·p)·q = r·(p∘q), and p∘q is the identity or a leg of r, so r
+        reaches it itself.  That uses associativity of comp1 and hcomp and
+        i_p∗i_q = i_{p∘q}.  So a class is only split across labels when a
+        later expansion reaches a member that an earlier one labelled, and
+        that is the one place two labels merge.  Union-find runs over the
+        labels, one per expanded member, not over the members; each member
+        takes its label once and reads its class off its label's root.
         """
-        parent = {r: r for r in reps}
+        label = dict.fromkeys(reps, -1)  # -1: not yet reached
+        parent: list[int] = []  # union-find over class labels
 
-        def find(r):
-            while parent[r] != r:
-                parent[r] = parent[parent[r]]
-                r = parent[r]
-            return r
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
 
-        covered: set[tuple] = set()
         expanded = edges = 0
         for r in reps:
-            if r in covered:
+            if label[r] >= 0:
                 continue
-            root = find(r)
+            own = label[r] = len(parent)
+            parent.append(own)
             refined_all = self.refinements(c, s1.w, r)
             expanded += 1
             edges += len(refined_all)
             for refined in refined_all:
-                if refined in parent:
-                    covered.add(refined)
-                    other = find(refined)
-                    if other != root:
-                        parent[other] = root
+                other = label.get(refined)
+                if other is None:
+                    continue
+                if other < 0:
+                    label[refined] = own
+                else:
+                    other = find(other)
+                    if other != own:
+                        parent[other] = own
         self.counters["members_expanded"] += expanded
         self.counters["refinement_edges"] += edges
 
-        classes: dict[tuple, list[tuple]] = {}
+        roots = [find(x) for x in range(len(parent))]
+        classes: dict[int, list[tuple]] = {}
         for r in reps:
-            classes.setdefault(find(r), []).append(r)
+            classes.setdefault(roots[label[r]], []).append(r)
         cells, cell_of = [], {}
         for keys in classes.values():
             cell = FractionCell(s1, s2, CellRep(s1, s2, *min(keys)), tuple(keys))

@@ -24,6 +24,10 @@ bijectivity on 2-cells) against enumerable views of either an ambient
 whether an invertible 2-cell G(f) ⇒ g exists (`invertible_between`); a
 localization reads that off its class store's sweep, so only the 2-cell
 conditions build classes, and only between images of source spans.
+The 2-cell conditions visit only the pairs (f1, f2) whose source hom or
+image hom holds a 2-cell, read off each view's `targets`; a localization
+keeps those from the same sweep, so the walk costs the non-empty homs,
+not every pair of 1-cells.
 """
 
 from __future__ import annotations
@@ -269,6 +273,9 @@ class AmbientView:
     def twos(self, f, g):
         return self.c.hom2(f, g)
 
+    def targets(self, f: str):
+        return self.c.cells_from(f).keys()
+
     def invertible_between(self, f: str, g: str) -> bool:
         return any(map(self.c.is_invertible2, self.c.hom2(f, g)))
 
@@ -295,6 +302,9 @@ class LocalizationView:
 
     def twos(self, s, t):
         return self.loc.hom_cells(s, t)
+
+    def targets(self, s: Span):
+        return self.loc._store.targets(self.loc.c, s)
 
     def invertible_between(self, s: Span, t: Span) -> bool:
         return self.loc._store.has_invertible(self.loc.c, s, t)
@@ -325,6 +335,21 @@ def weak_equivalence_report(
     src_view, dst_view,
     map_object: Callable, map_one: Callable, map_two: Callable,
 ) -> WeakEquivalenceReport:
+    """The four finite biequivalence conditions of G = (map_object, map_one, map_two).
+
+    A view offers `objects`, `ones(a, b)`, `twos(f, g)`, `targets(f)`
+    (every g with a 2-cell f ⇒ g), `invertible_between(f, g)` and
+    `equivalent_objects(a, b)`.  Each verdict keeps its first
+    counterexample: objects in view order, then 1-cells in `ones` order.
+
+    Each source 1-cell is mapped once per pair of objects.  The cell
+    conditions visit a pair (f1, f2) only if f2 is a target of f1 or G(f2)
+    a target of G(f1), in `ones` order.  That is exact: when both homs
+    are empty, no two cells can share an image and no target cell can be
+    missed, so neither condition fails there, and the first failing pair
+    is the one the all-pairs walk would find.  The targets of G(f1) are
+    read only while `cell_surjective` holds, since only it needs them.
+    """
     rep = WeakEquivalenceReport()
 
     rep.verdicts["obj_surjective_up_to_equiv"] = True
@@ -340,28 +365,39 @@ def weak_equivalence_report(
     rep.verdicts["cell_surjective"] = True
     for a, b in itertools.product(src_view.objects, src_view.objects):
         src_ones = src_view.ones(a, b)
+        mapped = [map_one(f) for f in src_ones]
         for g in dst_view.ones(map_object(a), map_object(b)):
             if rep.verdicts["mor_surjective_up_to_iso"] and not any(
-                    dst_view.invertible_between(map_one(f), g) for f in src_ones):
+                    dst_view.invertible_between(m, g) for m in mapped):
                 rep.verdicts["mor_surjective_up_to_iso"] = False
                 rep.counterexamples["mor_surjective_up_to_iso"] = (a, b, g)
-        for f1, f2 in itertools.product(src_ones, src_ones):
-            cells = src_view.twos(f1, f2)
-            images = [map_two(al) for al in cells]
-            if rep.verdicts["cell_injective"]:
-                for (a1, i1), (a2, i2) in itertools.combinations(
-                        zip(cells, images), 2):
-                    if i1 == i2:
-                        rep.verdicts["cell_injective"] = False
-                        rep.counterexamples["cell_injective"] = (f1, f2, a1, a2)
-                        break
+        position = {f: i for i, f in enumerate(src_ones)}
+        preimages: dict = {}
+        for i, m in enumerate(mapped):
+            preimages.setdefault(m, []).append(i)
+        for f1, m1 in zip(src_ones, mapped):
+            visit = {position[f2] for f2 in src_view.targets(f1) if f2 in position}
             if rep.verdicts["cell_surjective"]:
-                image_set = set(images)
-                for t in dst_view.twos(map_one(f1), map_one(f2)):
-                    if t not in image_set:
-                        rep.verdicts["cell_surjective"] = False
-                        rep.counterexamples["cell_surjective"] = (f1, f2, t)
-                        break
+                for g in dst_view.targets(m1):
+                    visit.update(preimages.get(g, ()))
+            for i in sorted(visit):
+                f2, m2 = src_ones[i], mapped[i]
+                cells = src_view.twos(f1, f2)
+                images = [map_two(al) for al in cells]
+                if rep.verdicts["cell_injective"]:
+                    for (a1, i1), (a2, i2) in itertools.combinations(
+                            zip(cells, images), 2):
+                        if i1 == i2:
+                            rep.verdicts["cell_injective"] = False
+                            rep.counterexamples["cell_injective"] = (f1, f2, a1, a2)
+                            break
+                if rep.verdicts["cell_surjective"]:
+                    image_set = set(images)
+                    for t in dst_view.twos(m1, m2):
+                        if t not in image_set:
+                            rep.verdicts["cell_surjective"] = False
+                            rep.counterexamples["cell_surjective"] = (f1, f2, t)
+                            break
     return rep
 
 

@@ -203,6 +203,25 @@ def test_cyclic_parity_partitions_match_oracle(n, twist_name):
         assert_partitions_match(c, w)
 
 
+@pytest.mark.parametrize("name", ["F3", "F4", "F5"])
+def test_class_labels_merge_and_match_oracle(name):
+    # Each expanded member opens a class label, so a hom that expands more
+    # members than it has classes merged labels: a later expansion reached
+    # a member an earlier one had labelled.  Those homs match the oracle.
+    c, w = fixture(name)
+    merged = 0
+    for cls in classes_to_compare(c, w):
+        counters = _partitions(c, cls).counters
+        for s1, s2 in span_pairs(c, cls):
+            before = counters["members_expanded"]
+            cells = hom_fraction_cells(c, cls, s1, s2)
+            if counters["members_expanded"] - before > len(cells):
+                merged += 1
+                got = {r: cell.members for cell in cells for r in cell.members}
+                assert got == oracle_partition(c, cls, s1, s2), (s1, s2)
+    assert merged > 0
+
+
 def sampled_reps(c, w, rng: random.Random, count: int):
     """count tuples (s1, s2, apex, v1, v2, α, β) drawn from the tables.
 

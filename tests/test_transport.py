@@ -2,6 +2,7 @@
 
 import itertools
 import re
+from collections import Counter
 
 import pytest
 
@@ -30,9 +31,9 @@ from twoloc import (
     x_conditions_for_functor,
     x_conditions_for_induced,
 )
-from twoloc.fixtures import parity_twocat
+from twoloc.fixtures import discrete_twocat, parity_twocat
 from twoloc.fractions import Span, all_spans
-from twoloc.transport import LocalizationView
+from twoloc.transport import AmbientView, LocalizationView, WeakEquivalenceReport
 from corpus import CorpusEntry, cyclic_family, cyclic_parity, posetal_family
 from functor_enum import enumerate_strict_functors, search_constancy
 
@@ -314,3 +315,141 @@ def test_compare_choice_tables_connects_everything():
     other, _ = fixture("F3")  # equal tables, another 2-category
     with pytest.raises(StructureError, match="another 2-category or class W"):
         compare_choice_tables(c, w, ch1, build_choices(other, w))
+
+
+def reference_weak_equivalence_report(src_view, dst_view, map_object, map_one, map_two):
+    """The all-pairs walk `weak_equivalence_report` replaced, kept as its oracle.
+
+    Every pair of parallel source 1-cells is visited, the empty homs too,
+    and each 1-cell is mapped again wherever it is used.
+    """
+    rep = WeakEquivalenceReport()
+
+    rep.verdicts["obj_surjective_up_to_equiv"] = True
+    for y in dst_view.objects:
+        if not any(dst_view.equivalent_objects(map_object(x), y)
+                   for x in src_view.objects):
+            rep.verdicts["obj_surjective_up_to_equiv"] = False
+            rep.counterexamples["obj_surjective_up_to_equiv"] = (y,)
+            break
+
+    rep.verdicts["mor_surjective_up_to_iso"] = True
+    rep.verdicts["cell_injective"] = True
+    rep.verdicts["cell_surjective"] = True
+    for a, b in itertools.product(src_view.objects, src_view.objects):
+        src_ones = src_view.ones(a, b)
+        for g in dst_view.ones(map_object(a), map_object(b)):
+            if rep.verdicts["mor_surjective_up_to_iso"] and not any(
+                    dst_view.invertible_between(map_one(f), g) for f in src_ones):
+                rep.verdicts["mor_surjective_up_to_iso"] = False
+                rep.counterexamples["mor_surjective_up_to_iso"] = (a, b, g)
+        for f1, f2 in itertools.product(src_ones, src_ones):
+            cells = src_view.twos(f1, f2)
+            images = [map_two(al) for al in cells]
+            if rep.verdicts["cell_injective"]:
+                for (a1, i1), (a2, i2) in itertools.combinations(
+                        zip(cells, images), 2):
+                    if i1 == i2:
+                        rep.verdicts["cell_injective"] = False
+                        rep.counterexamples["cell_injective"] = (f1, f2, a1, a2)
+                        break
+            if rep.verdicts["cell_surjective"]:
+                image_set = set(images)
+                for t in dst_view.twos(map_one(f1), map_one(f2)):
+                    if t not in image_set:
+                        rep.verdicts["cell_surjective"] = False
+                        rep.counterexamples["cell_surjective"] = (f1, f2, t)
+                        break
+    return rep
+
+
+def point_into_z8(twist_name: str) -> StrictTwoFunctor:
+    """The one-object parity point, sent to the identity of Z/8."""
+    point = parity_twocat(["p"], {"e": ("p", "p")}, {"p": "e"}, {("e", "e"): "e"},
+                          twist_name=twist_name)
+    z8 = cyclic_parity(8, twist_name)
+    return StrictTwoFunctor(point, z8, {"p": "x"}, {"e": "g0"},
+                            {"i_e": "i_g0", f"{twist_name}_e": f"{twist_name}_g0"})
+
+
+def parallel_pair_onto_an_arrow() -> StrictTwoFunctor:
+    """Parallel f, g: 0 → 1 with no 2-cell between them, both sent to F3's w.
+
+    The hom f ⇒ g is empty and its image hom holds i_w, so
+    `cell_surjective` first fails at a pair that only the image side lists.
+    """
+    src = discrete_twocat(["0", "1"], {"id0": ("0", "0"), "id1": ("1", "1"),
+                                       "f": ("0", "1"), "g": ("0", "1")},
+                          {"0": "id0", "1": "id1"}, {})
+    dst, _w = fixture("F3")
+    f1 = {"id0": "id0", "id1": "id1", "f": "w", "g": "w"}
+    return StrictTwoFunctor(src, dst, {"0": "0", "1": "1"}, f1,
+                            {src.id2[m]: dst.id2[f1[m]] for m in src.mors})
+
+
+def ambient_case(fun: StrictTwoFunctor):
+    return (x_conditions_for_functor, fun,
+            (AmbientView(fun.source), AmbientView(fun.target),
+             fun.f0.__getitem__, fun.f1.__getitem__, fun.f2.__getitem__))
+
+
+def induced_case(ind: InducedPseudofunctor):
+    return (x_conditions_for_induced, ind,
+            (LocalizationView(ind.source_loc), LocalizationView(ind.target_loc),
+             ind.map_object, ind.map_span, ind.map_cell))
+
+
+def test_x_conditions_match_the_all_pairs_walk(corpus_entries):
+    # skipping the pairs whose two homs are empty keeps every verdict and
+    # the first counterexample of each condition, dict order included
+    cases = []
+    fixtures = {name: fixture(name)[0] for name in sorted(FIXTURES)}
+    for src, dst in itertools.product(fixtures.values(), repeat=2):
+        if len(src.cells) * len(dst.cells) <= 400:
+            cases += [ambient_case(fun) for fun in enumerate_strict_functors(src, dst)[:40]]
+    for entry in corpus_entries + cyclic_family():
+        if check_bf(entry.c, entry.w).ok:
+            cases.append(induced_case(comparison_to_saturation(entry.c, entry.w)))
+    names = {entry.name for entry in cyclic_family()}
+    assert {f"Z/8-{name}-<g{step}>" for name in "sa" for step in (4, 2)} <= names
+    functors = [(point_into_z8(name), {"e"}, ({"g0"}, {"g0", "g4"})) for name in "sa"]
+    functors.append((parallel_pair_onto_an_arrow(), {"id0", "id1"}, ({"id0", "id1"},)))
+    for fun, w_src, targets in functors:
+        cases.append(ambient_case(fun))
+        for w in targets:
+            cases.append(induced_case(induce(fun, w_src, build_choices(fun.target, w))))
+
+    failures = Counter()
+    reports = []
+    for decide, fun, views in cases:
+        got, want = decide(fun), reference_weak_equivalence_report(*views)
+        assert list(got.verdicts.items()) == list(want.verdicts.items())
+        assert list(got.counterexamples.items()) == list(want.counterexamples.items())
+        failures.update(k for k, ok in got.verdicts.items() if not ok)
+        reports.append(got)
+    assert set(failures) == {"obj_surjective_up_to_equiv", "mor_surjective_up_to_iso",
+                             "cell_injective", "cell_surjective"}, failures
+    # the parallel pair's two reports fail cell_surjective at an empty source hom
+    assert [got.counterexamples["cell_surjective"][:2] for got in reports[-2:]] == \
+        [("f", "g"), (Span("0", "id0", "f"), Span("0", "id0", "g"))]
+
+
+def test_x_conditions_ask_only_the_non_empty_source_homs(monkeypatch):
+    # Z/8 at <2>: 32 spans, so 1,024 pairs, of which 4 targets per source
+    # hold a 2-cell; the source view is asked for those 128 homs alone
+    c = cyclic_parity(8, "s")
+    ind = comparison_to_saturation(c, frozenset({"g0", "g2", "g4", "g6"}))
+    asked = []
+    twos = LocalizationView.twos
+
+    def spy(view, s, t):
+        if view.loc is ind.source_loc:
+            asked.append((s, t))
+        return twos(view, s, t)
+
+    monkeypatch.setattr(LocalizationView, "twos", spy)
+    assert x_conditions_for_induced(ind).ok
+    spans = ind.source_loc.spans("x", "x")
+    non_empty = [(s, t) for s in spans for t in spans if ind.source_loc.hom_cells(s, t)]
+    assert len(spans) == 32 and len(non_empty) == 128
+    assert asked == non_empty
