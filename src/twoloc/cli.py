@@ -230,19 +230,15 @@ def cmd_localize(cmd: _Command, args) -> int:
 
 
 def cmd_equiv(cmd: _Command, args) -> int:
-    from .fractions import (_partitions, build_choices, is_internal_equiv_closed_form,
-                            is_internal_equiv_search)
+    from .fractions import build_choices, is_internal_equiv_closed_form, is_internal_equiv_search
 
     c, w = _load_checked(cmd, args.path)
     span = _span_arg(args.span)
-    try:  # the class store checks the span once, before BF is checked
-        _partitions(c, w).require_span(c, span)
-    except StructureError as exc:
-        return cmd.bad_input(str(exc))
+    # the class store checks the span once, here, before BF is checked
+    closed = is_internal_equiv_closed_form(c, w, span)
     if not _require_bf(cmd, c, w):
         return cmd.finish()
     loc = build_choices(c, w, enforce_c3=args.c3)
-    closed = is_internal_equiv_closed_form(c, w, span)
     witness = is_internal_equiv_search(loc, span)
     cmd.verdict("deciders_agree", closed == (witness is not None),
                 {"closed_form": closed, "search": witness is not None})
@@ -267,10 +263,7 @@ def cmd_cell_eq(cmd: _Command, args) -> int:
     r2 = _rep_arg(args.rep2, src, dst)
     if not _require_bf(cmd, c, w):
         return cmd.finish()
-    try:
-        equal = cells_equal(c, w, r1, r2)
-    except StructureError as exc:
-        return cmd.bad_input(str(exc))
+    equal = cells_equal(c, w, r1, r2)
     cmd.report["data"]["equal"] = equal
     if equal:
         chain = equality_chain(c, w, r1, r2)
@@ -295,10 +288,7 @@ def cmd_induce(cmd: _Command, args) -> int:
         cmd.report["data"]["functor_validation"] = fun.validation.lines()
         return cmd.bad_input("functor tables do not define a strict 2-functor")
 
-    try:
-        compat = saturation_compatibility(fun, w_src, w_dst)
-    except StructureError as exc:
-        return cmd.bad_input(str(exc))
+    compat = saturation_compatibility(fun, w_src, w_dst)
     cmd.verdict("image_in_target_saturation", compat.image_in_target_sat,
                 sorted(fun.map_class(w_src) - compat.dst_saturation) or None)
     cmd.verdict("saturated_image_in_target_saturation", compat.sat_image_in_target_sat)
@@ -397,14 +387,6 @@ def cmd_groupoid(cmd: _Command, args) -> int:
     return cmd.finish()
 
 
-# Each builder is handed the `groupoids` module, which only these fixtures load.
-_GROUPOID_FIXTURES = {
-    "unit": lambda groupoids: groupoids.unit_groupoid(),
-    "pair2": lambda groupoids: groupoids.pair_groupoid(2),
-    "disc2": lambda groupoids: groupoids.discrete_groupoid(2),
-}
-
-
 def cmd_fixtures(cmd: _Command, args) -> int:
     from .fixtures import FIXTURES, fixture
 
@@ -412,13 +394,13 @@ def cmd_fixtures(cmd: _Command, args) -> int:
     if name in FIXTURES:
         c, w = fixture(name)
         text = dump_twocat(c, w)
-    elif name in _GROUPOID_FIXTURES:
-        from . import groupoids
-
-        text = dump_groupoid(_GROUPOID_FIXTURES[name](groupoids))
     else:
-        known = sorted(FIXTURES) + sorted(_GROUPOID_FIXTURES)
-        return cmd.bad_input(f"unknown fixture {name!r}; have {known}")
+        from .groupoids import GROUPOID_FIXTURES  # not loaded for a 2-category fixture
+
+        if name not in GROUPOID_FIXTURES:
+            known = sorted(FIXTURES) + sorted(GROUPOID_FIXTURES)
+            return cmd.bad_input(f"unknown fixture {name!r}; have {known}")
+        text = dump_groupoid(GROUPOID_FIXTURES[name]())
     Path(args.out).write_text(text, encoding="utf-8")
     cmd.report["data"]["written"] = args.out
     cmd.report["data"]["bytes"] = len(text.encode("utf-8"))
@@ -509,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         try:
             return args.fn(cmd, args)
-        except DocumentError as exc:
+        except (DocumentError, StructureError) as exc:
             return cmd.bad_input(str(exc))
     except OSError as exc:
         fallback = _Command(args)

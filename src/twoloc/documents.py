@@ -145,7 +145,7 @@ def dump_twocat(c: TwoCat, w) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def load_groupoid(path: str | Path, name: str | None = None) -> FiniteGroupoid:
+def load_groupoid(path: str | Path) -> FiniteGroupoid:
     from .groupoids import FiniteGroupoid
 
     where = str(path)
@@ -159,7 +159,7 @@ def load_groupoid(path: str | Path, name: str | None = None) -> FiniteGroupoid:
         raise DocumentError(f"{where}: unknown keys {sorted(extra)}")
     arrows = _edge_list(doc, "arrows", where)
     return FiniteGroupoid(
-        name=name or Path(path).stem,
+        name=Path(path).stem,
         objects=tuple(_str_list(doc, "objects", where)),
         arr_src={a: sd[0] for a, sd in arrows.items()},
         arr_dst={a: sd[1] for a, sd in arrows.items()},

@@ -16,21 +16,22 @@ s1 sweeps every representative out of s1 in one pass and groups them by
 target span: for each v1 with w1∘v1 ∈ W, the invertible cells out of
 w1∘v1 fix the composites w2∘v2, whose factorisations with w2 ∈ W give
 the v2, and the cells out of f1∘v1 fix the composites f2∘v2, whose left
-factors give the f2.  A hom's classes are built from its group when it
-is first asked for; a hom with no group is empty at no cost, and whether
-it has an invertible class is read off its group without building any;
-the targets of a sweep are kept, so the non-empty homs out of s1 stay
-known once their classes are built.  Within a hom, each member not yet
-reached as a refinement is expanded under a class label, and the members
-it reaches take that label: a refinement r·p refines further only to
-r·(p∘q), which r reaches itself, so it is not expanded.  Labels merge
-only when one expansion reaches two of them.  A class builds its members
-from the sweep's tuples when they are read.
-The legs p along which a representative refines are read from a table
-per denominator.  The classes depend only on (C, W), not on the fillers:
-one store per (C, W), kept on the `TwoCat`, serves every function here
-and alone checks input (W once, each span once, a representative by
-membership).  Classes are defined on tables that pass `validate`.
+factors give the f2.  The groups are s1's row of one table: a hom's
+entry holds its representatives until the hom is first asked for, and
+its classes from then on.  A hom with no entry is empty at no cost,
+whether a hom has an invertible class is read off its entry without
+building any, and the row's keys are the non-empty homs out of s1.
+Within a hom, each member not yet reached as a refinement is expanded
+under a class label, and the members it reaches take that label: a
+refinement r·p refines further only to r·(p∘q), which r reaches itself,
+so it is not expanded.  Labels merge only when one expansion reaches two
+of them.  A class builds its members from the sweep's tuples when they
+are read.  The legs p along which a representative refines are read from
+a table per denominator.  The classes depend only on (C, W), not on the
+fillers: one store per (C, W), kept on the `TwoCat`, serves every
+function here and alone checks input (W once, each span once, a
+representative by membership).  Classes are defined on tables that pass
+`validate`.
 
 A `Localization` is C[W⁻¹] for one choice of fillers: `build_choices`
 picks a filler for every cospan (f, v ∈ W), honouring C1 (f an
@@ -167,16 +168,17 @@ class _HomPartitions:
     the `TwoCat` with no reference back to it, so it is freed together
     with the 2-category; the methods take the 2-category as an argument.
 
-    The first request for a hom out of s1 sweeps every representative out
-    of s1 and groups them by target span; a hom's classes are built from
-    its group when it is first asked for, and the group's representatives
-    are dropped, its target kept (`targets`); asking whether it has an
-    invertible class reads the group and keeps it (`has_invertible`).
-    Classes are keyed by the sweep's tuples.  Each span is checked once
-    (`require_span`): the spans that passed are kept, not the empty homs,
-    which would take an entry per empty pair, and a failing span raises
-    on every request.  A representative is checked by membership
-    (`cell`).  W_sat is computed on first use (`saturation`).
+    Homs live in one table, `_out[s1][s2]`.  The first request for a hom
+    out of s1 sweeps every representative out of s1 and fills s1's row,
+    one entry per target span (`targets` reads its keys).  An entry is the
+    swept representatives until `hom` partitions them; then the `_Hom`
+    takes its place, under the caller's s2.  `has_invertible` reads either
+    kind of entry and builds nothing.  Classes are keyed by the sweep's
+    tuples.  Each span is checked once (`require_span`): the spans that
+    passed are kept, not the empty homs, which would take an entry per
+    empty pair, and a failing span raises on every request.  A
+    representative is checked by membership (`cell`).  W_sat is computed
+    on first use (`saturation`).
 
     Partitions are defined on tables that pass `validate`: the shortcut in
     `_partition` rests on its composition laws.
@@ -188,8 +190,7 @@ class _HomPartitions:
     def __init__(self, w: frozenset[str]):
         self.w = w
         self._legs: dict[str, tuple[str, ...]] = {}
-        self._homs: dict[tuple[Span, Span], _Hom] = {}
-        self._groups: dict[Span, dict[Span, Optional[list[tuple]]]] = {}
+        self._out: dict[Span, dict[Span, list[tuple] | _Hom]] = {}
         self._spans: set[Span] = set()  # spans that passed `span_problems`
         self._saturation: Optional[frozenset[str]] = None
         self.counters = dict.fromkeys(
@@ -209,17 +210,15 @@ class _HomPartitions:
         return found
 
     def hom(self, c: TwoCat, s1: Span, s2: Span) -> _Hom:
-        found = self._homs.get((s1, s2))
+        row = self._swept(c, s1)
+        found = row.get(s2)
         if found is None:
-            reps = self._group(c, s1, s2)
-            if reps is None:
-                return _EMPTY_HOM
-            found = self._homs[(s1, s2)] = self._partition(c, s1, s2, reps)
-            # s2 stays a target of s1, re-keyed by the span `_homs` holds,
-            # so the sweep's own copy goes with the representatives
-            groups = self._groups[s1]
-            del groups[s2]
-            groups[s2] = None
+            self.require_span(c, s2)
+            return _EMPTY_HOM
+        if not isinstance(found, _Hom):
+            found = self._partition(c, s1, s2, found)
+            del row[s2]  # re-keyed by the caller's s2, which the classes already hold
+            row[s2] = found
         return found
 
     def has_invertible(self, c: TwoCat, s1: Span, s2: Span) -> bool:
@@ -227,30 +226,28 @@ class _HomPartitions:
 
         A class is invertible iff a member passes `_swappable` (α is always
         invertible), and the classes partition the hom's representatives,
-        so this holds iff one of them passes it.
+        so this holds iff one of them passes it.  A built hom's members are
+        the keys of its `cell_of`.
         """
-        found = self._homs.get((s1, s2))
-        reps = found.cell_of if found is not None else self._group(c, s1, s2) or ()
-        return any(_swappable(c, self.w, s2.w, r) for r in reps)
-
-    def targets(self, c: TwoCat, s1: Span):
-        """Every s2 with a 2-cell s1 ⇒ s2: the targets of s1's sweep."""
-        return self._swept(c, s1).keys()
-
-    def _swept(self, c: TwoCat, s1: Span) -> dict[Span, Optional[list[tuple]]]:
-        """The groups out of s1, sweeping s1 on first use; built homs map to None."""
-        groups = self._groups.get(s1)
-        if groups is None:
-            self.require_span(c, s1)
-            groups = self._groups[s1] = self._sweep(c, s1)
-        return groups
-
-    def _group(self, c: TwoCat, s1: Span, s2: Span) -> Optional[list[tuple]]:
-        """The swept representatives of an unbuilt hom s1 ⇒ s2, or None if it is empty."""
         reps = self._swept(c, s1).get(s2)
         if reps is None:
             self.require_span(c, s2)
-        return reps
+            return False
+        if isinstance(reps, _Hom):
+            reps = reps.cell_of
+        return any(_swappable(c, self.w, s2.w, r) for r in reps)
+
+    def targets(self, c: TwoCat, s1: Span):
+        """Every s2 with a 2-cell s1 ⇒ s2: the keys of s1's row."""
+        return self._swept(c, s1).keys()
+
+    def _swept(self, c: TwoCat, s1: Span) -> dict[Span, list[tuple] | _Hom]:
+        """The row of homs out of s1, sweeping s1 on first use."""
+        row = self._out.get(s1)
+        if row is None:
+            self.require_span(c, s1)
+            row = self._out[s1] = self._sweep(c, s1)
+        return row
 
     def require_span(self, c: TwoCat, s: Span) -> None:
         if s not in self._spans:

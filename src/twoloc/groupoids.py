@@ -428,7 +428,7 @@ def unit_groupoid() -> FiniteGroupoid:
                           {("e1", "e1"): "e1"}, {"e1": "e1"}, {"1": "e1"})
 
 
-def pair_groupoid(n: int = 2, name: str | None = None) -> FiniteGroupoid:
+def pair_groupoid(n: int = 2) -> FiniteGroupoid:
     """The contractible groupoid: exactly one arrow between any two objects."""
     objs = tuple(str(i) for i in range(1, n + 1))
     arrows = {f"p{i}{j}": (i, j) for i in objs for j in objs}
@@ -437,7 +437,7 @@ def pair_groupoid(n: int = 2, name: str | None = None) -> FiniteGroupoid:
         if l == i:
             comp[(a, b)] = f"p{k}{j}"
     return FiniteGroupoid(
-        name or f"Pair{n}", objs,
+        f"Pair{n}", objs,
         {a: ij[0] for a, ij in arrows.items()},
         {a: ij[1] for a, ij in arrows.items()},
         comp,
@@ -446,12 +446,12 @@ def pair_groupoid(n: int = 2, name: str | None = None) -> FiniteGroupoid:
     )
 
 
-def discrete_groupoid(n: int = 2, name: str | None = None) -> FiniteGroupoid:
+def discrete_groupoid(n: int = 2) -> FiniteGroupoid:
     """Only identity arrows."""
     objs = tuple(str(i) for i in range(1, n + 1))
     units = {i: f"e{i}" for i in objs}
     return FiniteGroupoid(
-        name or f"Disc{n}", objs,
+        f"Disc{n}", objs,
         {u: i for i, u in units.items()},
         {u: i for i, u in units.items()},
         {(u, u): u for u in units.values()},
@@ -459,6 +459,13 @@ def discrete_groupoid(n: int = 2, name: str | None = None) -> FiniteGroupoid:
         units,
     )
 
+
+# the groupoids `twoloc fixtures` emits, by name
+GROUPOID_FIXTURES = {
+    "unit": unit_groupoid,
+    "pair2": lambda: pair_groupoid(2),
+    "disc2": lambda: discrete_groupoid(2),
+}
 
 CATALOGS = {
     "unit": lambda: [unit_groupoid()],

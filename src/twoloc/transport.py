@@ -195,7 +195,6 @@ class InducedPseudofunctor:
     functor: StrictTwoFunctor
     source_loc: Localization
     target_loc: Localization
-    _compositors: dict[tuple[Span, Span], FractionCell] = field(default_factory=dict)
 
     def map_object(self, a: str) -> str:
         return self.functor.f0[a]
@@ -216,12 +215,10 @@ class InducedPseudofunctor:
 
     def compositor(self, s: Span, t: Span) -> FractionCell:
         """Invertible witness G(s;t) ⇒ G(s);G(t) for a composable pair."""
-        if (s, t) not in self._compositors:
-            tl = self.target_loc
-            left = self.map_span(self.source_loc.compose(s, t))
-            right = tl.compose(self.map_span(s), self.map_span(t))
-            self._compositors[(s, t)] = _comparison_cell(tl, left, right, "compositor")
-        return self._compositors[(s, t)]
+        tl = self.target_loc
+        left = self.map_span(self.source_loc.compose(s, t))
+        right = tl.compose(self.map_span(s), self.map_span(t))
+        return _comparison_cell(tl, left, right, "compositor")
 
 
 def induce(fun: StrictTwoFunctor, w_src, target_loc: Localization) -> InducedPseudofunctor:

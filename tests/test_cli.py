@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, report schema, document round-trips."""
 
+import contextlib
 import dataclasses
+import io
 import itertools
 import json
 import os
@@ -9,10 +11,15 @@ import subprocess
 import sys
 from collections import Counter
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from twoloc import fixture
 from twoloc.cli import main
 from twoloc.documents import dump_twocat
-from twoloc.fractions import all_spans
+from twoloc.fixtures import FIXTURES
+from twoloc.fractions import all_spans, hom_fraction_cells
 from twoloc.groupoids import CATALOGS, groupoid_twocat
 
 SCHEMA_KEYS = {"command", "input", "flags", "verdicts", "data",
@@ -159,15 +166,17 @@ def test_cell_eq_distinguishes_f7_cells(tmp_path, capsys):
     assert rep["data"]["chain_length"] == 0
 
 
+def identity_functor(doc: dict) -> dict:
+    """The identity 2-functor on a 2-category document, as a functor document."""
+    return {"f0": {o: o for o in doc["objects"]},
+            "f1": {m["id"]: m["id"] for m in doc["morphisms"]},
+            "f2": {a["id"]: a["id"] for a in doc["twocells"]}}
+
+
 def identity_functor_doc(tmp_path, path):
     """Write the identity 2-functor on the document at `path`; return its path."""
     fun = tmp_path / "id.json"
-    doc = json.loads(open(path).read())
-    fun.write_text(json.dumps({
-        "f0": {o: o for o in doc["objects"]},
-        "f1": {m["id"]: m["id"] for m in doc["morphisms"]},
-        "f2": {a["id"]: a["id"] for a in doc["twocells"]},
-    }))
+    fun.write_text(json.dumps(identity_functor(json.loads(open(path).read()))))
     return str(fun)
 
 
@@ -445,3 +454,130 @@ def test_each_command_loads_only_the_modules_it_uses(tmp_path):
         assert loaded == BASE_MODULES | {f"twoloc.{m}" for m in extra}, argv
         if argv:
             assert json.loads((tmp_path / "report.json").read_text())["ok"] is True, argv
+
+
+# ---------------------------------------------------------------------------
+# no input makes a traceback
+
+FUZZ_COMMANDS = ("validate", "check-bf", "saturate", "localize", "equiv", "cell-eq",
+                 "induce")
+
+
+def fixture_docs():
+    """Each fixture's document, its spans, and each 2-cell's spans and members."""
+    out = {}
+    for name in sorted(FIXTURES):
+        c, w = fixture(name)
+        parallel = [all_spans(c, w, a, b)
+                    for a, b in itertools.product(sorted(c.objects), repeat=2)]
+        spans = [s for group in parallel for s in group]
+        members = [(s1, s2, [r[2:] for r in sorted(cell.members)])
+                   for group in parallel for s1, s2 in itertools.product(group, group)
+                   for cell in hom_fraction_cells(c, w, s1, s2)]
+        out[name] = (json.loads(dump_twocat(c, w)), spans, members)
+    return out
+
+
+FUZZ_DOCS = fixture_docs()
+
+
+def strings_in(x) -> list[str]:
+    if isinstance(x, str):
+        return [x]
+    values = x.values() if isinstance(x, dict) else x
+    return [s for v in values for s in strings_in(v)]
+
+
+def mutate(data, doc: dict, names: list[str]) -> dict:
+    """doc with one entry or key dropped, duplicated or renamed."""
+    doc = json.loads(json.dumps(doc))
+    key = data.draw(st.sampled_from(sorted(doc)))
+    value = doc[key]
+    op = data.draw(st.sampled_from(["drop key", "rename key", "drop", "drop", "duplicate",
+                                    "rename", "rename"]))
+    if op == "drop key" or not value:
+        del doc[key]
+    elif op == "rename key":
+        doc[key + "_"] = doc.pop(key)
+    elif isinstance(value, dict):
+        k = data.draw(st.sampled_from(sorted(value)))
+        if op != "drop":  # the entry again, under another name
+            value[data.draw(st.sampled_from(names))] = value[k]
+        if op != "duplicate":
+            del value[k]
+    else:
+        i = data.draw(st.integers(0, len(value) - 1))
+        if op == "drop":
+            del value[i]
+        elif op == "duplicate":
+            value.append(value[i])
+        elif isinstance(value[i], str):
+            value[i] = data.draw(st.sampled_from(names))
+        else:
+            field_ = data.draw(st.sampled_from(sorted(value[i])))
+            value[i][field_] = data.draw(st.sampled_from(names))
+    return doc
+
+
+def tuple_text(data, real: list, names: list[str], size: int) -> str:
+    """One of `real` written out, or `size` identifiers, or a wrong number of them."""
+    pick = data.draw(st.integers(0, 5))
+    if real and pick < 3:
+        parts = data.draw(st.sampled_from(real))
+    else:
+        n = size if pick < 5 else data.draw(st.sampled_from([size - 1, size + 1]))
+        parts = [data.draw(st.sampled_from(names)) for _ in range(n)]
+    return "(" + ",".join(parts) + ")"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "a-directory").mkdir()
+    return path
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_no_input_makes_a_traceback(fuzz_dir, data):
+    name = data.draw(st.sampled_from(sorted(FUZZ_DOCS)))
+    base, spans, members = FUZZ_DOCS[name]
+    names = sorted(set(strings_in(base)) | {"zz"})
+    doc = base
+    for _ in range(data.draw(st.integers(0, 2))):
+        doc = mutate(data, doc, names)
+    fun = identity_functor(base)
+    if data.draw(st.booleans()):
+        fun = mutate(data, fun, names)
+    for file, content in (("base.json", base), ("doc.json", doc), ("fun.json", fun)):
+        (fuzz_dir / file).write_text(json.dumps(content), encoding="utf-8")
+    where = {"doc": "doc.json", "missing": "no-such.json", "directory": "a-directory"}
+    path = str(fuzz_dir / where[data.draw(st.sampled_from(["doc"] * 8 + sorted(where)))])
+
+    cmd = data.draw(st.sampled_from(FUZZ_COMMANDS))
+    if cmd == "equiv":
+        argv = [cmd, path, tuple_text(data, spans, names, 3)]
+    elif cmd == "cell-eq":
+        src, dst, reps = data.draw(st.sampled_from(members))
+        argv = [cmd, path, "--src", tuple_text(data, [src], names, 3),
+                "--dst", tuple_text(data, [dst], names, 3),
+                tuple_text(data, reps, names, 5), tuple_text(data, reps, names, 5)]
+    elif cmd == "induce":
+        base_path = str(fuzz_dir / "base.json")
+        src, dst = data.draw(st.sampled_from([(path, base_path), (base_path, path),
+                                              (path, path)]))
+        argv = [cmd, src, dst, str(fuzz_dir / "fun.json"),
+                "--target", data.draw(st.sampled_from(["sat", "plain"]))]
+        if data.draw(st.booleans()):
+            argv.append("--xchecks")
+    else:
+        argv = [cmd, path]
+
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    rep = json.loads(out.getvalue())
+    assert code in (0, 1, 2) and SCHEMA_KEYS <= set(rep), argv
+    assert ("error" in rep) == (code == 2), argv
+    assert (code == 0) == rep["ok"], argv
+    if code == 1:
+        assert not all(rep["verdicts"].values()), argv

@@ -32,7 +32,7 @@ from twoloc import (
     x_conditions_for_induced,
 )
 from twoloc.fixtures import discrete_twocat, parity_twocat
-from twoloc.fractions import Span, all_spans
+from twoloc.fractions import Span, _Hom, all_spans
 from twoloc.transport import AmbientView, LocalizationView, WeakEquivalenceReport
 from corpus import CorpusEntry, cyclic_family, cyclic_parity, posetal_family
 from functor_enum import enumerate_strict_functors, search_constancy
@@ -199,7 +199,8 @@ def test_x_conditions_build_classes_only_between_source_spans(step):
     w = frozenset(f"g{k}" for k in range(0, 8, step))
     assert x_conditions_for_induced(comparison_to_saturation(c, w)).ok
     sources = set(all_spans(c, w, "x", "x"))
-    built = c._hom_partitions[frozenset(c.mors)]._homs
+    built = [(s1, s2) for s1, row in c._hom_partitions[frozenset(c.mors)]._out.items()
+             for s2, entry in row.items() if isinstance(entry, _Hom)]
     assert built and all(s1 in sources and s2 in sources for s1, s2 in built)
 
 
