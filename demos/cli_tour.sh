@@ -12,6 +12,7 @@ twoloc fixtures F3 "$work/F3.json"
 twoloc fixtures F4 "$work/F4.json"
 twoloc fixtures pair2 "$work/pair2.json"
 twoloc fixtures unit "$work/unit.json"
+twoloc fixtures disc2 "$work/disc2.json"
 
 echo "== F3 is a lawful 2-category and its class passes the fraction axioms =="
 twoloc validate "$work/F3.json"
@@ -32,6 +33,7 @@ twoloc cell-eq "$work/F7.json" --src "(A,idA,f)" --dst "(A,idA,f)" \
 
 echo "== groupoid checks =="
 twoloc groupoid --check=saturated "$work/unit.json" "$work/pair2.json"
+twoloc groupoid --check=two-out-of-six "$work/unit.json" "$work/pair2.json" "$work/disc2.json"
 
 echo "== induce the identity of F6 on its localization, with the X-conditions =="
 twoloc fixtures F6 "$work/F6.json"

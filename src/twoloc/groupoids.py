@@ -24,6 +24,8 @@ g∘f once per composable pair (f, g), so `morita_two_out_of_six` over
 every chain of a catalog builds and decides each composite only once.
 Groupoid and functor tables must therefore not be mutated after the
 first decision on them (`FiniteGroupoid.reach` already assumes this).
+The verdict of a chain is frozen, and every vacuous chain (~99% of the
+chains of a catalog) shares one vacuous verdict, so it allocates nothing.
 
 Enumeration cost is exponential in groupoid size; keep catalogs to ~3
 groupoids with ≤3 objects and ≤12 arrows each.
@@ -32,8 +34,10 @@ groupoids with ≤3 objects and ≤12 arrows each.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 from .core import StructureError, TwoCat, ValidationReport
 
@@ -281,16 +285,23 @@ def is_morita(fun: GroupoidFunctor) -> bool:
     return is_essentially_surjective(fun) and is_fully_faithful(fun)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MoritaCancellation:
-    """Outcome of the two-out-of-six style cancellation for Morita maps."""
+    """Outcome of the two-out-of-six style cancellation for Morita maps.
+
+    Every vacuous chain gets the one shared `_VACUOUS` instance, whose
+    `verdicts` is a read-only empty mapping.
+    """
 
     vacuous: bool
-    verdicts: dict[str, bool] = field(default_factory=dict)
+    verdicts: Mapping[str, bool]
 
     @property
     def ok(self) -> bool:
         return self.vacuous or all(self.verdicts.values())
+
+
+_VACUOUS = MoritaCancellation(True, MappingProxyType({}))
 
 
 def morita_two_out_of_six(xi: GroupoidFunctor, psi: GroupoidFunctor,
@@ -298,14 +309,14 @@ def morita_two_out_of_six(xi: GroupoidFunctor, psi: GroupoidFunctor,
     """From phi∘psi and psi∘xi Morita, conclude all three factors are.
 
     The chain is xi: U→Z, psi: Z→Y, phi: Y→X; when either composite fails
-    to be Morita the check is vacuous.  Every verdict is read from the
-    functors' memos, so a sweep over chains decides each composable pair
-    and each functor once.
+    to be Morita the check is vacuous, and the shared `_VACUOUS` verdict
+    is returned.  Every verdict is read from the functors' memos, so a
+    sweep over chains decides each composable pair and each functor once.
     """
     if xi.target is not psi.source or psi.target is not phi.source:
         raise StructureError("functors do not form a composable chain")
     if not (psi.morita_after(phi) and xi.morita_after(psi)):
-        return MoritaCancellation(vacuous=True)
+        return _VACUOUS
     return MoritaCancellation(False, {
         "phi": phi.morita,
         "psi": psi.morita,

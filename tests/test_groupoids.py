@@ -1,5 +1,6 @@
 """Finite groupoids, functor enumeration, and Morita equivalence."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -208,6 +209,31 @@ def test_two_out_of_six_real_instance():
     assert not rep.vacuous
     assert rep.verdicts == {"phi": True, "psi": True, "xi": True}
     assert rep.ok
+
+
+def test_two_out_of_six_shares_one_frozen_vacuous_verdict():
+    # every vacuous chain gets the same object; it cannot be changed, and
+    # a non-vacuous verdict keeps a dict of its own
+    cat = CATALOGS["unit-pair-disc"]()
+    funs = {(a.name, b.name): enumerate_gfunctors(a, b)
+            for a, b in itertools.product(cat, repeat=2)}
+    vacuous, real = [], []
+    for u, z, y, x in itertools.product(cat, repeat=4):
+        for xi, psi, phi in itertools.product(funs[(u.name, z.name)],
+                                              funs[(z.name, y.name)],
+                                              funs[(y.name, x.name)]):
+            rep = morita_two_out_of_six(xi, psi, phi)
+            (vacuous if rep.vacuous else real).append(rep)
+    shared = vacuous[0]
+    assert len(vacuous) > 1 and all(rep is shared for rep in vacuous)
+    assert shared.ok and shared.verdicts == {}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        shared.vacuous = False
+    with pytest.raises(TypeError):
+        shared.verdicts["phi"] = False
+    assert shared.verdicts == {}
+    assert real and all(type(rep.verdicts) is dict for rep in real)
+    assert len({id(rep.verdicts) for rep in real}) == len(real)
 
 
 def test_two_out_of_six_rejects_non_chain():

@@ -336,6 +336,29 @@ def test_has_invertible_matches_class_scan():
     assert min(homs.values()) > 1000, homs
 
 
+def test_has_invertible_is_symmetric():
+    # the swap lemma in `has_invertible`: s1 ⇒ s2 has an invertible cell
+    # iff s2 ⇒ s1 has one, asked before the hom's classes are built and
+    # after, on classes that need not satisfy BF.  A sampled input keeps
+    # the pairs between its sampled sources.
+    rng = random.Random(20261019)
+    asked = Counter()
+    for label, c, cls in existence_inputs():
+        store = _HomPartitions(cls)
+        pairs = existence_pairs(c, cls, rng)
+        sources = {s1 for s1, _ in pairs}
+        for s1, s2 in pairs:
+            if s2 not in sources:
+                continue
+            there = store.has_invertible(c, s1, s2)
+            assert store.has_invertible(c, s2, s1) == there, (label, s1, s2)
+            store.hom(c, s1, s2)
+            assert store.has_invertible(c, s2, s1) == there, (label, s1, s2)
+            assert store.has_invertible(c, s1, s2) == there, (label, s1, s2)
+            asked[there] += 1
+    assert min(asked.values()) > 1000, asked
+
+
 def swapped_leg_outside_w() -> tuple[TwoCat, frozenset[str]]:
     """A hom whose only representative has an invertible β but w2∘v2 ∉ W.
 
