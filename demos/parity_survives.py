@@ -26,8 +26,8 @@ for cell in cells:
     print(f"  class with numerator 2-cell {cell.canonical.beta!r} "
           f"({len(cell.members)} representative(s))")
 
-tau = u_cell(c, w, "tau_f")
-ident = u_cell(c, w, "i_f")
+tau = u_cell(loc, "tau_f")
+ident = u_cell(loc, "i_f")
 assert tau != ident, "tau must stay distinct from the identity"
 assert vcomp_fraction(loc, tau, tau) == ident, "tau is an involution"
 assert is_invertible_fraction_cell(loc, tau)

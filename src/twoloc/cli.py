@@ -254,7 +254,7 @@ def cmd_equiv(cmd: _Command, args) -> int:
 
 
 def cmd_cell_eq(cmd: _Command, args) -> int:
-    from .fractions import cells_equal, equality_chain
+    from .fractions import build_choices, cells_equal, equality_chain
 
     c, w = _load_checked(cmd, args.path)
     src = _span_arg(args.src)
@@ -263,10 +263,11 @@ def cmd_cell_eq(cmd: _Command, args) -> int:
     r2 = _rep_arg(args.rep2, src, dst)
     if not _require_bf(cmd, c, w):
         return cmd.finish()
-    equal = cells_equal(c, w, r1, r2)
+    loc = build_choices(c, w, enforce_c3=args.c3)
+    equal = cells_equal(loc, r1, r2)
     cmd.report["data"]["equal"] = equal
     if equal:
-        chain = equality_chain(c, w, r1, r2)
+        chain = equality_chain(loc, r1, r2)
         cmd.report["data"]["chain"] = [_rep_out(r) for r in chain[1:-1]] \
             if len(chain) > 2 else []
         cmd.report["data"]["chain_length"] = len(chain) - 1
@@ -303,7 +304,7 @@ def cmd_induce(cmd: _Command, args) -> int:
         return cmd.finish()
     cmd.verdict("image_in_target_class", True)
 
-    ind = induce(fun, w_src, build_choices(c_dst, target_w))
+    ind = induce(fun, build_choices(c_src, w_src), build_choices(c_dst, target_w))
     # constant on classes by the lemma in `transport`, whose hypotheses
     # (lawful tables, strict F, image in the target class) hold here
     cmd.verdict("induced_well_defined", True)

@@ -28,17 +28,18 @@ so it is not expanded.  Labels merge only when one expansion reaches two
 of them.  A class builds its members from the sweep's tuples when they
 are read.  The legs p along which a representative refines are read from
 a table per denominator.  The classes depend only on (C, W), not on the
-fillers: one store per (C, W), kept on the `TwoCat`, serves every
-function here and alone checks input (W once, each span once, a
-representative by membership).  Classes are defined on tables that pass
-`validate`.
+fillers: one store per (C, W) is kept on the `TwoCat`, and it alone checks
+input (W once, each span once, a representative by membership).  Classes
+are defined on tables that pass `validate`.
 
 A `Localization` is C[W⁻¹] for one choice of fillers: `build_choices`
 picks a filler for every cospan (f, v ∈ W), honouring C1 (f an
 identity), C2 (v an identity) and optionally C3 (f = v ∈ W), which make
-identity spans strict units; it keeps the store of its (C, W).  Vertical
-composition and the two whiskerings are built from fresh filler/lift
-searches; determinism comes from the fixed lexicographic search order.
+identity spans strict units.  Every operation on spans and 2-cells takes
+it first and reads the store of its (C, W); `hom_fraction_cells`,
+`is_internal_equiv_closed_form` and `u_mor` keep a (c, w) form for the
+benchmark.  Vertical composition and the whiskerings come from fresh
+filler/lift searches, deterministic by their lexicographic order.
 
 Argument order is diagrammatic throughout: `compose_fractions(loc, s, t)`
 applies s first, and `vcomp_fraction(loc, c1, c2)` applies c1 first.
@@ -98,11 +99,16 @@ def span_problems(c: TwoCat, w, s: Span) -> list[str]:
 
 
 def identity_span(c: TwoCat, a: str) -> Span:
+    if a not in c.id1:
+        raise StructureError(f"{a!r} is not an object")
     return Span(a, c.id1[a], c.id1[a])
 
 
 def u_mor(c: TwoCat, w, f: str) -> Span:
-    """The canonical span presenting an ambient 1-cell."""
+    """The canonical span presenting an ambient 1-cell.
+
+    `w` is not read: `bench/workloads.py` calls this form until ROADMAP item 3.
+    """
     if f not in c.mor_src:
         raise StructureError(f"{f!r} is not a 1-cell")
     return Span(c.mor_src[f], c.id1[c.mor_src[f]], f)
@@ -425,33 +431,34 @@ def _partitions(c: TwoCat, w) -> _HomPartitions:
     return store
 
 
-def cell_from_rep(c: TwoCat, w, rep: CellRep) -> FractionCell:
-    return _partitions(c, w).cell(c, rep)
+def cell_from_rep(loc: Localization, rep: CellRep) -> FractionCell:
+    return loc._store.cell(loc.c, rep)
 
 
 def hom_fraction_cells(c: TwoCat, w, s1: Span, s2: Span) -> tuple[FractionCell, ...]:
-    """All 2-cells s1 ⇒ s2, ordered by canonical representative."""
+    """All 2-cells s1 ⇒ s2, ordered by canonical representative.
+
+    `bench/workloads.py` calls this (c, w) form until ROADMAP item 3.
+    """
     return _partitions(c, w).hom(c, s1, s2).cells
 
 
-def cells_equal(c: TwoCat, w, r1: CellRep, r2: CellRep) -> bool:
+def cells_equal(loc: Localization, r1: CellRep, r2: CellRep) -> bool:
     """Do two representatives present the same localized 2-cell?"""
     if (r1.src_span, r1.dst_span) != (r2.src_span, r2.dst_span):
         raise StructureError("representatives do not share source/target spans")
-    store = _partitions(c, w)
-    return store.cell(c, r1) == store.cell(c, r2)
+    return cell_from_rep(loc, r1) == cell_from_rep(loc, r2)
 
 
-def equality_chain(c: TwoCat, w, r1: CellRep, r2: CellRep) -> Optional[list[CellRep]]:
+def equality_chain(loc: Localization, r1: CellRep, r2: CellRep) -> Optional[list[CellRep]]:
     """A witness path r1 ~ ... ~ r2 of single refinements (either direction)."""
-    if not cells_equal(c, w, r1, r2):
+    if not cells_equal(loc, r1, r2):
         return None
-    store = _partitions(c, w)
-    nodes = store.cell(c, r1).members
+    nodes = cell_from_rep(loc, r1).members
     s1, s2 = r1.src_span, r1.dst_span
     edges: dict[CellRep, set[CellRep]] = {r: set() for r in nodes}
     for r in nodes:
-        for key in store.refinements(c, s1.w, r[2:]):
+        for key in loc._store.refinements(loc.c, s1.w, r[2:]):
             refined = CellRep(s1, s2, *key)
             if refined in edges:
                 edges[r].add(refined)
@@ -472,20 +479,22 @@ def equality_chain(c: TwoCat, w, r1: CellRep, r2: CellRep) -> Optional[list[Cell
     raise InternalInconsistency("class members not connected by refinements")
 
 
-def identity_fraction_cell(c: TwoCat, w, s: Span) -> FractionCell:
-    rep = CellRep(s, s, s.apex, c.id1[s.apex], c.id1[s.apex], c.id2[s.w], c.id2[s.f])
-    return cell_from_rep(c, w, rep)
+def identity_fraction_cell(loc: Localization, s: Span) -> FractionCell:
+    loc._store.require_span(loc.c, s)
+    id1, id2 = loc.c.id1, loc.c.id2
+    return cell_from_rep(loc, CellRep(s, s, s.apex, id1[s.apex], id1[s.apex], id2[s.w], id2[s.f]))
 
 
-def u_cell(c: TwoCat, w, gamma: str) -> FractionCell:
+def u_cell(loc: Localization, gamma: str) -> FractionCell:
     """The canonical 2-cell presenting an ambient 2-cell."""
+    c = loc.c
     if gamma not in c.cell_src:
         raise StructureError(f"{gamma!r} is not a 2-cell")
     f, g = c.cell_src[gamma], c.cell_dst[gamma]
     a = c.mor_src[f]
-    rep = CellRep(u_mor(c, w, f), u_mor(c, w, g), a, c.id1[a], c.id1[a],
+    rep = CellRep(u_mor(c, loc.w, f), u_mor(c, loc.w, g), a, c.id1[a], c.id1[a],
                   c.id2[c.id1[a]], gamma)
-    return cell_from_rep(c, w, rep)
+    return cell_from_rep(loc, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -515,29 +524,18 @@ class Localization:
             raise StructureError(f"no choice entry for cospan ({f!r}, {v!r})") from None
 
     @property
-    def objects(self) -> tuple[str, ...]:
-        return self.c.objects
-
-    @property
     def saturation(self) -> frozenset[str]:
         """W_sat: a span is an internal equivalence iff its numerator lies in it."""
         return self._store.saturation(self.c)
 
     def spans(self, src: str, dst: str) -> tuple[Span, ...]:
-        return all_spans(self.c, self.w, src, dst)
+        c, w = self.c, self.w
+        return tuple(Span(apex, wm, f) for apex in sorted(c.objects)
+                     for wm in c.hom1(apex, src) if wm in w for f in c.hom1(apex, dst))
 
     def hom_cells(self, s1: Span, s2: Span) -> tuple[FractionCell, ...]:
         """All 2-cells s1 ⇒ s2, ordered by canonical representative."""
         return self._store.hom(self.c, s1, s2).cells
-
-    def compose(self, s: Span, t: Span) -> Span:
-        return compose_fractions(self, s, t)
-
-    def vcomp(self, c1: FractionCell, c2: FractionCell) -> FractionCell:
-        return vcomp_fraction(self, c1, c2)
-
-    def embed_cell(self, gamma: str) -> FractionCell:
-        return u_cell(self.c, self.w, gamma)
 
 
 def build_choices(c: TwoCat, w, enforce_c3: bool = True) -> Localization:
@@ -563,10 +561,9 @@ def build_choices(c: TwoCat, w, enforce_c3: bool = True) -> Localization:
 
 def localize(c: TwoCat, w, ch: Optional[Localization] = None) -> Localization:
     """C[W⁻¹]: `ch` itself if given, once it is checked to be built for c and W."""
-    w = _partitions(c, w).w
     if ch is None:
         return build_choices(c, w)
-    if ch.c is not c or ch.w != w:
+    if ch.w != _partitions(c, w).w or ch.c is not c:
         raise StructureError("choice table was built for another 2-category or class W")
     return ch
 
@@ -574,6 +571,8 @@ def localize(c: TwoCat, w, ch: Optional[Localization] = None) -> Localization:
 def compose_fractions(loc: Localization, s: Span, t: Span) -> Span:
     """The composite span (s applied first, then t)."""
     c = loc.c
+    loc._store.require_span(c, s)
+    loc._store.require_span(c, t)
     if span_dst(c, s) != span_src(c, t):
         raise StructureError(f"spans {s} and {t} are not composable")
     apex, v2, f2, _rho = loc.entry(s.f, t.w)
@@ -618,6 +617,7 @@ def whisker_fraction_left(loc: Localization, t: Span, cell: FractionCell) -> Fra
     """Post-compose a cell between spans A→B with a span t: B→C."""
     c, w = loc.c, loc.w
     s1, s2 = cell.src_span, cell.dst_span
+    loc._store.require_span(c, t)
     if span_dst(c, s1) != span_src(c, t):
         raise StructureError("span does not post-compose with this cell")
     rep = cell.canonical
@@ -662,6 +662,7 @@ def whisker_fraction_right(loc: Localization, cell: FractionCell, s: Span) -> Fr
     """Pre-compose a cell between spans B→C with a span s: A→B."""
     c, w = loc.c, loc.w
     t1s, t2s = cell.src_span, cell.dst_span
+    loc._store.require_span(c, s)
     if span_dst(c, s) != span_src(c, t1s):
         raise StructureError("span does not pre-compose with this cell")
     rep = cell.canonical
@@ -767,7 +768,7 @@ def first_invertible_cell(loc: Localization, s1: Span, s2: Span) -> Optional[Fra
 def _comparison_cell(loc: Localization, left: Span, right: Span, what: str) -> FractionCell:
     """The identity if left == right, else the first invertible cell left ⇒ right."""
     if left == right:
-        return identity_fraction_cell(loc.c, loc.w, left)
+        return identity_fraction_cell(loc, left)
     witness = first_invertible_cell(loc, left, right)
     if witness is None:
         raise InternalInconsistency(f"no invertible {what} between {left} and {right}")
@@ -779,12 +780,6 @@ def find_associator_witness(loc: Localization, s: Span, t: Span, u: Span) -> Fra
     left = compose_fractions(loc, compose_fractions(loc, s, t), u)
     right = compose_fractions(loc, s, compose_fractions(loc, t, u))
     return _comparison_cell(loc, left, right, "associator")
-
-
-def all_spans(c: TwoCat, w, src: str, dst: str) -> tuple[Span, ...]:
-    w = _partitions(c, w).w
-    return tuple(Span(apex, wm, f) for apex in sorted(c.objects)
-                 for wm in c.hom1(apex, src) if wm in w for f in c.hom1(apex, dst))
 
 
 @dataclass(frozen=True)
@@ -853,19 +848,22 @@ def is_internal_equiv_search(loc: Localization, s: Span) -> Optional[SpanEquival
 
 
 def is_internal_equiv_closed_form(c: TwoCat, w, s: Span) -> bool:
-    """Membership test: numerator in the right saturation; the store checks the span."""
+    """Membership test: numerator in the right saturation; the store checks the span.
+
+    `bench/workloads.py` calls this (c, w) form until ROADMAP item 3.
+    """
     store = _partitions(c, w)
     store.require_span(c, s)
     return s.f in store.saturation(c)
 
 
-def quasi_inverse_of_u(c: TwoCat, w, f: str, g: str) -> Span:
+def quasi_inverse_of_u(loc: Localization, f: str, g: str) -> Span:
     """The span inverting u_mor(f), built from a saturation witness g."""
-    w = _partitions(c, w).w
+    c = loc.c
     if c.mor_dst.get(g) != c.mor_src.get(f):
         raise StructureError(f"{g!r} does not land in the source of {f!r}")
     fg = c.compose1(f, g)
-    if fg not in w:
+    if fg not in loc.w:
         raise StructureError(f"{fg!r} = {f!r}∘{g!r} is not in W")
     return Span(c.mor_src[g], fg, g)
 

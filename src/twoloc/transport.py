@@ -13,8 +13,8 @@ class; this is the "simple description" of the induced pseudofunctor in
 arXiv:1410.5075.  F also sends a conjugate of r by invertible cells to the
 conjugate of F(r) by their images, so the lemma carries over unchanged
 once the classes join conjugates as well (Pronk 1996, §2.3).  `induce`
-takes the target's `Localization` (W and its fillers) and localizes the
-source at W_src; F is validated once, by `StrictTwoFunctor.validation`.
+takes both localizations, source and target, each with its class and
+fillers; F is validated once, by `StrictTwoFunctor.validation`.
 
 `weak_equivalence_report` checks the four finite biequivalence conditions
 (essential surjectivity on objects up to internal equivalence, local
@@ -50,12 +50,10 @@ from .fractions import (
     Localization,
     Span,
     _comparison_cell,
-    _partitions,
     build_choices,
     cell_from_rep,
     compose_fractions,
     first_invertible_cell,
-    localize,
 )
 from .saturation import _as_class, check_bf, saturate
 
@@ -210,44 +208,45 @@ class InducedPseudofunctor:
                        f.f2[rep.alpha], f.f2[rep.beta])
 
     def map_cell(self, cell: FractionCell) -> FractionCell:
-        t = self.target_loc
-        return cell_from_rep(t.c, t.w, self.map_rep(cell.canonical))
+        return cell_from_rep(self.target_loc, self.map_rep(cell.canonical))
 
     def compositor(self, s: Span, t: Span) -> FractionCell:
         """Invertible witness G(s;t) ⇒ G(s);G(t) for a composable pair."""
         tl = self.target_loc
-        left = self.map_span(self.source_loc.compose(s, t))
-        right = tl.compose(self.map_span(s), self.map_span(t))
+        left = self.map_span(compose_fractions(self.source_loc, s, t))
+        right = compose_fractions(tl, self.map_span(s), self.map_span(t))
         return _comparison_cell(tl, left, right, "compositor")
 
 
-def induce(fun: StrictTwoFunctor, w_src, target_loc: Localization) -> InducedPseudofunctor:
-    """Push a strict functor down to the localizations.
+def induce(fun: StrictTwoFunctor, source_loc: Localization,
+           target_loc: Localization) -> InducedPseudofunctor:
+    """Push a strict functor down from source_loc = C[W⁻¹] to target_loc = D[W′⁻¹].
 
     The cell map is constant on refinement classes by the lemma in the
     module docstring, so only its hypotheses are checked: F is a strict
-    2-functor (the first failing law is named otherwise), the target table
-    honours C3, and the 1-cell image of w_src lands in the target's class.
-    The source and target tables are assumed validated.  No localized hom
-    is built here; classes are formed only when a cell is asked for.
+    2-functor (the first failing law is named otherwise), each table lies
+    on its side of F, the target's honours C3, and F₁(W) ⊆ W′.  The tables
+    are assumed validated.  No localized hom is built here; classes are
+    formed only when a cell is asked for.
     """
     if not fun.validation.ok:
         raise StructureError(f"not a strict 2-functor: {fun.validation.lines()[0]}")
-    w_src = _partitions(fun.source, w_src).w
+    if source_loc.c is not fun.source:
+        raise StructureError("choice table does not belong to the source 2-category")
     if target_loc.c is not fun.target:
         raise StructureError("choice table does not belong to the target 2-category")
     if not target_loc.honors_c3:
         raise StructureError("target choice table must honour C3")
-    escaped = fun.map_class(w_src) - target_loc.w
+    escaped = fun.map_class(source_loc.w) - target_loc.w
     if escaped:
         raise StructureError(f"1-cell image escapes the target class: {sorted(escaped)}")
-    return InducedPseudofunctor(fun, localize(fun.source, w_src), target_loc)
+    return InducedPseudofunctor(fun, source_loc, target_loc)
 
 
 def comparison_to_saturation(c: TwoCat, w) -> InducedPseudofunctor:
     """The canonical localization-comparison C[W⁻¹] → C[W_sat⁻¹]."""
-    store = _partitions(c, w)
-    return induce(identity_functor(c), store.w, build_choices(c, store.saturation(c)))
+    loc = build_choices(c, w)
+    return induce(identity_functor(c), loc, build_choices(c, loc.saturation))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +291,7 @@ class LocalizationView:
 
     @property
     def objects(self) -> tuple[str, ...]:
-        return self.loc.objects
+        return self.loc.c.objects
 
     def ones(self, a: str, b: str):
         return self.loc.spans(a, b)
@@ -424,16 +423,17 @@ class ChoiceComparison:
         return not self.unconnected
 
 
-def compare_choice_tables(c: TwoCat, w, ch1: Localization, ch2: Localization) -> ChoiceComparison:
+def compare_choice_tables(ch1: Localization, ch2: Localization) -> ChoiceComparison:
     """Connect every pair of composites computed with two different tables.
 
     The composites present the same localized 1-cell, so an invertible
     comparison cell must exist; any pair without one is reported.  Both
-    tables must be built for c and w.
+    tables must be built for the same 2-category and class W.
     """
-    ch1, ch2 = localize(c, w, ch1), localize(c, w, ch2)
+    if ch2.c is not ch1.c or ch2.w != ch1.w:
+        raise StructureError("choice table was built for another 2-category or class W")
     out = ChoiceComparison()
-    objs = sorted(c.objects)
+    objs = sorted(ch1.c.objects)
     for a, b, d in itertools.product(objs, objs, objs):
         for s in ch1.spans(a, b):
             for t in ch1.spans(b, d):

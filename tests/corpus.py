@@ -13,12 +13,16 @@ Size caps: at most 4 objects, 8 one-cells, 12 two-cells per entry.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 from twoloc.core import TwoCat, internal_equivalences, validate
 from twoloc.fixtures import FIXTURES, disjoint_union, fixture, parity_twocat
+from twoloc.fractions import Localization
 from twoloc.groupoids import (
     CATALOGS,
     discrete_groupoid,
@@ -251,6 +255,20 @@ def posetal_family() -> list[CorpusEntry]:
 
 
 # ---------------------------------------------------------------------------
+# (c, W) where BF3 may fail: no fillers, so no `build_choices`
+
+
+def classes_only(c: TwoCat, w) -> Localization:
+    """A `Localization` of (c, W) with no fillers.
+
+    Its spans and class operations (`spans`, `cell_from_rep`, `cells_equal`,
+    `equality_chain`) read only the tables and the class store, so they
+    work where BF3 fails; composing spans raises for want of a choice entry.
+    """
+    return Localization(c, frozenset(w), {})
+
+
+# ---------------------------------------------------------------------------
 # the cyclic groups Z/n with parity cells
 
 
@@ -288,6 +306,17 @@ def oracle_inputs() -> list[CorpusEntry]:
     out += [CorpusEntry(name, *groupoid_twocat(catalog))
             for name, catalog in catalogs.items()]
     return out
+
+
+def load_bench_module(name: str):
+    """`bench/<name>.py`, imported read-only as `bench_<name>`, once."""
+    module = sys.modules.get(f"bench_{name}")
+    if module is None:
+        path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)  # its dataclasses look their module up
+    return module
 
 
 _cached: list[CorpusEntry] | None = None

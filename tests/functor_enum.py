@@ -65,7 +65,7 @@ def search_constancy(ind: InducedPseudofunctor) -> CellRep | None:
         spans = src_loc.spans(a, b)
         for s1, s2 in itertools.product(spans, spans):
             for cell in src_loc.hom_cells(s1, s2):
-                images = {cell_from_rep(dst_loc.c, dst_loc.w, ind.map_rep(r))
+                images = {cell_from_rep(dst_loc, ind.map_rep(r))
                           for r in cell.members}
                 if len(images) != 1:
                     return cell.canonical

@@ -46,7 +46,6 @@ from twoloc import (
 )
 from twoloc.cli import main as cli_main
 from twoloc.fixtures import FIXTURES
-from twoloc.fractions import all_spans
 from twoloc.groupoids import CATALOGS
 
 from functor_enum import enumerate_strict_functors, search_constancy
@@ -134,7 +133,7 @@ def test_c04_equivalence_deciders_agree(capsys):
             if found != (f in sat):
                 problems.append((name, f))
         for a, b in itertools.product(c.objects, repeat=2):
-            for s in all_spans(c, w, a, b):
+            for s in ch.spans(a, b):
                 closed = is_internal_equiv_closed_form(c, w, s)
                 found = is_internal_equiv_search(ch, s) is not None
                 if closed != found:
@@ -192,7 +191,7 @@ def test_c06_localized_operations_well_defined(capsys):
         objs = c.objects
         # embedding is functorial on 2-cells
         for (b, a), ba in c.vcomp_table.items():
-            if loc.vcomp(u_cell(c, w, a), u_cell(c, w, b)) != u_cell(c, w, ba):
+            if vcomp_fraction(loc, u_cell(loc, a), u_cell(loc, b)) != u_cell(loc, ba):
                 problems.append((name, "u-cell functoriality", b, a))
         for a, b in itertools.product(objs, repeat=2):
             spans = loc.spans(a, b)
@@ -240,6 +239,7 @@ def test_c07_induced_functors(capsys):
         ca, wa = fixture(na)
         cb, wb = fixture(nb)
         sat_b = saturate(cb, wb)
+        ch_a = build_choices(ca, wa)
         ch_b = build_choices(cb, sat_b)
         for fun in enumerate_strict_functors(ca, cb):
             checked += 1
@@ -248,7 +248,7 @@ def test_c07_induced_functors(capsys):
                 problems.append((na, nb, "clauses disagree"))
             if not preserves_into(fun, wa, sat_b):
                 continue
-            ind = induce(fun, wa, ch_b)
+            ind = induce(fun, ch_a, ch_b)
             induced += 1
             if search_constancy(ind) is not None:
                 problems.append((na, nb, "cell map not constant on a class"))
@@ -256,8 +256,8 @@ def test_c07_induced_functors(capsys):
                 if ind.map_span(u_mor(ca, wa, f)) != u_mor(cb, sat_b, fun.f1[f]):
                     problems.append((na, nb, "square on 1-cells", f))
             for gamma in ca.cells:
-                if ind.map_cell(u_cell(ca, wa, gamma)) != \
-                   u_cell(cb, sat_b, fun.f2[gamma]):
+                if ind.map_cell(u_cell(ch_a, gamma)) != \
+                   u_cell(ch_b, fun.f2[gamma]):
                     problems.append((na, nb, "square on 2-cells", gamma))
     ok = not problems and induced > 0
     _line(capsys, 7, ok, f"saturation-compatibility clauses agree on "

@@ -10,16 +10,16 @@ import stat
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoloc import fixture
+from twoloc import build_choices, fixture
 from twoloc.cli import main
 from twoloc.documents import dump_twocat
 from twoloc.fixtures import FIXTURES
-from twoloc.fractions import all_spans, hom_fraction_cells
 from twoloc.groupoids import CATALOGS, groupoid_twocat
 
 SCHEMA_KEYS = {"command", "input", "flags", "verdicts", "data",
@@ -75,7 +75,7 @@ def test_parse_error_is_exit_2(tmp_path, capsys):
 
 def test_unlawful_document_is_exit_2(tmp_path, capsys):
     f3 = emit(tmp_path, "F3")
-    doc = json.loads(open(f3).read())
+    doc = json.loads(Path(f3).read_text(encoding="utf-8"))
     del doc["compose"][0]
     mangled = tmp_path / "mangled.json"
     mangled.write_text(json.dumps(doc))
@@ -145,7 +145,8 @@ def test_equiv_does_not_depend_on_the_order_objects_are_listed(tmp_path, capsys)
     for objects in (doc["objects"], doc["objects"][::-1]):
         paths.append(tmp_path / f"{'-'.join(objects)}.json")
         paths[-1].write_text(json.dumps({**doc, "objects": objects}), encoding="utf-8")
-    spans = [s for a, b in itertools.product(c.objects, repeat=2) for s in all_spans(c, w, a, b)]
+    loc = build_choices(c, w)
+    spans = [s for a, b in itertools.product(c.objects, repeat=2) for s in loc.spans(a, b)]
     assert len(spans) == 34
     for s in spans:
         arg = f"({s.apex},{s.w},{s.f})"
@@ -176,7 +177,8 @@ def identity_functor(doc: dict) -> dict:
 def identity_functor_doc(tmp_path, path):
     """Write the identity 2-functor on the document at `path`; return its path."""
     fun = tmp_path / "id.json"
-    fun.write_text(json.dumps(identity_functor(json.loads(open(path).read()))))
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    fun.write_text(json.dumps(identity_functor(doc)))
     return str(fun)
 
 
@@ -378,7 +380,7 @@ def test_document_error_keeps_data_and_output(tmp_path, capsys, monkeypatch):
 
 def test_induce_with_functor_that_does_not_compose_is_exit_2(tmp_path, capsys):
     f6 = emit(tmp_path, "F6")
-    doc = json.loads(open(f6).read())
+    doc = json.loads(Path(f6).read_text(encoding="utf-8"))
     bad = tmp_path / "BAD.json"
     bad.write_text(json.dumps({
         "f0": {o: o for o in doc["objects"]},
@@ -395,7 +397,7 @@ def test_induce_with_functor_that_does_not_compose_is_exit_2(tmp_path, capsys):
 
 def test_groupoid_with_undeclared_composite_is_exit_2(tmp_path, capsys):
     disc = tmp_path / "disc.json"
-    doc = json.loads(open(emit(tmp_path, "disc2")).read())
+    doc = json.loads(Path(emit(tmp_path, "disc2")).read_text(encoding="utf-8"))
     doc["compose"] = [{**e, "result": "zz"} if (e["g"], e["f"]) == ("e1", "e1") else e
                       for e in doc["compose"]]
     disc.write_text(json.dumps(doc))
@@ -468,12 +470,13 @@ def fixture_docs():
     out = {}
     for name in sorted(FIXTURES):
         c, w = fixture(name)
-        parallel = [all_spans(c, w, a, b)
+        loc = build_choices(c, w)
+        parallel = [loc.spans(a, b)
                     for a, b in itertools.product(sorted(c.objects), repeat=2)]
         spans = [s for group in parallel for s in group]
         members = [(s1, s2, [r[2:] for r in sorted(cell.members)])
                    for group in parallel for s1, s2 in itertools.product(group, group)
-                   for cell in hom_fraction_cells(c, w, s1, s2)]
+                   for cell in loc.hom_cells(s1, s2)]
         out[name] = (json.loads(dump_twocat(c, w)), spans, members)
     return out
 

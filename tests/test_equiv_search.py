@@ -5,9 +5,7 @@ g in `loc.spans(b, a)` it composes s;g and g;s and asks each hom for its
 first invertible cell.  It is kept here only as a reference.
 """
 
-import importlib.util
 import itertools
-from pathlib import Path
 
 import pytest
 
@@ -36,7 +34,7 @@ from twoloc.fractions import (
     u_mor,
 )
 
-from corpus import cyclic_family, oracle_inputs
+from corpus import cyclic_family, load_bench_module, oracle_inputs
 from test_partitions import classes_to_compare
 
 
@@ -116,18 +114,10 @@ def test_search_matches_oracle_on_cyclic_parity():
             assert "found" in assert_search_matches_oracle(loc), entry.name
 
 
-def load_bench_workloads():
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_search_matches_oracle_on_catalogs():
     # the shipped catalogs, and the benchmark's renamed Unit, Pair2, Disc3
     catalogs = [make() for _, make in sorted(CATALOGS.items())]
-    workloads = load_bench_workloads()
+    workloads = load_bench_module("workloads")
     catalogs += [workloads.CatalogMorita(seed).fresh_inputs() for seed in (1, 2, 3)]
     kinds = set()
     for catalog in catalogs:

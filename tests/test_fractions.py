@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from twoloc import (
     CellRep,
+    InternalInconsistency,
     Localization,
     Span,
     StructureError,
@@ -34,8 +35,8 @@ from twoloc import (
     whisker_fraction_left,
     whisker_fraction_right,
 )
-from twoloc.fixtures import parity_twocat
-from twoloc.fractions import all_spans, rep_problems, span_problems
+from twoloc.fixtures import FIXTURES, parity_twocat
+from twoloc.fractions import rep_problems, span_problems
 
 
 def test_span_and_rep_validity():
@@ -65,7 +66,7 @@ def test_cell_from_rep_rejects_invalid():
     c, w = fixture("F7")
     s = u_mor(c, w, "f")
     with pytest.raises(StructureError):
-        cell_from_rep(c, w, CellRep(s, s, "B", "idB", "idB", "i_idB", "i_idB"))
+        cell_from_rep(build_choices(c, w), CellRep(s, s, "B", "idB", "idB", "i_idB", "i_idB"))
 
 
 # -- the F7 hom computation, by hand ------------------------------------------
@@ -81,25 +82,26 @@ def test_cell_from_rep_rejects_invalid():
 def test_f7_two_distinct_cells():
     c, w = fixture("F7")
     s = u_mor(c, w, "f")
+    loc = build_choices(c, w)
     cells = hom_fraction_cells(c, w, s, s)
     assert len(cells) == 2
-    assert u_cell(c, w, "i_f") != u_cell(c, w, "tau_f")
-    assert set(cells) == {u_cell(c, w, "i_f"), u_cell(c, w, "tau_f")}
+    assert u_cell(loc, "i_f") != u_cell(loc, "tau_f")
+    assert set(cells) == {u_cell(loc, "i_f"), u_cell(loc, "tau_f")}
 
 
 def test_f7_tau_squares_to_identity_in_localization():
     c, w = fixture("F7")
     ch = build_choices(c, w)
-    tau = u_cell(c, w, "tau_f")
+    tau = u_cell(ch, "tau_f")
     sq = vcomp_fraction(ch, tau, tau)
-    assert sq == u_cell(c, w, "i_f")
-    assert sq == identity_fraction_cell(c, w, u_mor(c, w, "f"))
+    assert sq == u_cell(ch, "i_f")
+    assert sq == identity_fraction_cell(ch, u_mor(c, w, "f"))
 
 
 def test_f7_tau_is_its_own_fraction_inverse():
     c, w = fixture("F7")
     ch = build_choices(c, w)
-    tau = u_cell(c, w, "tau_f")
+    tau = u_cell(ch, "tau_f")
     assert is_invertible_fraction_cell(ch, tau)
     assert fraction_inverse(ch, tau) == tau
 
@@ -108,8 +110,8 @@ def test_embed_cell_functorial_for_vcomp():
     c, w = fixture("F7")
     loc = localize(c, w)
     for b, a in c.vcomp_table:
-        lhs = loc.embed_cell(c.vcomp(b, a))
-        rhs = loc.vcomp(loc.embed_cell(a), loc.embed_cell(b))
+        lhs = u_cell(loc, c.vcomp(b, a))
+        rhs = vcomp_fraction(loc, u_cell(loc, a), u_cell(loc, b))
         assert lhs == rhs, (b, a)
 
 
@@ -132,12 +134,13 @@ def test_refinement_chain_witness():
     s = Span("A", "u", "u")
     r1 = CellRep(s, s, "A", "idA", "idA", "i_u", "i_u")
     r2 = CellRep(s, s, "A", "u", "u", "i_u", "i_u")
-    assert cells_equal(c, w, r1, r2)
-    chain = equality_chain(c, w, r1, r2)
+    loc = build_choices(c, w)
+    assert cells_equal(loc, r1, r2)
+    chain = equality_chain(loc, r1, r2)
     assert chain is not None
     assert chain[0] == r1 and chain[-1] == r2
     unrelated = CellRep(s, s, "A", "idA", "u", "i_u", "i_u")
-    assert cells_equal(c, w, r1, unrelated)  # also merged, via (u, u∘u)
+    assert cells_equal(loc, r1, unrelated)  # also merged, via (u, u∘u)
 
 
 # -- composition and units -----------------------------------------------------
@@ -148,7 +151,7 @@ def test_strict_units_on_fixture_spans():
         c, w = fixture(name)
         ch = build_choices(c, w)
         for a, b in itertools.product(c.objects, repeat=2):
-            for s in all_spans(c, w, a, b):
+            for s in ch.spans(a, b):
                 assert compose_fractions(ch, identity_span(c, a), s) == s
                 assert compose_fractions(ch, s, identity_span(c, b)) == s
 
@@ -171,7 +174,7 @@ def test_c3_collapses_w_roundtrip():
     c, w = fixture("F3")
     ch = build_choices(c, w)
     assert ch.honors_c3
-    back = quasi_inverse_of_u(c, w, "w", "id0")
+    back = quasi_inverse_of_u(ch, "w", "id0")
     assert back == Span("0", "w", "id0")
     assert compose_fractions(ch, u_mor(c, w, "w"), back) == identity_span(c, "0")
 
@@ -182,17 +185,16 @@ def z4_classes(twist_name: str):
     comp = {(names[i], names[j]): names[(i + j) % 4] for i in range(4) for j in range(4)}
     c = parity_twocat(["x"], {g: ("x", "x") for g in names}, {"x": "g0"}, comp,
                       twist_name=twist_name)
-    w = frozenset({"g0", "g2"})
-    spans = all_spans(c, w, "x", "x")
-    return build_choices(c, w), [cell for s1 in spans for s2 in spans
-                                 for cell in hom_fraction_cells(c, w, s1, s2)]
+    ch = build_choices(c, frozenset({"g0", "g2"}))
+    spans = ch.spans("x", "x")
+    return ch, [cell for s1 in spans for s2 in spans for cell in ch.hom_cells(s1, s2)]
 
 
 def z4_left_unit_failures(twist_name: str) -> tuple[int, int]:
     """(classes, classes c with id ⊙ c != c) over all endo-spans of Z/4, W = <2>."""
     ch, cells = z4_classes(twist_name)
     broken = [cell for cell in cells
-              if vcomp_fraction(ch, identity_fraction_cell(ch.c, ch.w, cell.src_span), cell)
+              if vcomp_fraction(ch, identity_fraction_cell(ch, cell.src_span), cell)
               != cell]
     return len(cells), len(broken)
 
@@ -242,7 +244,7 @@ def test_identity_cell_is_a_left_unit_up_to_pronk_equivalence(twist_name):
     ch, cells = z4_classes(twist_name)
     assert len(cells) == 64
     for cell in cells:
-        unit = identity_fraction_cell(ch.c, ch.w, cell.src_span)
+        unit = identity_fraction_cell(ch, cell.src_span)
         composite = vcomp_fraction(ch, unit, cell)
         assert pronk_equivalent(ch.c, ch.w, composite.canonical, cell.canonical)
 
@@ -258,11 +260,11 @@ def test_no_two_classes_of_a_hom_are_pronk_equivalent():
 
 
 def test_quasi_inverse_of_u_requires_witness():
-    c, w = fixture("F7")
+    ch = build_choices(*fixture("F7"))
     with pytest.raises(StructureError):
-        quasi_inverse_of_u(c, w, "f", "idA")  # f∘idA = f is not in W
+        quasi_inverse_of_u(ch, "f", "idA")  # f∘idA = f is not in W
     with pytest.raises(StructureError):
-        quasi_inverse_of_u(c, w, "f", "idB")  # idB does not land in A
+        quasi_inverse_of_u(ch, "f", "idB")  # idB does not land in A
 
 
 def test_associator_witnesses_invertible():
@@ -270,7 +272,7 @@ def test_associator_witnesses_invertible():
         c, w = fixture(name)
         ch = build_choices(c, w)
         spans = {
-            (a, b): all_spans(c, w, a, b)
+            (a, b): ch.spans(a, b)
             for a, b in itertools.product(c.objects, repeat=2)
         }
         for a, b in spans:
@@ -294,19 +296,19 @@ def test_whiskers_match_ambient_on_embedded_cells():
         g = c.cell_src[gamma]
         for f in c.mors:
             if c.mor_src[f] == c.mor_dst[g]:  # f after gamma's boundary
-                lhs = loc.embed_cell(c.whisker_left(f, gamma))
-                rhs = whisker_fraction_left(ch, u_mor(c, w, f), loc.embed_cell(gamma))
+                lhs = u_cell(loc, c.whisker_left(f, gamma))
+                rhs = whisker_fraction_left(ch, u_mor(c, w, f), u_cell(loc, gamma))
                 assert lhs == rhs, (f, gamma)
             if c.mor_dst[f] == c.mor_src[g]:  # f before gamma's boundary
-                lhs = loc.embed_cell(c.whisker_right(gamma, f))
-                rhs = whisker_fraction_right(ch, loc.embed_cell(gamma), u_mor(c, w, f))
+                lhs = u_cell(loc, c.whisker_right(gamma, f))
+                rhs = whisker_fraction_right(ch, u_cell(loc, gamma), u_mor(c, w, f))
                 assert lhs == rhs, (f, gamma)
 
 
 def test_whisker_boundaries():
     c, w = fixture("F6")
     ch = build_choices(c, w)
-    gamma = u_cell(c, w, "s_f")
+    gamma = u_cell(ch, "s_f")
     t = Span("Y", "idY", "g")
     out = whisker_fraction_left(ch, t, gamma)
     assert out.src_span == compose_fractions(ch, gamma.src_span, t)
@@ -317,6 +319,72 @@ def test_whisker_boundaries():
     assert out2.dst_span == compose_fractions(ch, s, gamma.dst_span)
 
 
+# -- span arguments go through the store's check ------------------------------
+
+
+def bad_spans(c, w) -> dict[str, Span]:
+    """One malformed span of each kind that the tables of (c, W) allow."""
+    a = sorted(c.objects)[0]
+    out = {"unknown leg": Span(a, c.id1[a], "nope")}
+    away = sorted(f for f in c.mors if c.mor_src[f] != a)
+    if away:
+        out["leg not at the apex"] = Span(a, c.id1[a], away[0])
+    outside = sorted(f for f in c.mors if f not in w)
+    if outside:
+        out["denominator not in W"] = Span(c.mor_src[outside[0]], outside[0], outside[0])
+    return out
+
+
+SPAN_ARGUMENTS = {
+    "compose, first": lambda loc, bad, good, cell: compose_fractions(loc, bad, good),
+    "compose, second": lambda loc, bad, good, cell: compose_fractions(loc, good, bad),
+    "whisker left": lambda loc, bad, good, cell: whisker_fraction_left(loc, bad, cell),
+    "whisker right": lambda loc, bad, good, cell: whisker_fraction_right(loc, cell, bad),
+    "associator": lambda loc, bad, good, cell: find_associator_witness(loc, good, good, bad),
+    "identity cell": lambda loc, bad, good, cell: identity_fraction_cell(loc, bad),
+}
+BAD_SPAN_CASES = [(name, kind) for name in sorted(FIXTURES) for kind in bad_spans(*fixture(name))]
+
+
+def test_bad_span_cases_cover_every_kind():
+    assert {kind for _name, kind in BAD_SPAN_CASES} == \
+        {"unknown leg", "leg not at the apex", "denominator not in W"}
+    assert len(BAD_SPAN_CASES) == 7 + 5 + 3
+
+
+@pytest.mark.parametrize("position", sorted(SPAN_ARGUMENTS))
+@pytest.mark.parametrize("name,kind", BAD_SPAN_CASES)
+def test_span_arguments_are_checked_by_the_store(name, kind, position):
+    # the caller's span is named, never a KeyError or a fault of the package
+    c, w = fixture(name)
+    loc = build_choices(c, w)
+    bad = bad_spans(c, w)[kind]
+    good = identity_span(c, bad.apex)
+    try:
+        SPAN_ARGUMENTS[position](loc, bad, good, identity_fraction_cell(loc, good))
+    except (KeyError, InternalInconsistency) as exc:
+        pytest.fail(f"{type(exc).__name__}: {exc}")
+    except StructureError as exc:
+        assert str(exc) == "; ".join(span_problems(c, w, bad))
+    else:
+        pytest.fail("no StructureError")
+
+
+def test_span_arguments_on_f2():
+    # W = the identities; each call once let a bad span through or raised
+    # KeyError or InternalInconsistency
+    c, w = fixture("F2")
+    loc = build_choices(c, w)
+    with pytest.raises(StructureError, match="denominator 'g' is not in W"):
+        compose_fractions(loc, Span("Y", "g", "idY"), Span("Y", "idY", "idY"))
+    with pytest.raises(StructureError, match="leg 'nope' is not a 1-cell"):
+        compose_fractions(loc, Span("X", "idX", "nope"), u_mor(c, w, "f"))
+    with pytest.raises(StructureError, match="denominator 'g' is not in W"):
+        whisker_fraction_right(loc, u_cell(loc, "i_f"), Span("Y", "g", "g"))
+    with pytest.raises(StructureError, match="'nope' is not an object"):
+        identity_span(c, "nope")
+
+
 # -- equivalence deciders --------------------------------------------------------
 
 
@@ -325,7 +393,7 @@ def test_deciders_agree_on_fixture_spans():
         c, w = fixture(name)
         ch = build_choices(c, w)
         for a, b in itertools.product(c.objects, repeat=2):
-            for s in all_spans(c, w, a, b):
+            for s in ch.spans(a, b):
                 closed = is_internal_equiv_closed_form(c, w, s)
                 wit = is_internal_equiv_search(ch, s)
                 assert closed == (wit is not None), (name, s)
@@ -337,7 +405,7 @@ def test_deciders_agree_on_fixture_spans():
 def test_f5_every_endo_span_is_an_equivalence():
     c, w = fixture("F5")
     ch = build_choices(c, w)
-    for s in all_spans(c, w, "A", "A"):
+    for s in ch.spans("A", "A"):
         assert is_internal_equiv_search(ch, s) is not None
 
 

@@ -18,7 +18,6 @@ from test_partitions import cyclic_parity, span_pairs
 from twoloc.core import TwoCat
 from twoloc.fixtures import FIXTURES, fixture
 from twoloc.fractions import (
-    all_spans,
     build_choices,
     fraction_inverse,
     hom_fraction_cells,
@@ -33,8 +32,8 @@ from twoloc.transport import comparison_to_saturation, x_conditions_for_induced
 
 def search_fraction_inverse(ch, cell):
     c, w = ch.c, ch.w
-    ids = identity_fraction_cell(c, w, cell.src_span)
-    idd = identity_fraction_cell(c, w, cell.dst_span)
+    ids = identity_fraction_cell(ch, cell.src_span)
+    idd = identity_fraction_cell(ch, cell.dst_span)
     for candidate in hom_fraction_cells(c, w, cell.dst_span, cell.src_span):
         if (vcomp_fraction(ch, cell, candidate) == ids
                 and vcomp_fraction(ch, candidate, cell) == idd):
@@ -90,7 +89,7 @@ def test_idempotent_makes_its_order_cell_invertible():
                        {("1", "1"), ("e", "e"), ("1", "e")})
     w = frozenset({"1", "e"})
     ch = build_choices(c, w)
-    cell = u_cell(c, w, "1<=e")
+    cell = u_cell(ch, "1<=e")
     assert cell.canonical.beta == "1<=e" and not c.is_invertible2("1<=e")
     assert ("A", "e", "e", "e<=e", "e<=e") in {tuple(r)[2:] for r in cell.members}
     assert is_invertible_fraction_cell(ch, cell)
@@ -123,6 +122,6 @@ def test_z8_with_renamed_cells_keeps_every_equivalence(seed):
         w = frozenset(f"g{k}" for k in range(0, 8, step))
         ch = build_choices(c, w)
         assert all(is_internal_equiv_search(ch, s) is not None
-                   for s in all_spans(c, w, "x", "x")), step
+                   for s in ch.spans("x", "x")), step
         report = x_conditions_for_induced(comparison_to_saturation(c, w))
         assert len(report.verdicts) == 4 and report.ok, (step, report.lines())

@@ -32,7 +32,7 @@ from twoloc.fractions import (
     _Hom,
     _HomPartitions,
     _partitions,
-    all_spans,
+    build_choices,
     cell_from_rep,
     equality_chain,
     first_invertible_cell,
@@ -46,7 +46,7 @@ from twoloc.fractions import (
 from twoloc.saturation import saturate
 from twoloc.transport import comparison_to_saturation, x_conditions_for_induced
 
-from corpus import cyclic_parity, oracle_inputs
+from corpus import classes_only, cyclic_parity, oracle_inputs
 
 
 def oracle_partition(c, w, s1: Span, s2: Span) -> dict[CellRep, frozenset[CellRep]]:
@@ -132,9 +132,9 @@ def oracle_equality_chain(c, w, part, r1: CellRep, r2: CellRep):
 
 
 def span_pairs(c, w):
-    objs = sorted(c.objects)
+    objs, loc = sorted(c.objects), classes_only(c, w)
     for a, b in itertools.product(objs, objs):
-        spans = all_spans(c, w, a, b)
+        spans = loc.spans(a, b)
         yield from itertools.product(spans, spans)
 
 
@@ -146,6 +146,7 @@ def assert_partitions_match(c, w) -> int:
     must not connect.
     """
     w = frozenset(w)
+    loc = classes_only(c, w)
     homs = 0
     for s1, s2 in span_pairs(c, w):
         homs += 1
@@ -156,12 +157,12 @@ def assert_partitions_match(c, w) -> int:
         assert [cell.canonical for cell in cells] == sorted({min(m) for m in want.values()})
         for cell in cells:
             assert cell.canonical == min(cell.members)
-            assert all(cell_from_rep(c, w, r) is cell for r in cell.members)
+            assert all(cell_from_rep(loc, r) is cell for r in cell.members)
         if cells:
             first, far = cells[0].canonical, max(cells[0].members)
-            assert equality_chain(c, w, first, far) == \
+            assert equality_chain(loc, first, far) == \
                 oracle_equality_chain(c, w, want, first, far)
-            assert equality_chain(c, w, first, cells[-1].canonical) == \
+            assert equality_chain(loc, first, cells[-1].canonical) == \
                 oracle_equality_chain(c, w, want, first, cells[-1].canonical)
     return homs
 
@@ -232,6 +233,7 @@ def sampled_reps(c, w, rng: random.Random, count: int):
     representatives both occur.
     """
     objs, mors, cells, comp1 = sorted(c.objects), c.mors, c.cells, c.comp1
+    loc = classes_only(c, w)
 
     def pick(typed, anything):
         return rng.choice(typed) if typed and rng.random() < 0.8 else anything()
@@ -240,7 +242,7 @@ def sampled_reps(c, w, rng: random.Random, count: int):
         return Span(rng.choice(objs), rng.choice(mors), rng.choice(mors))
 
     for _ in range(count):
-        s1, s2 = (pick(all_spans(c, w, rng.choice(objs), rng.choice(objs)), any_span)
+        s1, s2 = (pick(loc.spans(rng.choice(objs), rng.choice(objs)), any_span)
                   for _ in range(2))
         apex = rng.choice(objs)
         v1 = pick(c.hom1(apex, s1.apex), lambda: rng.choice(mors))
@@ -267,6 +269,7 @@ def test_store_membership_matches_rep_problems():
     for entry in oracle_inputs():
         for cls in classes_to_compare(entry.c, entry.w):
             c = entry.c
+            loc = classes_only(c, cls)
             for rep in sampled_reps(c, cls, rng, 20):
                 problems = rep_problems(c, cls, rep)
                 seen["invalid" if problems else "valid"] += 1
@@ -275,10 +278,10 @@ def test_store_membership_matches_rep_problems():
                     (entry.name, rep, problems)
                 if problems:
                     with pytest.raises(StructureError) as raised:
-                        cell_from_rep(c, cls, rep)
+                        cell_from_rep(loc, rep)
                     assert str(raised.value) == "; ".join(problems)
                 else:
-                    assert rep in cell_from_rep(c, cls, rep).members
+                    assert rep in cell_from_rep(loc, rep).members
                 for cell in hom:
                     seen["members"] += len(cell.members)
                     assert all(rep_problems(c, cls, r) == [] for r in cell.members)
@@ -509,9 +512,10 @@ def test_hom_checks_each_span_at_most_once(monkeypatch):
     # the other entry points reach the same checked spans: a class looked up
     # from each member, the closed form on every span, and the comparison
     # C[W⁻¹] → C[W_sat⁻¹] with its X-conditions, which sweep the W_sat store
+    loc = build_choices(c, w)
     for s1, s2 in pairs:
         for cell in hom_fraction_cells(c, w, s1, s2):
-            assert all(cell_from_rep(c, w, r) is cell for r in cell.members)
+            assert all(cell_from_rep(loc, r) is cell for r in cell.members)
     spans = {s for pair in pairs for s in pair}
     assert all(is_internal_equiv_closed_form(c, w, s) for s in spans for _ in range(2))
     assert len(checked) == 32
@@ -545,7 +549,7 @@ def test_closed_form_saturates_once(monkeypatch):
 
 def test_partitions_do_not_outlive_their_twocat():
     c, w = fixture("F3")
-    spans = all_spans(c, w, "0", "0")
+    spans = classes_only(c, w).spans("0", "0")
     assert hom_fraction_cells(c, w, spans[0], spans[-1])
     ref = weakref.ref(c)
     del c

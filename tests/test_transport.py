@@ -32,7 +32,7 @@ from twoloc import (
     x_conditions_for_induced,
 )
 from twoloc.fixtures import discrete_twocat, parity_twocat
-from twoloc.fractions import Span, _Hom, all_spans
+from twoloc.fractions import Span, _Hom
 from twoloc.transport import AmbientView, LocalizationView, WeakEquivalenceReport
 from corpus import CorpusEntry, cyclic_family, cyclic_parity, posetal_family
 from functor_enum import enumerate_strict_functors, search_constancy
@@ -113,15 +113,25 @@ def test_saturation_compatibility_rejects_non_bf_class():
 def test_induce_requires_c3_table():
     c, w = fixture("F3")
     ch = build_choices(c, w, enforce_c3=False)
-    with pytest.raises(StructureError):
-        induce(identity_functor(c), w, ch)
+    with pytest.raises(StructureError, match="must honour C3"):
+        induce(identity_functor(c), build_choices(c, w), ch)
 
 
 def test_induce_requires_image_in_class():
     c, w = fixture("F2")
     ch = build_choices(c, w)  # W = identities only
-    with pytest.raises(StructureError):
-        induce(identity_functor(c), saturate(c, w), ch)
+    with pytest.raises(StructureError, match="escapes the target class"):
+        induce(identity_functor(c), build_choices(c, saturate(c, w)), ch)
+
+
+def test_induce_requires_each_table_on_its_side():
+    c, w = fixture("F3")
+    other, _ = fixture("F3")  # equal tables, another 2-category
+    fun = identity_functor(c)
+    with pytest.raises(StructureError, match="does not belong to the source 2-category"):
+        induce(fun, build_choices(other, w), build_choices(c, w))
+    with pytest.raises(StructureError, match="does not belong to the target 2-category"):
+        induce(fun, build_choices(c, w), build_choices(other, w))
 
 
 def f2_mutants(c):
@@ -143,7 +153,7 @@ def test_induce_rejects_every_single_cell_mutant_of_the_identity():
         rep = validate_functor(fun)
         assert not rep.ok, (a, b)
         with pytest.raises(StructureError, match=re.escape(rep.lines()[0])):
-            induce(fun, w, ch)
+            induce(fun, ch, ch)
 
 
 def test_constancy_search_rejects_non_functors():
@@ -186,7 +196,7 @@ def test_comparison_to_saturation_builds_no_partition(step):
 
     ind = comparison_to_saturation(c, w)
     assert set(c._hom_partitions) == {w, frozenset(c.mors)} and swept() == set()
-    ind.map_cell(u_cell(c, w, "s_g0"))
+    ind.map_cell(u_cell(ind.source_loc, "s_g0"))
     assert swept() == {w, frozenset(c.mors)}
 
 
@@ -198,7 +208,7 @@ def test_x_conditions_build_classes_only_between_source_spans(step):
     c = cyclic_parity(8, "s")
     w = frozenset(f"g{k}" for k in range(0, 8, step))
     assert x_conditions_for_induced(comparison_to_saturation(c, w)).ok
-    sources = set(all_spans(c, w, "x", "x"))
+    sources = set(build_choices(c, w).spans("x", "x"))
     built = [(s1, s2) for s1, row in c._hom_partitions[frozenset(c.mors)]._out.items()
              for s2, entry in row.items() if isinstance(entry, _Hom)]
     assert built and all(s1 in sources and s2 in sources for s1, s2 in built)
@@ -215,7 +225,7 @@ def test_point_into_z8_is_not_mor_surjective(twist_name):
                            {"i_e": "i_g0", f"{twist_name}_e": f"{twist_name}_g0"})
     reports = [(x_conditions_for_functor(fun), "g1")]
     for w in ({"g0"}, {"g0", "g4"}):
-        ind = induce(fun, {"e"}, build_choices(z8, w))
+        ind = induce(fun, build_choices(point, {"e"}), build_choices(z8, w))
         reports.append((x_conditions_for_induced(ind), Span("x", "g0", "g1")))
     for rep, g in reports:
         assert rep.verdicts == {"obj_surjective_up_to_equiv": True,
@@ -227,11 +237,11 @@ def test_point_into_z8_is_not_mor_surjective(twist_name):
 def test_induced_identity_is_strict():
     c, w = fixture("F3")
     ch = build_choices(c, w)
-    ind = induce(identity_functor(c), w, ch)
+    ind = induce(identity_functor(c), ch, ch)
     for f in c.mors:
         assert ind.map_span(u_mor(c, w, f)) == u_mor(c, w, f)
     for gamma in c.cells:
-        assert ind.map_cell(u_cell(c, w, gamma)) == u_cell(c, w, gamma)
+        assert ind.map_cell(u_cell(ch, gamma)) == u_cell(ch, gamma)
     loc = localize(c, w, ch)
     for a, b in itertools.product(c.objects, repeat=2):
         for s in loc.spans(a, b):
@@ -246,7 +256,7 @@ def test_induced_swap_on_walking_iso():
     swap = next(f for f in enumerate_strict_functors(c, c)
                 if f.f0 == {"X": "Y", "Y": "X"} and f.f2.get("s_f") == "s_g")
     ch = build_choices(c, w)
-    ind = induce(swap, w, ch)
+    ind = induce(swap, ch, ch)
     assert search_constancy(ind) is None
     loc = localize(c, w, ch)
     for s in loc.spans("X", "Y"):
@@ -309,13 +319,14 @@ def test_compare_choice_tables_connects_everything():
     c, w = fixture("F3")
     ch1 = build_choices(c, w)
     ch2 = build_choices(c, w, enforce_c3=False)
-    comp = compare_choice_tables(c, w, ch1, ch2)
+    comp = compare_choice_tables(ch1, ch2)
     assert comp.ok
     assert comp.pairs_checked > 0
     assert not comp.unconnected
     other, _ = fixture("F3")  # equal tables, another 2-category
-    with pytest.raises(StructureError, match="another 2-category or class W"):
-        compare_choice_tables(c, w, ch1, build_choices(other, w))
+    for ch in (build_choices(other, w), build_choices(c, {"id0", "id1"})):
+        with pytest.raises(StructureError, match="another 2-category or class W"):
+            compare_choice_tables(ch1, ch)
 
 
 def reference_weak_equivalence_report(src_view, dst_view, map_object, map_one, map_two):
@@ -418,7 +429,8 @@ def test_x_conditions_match_the_all_pairs_walk(corpus_entries):
     for fun, w_src, targets in functors:
         cases.append(ambient_case(fun))
         for w in targets:
-            cases.append(induced_case(induce(fun, w_src, build_choices(fun.target, w))))
+            cases.append(induced_case(induce(fun, build_choices(fun.source, w_src),
+                                             build_choices(fun.target, w))))
 
     failures = Counter()
     reports = []
