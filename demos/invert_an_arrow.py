@@ -7,9 +7,9 @@ span and every hom-category collapses to a single invertible cell.
 """
 
 from twoloc import (
+    build_choices,
     fixture,
     is_internal_equiv_search,
-    localize,
     saturate,
     u_mor,
 )
@@ -21,7 +21,7 @@ print(f"inverted: {sorted(w)}")
 print(f"saturation of W: {sorted(saturate(c, w))}  (already everything)")
 print()
 
-loc = localize(c, w)  # the bicategory of fractions, with its choice of fillers
+loc = build_choices(c, w)  # the bicategory of fractions, with its choice of fillers
 
 span_w = u_mor(c, w, "w")
 print(f"w embeds as the span {span_w}")

@@ -8,16 +8,16 @@ and the image of tau, and tau composed with itself is the identity class.
 """
 
 from twoloc import (
+    build_choices,
     fixture,
     is_invertible_fraction_cell,
-    localize,
     u_cell,
     u_mor,
     vcomp_fraction,
 )
 
 c, w = fixture("F7")
-loc = localize(c, w)
+loc = build_choices(c, w)
 
 uf = u_mor(c, w, "f")
 cells = loc.hom_cells(uf, uf)

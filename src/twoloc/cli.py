@@ -91,8 +91,7 @@ class _Command:
         self.report = {
             "command": args.cmd,
             "input": inputs,
-            "flags": {"c3": getattr(args, "c3", True),
-                      "xchecks": getattr(args, "xchecks", False)},
+            "flags": {"xchecks": getattr(args, "xchecks", False)},
             "verdicts": {},
             "data": {},
             "counterexamples": {},
@@ -212,7 +211,7 @@ def cmd_localize(cmd: _Command, args) -> int:
     c, w = _load_checked(cmd, args.path)
     if not _require_bf(cmd, c, w):
         return cmd.finish()
-    loc = build_choices(c, w, enforce_c3=args.c3)
+    loc = build_choices(c, w)
     homs = []
     for a, b in itertools.product(sorted(c.objects), sorted(c.objects)):
         spans = loc.spans(a, b)
@@ -238,7 +237,7 @@ def cmd_equiv(cmd: _Command, args) -> int:
     closed = is_internal_equiv_closed_form(c, w, span)
     if not _require_bf(cmd, c, w):
         return cmd.finish()
-    loc = build_choices(c, w, enforce_c3=args.c3)
+    loc = build_choices(c, w)
     witness = is_internal_equiv_search(loc, span)
     cmd.verdict("deciders_agree", closed == (witness is not None),
                 {"closed_form": closed, "search": witness is not None})
@@ -263,7 +262,7 @@ def cmd_cell_eq(cmd: _Command, args) -> int:
     r2 = _rep_arg(args.rep2, src, dst)
     if not _require_bf(cmd, c, w):
         return cmd.finish()
-    loc = build_choices(c, w, enforce_c3=args.c3)
+    loc = build_choices(c, w)
     equal = cells_equal(loc, r1, r2)
     cmd.report["data"]["equal"] = equal
     if equal:
@@ -279,9 +278,6 @@ def cmd_induce(cmd: _Command, args) -> int:
     from .transport import (induce, preserves_into, saturation_compatibility,
                             x_conditions_for_induced)
 
-    if not args.c3:  # `induce` needs a C3 target table, so the flag cannot hold
-        return cmd.bad_input("--no-c3 is not supported by induce: "
-                             "the target choice table must honour C3")
     c_src, w_src = _load_checked(cmd, args.src, f"{args.src}:")
     c_dst, w_dst = _load_checked(cmd, args.dst, f"{args.dst}:")
     fun = load_twofunctor(args.functor, c_src, c_dst)
@@ -415,11 +411,6 @@ def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", default=None,
                         help="write the JSON report here instead of stdout")
-    common.add_argument("--c3", dest="c3", action="store_true", default=True,
-                        help="normalise choice tables with condition C3 (default)")
-    common.add_argument("--no-c3", dest="c3", action="store_false")
-    common.add_argument("--xchecks", action="store_true", default=False,
-                        help="run the expensive weak-equivalence enumeration")
 
     p = argparse.ArgumentParser(prog="twoloc",
                                 description="finite 2-category localization toolkit")
@@ -467,6 +458,8 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("functor")
     sp.add_argument("--target", choices=("sat", "plain"), default="sat",
                     help="localize the target at W_sat (default) or W itself")
+    sp.add_argument("--xchecks", action="store_true", default=False,
+                    help="run the expensive weak-equivalence enumeration")
     sp.set_defaults(fn=cmd_induce, inputs=("src", "dst", "functor"))
 
     sp = sub.add_parser("groupoid", parents=[common],

@@ -38,6 +38,16 @@ def _load_json(path: str | Path) -> dict:
     return doc
 
 
+def _check_keys(doc: dict, expected: set[str], where: str) -> None:
+    """Unknown keys first, then missing ones."""
+    extra = set(doc) - expected
+    if extra:
+        raise DocumentError(f"{where}: unknown keys {sorted(extra)}")
+    missing = expected - set(doc)
+    if missing:
+        raise DocumentError(f"{where}: missing keys {sorted(missing)}")
+
+
 def _str_list(doc: dict, key: str, where: str) -> list[str]:
     val = doc.get(key)
     if not isinstance(val, list) or not all(isinstance(x, str) for x in val):
@@ -94,14 +104,8 @@ def load_twocat(path: str | Path) -> tuple[TwoCat, frozenset[str]]:
     """Read a 2-category document; shape only, laws are the validator's job."""
     where = str(path)
     doc = _load_json(path)
-    expected = {"objects", "morphisms", "identities", "compose", "twocells",
-                "identity2", "vcomp", "hcomp", "W"}
-    extra = set(doc) - expected
-    if extra:
-        raise DocumentError(f"{where}: unknown keys {sorted(extra)}")
-    missing = expected - set(doc)
-    if missing:
-        raise DocumentError(f"{where}: missing keys {sorted(missing)}")
+    _check_keys(doc, {"objects", "morphisms", "identities", "compose", "twocells",
+                      "identity2", "vcomp", "hcomp", "W"}, where)
 
     objects = _str_list(doc, "objects", where)
     mors = _edge_list(doc, "morphisms", where)
@@ -150,13 +154,7 @@ def load_groupoid(path: str | Path) -> FiniteGroupoid:
 
     where = str(path)
     doc = _load_json(path)
-    expected = {"objects", "arrows", "compose", "inverse", "unit"}
-    missing = expected - set(doc)
-    if missing:
-        raise DocumentError(f"{where}: missing keys {sorted(missing)}")
-    extra = set(doc) - expected
-    if extra:
-        raise DocumentError(f"{where}: unknown keys {sorted(extra)}")
+    _check_keys(doc, {"objects", "arrows", "compose", "inverse", "unit"}, where)
     arrows = _edge_list(doc, "arrows", where)
     return FiniteGroupoid(
         name=Path(path).stem,
@@ -187,9 +185,7 @@ def load_twofunctor(path: str | Path, source: TwoCat, target: TwoCat) -> StrictT
 
     where = str(path)
     doc = _load_json(path)
-    for key in ("f0", "f1", "f2"):
-        if key not in doc:
-            raise DocumentError(f"{where}: missing key {key!r}")
+    _check_keys(doc, {"f0", "f1", "f2"}, where)
     return StrictTwoFunctor(source, target,
                             _str_map(doc, "f0", where),
                             _str_map(doc, "f1", where),
@@ -209,9 +205,7 @@ def load_gfunctor(path: str | Path, source: FiniteGroupoid,
 
     where = str(path)
     doc = _load_json(path)
-    for key in ("obj_map", "arr_map"):
-        if key not in doc:
-            raise DocumentError(f"{where}: missing key {key!r}")
+    _check_keys(doc, {"obj_map", "arr_map"}, where)
     return GroupoidFunctor(source, target,
                            _str_map(doc, "obj_map", where),
                            _str_map(doc, "arr_map", where))

@@ -1,11 +1,9 @@
 """Built-in test 2-categories F1..F7 and small construction helpers.
 
-The builders produce fully tabulated strict 2-categories:
-
-* `discrete_twocat` adds identity 2-cells only,
-* `parity_twocat` puts a Z/2 worth of 2-cells on every chosen 1-cell
-  (an extra invertible endo-cell squaring to the identity), with both
-  compositions adding parities.
+The builder `parity_twocat` produces fully tabulated strict 2-categories:
+it puts a Z/2 worth of 2-cells on every chosen 1-cell (an extra
+invertible endo-cell squaring to the identity), with both compositions
+adding parities; with no chosen 1-cell the only 2-cells are identities.
 
 Each fixture ships with a default W class (used by the CLI emitter).
 """
@@ -31,35 +29,6 @@ def _close_composition(
         if mors[f][1] == mors[g][0] and (g, f) not in table:
             raise ValueError(f"composition table missing {(g, f)}")
     return table
-
-
-def discrete_twocat(
-    objects: list[str],
-    mors: dict[str, tuple[str, str]],
-    id1: dict[str, str],
-    comp: dict[tuple[str, str], str],
-) -> TwoCat:
-    """A 2-category whose only 2-cells are identities."""
-    comp = _close_composition(mors, id1, comp)
-    cell_of = {f: f"i_{f}" for f in mors}
-    cell_src = {cell_of[f]: f for f in mors}
-    vcomp = {(cell_of[f], cell_of[f]): cell_of[f] for f in mors}
-    hcomp = {
-        (cell_of[g], cell_of[f]): cell_of[comp[(g, f)]]
-        for (g, f) in comp
-    }
-    return TwoCat(
-        objects=tuple(objects),
-        mor_src={f: s for f, (s, _) in mors.items()},
-        mor_dst={f: d for f, (_, d) in mors.items()},
-        comp1=comp,
-        id1=dict(id1),
-        cell_src=cell_src,
-        cell_dst=dict(cell_src),
-        vcomp_table=vcomp,
-        hcomp_table=hcomp,
-        id2=cell_of,
-    )
 
 
 def parity_twocat(
@@ -155,28 +124,30 @@ def disjoint_union(c1: TwoCat, c2: TwoCat, tag1: str = "l.", tag2: str = "r.") -
 
 def f1() -> tuple[TwoCat, frozenset[str]]:
     """One object, identity cells only."""
-    c = discrete_twocat(["A"], {"idA": ("A", "A")}, {"A": "idA"}, {})
+    c = parity_twocat(["A"], {"idA": ("A", "A")}, {"A": "idA"}, {}, twisted=set())
     return c, frozenset({"idA"})
 
 
 def f2() -> tuple[TwoCat, frozenset[str]]:
     """Walking isomorphism f: X→Y, g: Y→X; identity 2-cells only."""
-    c = discrete_twocat(
+    c = parity_twocat(
         ["X", "Y"],
         {"idX": ("X", "X"), "idY": ("Y", "Y"), "f": ("X", "Y"), "g": ("Y", "X")},
         {"X": "idX", "Y": "idY"},
         {("g", "f"): "idX", ("f", "g"): "idY"},
+        twisted=set(),
     )
     return c, frozenset({"idX", "idY"})
 
 
 def f3() -> tuple[TwoCat, frozenset[str]]:
     """Objects 0, 1 with a single arrow w: 0→1 (a poset as a 2-category)."""
-    c = discrete_twocat(
+    c = parity_twocat(
         ["0", "1"],
         {"id0": ("0", "0"), "id1": ("1", "1"), "w": ("0", "1")},
         {"0": "id0", "1": "id1"},
         {},
+        twisted=set(),
     )
     return c, frozenset({"id0", "id1", "w"})
 

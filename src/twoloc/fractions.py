@@ -34,7 +34,7 @@ are defined on tables that pass `validate`.
 
 A `Localization` is C[W⁻¹] for one choice of fillers: `build_choices`
 picks a filler for every cospan (f, v ∈ W), honouring C1 (f an
-identity), C2 (v an identity) and optionally C3 (f = v ∈ W), which make
+identity), C2 (v an identity) and C3 (f = v ∈ W), which make
 identity spans strict units.  Every operation on spans and 2-cells takes
 it first and reads the store of its (C, W); `hom_fraction_cells`,
 `is_internal_equiv_closed_form` and `u_mor` keep a (c, w) form for the
@@ -503,7 +503,7 @@ def u_cell(loc: Localization, gamma: str) -> FractionCell:
 
 @dataclass(eq=False)
 class Localization:
-    """C[W⁻¹] with a filler for every cospan (f, v ∈ W), normalised per C1/C2/(C3).
+    """C[W⁻¹] with a filler for every cospan (f, v ∈ W), normalised per C1/C2/C3.
 
     Built by `build_choices`; reads its classes and W_sat in its store.
     """
@@ -511,7 +511,6 @@ class Localization:
     c: TwoCat
     w: frozenset[str]
     entries: dict[tuple[str, str], tuple[str, str, str, str]]
-    honors_c3: bool = True
     _store: _HomPartitions = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -538,7 +537,13 @@ class Localization:
         return self._store.hom(self.c, s1, s2).cells
 
 
-def build_choices(c: TwoCat, w, enforce_c3: bool = True) -> Localization:
+def _c3_entry(c: TwoCat, f: str) -> tuple[str, str, str, str]:
+    """C3's filler for the cospan (f, f): the identity square at src f."""
+    a = c.mor_src[f]
+    return (a, c.id1[a], c.id1[a], c.id2[f])
+
+
+def build_choices(c: TwoCat, w) -> Localization:
     """Choose a filler (A'', v' ∈ W, f', invertible rho) per cospan (f, v ∈ W)."""
     w = _partitions(c, w).w
     identities = set(c.id1.values())
@@ -551,18 +556,18 @@ def build_choices(c: TwoCat, w, enforce_c3: bool = True) -> Localization:
                 entries[(f, v)] = (c.mor_src[v], v, c.id1[c.mor_src[v]], c.id2[v])
             elif v in identities:  # C2: nothing to invert
                 entries[(f, v)] = (c.mor_src[f], c.id1[c.mor_src[f]], f, c.id2[f])
-            elif enforce_c3 and f == v:  # C3: a W-leg against itself
-                a = c.mor_src[f]
-                entries[(f, v)] = (a, c.id1[a], c.id1[a], c.id2[f])
+            elif f == v:  # C3: a W-leg against itself
+                entries[(f, v)] = _c3_entry(c, f)
             else:
                 entries[(f, v)] = fill_cospan(c, w, f, v)
-    return Localization(c, w, entries, enforce_c3)
+    return Localization(c, w, entries)
 
 
-def localize(c: TwoCat, w, ch: Optional[Localization] = None) -> Localization:
-    """C[W⁻¹]: `ch` itself if given, once it is checked to be built for c and W."""
-    if ch is None:
-        return build_choices(c, w)
+def localize(c: TwoCat, w, ch: Localization) -> Localization:
+    """C[W⁻¹]: `ch` itself, once it is checked to be built for c and W.
+
+    Nothing is built here; `build_choices` makes the table.
+    """
     if ch.w != _partitions(c, w).w or ch.c is not c:
         raise StructureError("choice table was built for another 2-category or class W")
     return ch

@@ -42,10 +42,6 @@ class BFReport:
             self.passed[axiom] = False
             self.counterexamples[axiom] = counterexample
 
-    def lines(self) -> list[str]:
-        return [f"{a}: pass" if self.passed.get(a, False)
-                else f"{a}: FAIL {self.counterexamples.get(a)}" for a in AXIOMS]
-
 
 def cospan_fillers(c: TwoCat, w: frozenset[str], f: str, v: str):
     """All (A'', v'', f'', rho) squaring the cospan (f: A→B, v: C→B), v ∈ W.

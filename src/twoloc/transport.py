@@ -49,6 +49,7 @@ from .fractions import (
     FractionCell,
     Localization,
     Span,
+    _c3_entry,
     _comparison_cell,
     build_choices,
     cell_from_rep,
@@ -225,9 +226,10 @@ def induce(fun: StrictTwoFunctor, source_loc: Localization,
     The cell map is constant on refinement classes by the lemma in the
     module docstring, so only its hypotheses are checked: F is a strict
     2-functor (the first failing law is named otherwise), each table lies
-    on its side of F, the target's honours C3, and F₁(W) ⊆ W′.  The tables
-    are assumed validated.  No localized hom is built here; classes are
-    formed only when a cell is asked for.
+    on its side of F, the target's entry at each (f, f) with f ∈ W′ is
+    C3's, and F₁(W) ⊆ W′.  The tables are assumed validated.  No
+    localized hom is built here; classes are formed only when a cell is
+    asked for.
     """
     if not fun.validation.ok:
         raise StructureError(f"not a strict 2-functor: {fun.validation.lines()[0]}")
@@ -235,7 +237,8 @@ def induce(fun: StrictTwoFunctor, source_loc: Localization,
         raise StructureError("choice table does not belong to the source 2-category")
     if target_loc.c is not fun.target:
         raise StructureError("choice table does not belong to the target 2-category")
-    if not target_loc.honors_c3:
+    if any(target_loc.entries.get((f, f)) != _c3_entry(target_loc.c, f)
+           for f in target_loc.w):
         raise StructureError("target choice table must honour C3")
     escaped = fun.map_class(source_loc.w) - target_loc.w
     if escaped:

@@ -96,7 +96,7 @@ def test_c02_bf_preserved_by_saturation(corpus_entries, capsys):
         n += 1
         rep = check_bf(c, saturate(c, w))
         if not rep.ok:
-            problems.append((name, rep.lines()))
+            problems.append((name, rep.counterexamples))
     dt = time.perf_counter() - t0
     ok = not problems and dt < 60
     _line(capsys, 2, ok, f"BF axioms survive saturation on {n} "

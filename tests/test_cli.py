@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report schema, document round-trips."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -17,10 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twoloc import build_choices, fixture
-from twoloc.cli import main
-from twoloc.documents import dump_twocat
+from twoloc import identity_functor as strict_identity
+from twoloc.cli import _parser, main
+from twoloc.documents import (dump_gfunctor, dump_groupoid, dump_twocat, dump_twofunctor,
+                              load_gfunctor, load_groupoid, load_twocat, load_twofunctor)
 from twoloc.fixtures import FIXTURES
-from twoloc.groupoids import CATALOGS, groupoid_twocat
+from twoloc.groupoids import CATALOGS, GROUPOID_FIXTURES, enumerate_gfunctors, groupoid_twocat
 
 SCHEMA_KEYS = {"command", "input", "flags", "verdicts", "data",
                "counterexamples", "timing_s", "ok"}
@@ -207,15 +210,86 @@ def test_induce_validates_the_functor_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def test_induce_refuses_no_c3(tmp_path, capsys):
-    # induce needs a C3 target table, so --no-c3 cannot be honoured
+def test_each_command_takes_only_its_options(tmp_path, capsys):
+    subparsers = next(a for a in _parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {name: {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
+               for name, sp in subparsers.choices.items()}
+    own = {"cell-eq": {"--src", "--dst"}, "induce": {"--target", "--xchecks"},
+           "groupoid": {"--check", "--functor"}}
+    assert set(options) == {"validate", "check-bf", "saturate", "localize", "equiv",
+                            "cell-eq", "induce", "groupoid", "fixtures"}
+    for name, opts in options.items():
+        assert opts == {"--output"} | own.get(name, set()), name
+
+    # an option a command does not take is a usage error: no report
     f6 = emit(tmp_path, "F6")
-    code, rep = run(capsys, "induce", f6, f6, identity_functor_doc(tmp_path, f6),
-                    "--no-c3")
-    assert code == 2
-    assert rep["ok"] is False and rep["flags"]["c3"] is False
-    assert "--no-c3" in rep["error"]
-    assert rep["verdicts"] == {}
+    for argv in (["induce", f6, f6, identity_functor_doc(tmp_path, f6), "--no-c3"],
+                 ["validate", f6, "--xchecks"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "usage:" in err, argv
+
+
+def test_functor_documents_refuse_unknown_keys(tmp_path, capsys):
+    f2 = emit(tmp_path, "F2")
+    fun = tmp_path / "id.json"
+    doc = identity_functor(json.loads(Path(f2).read_text(encoding="utf-8")))
+    fun.write_text(json.dumps({**doc, "f3": {}, "typo": 1}))
+    code, rep = run(capsys, "induce", f2, f2, str(fun))
+    assert code == 2 and rep["ok"] is False
+    assert "unknown keys ['f3', 'typo']" in rep["error"]
+
+    unit, pair = emit(tmp_path, "unit"), emit(tmp_path, "pair2")
+    gfun = tmp_path / "collapse.json"
+    gfun.write_text(json.dumps({
+        "obj_map": {"1": "1", "2": "1"},
+        "arr_map": {"p11": "e1", "p12": "e1", "p21": "e1", "p22": "e1"},
+        "typo": {},
+    }))
+    code, rep = run(capsys, "groupoid", pair, unit, "--check", "morita",
+                    "--functor", str(gfun))
+    assert code == 2 and rep["ok"] is False
+    assert "unknown keys ['typo']" in rep["error"]
+
+
+def test_every_document_kind_round_trips(tmp_path):
+    for name in FIXTURES:
+        c, w = fixture(name)
+        path = tmp_path / f"{name}.json"
+        path.write_text(dump_twocat(c, w), encoding="utf-8")
+        c2, w2 = load_twocat(path)
+        assert w2 == w and sorted(c2.objects) == sorted(c.objects), name
+        for table in ("mor_src", "mor_dst", "comp1", "id1", "cell_src", "cell_dst",
+                      "vcomp_table", "hcomp_table", "id2"):
+            assert getattr(c2, table) == getattr(c, table), (name, table)
+        fun = strict_identity(c)
+        path = tmp_path / f"{name}-id.json"
+        path.write_text(dump_twofunctor(fun), encoding="utf-8")
+        fun2 = load_twofunctor(path, c2, c2)
+        assert (fun2.f0, fun2.f1, fun2.f2) == (fun.f0, fun.f1, fun.f2), name
+        assert dump_twofunctor(fun2) == dump_twofunctor(fun), name
+
+    gpds = {name: build() for name, build in GROUPOID_FIXTURES.items()}
+    loaded = {}
+    for name, g in gpds.items():
+        path = tmp_path / f"{g.name}.json"
+        path.write_text(dump_groupoid(g), encoding="utf-8")
+        loaded[name] = h = load_groupoid(path)
+        assert (h.name, sorted(h.objects)) == (g.name, sorted(g.objects)), name
+        for table in ("arr_src", "arr_dst", "comp", "inv", "unit"):
+            assert getattr(h, table) == getattr(g, table), (name, table)
+    funs = 0
+    for a, b in itertools.product(gpds, gpds):
+        for fun in enumerate_gfunctors(gpds[a], gpds[b]):
+            path = tmp_path / "gfun.json"
+            path.write_text(dump_gfunctor(fun), encoding="utf-8")
+            fun2 = load_gfunctor(path, loaded[a], loaded[b])
+            assert (fun2.obj_map, fun2.arr_map) == (fun.obj_map, fun.arr_map), (a, b)
+            funs += 1
+    assert funs > len(gpds)
 
 
 def test_groupoid_checks(tmp_path, capsys):

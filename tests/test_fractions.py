@@ -108,7 +108,7 @@ def test_f7_tau_is_its_own_fraction_inverse():
 
 def test_embed_cell_functorial_for_vcomp():
     c, w = fixture("F7")
-    loc = localize(c, w)
+    loc = build_choices(c, w)
     for b, a in c.vcomp_table:
         lhs = u_cell(loc, c.vcomp(b, a))
         rhs = vcomp_fraction(loc, u_cell(loc, a), u_cell(loc, b))
@@ -173,7 +173,7 @@ def test_c3_collapses_w_roundtrip():
     # hits the C3 entry at cospan (w, w) and collapses to the identity span
     c, w = fixture("F3")
     ch = build_choices(c, w)
-    assert ch.honors_c3
+    assert ch.entries[("w", "w")] == ("0", "id0", "id0", "i_w")
     back = quasi_inverse_of_u(ch, "w", "id0")
     assert back == Span("0", "w", "id0")
     assert compose_fractions(ch, u_mor(c, w, "w"), back) == identity_span(c, "0")

@@ -39,7 +39,6 @@ from twoloc.fractions import (
     hom_fraction_cells,
     is_internal_equiv_closed_form,
     is_invertible_fraction_cell,
-    localize,
     rep_problems,
     u_mor,
 )
@@ -541,7 +540,7 @@ def test_closed_form_saturates_once(monkeypatch):
                     if is_internal_equiv_closed_form(c, w, u_mor(c, w, f))}
     assert len(c.mors) == 50 and equivalences == w
     assert len(calls) <= 1
-    assert localize(c, w).saturation == w and len(calls) <= 1
+    assert build_choices(c, w).saturation == w and len(calls) <= 1
 
 
 # -- lifetime: partitions live and die with their 2-category -----------------
@@ -559,7 +558,7 @@ def test_partitions_do_not_outlive_their_twocat():
 
 def localize_fresh_z6():
     c = cyclic_parity(6, "s")
-    loc = localize(c, {"g0", "g3"})
+    loc = build_choices(c, {"g0", "g3"})
     spans = loc.spans("x", "x")
     return sum(len(loc.hom_cells(spans[0], s)) for s in spans)
 

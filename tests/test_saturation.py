@@ -44,7 +44,7 @@ def test_default_classes_pass_bf():
     for name in BF_FIXTURES:
         c, w = fixture(name)
         rep = check_bf(c, w)
-        assert rep.ok, (name, rep.lines())
+        assert rep.ok, (name, rep.counterexamples)
         assert all(a in rep.passed for a in AXIOMS)
 
 
@@ -279,7 +279,7 @@ def test_bf_survives_saturation_on_fixtures():
     for name in BF_FIXTURES:
         c, w = fixture(name)
         rep = check_bf(c, saturate(c, w))
-        assert rep.ok, (name, rep.lines())
+        assert rep.ok, (name, rep.counterexamples)
 
 
 # -- BF4c against the per-pair search ------------------------------------------

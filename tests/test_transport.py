@@ -31,8 +31,9 @@ from twoloc import (
     x_conditions_for_functor,
     x_conditions_for_induced,
 )
-from twoloc.fixtures import discrete_twocat, parity_twocat
-from twoloc.fractions import Span, _Hom
+from twoloc.fixtures import parity_twocat
+from twoloc.fractions import Localization, Span, _Hom
+from twoloc.saturation import cospan_fillers
 from twoloc.transport import AmbientView, LocalizationView, WeakEquivalenceReport
 from corpus import CorpusEntry, cyclic_family, cyclic_parity, posetal_family
 from functor_enum import enumerate_strict_functors, search_constancy
@@ -111,10 +112,16 @@ def test_saturation_compatibility_rejects_non_bf_class():
 
 
 def test_induce_requires_c3_table():
-    c, w = fixture("F3")
-    ch = build_choices(c, w, enforce_c3=False)
+    # F6's cospan (g, g) has a second filler through f: g∘f = idX
+    c, w = fixture("F6")
+    ch = build_choices(c, w)
+    assert ch.entries[("g", "g")] == ("Y", "idY", "idY", "i_g")
+    entries = dict(ch.entries)
+    entries[("g", "g")] = ("X", "f", "f", "i_idX")
+    assert entries[("g", "g")] in cospan_fillers(c, ch.w, "g", "g")
     with pytest.raises(StructureError, match="must honour C3"):
-        induce(identity_functor(c), build_choices(c, w), ch)
+        induce(identity_functor(c), ch, Localization(c, ch.w, entries))
+    induce(identity_functor(c), Localization(c, ch.w, entries), ch)
 
 
 def test_induce_requires_image_in_class():
@@ -161,7 +168,7 @@ def test_constancy_search_rejects_non_functors():
     # search finds a class with two images for each mutant that keeps
     # every boundary but breaks a composition law
     c, w = fixture("F6")
-    loc = localize(c, w)
+    loc = build_choices(c, w)
     rejected = []
     for (a, b), fun in f2_mutants(c):
         if (c.cell_src[a], c.cell_dst[a]) != (c.cell_src[b], c.cell_dst[b]):
@@ -315,14 +322,28 @@ def test_collapse_of_f7_fails_cell_injectivity():
     assert rep.verdicts["cell_surjective"] is True
 
 
-def test_compare_choice_tables_connects_everything():
+def test_compare_choice_tables_connects_everything(corpus_entries):
+    # against a table that takes the last filler of every cospan, at W
+    # and at W_sat wherever BF passes
+    inputs = [CorpusEntry(name, *fixture(name)) for name in sorted(FIXTURES)]
+    inputs += corpus_entries
+    pairs = differing = 0
+    for entry in inputs:
+        for cls in (entry.w, saturate(entry.c, entry.w)):
+            if not check_bf(entry.c, cls).ok:
+                continue
+            pairs += 1
+            ch1 = build_choices(entry.c, cls)
+            ch2 = Localization(entry.c, ch1.w, {
+                k: list(cospan_fillers(entry.c, ch1.w, *k))[-1] for k in ch1.entries})
+            differing += ch1.entries != ch2.entries
+            comp = compare_choice_tables(ch1, ch2)
+            assert comp.ok and not comp.unconnected, (entry.name, sorted(cls))
+            assert comp.pairs_checked > 0
+    assert pairs == 12 + 202  # F4 fails BF at W and at W_sat
+    assert differing > 0  # the two tables are not always the same
     c, w = fixture("F3")
     ch1 = build_choices(c, w)
-    ch2 = build_choices(c, w, enforce_c3=False)
-    comp = compare_choice_tables(ch1, ch2)
-    assert comp.ok
-    assert comp.pairs_checked > 0
-    assert not comp.unconnected
     other, _ = fixture("F3")  # equal tables, another 2-category
     for ch in (build_choices(other, w), build_choices(c, {"id0", "id1"})):
         with pytest.raises(StructureError, match="another 2-category or class W"):
@@ -390,9 +411,9 @@ def parallel_pair_onto_an_arrow() -> StrictTwoFunctor:
     The hom f ⇒ g is empty and its image hom holds i_w, so
     `cell_surjective` first fails at a pair that only the image side lists.
     """
-    src = discrete_twocat(["0", "1"], {"id0": ("0", "0"), "id1": ("1", "1"),
-                                       "f": ("0", "1"), "g": ("0", "1")},
-                          {"0": "id0", "1": "id1"}, {})
+    src = parity_twocat(["0", "1"], {"id0": ("0", "0"), "id1": ("1", "1"),
+                                     "f": ("0", "1"), "g": ("0", "1")},
+                        {"0": "id0", "1": "id1"}, {}, twisted=set())
     dst, _w = fixture("F3")
     f1 = {"id0": "id0", "id1": "id1", "f": "w", "g": "w"}
     return StrictTwoFunctor(src, dst, {"0": "0", "1": "1"}, f1,
