@@ -27,7 +27,7 @@ span_w = u_mor(c, w, "w")
 print(f"w embeds as the span {span_w}")
 witness = is_internal_equiv_search(loc, span_w)
 assert witness is not None
-print("equivalence witness found by search:")
+print("equivalence witness, built from a saturation witness g of w (w∘g in W):")
 print(f"  reverse span: {witness.e_bar}")
 print("  (no arrow 1 -> 0 exists upstairs; the reverse is the span whose")
 print("   denominator is w itself, which localization makes legal)")

@@ -39,8 +39,8 @@ _EXPORTS = {
         "fraction_inverse", "hom_fraction_cells", "identity_fraction_cell",
         "identity_span", "is_internal_equiv_closed_form",
         "is_internal_equiv_search", "is_invertible_fraction_cell", "localize",
-        "quasi_inverse_of_u", "u_cell", "u_mor", "vcomp_fraction",
-        "whisker_fraction_left", "whisker_fraction_right",
+        "u_cell", "u_mor", "vcomp_fraction", "whisker_fraction_left",
+        "whisker_fraction_right",
     ),
     "transport": (
         "InducedPseudofunctor", "SaturationCompat", "StrictTwoFunctor",

@@ -91,7 +91,7 @@ class _Command:
         self.report = {
             "command": args.cmd,
             "input": inputs,
-            "flags": {"xchecks": getattr(args, "xchecks", False)},
+            "flags": {"xchecks": args.xchecks} if "xchecks" in args else {},
             "verdicts": {},
             "data": {},
             "counterexamples": {},
@@ -240,7 +240,7 @@ def cmd_equiv(cmd: _Command, args) -> int:
     loc = build_choices(c, w)
     witness = is_internal_equiv_search(loc, span)
     cmd.verdict("deciders_agree", closed == (witness is not None),
-                {"closed_form": closed, "search": witness is not None})
+                {"closed_form": closed, "witness": witness is not None})
     cmd.report["data"]["span"] = _span_out(span)
     cmd.report["data"]["is_internal_equivalence"] = closed
     if witness is not None:

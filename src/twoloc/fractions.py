@@ -41,6 +41,10 @@ it first and reads the store of its (C, W); `hom_fraction_cells`,
 benchmark.  Vertical composition and the whiskerings come from fresh
 filler/lift searches, deterministic by their lexicographic order.
 
+A span is an internal equivalence iff its numerator lies in W_sat, and
+its quasi-inverse is built from a saturation witness, not searched for
+(`is_internal_equiv_search`, which keeps that name for the benchmark).
+
 Argument order is diagrammatic throughout: `compose_fractions(loc, s, t)`
 applies s first, and `vcomp_fraction(loc, c1, c2)` applies c1 first.
 """
@@ -53,7 +57,7 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .core import InternalInconsistency, StructureError, TwoCat
-from .saturation import _as_class, fill_cospan, lift_cell, saturate
+from .saturation import _as_class, fill_cospan, lift_cell, saturation_witnesses
 
 
 class Span(NamedTuple):
@@ -107,7 +111,8 @@ def identity_span(c: TwoCat, a: str) -> Span:
 def u_mor(c: TwoCat, w, f: str) -> Span:
     """The canonical span presenting an ambient 1-cell.
 
-    `w` is not read: `bench/workloads.py` calls this form until ROADMAP item 3.
+    `w` is not read: `bench/workloads.py` calls this form until the next
+    benchmark change.
     """
     if f not in c.mor_src:
         raise StructureError(f"{f!r} is not a 1-cell")
@@ -179,12 +184,13 @@ class _HomPartitions:
     one entry per target span (`targets` reads its keys).  An entry is the
     swept representatives until `hom` partitions them; then the `_Hom`
     takes its place, under the caller's s2.  `has_invertible` reads either
-    kind of entry and builds nothing; `invertible_ends` indexes a row by
-    it.  Classes are keyed by the sweep's tuples.  Each span is checked
-    once (`require_span`): the spans that passed are kept, not the empty
-    homs, which would take an entry per empty pair, and a failing span
-    raises on every request.  A representative is checked by membership
-    (`cell`).  W_sat is computed on first use (`saturation`).
+    kind of entry and builds nothing.  Classes are keyed by the sweep's
+    tuples.  Each span is checked once (`require_span`): the spans that
+    passed are kept, not the empty homs, which would take an entry per
+    empty pair, and a failing span raises on every request.  A
+    representative is checked by membership (`cell`).  W_sat and the
+    least saturation witness of each member are computed together on
+    first use (`saturation`, `saturation_witness`).
 
     Partitions are defined on tables that pass `validate`: the shortcut in
     `_partition` rests on its composition laws.
@@ -197,9 +203,9 @@ class _HomPartitions:
         self.w = w
         self._legs: dict[str, tuple[str, ...]] = {}
         self._out: dict[Span, dict[Span, list[tuple] | _Hom]] = {}
-        self._ends: dict[Span, dict[tuple[str, str], set[str]]] = {}
         self._spans: set[Span] = set()  # spans that passed `span_problems`
         self._saturation: Optional[frozenset[str]] = None
+        self._witnesses: dict[str, str] = {}  # f ∈ W_sat ↦ its least g
         self.counters = dict.fromkeys(
             ("sweeps", "representatives", "members_expanded", "refinement_edges"), 0)
 
@@ -235,44 +241,13 @@ class _HomPartitions:
         invertible), and the classes partition the hom's representatives,
         so this holds iff one of them passes it.  A built hom's members are
         the keys of its `cell_of`.
-
-        The answer is symmetric: `has_invertible(s1, s2) ==
-        has_invertible(s2, s1)` on every table that passes `validate`,
-        whether or not BF holds.  The swap (A, v1, v2, α, β) ↦
-        (A, v2, v1, α⁻¹, β⁻¹) sends a member of s1 ⇒ s2 that passes
-        `_swappable` to a member of s2 ⇒ s1 that passes it: its denominator
-        w2∘v2 is in W by the test, α⁻¹ is invertible with target w1∘v1,
-        β⁻¹ runs f2∘v2 ⇒ f1∘v1, and its own test asks for β⁻¹ invertible
-        and w1∘v1 ∈ W, which holds since the member is a representative.
-        The swap is its own inverse, so it is a bijection between the
-        members that pass in the two homs.  A span that fails its check
-        raises either way round.
         """
         entry = self._swept(c, s1).get(s2)
         if entry is None:
             self.require_span(c, s2)
             return False
-        return self._any_swappable(c, s2, entry)
-
-    def _any_swappable(self, c: TwoCat, s2: Span, entry: list[tuple] | _Hom) -> bool:
         reps = entry.cell_of if isinstance(entry, _Hom) else entry
         return any(_swappable(c, self.w, s2.w, r) for r in reps)
-
-    def invertible_ends(self, c: TwoCat, s0: Span) -> dict[tuple[str, str], set[str]]:
-        """(apex, w) ↦ every f such that some 2-cell s0 ⇒ (apex, w, f) is invertible.
-
-        Built from s0's row on first use and kept beside it; the row's
-        entries only ever turn from representatives into classes, which
-        leaves `has_invertible` unchanged, so the index never goes stale.
-        """
-        ends = self._ends.get(s0)
-        if ends is None:
-            row = self._swept(c, s0)  # raises, and keeps nothing, if s0 fails its check
-            ends = self._ends[s0] = {}
-            for t, entry in row.items():
-                if self._any_swappable(c, t, entry):
-                    ends.setdefault((t.apex, t.w), set()).add(t.f)
-        return ends
 
     def targets(self, c: TwoCat, s1: Span):
         """Every s2 with a 2-cell s1 ⇒ s2: the keys of s1's row."""
@@ -316,10 +291,16 @@ class _HomPartitions:
         raise StructureError(problems)
 
     def saturation(self, c: TwoCat) -> frozenset[str]:
-        """W_sat, computed on first use."""
+        """W_sat, computed on first use together with its witnesses."""
         if self._saturation is None:
-            self._saturation = saturate(c, self.w)
+            self._witnesses = saturation_witnesses(c, self.w)
+            self._saturation = frozenset(self._witnesses)
         return self._saturation
+
+    def saturation_witness(self, c: TwoCat, f: str) -> Optional[str]:
+        """The least g with f∘g ∈ W and g∘h ∈ W for some h; None iff f ∉ W_sat."""
+        self.saturation(c)
+        return self._witnesses.get(f)
 
     def refinements(self, c: TwoCat, w1: str, rep: tuple) -> list[tuple]:
         """The refinements of rep = (apex, v1, v2, α, β) out of a span with denominator w1.
@@ -438,7 +419,7 @@ def cell_from_rep(loc: Localization, rep: CellRep) -> FractionCell:
 def hom_fraction_cells(c: TwoCat, w, s1: Span, s2: Span) -> tuple[FractionCell, ...]:
     """All 2-cells s1 ⇒ s2, ordered by canonical representative.
 
-    `bench/workloads.py` calls this (c, w) form until ROADMAP item 3.
+    `bench/workloads.py` calls this (c, w) form until the next benchmark change.
     """
     return _partitions(c, w).hom(c, s1, s2).cells
 
@@ -798,77 +779,38 @@ class SpanEquivalence:
 
 
 def is_internal_equiv_search(loc: Localization, s: Span) -> Optional[SpanEquivalence]:
-    """Decide internal equivalence by searching `loc.spans(b, a)` for a quasi-inverse.
+    """A quasi-inverse of s = (A′, w, f) built from a saturation witness; None iff f ∉ W_sat.
 
-    Returns the first g: b → a, in that order, with an invertible
-    δ: id_a ⇒ s;g and an invertible ξ: g;s ⇒ id_b; δ and ξ are the first
-    invertible cells in canonical order (`first_invertible_cell`).  Both
-    tests are lookups in the cached index of the row of id_a or id_b
-    (`invertible_ends`), so a candidate that fails is not built, sweeps
-    no row and builds no class:
-
-    * δ.  s;g = (e.apex, s.w∘e.v, g.f∘e.f) for the filler
-      e = `loc.entry(s.f, g.w)`, so one entry serves every g with the
-      same apex and g.w, and id_a ⇒ s;g has an invertible cell iff
-      g.f∘e.f is indexed under (e.apex, s.w∘e.v) out of id_a.
-    * ξ.  By the symmetry proved in `has_invertible`, g;s ⇒ id_b has an
-      invertible cell iff id_b ⇒ g;s has one, that is iff g;s is indexed
-      out of id_b.
-
-    Spans are checked in the per-candidate search's order, so the same
-    error is raised: s, then id_a and s;g, then g;s and id_b, whose row
-    is read only once some g passes δ.
+    Nothing is searched, despite the name, which `bench/workloads.py`
+    calls until the next benchmark change.  s is an internal equivalence
+    iff f ∈ W_sat (Tommasini, arXiv:1410.3990 and 1410.5075).  Then the
+    least g with f∘g ∈ W and g∘h ∈ W for some h gives
+    ē = (src g, f∘g, w∘g): s ≅ U(f)∘U(w)⁻¹, and (src g, f∘g, g) inverts
+    U(f).  δ: id_a ⇒ s;ē and ξ: ē;s ⇒ id_b are the first invertible cells
+    of their homs in canonical order (`first_invertible_cell`).  Under BF
+    both exist, so a missing one raises `InternalInconsistency`; where BF
+    fails, a span check may raise `StructureError` first.
     """
     c, store = loc.c, loc._store
     store.require_span(c, s)
-    a, b = span_src(c, s), span_dst(c, s)
-    ida, idb = identity_span(c, a), identity_span(c, b)
-    from_ida = from_idb = None
-    for apex in sorted(c.objects):  # the order of `loc.spans(b, a)`
-        numerators = c.hom1(apex, a)
-        for wm in c.hom1(apex, b) if numerators else ():
-            if wm not in store.w:
-                continue
-            e_apex, e_v, e_f, _rho = loc.entry(s.f, wm)
-            denom = c.compose1(s.w, e_v)
-            if from_ida is None:
-                from_ida = store.invertible_ends(c, ida)
-            ends = from_ida.get((e_apex, denom))
-            if ends is None:  # no g here passes δ; s;g may still fail its check
-                store.require_span(c, Span(e_apex, denom, c.compose1(numerators[0], e_f)))
-                continue
-            for f in numerators:
-                sg_f = c.compose1(f, e_f)
-                if sg_f not in ends:
-                    continue
-                g = Span(apex, wm, f)
-                gs = compose_fractions(loc, g, s)
-                store.require_span(c, gs)
-                if from_idb is None:
-                    from_idb = store.invertible_ends(c, idb)
-                if gs.f in from_idb.get((gs.apex, gs.w), ()):
-                    delta = first_invertible_cell(loc, ida, Span(e_apex, denom, sg_f))
-                    return SpanEquivalence(s, g, delta, first_invertible_cell(loc, gs, idb))
-    return None
+    g = store.saturation_witness(c, s.f)
+    if g is None:
+        return None
+    e_bar = Span(c.mor_src[g], c.compose1(s.f, g), c.compose1(s.w, g))
+    delta = first_invertible_cell(loc, identity_span(c, span_src(c, s)),
+                                  compose_fractions(loc, s, e_bar))
+    xi = first_invertible_cell(loc, compose_fractions(loc, e_bar, s),
+                               identity_span(c, span_dst(c, s)))
+    if delta is None or xi is None:
+        raise InternalInconsistency(f"no invertible δ or ξ for the quasi-inverse {e_bar} of {s}")
+    return SpanEquivalence(s, e_bar, delta, xi)
 
 
 def is_internal_equiv_closed_form(c: TwoCat, w, s: Span) -> bool:
     """Membership test: numerator in the right saturation; the store checks the span.
 
-    `bench/workloads.py` calls this (c, w) form until ROADMAP item 3.
+    `bench/workloads.py` calls this (c, w) form until the next benchmark change.
     """
     store = _partitions(c, w)
     store.require_span(c, s)
     return s.f in store.saturation(c)
-
-
-def quasi_inverse_of_u(loc: Localization, f: str, g: str) -> Span:
-    """The span inverting u_mor(f), built from a saturation witness g."""
-    c = loc.c
-    if c.mor_dst.get(g) != c.mor_src.get(f):
-        raise StructureError(f"{g!r} does not land in the source of {f!r}")
-    fg = c.compose1(f, g)
-    if fg not in loc.w:
-        raise StructureError(f"{fg!r} = {f!r}∘{g!r} is not in W")
-    return Span(c.mor_src[g], fg, g)
-

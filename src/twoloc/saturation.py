@@ -233,17 +233,26 @@ def quasi_units(c: TwoCat) -> frozenset[str]:
                      and c.invertible_cells(u, c.id1[c.mor_src[u]]))
 
 
-def saturate(c: TwoCat, w) -> frozenset[str]:
-    """{ f : ∃g with f∘g ∈ W, ∃h with g∘h ∈ W }, read off the composition table.
+def saturation_witnesses(c: TwoCat, w) -> dict[str, str]:
+    """W_sat with a witness per member: f ↦ the least g with f∘g ∈ W and g∘h ∈ W for some h.
 
     Two passes over `c.comp1`: the entries composing into W give the
-    middle factors g that have some h, then the f before such a g.  The
-    answer is defined on tables that pass `validate`: a missing or stray
-    composite is not looked for.
+    middle factors g that have some h, then the f before such a g, each
+    keeping the least g in sorted order.  The answer is defined on tables
+    that pass `validate`: a missing or stray composite is not looked for.
     """
     w = _as_class(c, w)
     middles = {g for (g, _h), gh in c.comp1.items() if gh in w}
-    return frozenset(f for (f, g), fg in c.comp1.items() if fg in w and g in middles)
+    least: dict[str, str] = {}
+    for (f, g), fg in c.comp1.items():
+        if fg in w and g in middles and (f not in least or g < least[f]):
+            least[f] = g
+    return least
+
+
+def saturate(c: TwoCat, w) -> frozenset[str]:
+    """{ f : ∃g with f∘g ∈ W, ∃h with g∘h ∈ W }, read off the composition table."""
+    return frozenset(saturation_witnesses(c, w))
 
 
 def is_right_saturated(c: TwoCat, w) -> bool:

@@ -52,6 +52,18 @@ def test_report_schema_everywhere(tmp_path, capsys):
         assert rep["command"] == argv[0]
 
 
+def test_flags_name_only_the_commands_own_options(tmp_path, capsys):
+    f3 = emit(tmp_path, "F3")
+    fun = tmp_path / "F3-id.json"
+    fun.write_text(dump_twofunctor(strict_identity(fixture("F3")[0])), encoding="utf-8")
+    for argv in (["validate", f3], ["check-bf", f3], ["saturate", f3],
+                 ["localize", f3], ["equiv", f3, "(0,id0,w)"]):
+        assert run(capsys, *argv)[1]["flags"] == {}, argv
+    for extra, want in (([], False), (["--xchecks"], True)):
+        _code, rep = run(capsys, "induce", f3, f3, str(fun), *extra)
+        assert rep["flags"] == {"xchecks": want}, extra
+
+
 def test_fixture_emission_is_byte_stable(tmp_path, capsys):
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"

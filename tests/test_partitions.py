@@ -339,10 +339,22 @@ def test_has_invertible_matches_class_scan():
 
 
 def test_has_invertible_is_symmetric():
-    # the swap lemma in `has_invertible`: s1 ⇒ s2 has an invertible cell
-    # iff s2 ⇒ s1 has one, asked before the hom's classes are built and
-    # after, on classes that need not satisfy BF.  A sampled input keeps
-    # the pairs between its sampled sources.
+    """The swap lemma: s1 ⇒ s2 has an invertible cell iff s2 ⇒ s1 has one.
+
+    It holds on every table that passes `validate`, whether or not BF
+    holds.  The swap (A, v1, v2, α, β) ↦ (A, v2, v1, α⁻¹, β⁻¹) sends a
+    member of s1 ⇒ s2 that passes `_swappable` to a member of s2 ⇒ s1
+    that passes it: its denominator w2∘v2 is in W by the test, α⁻¹ is
+    invertible with target w1∘v1, β⁻¹ runs f2∘v2 ⇒ f1∘v1, and its own
+    test asks for β⁻¹ invertible and w1∘v1 ∈ W, which holds since the
+    member is a representative.  The swap is its own inverse, so it is a
+    bijection between the members that pass in the two homs.  A span that
+    fails its check raises either way round.
+
+    Asked before the hom's classes are built and after, on classes that
+    need not satisfy BF.  A sampled input keeps the pairs between its
+    sampled sources.
+    """
     rng = random.Random(20261019)
     asked = Counter()
     for label, c, cls in existence_inputs():
@@ -532,9 +544,9 @@ def test_closed_form_saturates_once(monkeypatch):
     import twoloc.fractions as fractions
 
     calls = []
-    saturate_ = fractions.saturate
-    monkeypatch.setattr(fractions, "saturate",
-                        lambda c, w: calls.append(w) or saturate_(c, w))
+    witnesses = fractions.saturation_witnesses
+    monkeypatch.setattr(fractions, "saturation_witnesses",
+                        lambda c, w: calls.append(w) or witnesses(c, w))
     c, w = groupoid_twocat([unit_groupoid(), pair_groupoid(2), discrete_groupoid(3)])
     equivalences = {f for f in c.mors
                     if is_internal_equiv_closed_form(c, w, u_mor(c, w, f))}

@@ -1,7 +1,8 @@
 """Fraction axioms (BF1-BF5), the right saturation, and their interplay.
 
-`saturate` reads the saturation off the composition table.
-`search_saturation` is the search it replaced, kept here only as a
+`saturate` reads the saturation off the composition table, and
+`saturation_witnesses` reads each member's least witness with it.
+`search_witnesses` is the search they replaced, kept here only as a
 reference: it loops over triples of 1-cells.
 """
 
@@ -165,13 +166,13 @@ def test_cell_lifts_all_satisfy_equation(corpus_entries):
 # -- saturation --------------------------------------------------------------
 
 
-def search_saturation(c, w):
-    """{ f : ∃g with f∘g ∈ W, ∃h with g∘h ∈ W }, by exhaustive search."""
+def search_witnesses(c, w):
+    """f ↦ the least g with f∘g ∈ W and g∘h ∈ W for some h, by exhaustive search."""
     w = _as_class(c, w)
-    out = set()
+    out = {}
     for f in c.mors:
         src_f = c.mor_src[f]
-        for g in c.mors:
+        for g in sorted(c.mors):
             if c.mor_dst[g] != src_f or c.compose1(f, g) not in w:
                 continue
             src_g = c.mor_src[g]
@@ -179,15 +180,17 @@ def search_saturation(c, w):
                 c.mor_dst[h] == src_g and c.compose1(g, h) in w
                 for h in c.mors
             ):
-                out.add(f)
+                out[f] = g
                 break
-    return frozenset(out)
+    return out
 
 
 def assert_saturation_matches_search(c, w) -> None:
     """Compare on W, the identities, all 1-cells and the quasi-units."""
     for cls in (w, frozenset(c.id1.values()), frozenset(c.mors), quasi_units(c)):
-        assert saturate(c, cls) == search_saturation(c, cls), sorted(cls)
+        want = search_witnesses(c, cls)
+        assert saturation.saturation_witnesses(c, cls) == want, sorted(cls)
+        assert saturate(c, cls) == frozenset(want), sorted(cls)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
