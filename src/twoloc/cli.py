@@ -379,8 +379,6 @@ def cmd_groupoid(cmd: _Command, args) -> int:
             len(f.composites_decided) for fs in funs.values() for f in fs)
     elif args.check == "saturated":
         cmd.verdict("morita_class_saturated", morita_saturated_check(gpds))
-    else:
-        return cmd.bad_input(f"unknown --check {args.check!r}")
     return cmd.finish()
 
 
@@ -437,7 +435,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_localize, inputs=("path",))
 
     sp = sub.add_parser("equiv", parents=[common],
-                        help="decide internal equivalence of a span, both ways")
+                        help="decide internal equivalence of a span and build its quasi-inverse")
     sp.add_argument("path")
     sp.add_argument("span", help="the span, written (apex,w,f)")
     sp.set_defaults(fn=cmd_equiv, inputs=("path",))

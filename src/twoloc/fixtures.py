@@ -92,16 +92,16 @@ def parity_twocat(
     )
 
 
-def disjoint_union(c1: TwoCat, c2: TwoCat, tag1: str = "l.", tag2: str = "r.") -> TwoCat:
-    """Side-by-side union with identifier prefixes; no cross composites exist."""
+def disjoint_union(c1: TwoCat, c2: TwoCat) -> TwoCat:
+    """Side-by-side union with identifier prefixes "l." and "r."; no cross composites exist."""
 
     def merge(d1: dict, d2: dict, key1, key2, val1, val2) -> dict:
         out = {key1(k): val1(v) for k, v in d1.items()}
         out.update({key2(k): val2(v) for k, v in d2.items()})
         return out
 
-    r1 = lambda x: tag1 + x
-    r2 = lambda x: tag2 + x
+    r1 = lambda x: "l." + x
+    r2 = lambda x: "r." + x
     p1 = lambda kv: (r1(kv[0]), r1(kv[1]))
     p2 = lambda kv: (r2(kv[0]), r2(kv[1]))
     return TwoCat(

@@ -9,6 +9,9 @@ supersets of the quasi-units; every emitted pair passed check_bf, and
 everything is reproducible from SEED.
 
 Size caps: at most 4 objects, 8 one-cells, 12 two-cells per entry.
+
+The other shared input ladders live here too: the posetal and cyclic
+families, `oracle_inputs`, and the classes and span pairs to compare at.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from twoloc.groupoids import (
     pair_groupoid,
     unit_groupoid,
 )
-from twoloc.saturation import check_bf, quasi_units
+from twoloc.saturation import check_bf, quasi_units, saturate
 
 SEED = 20260814
 MAX_OBJECTS, MAX_MORS, MAX_CELLS = 4, 8, 12
@@ -83,14 +86,7 @@ def thin_cat(rng: random.Random) -> TwoCat | None:
 
 def cyclic_cat(rng: random.Random) -> TwoCat:
     """One object, 1-cells the cyclic group Z/n, identity 2-cells only."""
-    n = rng.randint(1, 5)
-    mors = {f"g{k}": ("x", "x") for k in range(n)}
-    comp = {
-        (f"g{i}", f"g{j}"): f"g{(i + j) % n}"
-        for i in range(n)
-        for j in range(n)
-    }
-    return parity_twocat(["x"], mors, {"x": "g0"}, comp, twisted=set())
+    return cyclic_plain(rng.randint(1, 5))
 
 
 def parity_cat(rng: random.Random) -> TwoCat | None:
@@ -269,15 +265,23 @@ def classes_only(c: TwoCat, w) -> Localization:
 
 
 # ---------------------------------------------------------------------------
-# the cyclic groups Z/n with parity cells
+# the cyclic groups Z/n on one object x, 1-cells g0 ... g(n-1)
+
+
+def _cyclic_tables(n: int):
+    mors = {f"g{k}": ("x", "x") for k in range(n)}
+    comp = {(f"g{i}", f"g{j}"): f"g{(i + j) % n}" for i in range(n) for j in range(n)}
+    return ["x"], mors, {"x": "g0"}, comp
+
+
+def cyclic_plain(n: int) -> TwoCat:
+    """Z/n with identity 2-cells only."""
+    return parity_twocat(*_cyclic_tables(n), twisted=set())
 
 
 def cyclic_parity(n: int, twist_name: str) -> TwoCat:
-    names = [f"g{k}" for k in range(n)]
-    mors = {g: ("x", "x") for g in names}
-    comp = {(names[i], names[j]): names[(i + j) % n]
-            for i in range(n) for j in range(n)}
-    return parity_twocat(["x"], mors, {"x": "g0"}, comp, twist_name=twist_name)
+    """Z/n with a parity cell `twist_name`_g on every 1-cell g."""
+    return parity_twocat(*_cyclic_tables(n), twist_name=twist_name)
 
 
 def cyclic_family() -> list[CorpusEntry]:
@@ -306,6 +310,30 @@ def oracle_inputs() -> list[CorpusEntry]:
     out += [CorpusEntry(name, *groupoid_twocat(catalog))
             for name, catalog in catalogs.items()]
     return out
+
+
+def distinct_tables(entries):
+    return list({id(e.c): e.c for e in entries}.values())
+
+
+def classes_to_compare(c, w):
+    """W, its right saturation and all 1-cells, without repeats.
+
+    The larger classes give every representative more refinement legs,
+    so most class members are reached as refinements and not expanded.
+    """
+    out = []
+    for cls in (frozenset(w), saturate(c, w), frozenset(c.mors)):
+        if cls not in out:
+            out.append(cls)
+    return out
+
+
+def span_pairs(c, w):
+    objs, loc = sorted(c.objects), classes_only(c, w)
+    for a, b in itertools.product(objs, objs):
+        spans = loc.spans(a, b)
+        yield from itertools.product(spans, spans)
 
 
 def load_bench_module(name: str):

@@ -1,0 +1,455 @@
+"""The searches and literal definitions that closed forms replaced, moved here unchanged.
+
+Per oracle: the production code it checks; the tests that compare them;
+where the proof that the two agree is written.
+
+- `exhaustive_validate`: `core.validate`, `_is_two_category`; test_core
+  test_validate_matches_*, test_decider_*, test_action_twocat_*; both docstrings.
+- `reached_by_left_composition`: `core._generators`; test_core
+  test_generators_reach_every_one_cell; its docstring.
+- `search_witnesses`: `saturation.saturation_witnesses`, `saturate` and the ē of
+  `fractions.is_internal_equiv_search`; test_saturation test_*_matches_search,
+  test_equiv_search test_search_matches_oracle_on_*; the set `saturate`'s docstring defines.
+- `search_coequalized`, `search_check_bf`: BF4 in `saturation.check_bf`;
+  test_saturation test_check_bf_matches_per_pair_search,
+  test_bf4c_fails_alone_on_the_first_lift_path; `check_bf`'s docstring.
+- `oracle_partition`, `oracle_refinement_legs`, `oracle_refine`,
+  `oracle_equality_chain`: `fractions.hom_fraction_cells`, `equality_chain`;
+  test_partitions test_*_match_oracle; the `fractions` module docstring.
+- `oracle_first_invertible_cell`: `fractions.first_invertible_cell`;
+  test_partitions test_has_invertible_matches_class_scan; `_invertible_member`.
+- `search_fraction_inverse`: `fractions.fraction_inverse`; test_invertibility
+  test_*_inverses_match_search, test_idempotent_makes_its_order_cell_invertible;
+  `_invertible_member`'s docstring (Tommasini, arXiv:1410.3990).
+- `oracle_internal_equiv_search`: `fractions.is_internal_equiv_search` and
+  `is_internal_equiv_closed_form`; test_equiv_search test_search_matches_oracle_on_*,
+  test_fractions test_deciders_agree_on_fixture_spans, test_acceptance
+  test_c04_*; `is_internal_equiv_search`'s docstring, where BF holds.
+- `pronk_equivalent`: no production code yet; the hom partition should be
+  this relation and is finer; test_fractions test_*_pronk_equivalen* (one a
+  strict xfail); Pronk 1996, §2.3.
+- `search_constancy`: `transport.induce`; test_transport test_constancy_*,
+  test_comparison_to_saturation_agrees_with_constancy_search,
+  test_induced_swap_on_walking_iso, test_acceptance test_c07_*; the lemma in
+  the `transport` module docstring.
+- `reference_weak_equivalence_report`: `transport.weak_equivalence_report`;
+  test_transport test_x_conditions_match_the_all_pairs_walk; its docstring.
+- `enumerate_strict_functors`: every candidate passes
+  `transport.validate_functor`; test_transport test_enumerator_agrees_with_validator.
+- `literal_*`: `groupoids.is_essentially_surjective`, `is_fully_faithful`,
+  `is_morita`, `morita_two_out_of_six`; test_groupoids
+  test_morita_predicates_match_*, test_two_out_of_six_matches_built_composites;
+  the docstrings of `is_fully_faithful` and `morita_two_out_of_six`.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections import deque
+
+from twoloc import StrictTwoFunctor, check_bf, validate_functor
+from twoloc.core import TwoCat, ValidationReport, _check_structure
+from twoloc.fractions import (
+    CellRep, Span, SpanEquivalence, cell_from_rep, compose_fractions, first_invertible_cell,
+    hom_fraction_cells, identity_fraction_cell, identity_span, is_invertible_fraction_cell,
+    span_dst, span_src, vcomp_fraction,
+)
+from twoloc.saturation import _as_class, cell_lifts
+from twoloc.transport import InducedPseudofunctor, WeakEquivalenceReport
+
+
+def exhaustive_validate(c):
+    report = ValidationReport()
+    if not _check_structure(c, report):
+        return report
+
+    mors, cells = c.mors, c.cells
+    for f in mors:
+        ia, ib = c.id1[c.mor_src[f]], c.id1[c.mor_dst[f]]
+        if c.comp1[(f, ia)] != f:
+            report.fail("compose1-right-unit", (f, ia))
+        if c.comp1[(ib, f)] != f:
+            report.fail("compose1-left-unit", (ib, f))
+    for (g, f) in c.comp1:
+        for h in mors:
+            if c.mor_dst[g] == c.mor_src[h]:
+                if c.comp1[(c.comp1[(h, g)], f)] != c.comp1[(h, c.comp1[(g, f)])]:
+                    report.fail("compose1-assoc", (h, g, f))
+
+    for a in cells:
+        if c.vcomp_table[(a, c.id2[c.cell_src[a]])] != a:
+            report.fail("vcomp-right-unit", (a,))
+        if c.vcomp_table[(c.id2[c.cell_dst[a]], a)] != a:
+            report.fail("vcomp-left-unit", (a,))
+    for (b, a) in c.vcomp_table:
+        for d in cells:
+            if c.cell_dst[b] == c.cell_src[d]:
+                if c.vcomp_table[(c.vcomp_table[(d, b)], a)] != c.vcomp_table[(d, c.vcomp_table[(b, a)])]:
+                    report.fail("vcomp-assoc", (d, b, a))
+
+    for (g, f) in c.comp1:
+        if c.hcomp_table[(c.id2[g], c.id2[f])] != c.id2[c.comp1[(g, f)]]:
+            report.fail("hcomp-identities", (g, f))
+    for a in cells:
+        f = c.cell_src[a]
+        ia = c.id2[c.id1[c.mor_src[f]]]
+        ib = c.id2[c.id1[c.mor_dst[f]]]
+        if c.hcomp_table[(a, ia)] != a:
+            report.fail("hcomp-right-unit", (a,))
+        if c.hcomp_table[(ib, a)] != a:
+            report.fail("hcomp-left-unit", (a,))
+    for (b, a) in c.hcomp_table:
+        for d in cells:
+            if c.mor_dst[c.cell_src[b]] == c.mor_src[c.cell_src[d]]:
+                if c.hcomp_table[(c.hcomp_table[(d, b)], a)] != c.hcomp_table[(d, c.hcomp_table[(b, a)])]:
+                    report.fail("hcomp-assoc", (d, b, a))
+
+    for (a2, a1) in c.vcomp_table:
+        for (b2, b1) in c.vcomp_table:
+            if c.mor_dst[c.cell_src[a1]] == c.mor_src[c.cell_src[b1]]:
+                lhs = c.hcomp_table[(c.vcomp_table[(b2, b1)], c.vcomp_table[(a2, a1)])]
+                rhs = c.vcomp_table[(c.hcomp_table[(b2, a2)], c.hcomp_table[(b1, a1)])]
+                if lhs != rhs:
+                    report.fail("interchange", (b2, b1, a2, a1))
+    return report
+
+
+def reached_by_left_composition(c, gens):
+    """The identities and `gens`, closed under x ↦ s∘x for s in `gens`."""
+    reached = set(c.id1.values()) | set(gens)
+    todo = list(reached)
+    while todo:
+        x = todo.pop()
+        for s in gens:
+            y = c.comp1.get((s, x))
+            if y is not None and y not in reached:
+                reached.add(y)
+                todo.append(y)
+    return reached
+
+
+def search_witnesses(c, w):
+    """f ↦ the least g with f∘g ∈ W and g∘h ∈ W for some h, by exhaustive search."""
+    w = _as_class(c, w)
+    out = {}
+    for f in c.mors:
+        src_f = c.mor_src[f]
+        for g in sorted(c.mors):
+            if c.mor_dst[g] != src_f or c.compose1(f, g) not in w:
+                continue
+            src_g = c.mor_src[g]
+            if any(
+                c.mor_dst[h] == src_g and c.compose1(g, h) in w
+                for h in c.mors
+            ):
+                out[f] = g
+                break
+    return out
+
+
+def search_coequalized(c, w, f1, f2, lift1, lift2):
+    v, beta = lift1
+    v2, beta2 = lift2
+    for apex in c.objects:
+        for s in c.hom1(apex, c.mor_src[v]):
+            vs = c.compose1(v, s)
+            if vs not in w:
+                continue
+            for p in c.hom1(apex, c.mor_src[v2]):
+                v2p = c.compose1(v2, p)
+                for nu in c.invertible_cells(vs, v2p):
+                    left = c.vcomp(c.whisker_right(beta2, p), c.whisker_left(f1, nu))
+                    right = c.vcomp(c.whisker_left(f2, nu), c.whisker_right(beta, s))
+                    if left == right:
+                        return True
+    return False
+
+
+def search_check_bf(c, w):
+    """`check_bf`'s report with BF4a-c redone by the per-pair search."""
+    w = _as_class(c, w)
+    rep = check_bf(c, w)
+    for axiom in ("BF4a", "BF4b", "BF4c"):
+        rep.passed[axiom] = True
+        rep.counterexamples.pop(axiom, None)
+    for wm in sorted(w):
+        b = c.mor_src[wm]
+        for a_obj in sorted(c.objects):
+            for f1, f2 in itertools.product(c.hom1(a_obj, b), c.hom1(a_obj, b)):
+                for alpha in c.hom2(c.compose1(wm, f1), c.compose1(wm, f2)):
+                    lifts = list(cell_lifts(c, w, wm, f1, f2, alpha))
+                    if not lifts:
+                        if rep.passed["BF4a"]:
+                            rep.passed["BF4a"] = False
+                            rep.counterexamples["BF4a"] = (wm, f1, f2, alpha)
+                        continue
+                    if c.is_invertible2(alpha) and not any(
+                        c.is_invertible2(beta) for _, beta in lifts
+                    ):
+                        if rep.passed["BF4b"]:
+                            rep.passed["BF4b"] = False
+                            rep.counterexamples["BF4b"] = (wm, f1, f2, alpha)
+                    for l1, l2 in itertools.combinations(lifts, 2):
+                        if not search_coequalized(c, w, f1, f2, l1, l2):
+                            if rep.passed["BF4c"]:
+                                rep.passed["BF4c"] = False
+                                rep.counterexamples["BF4c"] = (wm, alpha, l1, l2)
+                            break
+    return rep
+
+
+def oracle_partition(c, w, s1: Span, s2: Span) -> dict[CellRep, frozenset[CellRep]]:
+    """Partition all valid representatives s1 ⇒ s2 by refinement-connectivity."""
+    reps: list[CellRep] = []
+    for apex in sorted(c.objects):
+        for v1 in c.hom1(apex, s1.apex):
+            denom = c.compose1(s1.w, v1)
+            if denom not in w:
+                continue
+            for v2 in c.hom1(apex, s2.apex):
+                alphas = tuple(a for a in c.hom2(denom, c.compose1(s2.w, v2))
+                               if c.is_invertible2(a))
+                if not alphas:
+                    continue
+                betas = c.hom2(c.compose1(s1.f, v1), c.compose1(s2.f, v2))
+                for alpha, beta in itertools.product(alphas, betas):
+                    reps.append(CellRep(s1, s2, apex, v1, v2, alpha, beta))
+
+    index = set(reps)
+    parent = {r: r for r in reps}
+
+    def find(r):
+        while parent[r] != r:
+            parent[r] = parent[parent[r]]
+            r = parent[r]
+        return r
+
+    for r in reps:
+        for p in oracle_refinement_legs(c, w, s1, r):
+            refined = oracle_refine(c, r, p)
+            if refined in index:
+                ra, rb = find(r), find(refined)
+                if ra != rb:
+                    parent[rb] = ra
+
+    classes: dict[CellRep, set[CellRep]] = {}
+    for r in reps:
+        classes.setdefault(find(r), set()).add(r)
+    return {r: frozenset(classes[find(r)]) for r in reps}
+
+
+def oracle_refinement_legs(c, w, s1: Span, rep: CellRep):
+    for apex in sorted(c.objects):
+        for p in c.hom1(apex, rep.apex):
+            if c.compose1(c.compose1(s1.w, rep.v1), p) in w:
+                yield p
+
+
+def oracle_refine(c, rep: CellRep, p: str) -> CellRep:
+    return CellRep(
+        rep.src_span, rep.dst_span, c.mor_src[p],
+        c.compose1(rep.v1, p), c.compose1(rep.v2, p),
+        c.whisker_right(rep.alpha, p), c.whisker_right(rep.beta, p),
+    )
+
+
+def oracle_equality_chain(c, w, part, r1: CellRep, r2: CellRep):
+    if r2 not in part[r1]:
+        return None
+    nodes = part[r1]
+    edges: dict[CellRep, set[CellRep]] = {r: set() for r in nodes}
+    for r in nodes:
+        for p in oracle_refinement_legs(c, w, r1.src_span, r):
+            refined = oracle_refine(c, r, p)
+            if refined in edges:
+                edges[r].add(refined)
+                edges[refined].add(r)
+    prev: dict[CellRep, CellRep] = {r1: r1}
+    queue = deque([r1])
+    while queue:
+        r = queue.popleft()
+        if r == r2:
+            path = [r]
+            while path[-1] != r1:
+                path.append(prev[path[-1]])
+            return path[::-1]
+        for nxt in sorted(edges[r]):
+            if nxt not in prev:
+                prev[nxt] = r
+                queue.append(nxt)
+    raise AssertionError("class members not connected by refinements")
+
+
+def oracle_first_invertible_cell(loc, s1: Span, s2: Span):
+    """The class-by-class scan that `first_invertible_cell` replaces."""
+    return next((cell for cell in loc.hom_cells(s1, s2)
+                 if is_invertible_fraction_cell(loc, cell)), None)
+
+
+def search_fraction_inverse(ch, cell):
+    c, w = ch.c, ch.w
+    ids = identity_fraction_cell(ch, cell.src_span)
+    idd = identity_fraction_cell(ch, cell.dst_span)
+    for candidate in hom_fraction_cells(c, w, cell.dst_span, cell.src_span):
+        if (vcomp_fraction(ch, cell, candidate) == ids
+                and vcomp_fraction(ch, candidate, cell) == idd):
+            return candidate
+    return None
+
+
+def oracle_internal_equiv_search(loc, s: Span):
+    """The quasi-inverse search that `is_internal_equiv_search` replaces."""
+    c = loc.c
+    a, b = span_src(c, s), span_dst(c, s)
+    ida, idb = identity_span(c, a), identity_span(c, b)
+    for g in loc.spans(b, a):
+        delta = first_invertible_cell(loc, ida, compose_fractions(loc, s, g))
+        if delta is None:
+            continue
+        xi = first_invertible_cell(loc, compose_fractions(loc, g, s), idb)
+        if xi is not None:
+            return SpanEquivalence(s, g, delta, xi)
+    return None
+
+
+def pronk_equivalent(c, w, r1: CellRep, r2: CellRep) -> bool:
+    """Pronk's relation on representatives of one hom (Pronk 1996, §2.3), by search.
+
+    r1 ~ r2 when some u: B→A3 and u′: B→A3′ with w1∘v1∘u ∈ W carry
+    invertible ε1: v1∘u ⇒ v1′∘u′ and ε2: v2∘u ⇒ v2′∘u′ with
+    (α′∗i_u′)⊙(i_w1∗ε1) = (i_w2∗ε2)⊙(α∗i_u), and likewise for β with f1, f2.
+    Refining along a common leg is the case ε1 = ε2 = identity.
+    """
+    s1, s2 = r1.src_span, r1.dst_span
+    for b in c.objects:
+        for u in c.hom1(b, r1.apex):
+            v1u, v2u = c.compose1(r1.v1, u), c.compose1(r1.v2, u)
+            if c.compose1(s1.w, v1u) not in w:
+                continue
+            for u2 in c.hom1(b, r2.apex):
+                for e1 in c.invertible_cells(v1u, c.compose1(r2.v1, u2)):
+                    for e2 in c.invertible_cells(v2u, c.compose1(r2.v2, u2)):
+                        if all(c.vcomp(c.whisker_right(x2, u2), c.whisker_left(leg1, e1))
+                               == c.vcomp(c.whisker_left(leg2, e2), c.whisker_right(x1, u))
+                               for x1, x2, leg1, leg2 in ((r1.alpha, r2.alpha, s1.w, s2.w),
+                                                          (r1.beta, r2.beta, s1.f, s2.f))):
+                            return True
+    return False
+
+
+def search_constancy(ind: InducedPseudofunctor) -> CellRep | None:
+    """Map every member of every class of every source hom and classify it.
+
+    Returns the canonical representative of the first class whose members
+    land in two or more target classes, or None if the cell map is
+    constant on every class.
+    """
+    src_loc, dst_loc = ind.source_loc, ind.target_loc
+    objs = sorted(ind.functor.source.objects)
+    for a, b in itertools.product(objs, objs):
+        spans = src_loc.spans(a, b)
+        for s1, s2 in itertools.product(spans, spans):
+            for cell in src_loc.hom_cells(s1, s2):
+                images = {cell_from_rep(dst_loc, ind.map_rep(r))
+                          for r in cell.members}
+                if len(images) != 1:
+                    return cell.canonical
+    return None
+
+
+def reference_weak_equivalence_report(src_view, dst_view, map_object, map_one, map_two):
+    """The all-pairs walk `weak_equivalence_report` replaced, kept as its oracle.
+
+    Every pair of parallel source 1-cells is visited, the empty homs too,
+    and each 1-cell is mapped again wherever it is used.
+    """
+    rep = WeakEquivalenceReport()
+
+    rep.verdicts["obj_surjective_up_to_equiv"] = True
+    for y in dst_view.objects:
+        if not any(dst_view.equivalent_objects(map_object(x), y)
+                   for x in src_view.objects):
+            rep.verdicts["obj_surjective_up_to_equiv"] = False
+            rep.counterexamples["obj_surjective_up_to_equiv"] = (y,)
+            break
+
+    rep.verdicts["mor_surjective_up_to_iso"] = True
+    rep.verdicts["cell_injective"] = True
+    rep.verdicts["cell_surjective"] = True
+    for a, b in itertools.product(src_view.objects, src_view.objects):
+        src_ones = src_view.ones(a, b)
+        for g in dst_view.ones(map_object(a), map_object(b)):
+            if rep.verdicts["mor_surjective_up_to_iso"] and not any(
+                    dst_view.invertible_between(map_one(f), g) for f in src_ones):
+                rep.verdicts["mor_surjective_up_to_iso"] = False
+                rep.counterexamples["mor_surjective_up_to_iso"] = (a, b, g)
+        for f1, f2 in itertools.product(src_ones, src_ones):
+            cells = src_view.twos(f1, f2)
+            images = [map_two(al) for al in cells]
+            if rep.verdicts["cell_injective"]:
+                for (a1, i1), (a2, i2) in itertools.combinations(
+                        zip(cells, images), 2):
+                    if i1 == i2:
+                        rep.verdicts["cell_injective"] = False
+                        rep.counterexamples["cell_injective"] = (f1, f2, a1, a2)
+                        break
+            if rep.verdicts["cell_surjective"]:
+                image_set = set(images)
+                for t in dst_view.twos(map_one(f1), map_one(f2)):
+                    if t not in image_set:
+                        rep.verdicts["cell_surjective"] = False
+                        rep.counterexamples["cell_surjective"] = (f1, f2, t)
+                        break
+    return rep
+
+
+def enumerate_strict_functors(src: TwoCat, dst: TwoCat) -> list[StrictTwoFunctor]:
+    """Every strict 2-functor src → dst: candidates constrained slot by slot, then validated."""
+    out: list[StrictTwoFunctor] = []
+    identity_mors = set(src.id1.values())
+    identity_cells = set(src.id2.values())
+    for f0v in itertools.product(dst.objects, repeat=len(src.objects)):
+        f0 = dict(zip(src.objects, f0v))
+        mor_slots = []
+        for m in src.mors:
+            if m in identity_mors:
+                mor_slots.append((dst.id1[f0[src.mor_src[m]]],))
+            else:
+                mor_slots.append(dst.hom1(f0[src.mor_src[m]], f0[src.mor_dst[m]]))
+        for f1v in itertools.product(*mor_slots):
+            f1 = dict(zip(src.mors, f1v))
+            if any(dst.comp1[(f1[g], f1[f])] != f1[gf]
+                   for (g, f), gf in src.comp1.items()):
+                continue
+            cell_slots = []
+            for a in src.cells:
+                if a in identity_cells:
+                    cell_slots.append((dst.id2[f1[src.cell_src[a]]],))
+                else:
+                    cell_slots.append(dst.hom2(f1[src.cell_src[a]],
+                                               f1[src.cell_dst[a]]))
+            for f2v in itertools.product(*cell_slots):
+                f2 = dict(zip(src.cells, f2v))
+                fun = StrictTwoFunctor(src, dst, f0, f1, f2)
+                if validate_functor(fun).ok:
+                    out.append(fun)
+    return out
+
+
+def literal_essentially_surjective(fun):
+    x = fun.target
+    image = set(fun.obj_map.values())
+    return all(any(x.hom(src, x0) for src in image) for x0 in x.objects)
+
+
+def literal_fully_faithful(fun):
+    y, x = fun.source, fun.target
+    gamma = {a: (y.arr_src[a], y.arr_dst[a], fun.arr_map[a]) for a in y.arrows}
+    fiber = {(o1, o2, x1)
+             for o1, o2 in itertools.product(y.objects, y.objects)
+             for x1 in x.hom(fun.obj_map[o1], fun.obj_map[o2])}
+    return len(set(gamma.values())) == len(gamma) and set(gamma.values()) == fiber
+
+
+def literal_morita(fun):
+    return literal_essentially_surjective(fun) and literal_fully_faithful(fun)

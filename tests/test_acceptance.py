@@ -48,8 +48,7 @@ from twoloc.cli import main as cli_main
 from twoloc.fixtures import FIXTURES
 from twoloc.groupoids import CATALOGS
 
-from functor_enum import enumerate_strict_functors, search_constancy
-from test_equiv_search import oracle_internal_equiv_search
+from oracles import enumerate_strict_functors, oracle_internal_equiv_search, search_constancy
 
 BF_FIXTURES = ("F1", "F2", "F3", "F5", "F6", "F7")
 

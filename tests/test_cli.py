@@ -237,7 +237,8 @@ def test_each_command_takes_only_its_options(tmp_path, capsys):
     # an option a command does not take is a usage error: no report
     f6 = emit(tmp_path, "F6")
     for argv in (["induce", f6, f6, identity_functor_doc(tmp_path, f6), "--no-c3"],
-                 ["validate", f6, "--xchecks"]):
+                 ["validate", f6, "--xchecks"],
+                 ["groupoid", f6, "--check", "bogus"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv

@@ -4,7 +4,8 @@ import dataclasses
 import random
 
 import pytest
-from corpus import cyclic_parity, oracle_inputs
+from corpus import cyclic_parity, distinct_tables, oracle_inputs
+from oracles import exhaustive_validate, reached_by_left_composition
 
 from twoloc import (
     StructureError,
@@ -216,74 +217,13 @@ def test_witnesses_on_corpus(corpus_entries):
 
 # -- validate against the all-tuples scan ------------------------------------
 #
-# `validate` walks composable tuples through boundary indexes.
-# `exhaustive_validate` is the scan it replaced, kept here only as a
-# reference: it loops over every pair and triple and filters afterwards.
+# `validate` walks composable tuples through boundary indexes; the scan
+# loops over every pair and triple and filters afterwards.
 
 LAWS = ("compose1-right-unit", "compose1-left-unit", "compose1-assoc",
         "vcomp-right-unit", "vcomp-left-unit", "vcomp-assoc",
         "hcomp-identities", "hcomp-right-unit", "hcomp-left-unit",
         "hcomp-assoc", "interchange")
-
-
-def exhaustive_validate(c):
-    report = ValidationReport()
-    if not _check_structure(c, report):
-        return report
-
-    mors, cells = c.mors, c.cells
-    for f in mors:
-        ia, ib = c.id1[c.mor_src[f]], c.id1[c.mor_dst[f]]
-        if c.comp1[(f, ia)] != f:
-            report.fail("compose1-right-unit", (f, ia))
-        if c.comp1[(ib, f)] != f:
-            report.fail("compose1-left-unit", (ib, f))
-    for (g, f) in c.comp1:
-        for h in mors:
-            if c.mor_dst[g] == c.mor_src[h]:
-                if c.comp1[(c.comp1[(h, g)], f)] != c.comp1[(h, c.comp1[(g, f)])]:
-                    report.fail("compose1-assoc", (h, g, f))
-
-    for a in cells:
-        if c.vcomp_table[(a, c.id2[c.cell_src[a]])] != a:
-            report.fail("vcomp-right-unit", (a,))
-        if c.vcomp_table[(c.id2[c.cell_dst[a]], a)] != a:
-            report.fail("vcomp-left-unit", (a,))
-    for (b, a) in c.vcomp_table:
-        for d in cells:
-            if c.cell_dst[b] == c.cell_src[d]:
-                if c.vcomp_table[(c.vcomp_table[(d, b)], a)] != c.vcomp_table[(d, c.vcomp_table[(b, a)])]:
-                    report.fail("vcomp-assoc", (d, b, a))
-
-    for (g, f) in c.comp1:
-        if c.hcomp_table[(c.id2[g], c.id2[f])] != c.id2[c.comp1[(g, f)]]:
-            report.fail("hcomp-identities", (g, f))
-    for a in cells:
-        f = c.cell_src[a]
-        ia = c.id2[c.id1[c.mor_src[f]]]
-        ib = c.id2[c.id1[c.mor_dst[f]]]
-        if c.hcomp_table[(a, ia)] != a:
-            report.fail("hcomp-right-unit", (a,))
-        if c.hcomp_table[(ib, a)] != a:
-            report.fail("hcomp-left-unit", (a,))
-    for (b, a) in c.hcomp_table:
-        for d in cells:
-            if c.mor_dst[c.cell_src[b]] == c.mor_src[c.cell_src[d]]:
-                if c.hcomp_table[(c.hcomp_table[(d, b)], a)] != c.hcomp_table[(d, c.hcomp_table[(b, a)])]:
-                    report.fail("hcomp-assoc", (d, b, a))
-
-    for (a2, a1) in c.vcomp_table:
-        for (b2, b1) in c.vcomp_table:
-            if c.mor_dst[c.cell_src[a1]] == c.mor_src[c.cell_src[b1]]:
-                lhs = c.hcomp_table[(c.vcomp_table[(b2, b1)], c.vcomp_table[(a2, a1)])]
-                rhs = c.vcomp_table[(c.hcomp_table[(b2, a2)], c.hcomp_table[(b1, a1)])]
-                if lhs != rhs:
-                    report.fail("interchange", (b2, b1, a2, a1))
-    return report
-
-
-def distinct_tables(entries):
-    return list({id(e.c): e.c for e in entries}.values())
 
 
 def mutants(c, rng, per_table):
@@ -369,20 +309,6 @@ def test_decider_matches_exhaustive_scan():
     assert seen["catalog mutant"][False] >= 15
     assert seen["Z/8 mutant"][False] >= 200
     assert seen["oracle table"] == [0, len(distinct_tables(oracle_inputs()))]
-
-
-def reached_by_left_composition(c, gens):
-    """The identities and `gens`, closed under x ↦ s∘x for s in `gens`."""
-    reached = set(c.id1.values()) | set(gens)
-    todo = list(reached)
-    while todo:
-        x = todo.pop()
-        for s in gens:
-            y = c.comp1.get((s, x))
-            if y is not None and y not in reached:
-                reached.add(y)
-                todo.append(y)
-    return reached
 
 
 def test_generators_reach_every_one_cell():

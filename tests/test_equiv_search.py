@@ -1,11 +1,9 @@
 """The equivalence witness built from a saturation witness, against a search.
 
-`is_internal_equiv_search` keeps its name but no longer searches: for a
-span s = (A′, w, f) with f ∈ W_sat it takes the least g with f∘g ∈ W and
-g∘h ∈ W for some h and returns ē = (src g, f∘g, w∘g) with the first
-invertible δ: id_a ⇒ s;ē and ξ: ē;s ⇒ id_b.  `oracle_internal_equiv_search`
-is the original per-candidate search over `loc.spans(b, a)`, kept here
-only as a reference.
+`is_internal_equiv_search` builds ē = (src g, f∘g, w∘g) from the least
+saturation witness g of s = (A′, w, f); `search_witnesses` finds that g
+by brute force, and `oracle_internal_equiv_search` is the original
+per-candidate search over `loc.spans(b, a)`.
 
 Where BF holds, the two decide alike and the construction's δ and ξ
 always exist.  Where BF fails the theorem does not apply and the two may
@@ -32,11 +30,9 @@ from twoloc.fixtures import FIXTURES, fixture
 from twoloc.fractions import (
     Localization,
     Span,
-    SpanEquivalence,
     _HomPartitions,
     build_choices,
     compose_fractions,
-    first_invertible_cell,
     identity_span,
     is_internal_equiv_closed_form,
     is_internal_equiv_search,
@@ -46,46 +42,20 @@ from twoloc.fractions import (
     u_mor,
 )
 
-from corpus import cyclic_family, load_bench_module, oracle_inputs
-from test_partitions import classes_to_compare
+from corpus import classes_to_compare, cyclic_family, load_bench_module, oracle_inputs
+from oracles import oracle_internal_equiv_search, search_witnesses
 
 
-def oracle_internal_equiv_search(loc, s: Span):
-    """The quasi-inverse search that `is_internal_equiv_search` replaces."""
-    c = loc.c
-    a, b = span_src(c, s), span_dst(c, s)
-    ida, idb = identity_span(c, a), identity_span(c, b)
-    for g in loc.spans(b, a):
-        delta = first_invertible_cell(loc, ida, compose_fractions(loc, s, g))
-        if delta is None:
-            continue
-        xi = first_invertible_cell(loc, compose_fractions(loc, g, s), idb)
-        if xi is not None:
-            return SpanEquivalence(s, g, delta, xi)
-    return None
-
-
-def expected_quasi_inverse(loc, s: Span):
-    """(src g, f∘g, w∘g) for the least middle g in sorted order, or None if there is none."""
-    c, w = loc.c, loc.w
-    middles = [g for g in sorted(c.mors) if c.mor_dst[g] == s.apex
-               and c.comp1[(s.f, g)] in w
-               and any(c.comp1.get((g, h)) in w for h in c.mors)]
-    if not middles:
-        return None
-    g = middles[0]
-    return Span(c.mor_src[g], c.comp1[(s.f, g)], c.comp1[(s.w, g)])
-
-
-def check_span(loc, s: Span, bf: bool) -> str:
-    """Run the construction on s, check what it returns, and name the outcome."""
+def check_span(loc, s: Span, bf: bool, witnesses: dict[str, str]) -> str:
+    """Run the construction on s, check it against `witnesses` (f ↦ least g), name the outcome."""
     c = loc.c
     try:
         found = is_internal_equiv_search(loc, s)
     except StructureError:  # any other exception fails the test
         assert not bf, s
         return "raise"
-    e_bar = expected_quasi_inverse(loc, s)
+    g = witnesses.get(s.f)
+    e_bar = None if g is None else Span(c.mor_src[g], c.comp1[(s.f, g)], c.comp1[(s.w, g)])
     assert (found is None) == (e_bar is None), s
     if bf:
         assert (found is None) == (oracle_internal_equiv_search(loc, s) is None), s
@@ -104,7 +74,8 @@ def check_every_span(loc) -> set[tuple[bool, str]]:
     """`check_span` on every span of loc; returns the (BF holds, outcome) pairs seen."""
     c = loc.c
     bf = check_bf(c, loc.w).ok
-    return {(bf, check_span(loc, s, bf))
+    witnesses = search_witnesses(c, loc.w)
+    return {(bf, check_span(loc, s, bf, witnesses))
             for a, b in itertools.product(sorted(c.objects), repeat=2)
             for s in loc.spans(a, b)}
 

@@ -34,10 +34,11 @@ from twoloc import (
     whisker_fraction_left,
     whisker_fraction_right,
 )
-from twoloc.fixtures import FIXTURES, parity_twocat
+from twoloc.fixtures import FIXTURES
 from twoloc.fractions import rep_problems, span_problems
 
-from test_equiv_search import oracle_internal_equiv_search
+from corpus import cyclic_parity, cyclic_plain
+from oracles import oracle_internal_equiv_search, pronk_equivalent
 
 
 def test_span_and_rep_validity():
@@ -182,11 +183,7 @@ def test_c3_collapses_w_roundtrip():
 
 def z4_classes(twist_name: str):
     """Z/4 with a parity cell on every 1-cell, W = <2>: (choices, every endo class)."""
-    names = [f"g{k}" for k in range(4)]
-    comp = {(names[i], names[j]): names[(i + j) % 4] for i in range(4) for j in range(4)}
-    c = parity_twocat(["x"], {g: ("x", "x") for g in names}, {"x": "g0"}, comp,
-                      twist_name=twist_name)
-    ch = build_choices(c, frozenset({"g0", "g2"}))
+    ch = build_choices(cyclic_parity(4, twist_name), frozenset({"g0", "g2"}))
     spans = ch.spans("x", "x")
     return ch, [cell for s1 in spans for s2 in spans for cell in ch.hom_cells(s1, s2)]
 
@@ -198,31 +195,6 @@ def z4_left_unit_failures(twist_name: str) -> tuple[int, int]:
               if vcomp_fraction(ch, identity_fraction_cell(ch, cell.src_span), cell)
               != cell]
     return len(cells), len(broken)
-
-
-def pronk_equivalent(c, w, r1: CellRep, r2: CellRep) -> bool:
-    """Pronk's relation on representatives of one hom (Pronk 1996, §2.3), by search.
-
-    r1 ~ r2 when some u: B→A3 and u′: B→A3′ with w1∘v1∘u ∈ W carry
-    invertible ε1: v1∘u ⇒ v1′∘u′ and ε2: v2∘u ⇒ v2′∘u′ with
-    (α′∗i_u′)⊙(i_w1∗ε1) = (i_w2∗ε2)⊙(α∗i_u), and likewise for β with f1, f2.
-    Refining along a common leg is the case ε1 = ε2 = identity.
-    """
-    s1, s2 = r1.src_span, r1.dst_span
-    for b in c.objects:
-        for u in c.hom1(b, r1.apex):
-            v1u, v2u = c.compose1(r1.v1, u), c.compose1(r1.v2, u)
-            if c.compose1(s1.w, v1u) not in w:
-                continue
-            for u2 in c.hom1(b, r2.apex):
-                for e1 in c.invertible_cells(v1u, c.compose1(r2.v1, u2)):
-                    for e2 in c.invertible_cells(v2u, c.compose1(r2.v2, u2)):
-                        if all(c.vcomp(c.whisker_right(x2, u2), c.whisker_left(leg1, e1))
-                               == c.vcomp(c.whisker_left(leg2, e2), c.whisker_right(x1, u))
-                               for x1, x2, leg1, leg2 in ((r1.alpha, r2.alpha, s1.w, s2.w),
-                                                          (r1.beta, r2.beta, s1.f, s2.f))):
-                            return True
-    return False
 
 
 def test_identity_cell_is_a_left_unit_with_builder_names():
@@ -416,11 +388,8 @@ def test_f5_every_endo_span_is_an_equivalence():
 
 @functools.lru_cache(maxsize=None)
 def _cyclic(n: int):
-    mors = {f"g{k}": ("x", "x") for k in range(n)}
-    comp = {(f"g{i}", f"g{j}"): f"g{(i + j) % n}"
-            for i in range(n) for j in range(n)}
-    c = parity_twocat(["x"], mors, {"x": "g0"}, comp, twisted=set())
-    w = frozenset(mors)
+    c = cyclic_plain(n)
+    w = frozenset(c.mors)
     return c, w, build_choices(c, w)
 
 

@@ -30,6 +30,8 @@ from twoloc import (
 )
 from twoloc.groupoids import FiniteGroupoid, GroupoidFunctor, functor_problems
 
+from oracles import literal_essentially_surjective, literal_fully_faithful, literal_morita
+
 
 def test_builders_are_groupoids():
     for g in (unit_groupoid(), pair_groupoid(2), pair_groupoid(3),
@@ -281,28 +283,8 @@ def test_shipped_catalogs_are_saturated():
 # `is_essentially_surjective` reads the target's reach sets and
 # `is_fully_faithful` compares homs one pair of source objects at a time;
 # `morita_two_out_of_six` reads verdicts memoized on the functors, one per
-# functor and one per composable pair.  The functions below are the literal
-# definitions they replaced, kept here only as a reference; the oracle for
-# two-out-of-six builds both composites afresh for every chain.
-
-
-def literal_essentially_surjective(fun):
-    x = fun.target
-    image = set(fun.obj_map.values())
-    return all(any(x.hom(src, x0) for src in image) for x0 in x.objects)
-
-
-def literal_fully_faithful(fun):
-    y, x = fun.source, fun.target
-    gamma = {a: (y.arr_src[a], y.arr_dst[a], fun.arr_map[a]) for a in y.arrows}
-    fiber = {(o1, o2, x1)
-             for o1, o2 in itertools.product(y.objects, y.objects)
-             for x1 in x.hom(fun.obj_map[o1], fun.obj_map[o2])}
-    return len(set(gamma.values())) == len(gamma) and set(gamma.values()) == fiber
-
-
-def literal_morita(fun):
-    return literal_essentially_surjective(fun) and literal_fully_faithful(fun)
+# functor and one per composable pair.  The oracle for two-out-of-six
+# builds both composites afresh for every chain.
 
 
 def cyclic_group(n):

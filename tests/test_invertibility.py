@@ -1,19 +1,19 @@
 """Invertibility of fraction 2-cells against the vcomp-and-verify search.
 
 `fraction_inverse` decides invertibility from the class alone: some member
-must have an invertible β.  `search_fraction_inverse` is the search it
-replaced, kept here only as a reference: it scans the opposite hom for a
-cell whose two vertical composites with the given one are identities.  It
-leans on `vcomp_fraction`'s unit law, so it is only compared on inputs
-where that law holds (builder names; see the strict xfail in
-test_fractions.py for the naming that breaks it).
+must have an invertible β.  `search_fraction_inverse`, the search it
+replaced, scans the opposite hom for a cell whose two vertical composites
+with the given one are identities.  It leans on `vcomp_fraction`'s unit
+law, so it is only compared on inputs where that law holds (builder
+names; see the strict xfail in test_fractions.py for the naming that
+breaks it).
 """
 
 import random
 
 import pytest
-from corpus import posetal_family, posetal_twocat
-from test_partitions import cyclic_parity, span_pairs
+from corpus import cyclic_parity, posetal_family, posetal_twocat, span_pairs
+from oracles import search_fraction_inverse
 
 from twoloc.core import TwoCat
 from twoloc.fixtures import FIXTURES, fixture
@@ -21,24 +21,11 @@ from twoloc.fractions import (
     build_choices,
     fraction_inverse,
     hom_fraction_cells,
-    identity_fraction_cell,
     is_internal_equiv_search,
     is_invertible_fraction_cell,
     u_cell,
-    vcomp_fraction,
 )
 from twoloc.transport import comparison_to_saturation, x_conditions_for_induced
-
-
-def search_fraction_inverse(ch, cell):
-    c, w = ch.c, ch.w
-    ids = identity_fraction_cell(ch, cell.src_span)
-    idd = identity_fraction_cell(ch, cell.dst_span)
-    for candidate in hom_fraction_cells(c, w, cell.dst_span, cell.src_span):
-        if (vcomp_fraction(ch, cell, candidate) == ids
-                and vcomp_fraction(ch, candidate, cell) == idd):
-            return candidate
-    return None
 
 
 def assert_inverses_match_search(c, w) -> tuple[int, int]:

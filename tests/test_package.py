@@ -1,10 +1,12 @@
 """The package surface: every public name resolves on first use."""
 
+import ast
 import inspect
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,3 +68,17 @@ from twoloc import check_bf
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("twoloc"))))
 """)
     assert loaded == ["twoloc", "twoloc.core", "twoloc.saturation"]
+
+
+def test_no_test_module_imports_another():
+    # shared oracles live in oracles.py and shared inputs in corpus.py
+    imports = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imports.append((path.name, node.module))
+    assert ("test_core.py", "oracles") in imports
+    assert [(name, module) for name, module in imports
+            if module.startswith("test_") or module == "functor_enum"] == []

@@ -1,17 +1,11 @@
-"""The hom partitions against the exhaustive closure they replace.
-
-`oracle_partition` and `oracle_equality_chain` are the original
-implementations: every (v1, v2) leg pair is tried, every object is
-scanned for refinement legs, and every representative is expanded.
-They are kept here only as a reference.
-"""
+"""The hom partitions against `oracle_partition`, the exhaustive closure they replace."""
 
 import gc
 import itertools
 import random
 import tracemalloc
 import weakref
-from collections import Counter, deque
+from collections import Counter
 
 import pytest
 
@@ -38,103 +32,14 @@ from twoloc.fractions import (
     first_invertible_cell,
     hom_fraction_cells,
     is_internal_equiv_closed_form,
-    is_invertible_fraction_cell,
     rep_problems,
     u_mor,
 )
 from twoloc.saturation import saturate
 from twoloc.transport import comparison_to_saturation, x_conditions_for_induced
 
-from corpus import classes_only, cyclic_parity, oracle_inputs
-
-
-def oracle_partition(c, w, s1: Span, s2: Span) -> dict[CellRep, frozenset[CellRep]]:
-    """Partition all valid representatives s1 ⇒ s2 by refinement-connectivity."""
-    reps: list[CellRep] = []
-    for apex in sorted(c.objects):
-        for v1 in c.hom1(apex, s1.apex):
-            denom = c.compose1(s1.w, v1)
-            if denom not in w:
-                continue
-            for v2 in c.hom1(apex, s2.apex):
-                alphas = tuple(a for a in c.hom2(denom, c.compose1(s2.w, v2))
-                               if c.is_invertible2(a))
-                if not alphas:
-                    continue
-                betas = c.hom2(c.compose1(s1.f, v1), c.compose1(s2.f, v2))
-                for alpha, beta in itertools.product(alphas, betas):
-                    reps.append(CellRep(s1, s2, apex, v1, v2, alpha, beta))
-
-    index = set(reps)
-    parent = {r: r for r in reps}
-
-    def find(r):
-        while parent[r] != r:
-            parent[r] = parent[parent[r]]
-            r = parent[r]
-        return r
-
-    for r in reps:
-        for p in oracle_refinement_legs(c, w, s1, r):
-            refined = oracle_refine(c, r, p)
-            if refined in index:
-                ra, rb = find(r), find(refined)
-                if ra != rb:
-                    parent[rb] = ra
-
-    classes: dict[CellRep, set[CellRep]] = {}
-    for r in reps:
-        classes.setdefault(find(r), set()).add(r)
-    return {r: frozenset(classes[find(r)]) for r in reps}
-
-
-def oracle_refinement_legs(c, w, s1: Span, rep: CellRep):
-    for apex in sorted(c.objects):
-        for p in c.hom1(apex, rep.apex):
-            if c.compose1(c.compose1(s1.w, rep.v1), p) in w:
-                yield p
-
-
-def oracle_refine(c, rep: CellRep, p: str) -> CellRep:
-    return CellRep(
-        rep.src_span, rep.dst_span, c.mor_src[p],
-        c.compose1(rep.v1, p), c.compose1(rep.v2, p),
-        c.whisker_right(rep.alpha, p), c.whisker_right(rep.beta, p),
-    )
-
-
-def oracle_equality_chain(c, w, part, r1: CellRep, r2: CellRep):
-    if r2 not in part[r1]:
-        return None
-    nodes = part[r1]
-    edges: dict[CellRep, set[CellRep]] = {r: set() for r in nodes}
-    for r in nodes:
-        for p in oracle_refinement_legs(c, w, r1.src_span, r):
-            refined = oracle_refine(c, r, p)
-            if refined in edges:
-                edges[r].add(refined)
-                edges[refined].add(r)
-    prev: dict[CellRep, CellRep] = {r1: r1}
-    queue = deque([r1])
-    while queue:
-        r = queue.popleft()
-        if r == r2:
-            path = [r]
-            while path[-1] != r1:
-                path.append(prev[path[-1]])
-            return path[::-1]
-        for nxt in sorted(edges[r]):
-            if nxt not in prev:
-                prev[nxt] = r
-                queue.append(nxt)
-    raise AssertionError("class members not connected by refinements")
-
-
-def span_pairs(c, w):
-    objs, loc = sorted(c.objects), classes_only(c, w)
-    for a, b in itertools.product(objs, objs):
-        spans = loc.spans(a, b)
-        yield from itertools.product(spans, spans)
+from corpus import classes_only, classes_to_compare, cyclic_parity, oracle_inputs, span_pairs
+from oracles import oracle_equality_chain, oracle_first_invertible_cell, oracle_partition
 
 
 def assert_partitions_match(c, w) -> int:
@@ -164,19 +69,6 @@ def assert_partitions_match(c, w) -> int:
             assert equality_chain(loc, first, cells[-1].canonical) == \
                 oracle_equality_chain(c, w, want, first, cells[-1].canonical)
     return homs
-
-
-def classes_to_compare(c, w):
-    """W, its right saturation and all 1-cells, without repeats.
-
-    The larger classes give every representative more refinement legs,
-    so most class members are reached as refinements and not expanded.
-    """
-    out = []
-    for cls in (frozenset(w), saturate(c, w), frozenset(c.mors)):
-        if cls not in out:
-            out.append(cls)
-    return out
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -287,12 +179,6 @@ def test_store_membership_matches_rep_problems():
     assert min(seen.values()) > 1000, seen
 
 
-def oracle_first_invertible_cell(loc, s1: Span, s2: Span):
-    """The class-by-class scan that `first_invertible_cell` replaces."""
-    return next((cell for cell in loc.hom_cells(s1, s2)
-                 if is_invertible_fraction_cell(loc, cell)), None)
-
-
 def existence_inputs():
     """(label, c, class): the oracle inputs at each class, and Z/8 at <4> and <2>."""
     for entry in oracle_inputs():
@@ -331,10 +217,10 @@ def test_has_invertible_matches_class_scan():
             before = store.has_invertible(c, s1, s2)
             first = first_invertible_cell(loc, s1, s2)
             assert before or not isinstance(store._out[s1].get(s2), _Hom), (label, s1, s2)
-            want = any(is_invertible_fraction_cell(loc, x) for x in loc.hom_cells(s1, s2))
-            assert before == want == store.has_invertible(c, s1, s2), (label, s1, s2)
-            assert first == oracle_first_invertible_cell(loc, s1, s2), (label, s1, s2)
-            homs[want] += 1
+            want = oracle_first_invertible_cell(loc, s1, s2)
+            assert before == (want is not None) == store.has_invertible(c, s1, s2), (label, s1, s2)
+            assert first == want, (label, s1, s2)
+            homs[want is not None] += 1
     assert min(homs.values()) > 1000, homs
 
 
@@ -416,7 +302,7 @@ def test_has_invertible_needs_the_swapped_leg_in_w():
     store = loc._store = _HomPartitions(w)
     assert store._swept(c, s1)[s2] == [("A", "idA", "v2", "alpha", "i_f1")]
     assert not store.has_invertible(c, s1, s2)
-    assert not any(is_invertible_fraction_cell(loc, x) for x in loc.hom_cells(s1, s2))
+    assert oracle_first_invertible_cell(loc, s1, s2) is None
 
 
 def shuffled_requests(c, w, seed: int):

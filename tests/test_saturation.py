@@ -2,8 +2,6 @@
 
 `saturate` reads the saturation off the composition table, and
 `saturation_witnesses` reads each member's least witness with it.
-`search_witnesses` is the search they replaced, kept here only as a
-reference: it loops over triples of 1-cells.
 """
 
 import dataclasses
@@ -11,8 +9,8 @@ import itertools
 from collections import Counter
 
 import pytest
-from corpus import oracle_inputs, posetal_family
-from test_partitions import cyclic_parity
+from corpus import cyclic_parity, cyclic_plain, oracle_inputs, posetal_family
+from oracles import search_check_bf, search_witnesses
 
 from twoloc import (
     StructureError,
@@ -31,7 +29,6 @@ from twoloc.fixtures import FIXTURES, parity_twocat
 from twoloc.groupoids import CATALOGS, groupoid_twocat
 from twoloc.saturation import (
     AXIOMS,
-    _as_class,
     cell_lifts,
     cospan_fillers,
     fill_cospan,
@@ -68,11 +65,7 @@ def test_bf1_needs_all_identities():
 
 def test_bf2_composition_escape():
     # Z/4 as endo-1-cells of one object: {g0, g1} is not closed
-    mors = {f"g{k}": ("x", "x") for k in range(4)}
-    comp = {(f"g{i}", f"g{j}"): f"g{(i + j) % 4}"
-            for i in range(4) for j in range(4)}
-    c = parity_twocat(["x"], mors, {"x": "g0"}, comp, twisted=set())
-    rep = check_bf(c, {"g0", "g1"})
+    rep = check_bf(cyclic_plain(4), {"g0", "g1"})
     assert not rep.passed["BF2"]
     assert rep.counterexamples["BF2"] == ("g1", "g1", "g2")
 
@@ -164,25 +157,6 @@ def test_cell_lifts_all_satisfy_equation(corpus_entries):
 
 
 # -- saturation --------------------------------------------------------------
-
-
-def search_witnesses(c, w):
-    """f ↦ the least g with f∘g ∈ W and g∘h ∈ W for some h, by exhaustive search."""
-    w = _as_class(c, w)
-    out = {}
-    for f in c.mors:
-        src_f = c.mor_src[f]
-        for g in sorted(c.mors):
-            if c.mor_dst[g] != src_f or c.compose1(f, g) not in w:
-                continue
-            src_g = c.mor_src[g]
-            if any(
-                c.mor_dst[h] == src_g and c.compose1(g, h) in w
-                for h in c.mors
-            ):
-                out[f] = g
-                break
-    return out
 
 
 def assert_saturation_matches_search(c, w) -> None:
@@ -288,60 +262,7 @@ def test_bf_survives_saturation_on_fixtures():
 # -- BF4c against the per-pair search ------------------------------------------
 #
 # `check_bf` reads BF4c's zig candidates (s, p, nu) from a table built once
-# per pair of denominators.  `search_coequalized` is the per-pair search it
-# replaced, kept here only as a reference; `search_check_bf` redoes the
-# BF4 loop with it.
-
-
-def search_coequalized(c, w, f1, f2, lift1, lift2):
-    v, beta = lift1
-    v2, beta2 = lift2
-    for apex in c.objects:
-        for s in c.hom1(apex, c.mor_src[v]):
-            vs = c.compose1(v, s)
-            if vs not in w:
-                continue
-            for p in c.hom1(apex, c.mor_src[v2]):
-                v2p = c.compose1(v2, p)
-                for nu in c.invertible_cells(vs, v2p):
-                    left = c.vcomp(c.whisker_right(beta2, p), c.whisker_left(f1, nu))
-                    right = c.vcomp(c.whisker_left(f2, nu), c.whisker_right(beta, s))
-                    if left == right:
-                        return True
-    return False
-
-
-def search_check_bf(c, w):
-    """`check_bf`'s report with BF4a-c redone by the per-pair search."""
-    w = _as_class(c, w)
-    rep = check_bf(c, w)
-    for axiom in ("BF4a", "BF4b", "BF4c"):
-        rep.passed[axiom] = True
-        rep.counterexamples.pop(axiom, None)
-    for wm in sorted(w):
-        b = c.mor_src[wm]
-        for a_obj in sorted(c.objects):
-            for f1, f2 in itertools.product(c.hom1(a_obj, b), c.hom1(a_obj, b)):
-                for alpha in c.hom2(c.compose1(wm, f1), c.compose1(wm, f2)):
-                    lifts = list(cell_lifts(c, w, wm, f1, f2, alpha))
-                    if not lifts:
-                        if rep.passed["BF4a"]:
-                            rep.passed["BF4a"] = False
-                            rep.counterexamples["BF4a"] = (wm, f1, f2, alpha)
-                        continue
-                    if c.is_invertible2(alpha) and not any(
-                        c.is_invertible2(beta) for _, beta in lifts
-                    ):
-                        if rep.passed["BF4b"]:
-                            rep.passed["BF4b"] = False
-                            rep.counterexamples["BF4b"] = (wm, f1, f2, alpha)
-                    for l1, l2 in itertools.combinations(lifts, 2):
-                        if not search_coequalized(c, w, f1, f2, l1, l2):
-                            if rep.passed["BF4c"]:
-                                rep.passed["BF4c"] = False
-                                rep.counterexamples["BF4c"] = (wm, alpha, l1, l2)
-                            break
-    return rep
+# per pair of denominators, in place of the per-pair search.
 
 
 def lift_pair_modes(monkeypatch) -> list[bool]:

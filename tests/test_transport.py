@@ -34,9 +34,9 @@ from twoloc import (
 from twoloc.fixtures import parity_twocat
 from twoloc.fractions import Localization, Span, _Hom
 from twoloc.saturation import cospan_fillers
-from twoloc.transport import AmbientView, LocalizationView, WeakEquivalenceReport
+from twoloc.transport import AmbientView, LocalizationView
 from corpus import CorpusEntry, cyclic_family, cyclic_parity, posetal_family
-from functor_enum import enumerate_strict_functors, search_constancy
+from oracles import enumerate_strict_functors, reference_weak_equivalence_report, search_constancy
 
 
 def test_identity_and_collapse_validate():
@@ -348,52 +348,6 @@ def test_compare_choice_tables_connects_everything(corpus_entries):
     for ch in (build_choices(other, w), build_choices(c, {"id0", "id1"})):
         with pytest.raises(StructureError, match="another 2-category or class W"):
             compare_choice_tables(ch1, ch)
-
-
-def reference_weak_equivalence_report(src_view, dst_view, map_object, map_one, map_two):
-    """The all-pairs walk `weak_equivalence_report` replaced, kept as its oracle.
-
-    Every pair of parallel source 1-cells is visited, the empty homs too,
-    and each 1-cell is mapped again wherever it is used.
-    """
-    rep = WeakEquivalenceReport()
-
-    rep.verdicts["obj_surjective_up_to_equiv"] = True
-    for y in dst_view.objects:
-        if not any(dst_view.equivalent_objects(map_object(x), y)
-                   for x in src_view.objects):
-            rep.verdicts["obj_surjective_up_to_equiv"] = False
-            rep.counterexamples["obj_surjective_up_to_equiv"] = (y,)
-            break
-
-    rep.verdicts["mor_surjective_up_to_iso"] = True
-    rep.verdicts["cell_injective"] = True
-    rep.verdicts["cell_surjective"] = True
-    for a, b in itertools.product(src_view.objects, src_view.objects):
-        src_ones = src_view.ones(a, b)
-        for g in dst_view.ones(map_object(a), map_object(b)):
-            if rep.verdicts["mor_surjective_up_to_iso"] and not any(
-                    dst_view.invertible_between(map_one(f), g) for f in src_ones):
-                rep.verdicts["mor_surjective_up_to_iso"] = False
-                rep.counterexamples["mor_surjective_up_to_iso"] = (a, b, g)
-        for f1, f2 in itertools.product(src_ones, src_ones):
-            cells = src_view.twos(f1, f2)
-            images = [map_two(al) for al in cells]
-            if rep.verdicts["cell_injective"]:
-                for (a1, i1), (a2, i2) in itertools.combinations(
-                        zip(cells, images), 2):
-                    if i1 == i2:
-                        rep.verdicts["cell_injective"] = False
-                        rep.counterexamples["cell_injective"] = (f1, f2, a1, a2)
-                        break
-            if rep.verdicts["cell_surjective"]:
-                image_set = set(images)
-                for t in dst_view.twos(map_one(f1), map_one(f2)):
-                    if t not in image_set:
-                        rep.verdicts["cell_surjective"] = False
-                        rep.counterexamples["cell_surjective"] = (f1, f2, t)
-                        break
-    return rep
 
 
 def point_into_z8(twist_name: str) -> StrictTwoFunctor:
