@@ -8,9 +8,11 @@ and exits with one of three codes:
 
 * 0: every verdict passed;
 * 1: some verdict is false, and nothing else went wrong;
-* 2: the input is malformed or structurally invalid, or a file could not
-  be read or written (including the `--output` report and the document
-  `fixtures` writes).  The report then carries an `error` message.  It
+* 2: the input is malformed or structurally invalid, a file could not be
+  read or written (including the `--output` report and the document
+  `fixtures` writes), or a search that cannot fail on valid input failed
+  (`InternalInconsistency`, reported as "internal inconsistency: …").
+  The report then carries an `error` message, and no traceback.  It
   keeps the data gathered so far and goes where `--output` says, except
   when a file could not be written: then it is printed to stdout.
 
@@ -29,7 +31,7 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .core import StructureError, validate
+from .core import InternalInconsistency, StructureError, validate
 from .documents import (
     DocumentError,
     dump_groupoid,
@@ -485,6 +487,8 @@ def main(argv: list[str] | None = None) -> int:
             return args.fn(cmd, args)
         except (DocumentError, StructureError) as exc:
             return cmd.bad_input(str(exc))
+        except InternalInconsistency as exc:
+            return cmd.bad_input(f"internal inconsistency: {exc}")
     except OSError as exc:
         fallback = _Command(args)
         fallback.output = None  # the --output path may be what failed

@@ -404,10 +404,13 @@ def _is_two_category(c: TwoCat) -> bool:
       = R_{f3}b2 ⊙ (L_{g2}a2 ⊙ R_{f2}b) ⊙ L_{g1}a = (b2∗a2)⊙(b∗a), by (F)
       and both forms of (W) for b∗a2.
 
-    vcomp-assoc walks vcomp entries against the 2-cells after them, as
-    `validate`'s loop does.  Every other check reads each table entry at
-    most once per member of S, where the law loops walk composable hcomp
-    triples and interchange pairs.
+    Cost.  vcomp-assoc walks vcomp entries against the 2-cells after them,
+    as `validate`'s loop does, and (W) reads four whiskerings per hcomp
+    entry.  The maps L_h, R_h and h∘− are built once per 1-cell, reading
+    each whiskering once, and (F) to (M) at s compare lists of their
+    values.  So hcomp_table is read at most 6·|hcomp| + 2·|cells| + |comp1|
+    times in all, where the law loops walk composable hcomp triples and
+    interchange pairs.
     """
     mors, cells = c.mors, c.cells
     comp1, vt, ht, id1, id2 = c.comp1, c.vcomp_table, c.hcomp_table, c.id1, c.id2
@@ -437,40 +440,43 @@ def _is_two_category(c: TwoCat) -> bool:
                 or vt[(ht[(i_g2, a)], ht[(b, i_f1)])] != ba):
             return False
 
-    # by object: the 1-cells out of and into it, and the 2-cells and vcomp
-    # pairs over 1-cells out of and into it
+    # by object: the 1-cells out of and into it, the 2-cells over 1-cells
+    # out of it, into it and from z to it, and the vcomp pairs over those
     mors_from, mors_into = _index(mors, mor_src.get), _index(mors, mor_dst.get)
     cells_at = _index(cells, lambda a: mor_src[cell_src[a]])
     cells_into = _index(cells, lambda a: mor_dst[cell_src[a]])
+    cells_hom = _index(cells, lambda a: (mor_src[cell_src[a]], mor_dst[cell_src[a]]))
     vpairs_at = _index(vt, lambda ba: mor_src[cell_src[ba[1]]])
     vpairs_into = _index(vt, lambda ba: mor_dst[cell_src[ba[1]]])
+    # per 1-cell h, keyed in the order of those indexes: L[h] = i_h∗−,
+    # R[h] = −∗i_h and C[h] = h∘−
+    L = {h: {a: ht[(id2[h], a)] for a in cells_into.get(mor_src[h], ())} for h in mors}
+    R = {h: {a: ht[(a, id2[h])] for a in cells_at.get(mor_dst[h], ())} for h in mors}
+    C = {h: {g: comp1[(h, g)] for g in mors_into.get(mor_src[h], ())} for h in mors}
+
+    def image(m: dict, xs) -> list:
+        return list(map(m.__getitem__, xs))
 
     for s in _generators(c):
-        x, y, i_s = mor_src[s], mor_dst[s], id2[s]
-        if any(ht[(i_s, vt[(b, a)])] != vt[(ht[(i_s, b)], ht[(i_s, a)])]  # (F)
+        x, y, Ls, Rs, Cs = mor_src[s], mor_dst[s], L[s], R[s], C[s]
+        if any(Ls[vt[(b, a)]] != vt[(Ls[b], Ls[a])]                       # (F)
                for b, a in vpairs_into.get(x, ())):
             return False
-        if any(ht[(vt[(b, a)], i_s)] != vt[(ht[(b, i_s)], ht[(a, i_s)])]
-               for b, a in vpairs_at.get(y, ())):
+        if any(Rs[vt[(b, a)]] != vt[(Rs[b], Rs[a])] for b, a in vpairs_at.get(y, ())):
             return False
         for g in mors_into.get(x, ()):
-            sg, i_g, z = comp1[(s, g)], id2[g], mor_src[g]
-            i_sg = id2[sg]
-            if any(comp1[(sg, e)] != comp1[(s, comp1[(g, e)])]           # (A)
-                   for e in mors_into.get(z, ())):
+            sg = Cs[g]
+            if (image(Cs, C[g].values()) != list(C[sg].values())           # (A)
+                    or image(Ls, L[g].values()) != list(L[sg].values())):  # (L)
                 return False
-            if any(ht[(i_s, ht[(i_g, a)])] != ht[(i_sg, a)]                # (L)
-                   for a in cells_into.get(z, ())):
-                return False
-        for e in mors_from.get(y, ()):
-            i_e, i_es = id2[e], id2[comp1[(e, s)]]
-            if any(ht[(ht[(a, i_e)], i_s)] != ht[(a, i_es)]                # (R)
-                   for a in cells_at.get(mor_dst[e], ())):
-                return False
-        for a in cells_into.get(x, ()):
-            sa = ht[(i_s, a)]
-            if any(ht[(sa, id2[e])] != ht[(i_s, ht[(a, id2[e])])]          # (M)
-                   for e in mors_into.get(mor_src[cell_src[a]], ())):
+        if any(image(Rs, R[e].values()) != list(R[C[e][s]].values())      # (R)
+               for e in mors_from.get(y, ())):
+            return False
+        for z in c.objects:
+            z_to_x = cells_hom.get((z, x), ())
+            s_z_to_x = image(Ls, z_to_x)
+            if z_to_x and any(image(R[e], s_z_to_x) != image(Ls, image(R[e], z_to_x))
+                              for e in mors_into.get(z, ())):             # (M)
                 return False
     return True
 

@@ -149,6 +149,7 @@ def _lift_pairs(first, rest, first_only: bool):
 def _check_bf4(c: TwoCat, w: frozenset[str], rep: BFReport, first_only: bool) -> None:
     """Decide BF4a-c over every alpha: wm∘f1 ⇒ wm∘f2 with wm ∈ W."""
     zigs: dict[tuple[str, str], tuple] = {}  # (v, v') -> _zigs(c, w, v, v')
+    merged: dict[tuple, bool] = {}  # (f1, f2, l, l') -> _coequalized's answer
     for wm in sorted(w):
         b = c.mor_src[wm]
         for a_obj in sorted(c.objects):
@@ -165,10 +166,13 @@ def _check_bf4(c: TwoCat, w: frozenset[str], rep: BFReport, first_only: bool) ->
                         lifted_invertibly = lifted_invertibly or c.is_invertible2(l2[1])
                         if not rep.passed["BF4c"]:
                             continue
-                        vv = (l1[0], l2[0])
-                        if vv not in zigs:
-                            zigs[vv] = _zigs(c, w, *vv)
-                        if not _coequalized(c, f1, f2, l1, l2, zigs[vv]):
+                        key = (f1, f2, l1, l2)
+                        if key not in merged:
+                            vv = (l1[0], l2[0])
+                            if vv not in zigs:
+                                zigs[vv] = _zigs(c, w, *vv)
+                            merged[key] = _coequalized(c, f1, f2, l1, l2, zigs[vv])
+                        if not merged[key]:
                             rep.fail("BF4c", (wm, alpha, l1, l2))
                     if c.is_invertible2(alpha) and not lifted_invertibly:
                         rep.fail("BF4b", (wm, f1, f2, alpha))
@@ -191,7 +195,9 @@ def check_bf(c: TwoCat, w) -> BFReport:
     whiskered by q∘z and q'∘z, and from interchange of β' with σ.
     So BF2, BF3 and BF5 are decided first; BF4 compares each lift with the
     first only when they pass, and is decided again with all pairs if BF4a
-    or BF4b then fails.
+    or BF4b then fails.  Each pair is asked once per (f1, f2, l, l'), and
+    its answer serves every α with those lifts: `_zigs(v, v')` and the
+    merge equation read f1, f2, l and l' only, never wm or α.
     """
     w = _as_class(c, w)
     rep = BFReport(dict.fromkeys(AXIOMS, True))

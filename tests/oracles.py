@@ -10,8 +10,9 @@ where the proof that the two agree is written.
 - `search_witnesses`: `saturation.saturation_witnesses`, `saturate` and the ē of
   `fractions.is_internal_equiv_search`; test_saturation test_*_matches_search,
   test_equiv_search test_search_matches_oracle_on_*; the set `saturate`'s docstring defines.
-- `search_coequalized`, `search_check_bf`: BF4 in `saturation.check_bf`;
-  test_saturation test_check_bf_matches_per_pair_search,
+- `search_check_bf`, `search_coequalized`: `saturation.check_bf`, all seven
+  axioms, and its one answer per BF4c lift pair; test_saturation
+  test_check_bf_matches_per_pair_search, test_check_bf_matches_search_without_identities,
   test_bf4c_fails_alone_on_the_first_lift_path; `check_bf`'s docstring.
 - `oracle_partition`, `oracle_refinement_legs`, `oracle_refine`,
   `oracle_equality_chain`: `fractions.hom_fraction_cells`, `equality_chain`;
@@ -23,8 +24,7 @@ where the proof that the two agree is written.
   `_invertible_member`'s docstring (Tommasini, arXiv:1410.3990).
 - `oracle_internal_equiv_search`: `fractions.is_internal_equiv_search` and
   `is_internal_equiv_closed_form`; test_equiv_search test_search_matches_oracle_on_*,
-  test_fractions test_deciders_agree_on_fixture_spans, test_acceptance
-  test_c04_*; `is_internal_equiv_search`'s docstring, where BF holds.
+  test_acceptance test_c04_*; `is_internal_equiv_search`'s docstring, where BF holds.
 - `pronk_equivalent`: no production code yet; the hom partition should be
   this relation and is finer; test_fractions test_*_pronk_equivalen* (one a
   strict xfail); Pronk 1996, §2.3.
@@ -47,14 +47,14 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from twoloc import StrictTwoFunctor, check_bf, validate_functor
+from twoloc import StrictTwoFunctor, validate_functor
 from twoloc.core import TwoCat, ValidationReport, _check_structure
 from twoloc.fractions import (
     CellRep, Span, SpanEquivalence, cell_from_rep, compose_fractions, first_invertible_cell,
     hom_fraction_cells, identity_fraction_cell, identity_span, is_invertible_fraction_cell,
     span_dst, span_src, vcomp_fraction,
 )
-from twoloc.saturation import _as_class, cell_lifts
+from twoloc.saturation import AXIOMS, BFReport, _as_class, cell_lifts
 from twoloc.transport import InducedPseudofunctor, WeakEquivalenceReport
 
 
@@ -166,12 +166,37 @@ def search_coequalized(c, w, f1, f2, lift1, lift2):
 
 
 def search_check_bf(c, w):
-    """`check_bf`'s report with BF4a-c redone by the per-pair search."""
+    """BF1-BF5 by all-tuples search, each first counterexample in `check_bf`'s order.
+
+    Invertibility is read off the vcomp table, and no `check_bf` helper is
+    called but `cell_lifts`, the lifts' enumeration in search order.
+    """
     w = _as_class(c, w)
-    rep = check_bf(c, w)
-    for axiom in ("BF4a", "BF4b", "BF4c"):
-        rep.passed[axiom] = True
-        rep.counterexamples.pop(axiom, None)
+    rep = BFReport(dict.fromkeys(AXIOMS, True))
+    mors, cells, comp1 = sorted(c.mors), sorted(c.cells), c.comp1
+    inv = {a for a in cells for b in cells
+           if c.vcomp_table.get((b, a)) == c.id2[c.cell_src[a]]
+           and c.vcomp_table.get((a, b)) == c.id2[c.cell_dst[a]]}
+    inv_pairs = {(c.cell_src[a], c.cell_dst[a]) for a in inv}
+
+    for i in sorted(c.id1.values()):
+        if i not in w:
+            rep.fail("BF1", (i,))
+    for g, f in itertools.product(sorted(w), sorted(w)):
+        if (g, f) in comp1 and comp1[(g, f)] not in w:
+            rep.fail("BF2", (g, f, comp1[(g, f)]))
+    for f, v in itertools.product(mors, sorted(w)):
+        if c.mor_dst[f] == c.mor_dst[v] and not any(
+                (comp1[(f, v2)], comp1[(v, f2)]) in inv_pairs
+                for v2 in w if c.mor_dst[v2] == c.mor_src[f]
+                for f2 in mors
+                if c.mor_src[f2] == c.mor_src[v2] and c.mor_dst[f2] == c.mor_src[v]):
+            rep.fail("BF3", (f, v))
+    for wm, v in itertools.product(sorted(w), mors):
+        rhos = [a for a in cells if a in inv and (c.cell_src[a], c.cell_dst[a]) == (v, wm)]
+        if v not in w and rhos:
+            rep.fail("BF5", (rhos[0], v))
+
     for wm in sorted(w):
         b = c.mor_src[wm]
         for a_obj in sorted(c.objects):
@@ -179,21 +204,13 @@ def search_check_bf(c, w):
                 for alpha in c.hom2(c.compose1(wm, f1), c.compose1(wm, f2)):
                     lifts = list(cell_lifts(c, w, wm, f1, f2, alpha))
                     if not lifts:
-                        if rep.passed["BF4a"]:
-                            rep.passed["BF4a"] = False
-                            rep.counterexamples["BF4a"] = (wm, f1, f2, alpha)
+                        rep.fail("BF4a", (wm, f1, f2, alpha))
                         continue
-                    if c.is_invertible2(alpha) and not any(
-                        c.is_invertible2(beta) for _, beta in lifts
-                    ):
-                        if rep.passed["BF4b"]:
-                            rep.passed["BF4b"] = False
-                            rep.counterexamples["BF4b"] = (wm, f1, f2, alpha)
+                    if alpha in inv and not any(beta in inv for _, beta in lifts):
+                        rep.fail("BF4b", (wm, f1, f2, alpha))
                     for l1, l2 in itertools.combinations(lifts, 2):
                         if not search_coequalized(c, w, f1, f2, l1, l2):
-                            if rep.passed["BF4c"]:
-                                rep.passed["BF4c"] = False
-                                rep.counterexamples["BF4c"] = (wm, alpha, l1, l2)
+                            rep.fail("BF4c", (wm, alpha, l1, l2))
                             break
     return rep
 

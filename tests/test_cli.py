@@ -151,6 +151,26 @@ def test_equiv_checks_each_span_once(tmp_path, capsys, monkeypatch):
     assert list(checked.values()) == [1]
 
 
+def test_internal_inconsistency_is_exit_2_with_the_report_so_far(tmp_path, capsys, monkeypatch):
+    # a corrupted table can make a search that cannot fail on valid input
+    # come up empty; the CLI reports it like a structural problem
+    import twoloc.fractions as fractions
+    from twoloc.core import InternalInconsistency
+
+    def corrupted(loc, span):
+        raise InternalInconsistency("no δ for the saturation witness")
+
+    f3 = emit(tmp_path, "F3")
+    monkeypatch.setattr(fractions, "is_internal_equiv_search", corrupted)
+    code, rep = run(capsys, "equiv", f3, "(0,id0,w)")
+    assert (code, rep["ok"]) == (2, False)
+    assert rep["error"] == "internal inconsistency: no δ for the saturation witness"
+    # BF passed, so nothing was recorded before the search
+    assert (rep["command"], rep["input"], rep["verdicts"], rep["data"]) == \
+        ("equiv", [f3], {}, {})
+    assert SCHEMA_KEYS <= set(rep)
+
+
 def test_equiv_does_not_depend_on_the_order_objects_are_listed(tmp_path, capsys):
     # the unit-pair catalog, once with its objects sorted and once reversed:
     # every span gets the same verdicts and the same δ, ξ witnesses

@@ -330,10 +330,40 @@ def test_generators_reach_every_one_cell():
 def test_validate_decides_the_four_groupoid_catalog():
     # 80 1-cells, 1,014 2-cells, 727,484 hcomp entries: the law loops walk
     # 5.4·10⁸ hcomp-associativity triples here and do not finish, and BF4c
-    # over all pairs of lifts takes about a minute
+    # over all pairs of lifts takes about a minute.  validate reads each
+    # whiskering once, and spends most of its ~2 s on the structure check
+    # and (W); check_bf asks each of 31,682 BF4c lift pairs once, in ~2 s
     c, w = groupoid_twocat(CATALOGS["unit-pair-disc"]() + [pair_groupoid(3)])
     assert validate(c).ok
     assert check_bf(c, w).ok
+
+
+class CountingDict(dict):
+    """A dict that counts its `[]` reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_decider_reads_each_whiskering_once():
+    """`_is_two_category` reads hcomp_table at most 6·|hcomp| + 2·|cells| + |comp1| times.
+
+    (W) reads four whiskerings per hcomp entry.  Each L_h = i_h∗− and
+    R_h = −∗i_h map reads one entry per key, and its keys are distinct hcomp
+    keys, so the maps read at most |hcomp| entries each.  The two hcomp unit
+    laws read two entries per 2-cell, and i_g∗i_f one per comp1 entry.
+    Nothing else reads the table: (F) to (M) read the maps.
+    """
+    catalog = groupoid_twocat([unit_groupoid(), pair_groupoid(2), discrete_groupoid(3)])[0]
+    tables = [catalog] + [c for c in distinct_tables(oracle_inputs()) if validate(c).ok]
+    for c in tables:
+        counted = dataclasses.replace(c, hcomp_table=CountingDict(c.hcomp_table))
+        assert _is_two_category(counted)
+        bound = 6 * len(c.hcomp_table) + 2 * len(c.cells) + len(c.comp1)
+        assert counted.hcomp_table.reads <= bound, (counted.hcomp_table.reads, bound)
 
 
 # -- one table per decider check ---------------------------------------------

@@ -58,7 +58,11 @@ def check_span(loc, s: Span, bf: bool, witnesses: dict[str, str]) -> str:
     e_bar = None if g is None else Span(c.mor_src[g], c.comp1[(s.f, g)], c.comp1[(s.w, g)])
     assert (found is None) == (e_bar is None), s
     if bf:
-        assert (found is None) == (oracle_internal_equiv_search(loc, s) is None), s
+        oracle = oracle_internal_equiv_search(loc, s)
+        assert (found is None) == (oracle is None), s
+        if oracle is not None:
+            assert is_invertible_fraction_cell(loc, oracle.delta), s
+            assert is_invertible_fraction_cell(loc, oracle.xi), s
     if found is None:
         return "none"
     assert found.e == s and found.e_bar == e_bar, s

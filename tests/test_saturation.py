@@ -26,7 +26,9 @@ from twoloc import (
 from twoloc import saturation
 from twoloc.core import TwoCat
 from twoloc.fixtures import FIXTURES, parity_twocat
-from twoloc.groupoids import CATALOGS, groupoid_twocat
+from twoloc.groupoids import (
+    CATALOGS, discrete_groupoid, groupoid_twocat, pair_groupoid, unit_groupoid,
+)
 from twoloc.saturation import (
     AXIOMS,
     cell_lifts,
@@ -295,6 +297,37 @@ def test_check_bf_matches_per_pair_search(monkeypatch):
     assert bf4c_failures > 0
     # (True, False): BF4a or BF4b failed, so BF4 was decided again on all pairs
     assert min(paths[(True,)], paths[(False,)], paths[(True, False)]) > 0, paths
+
+
+def test_check_bf_matches_search_without_identities():
+    # W = the 1-cells that are not identities fails BF1 everywhere and BF2
+    # wherever two of them compose to an identity
+    failed = Counter()
+    for entry in oracle_inputs():
+        c = entry.c
+        w = frozenset(c.mors) - frozenset(c.id1.values())
+        got, want = check_bf(c, w), search_check_bf(c, w)
+        assert (got.passed, got.counterexamples) == \
+            (want.passed, want.counterexamples), entry.name
+        failed.update(a for a in AXIOMS if not got.passed[a])
+    assert set(failed) == set(AXIOMS), failed
+
+
+def test_bf4c_asks_each_lift_pair_once(monkeypatch):
+    """On the catalog Unit, Pair2, Disc3, `_coequalized` runs 568 times.
+
+    Whether a zig merges the lifts l = (v, β) and l' = (v', β') of α
+    depends on f1, f2, l and l' alone: the zigs are `_zigs(v, v')`, and the
+    equation reads β, β', f1 and f2, never wm or α.  So `check_bf` asks
+    each (f1, f2, l, l') once: 568 times, for 2,971 (α, lift pair) instances.
+    """
+    c, w = groupoid_twocat([unit_groupoid(), pair_groupoid(2), discrete_groupoid(3)])
+    asked = Counter()
+    coequalized = saturation._coequalized
+    monkeypatch.setattr(saturation, "_coequalized", lambda c, f1, f2, l1, l2, zigs:
+                        asked.update([(f1, f2, l1, l2)]) or coequalized(c, f1, f2, l1, l2, zigs))
+    assert check_bf(c, w).ok
+    assert sum(asked.values()) == len(asked) == 568
 
 
 def bf4c_alone() -> tuple[TwoCat, frozenset[str]]:
