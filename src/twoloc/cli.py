@@ -46,7 +46,8 @@ if TYPE_CHECKING:
     from .fractions import CellRep, Span
 
 # Each subcommand imports the layers it calls, so a query compiles only
-# the modules it uses.
+# the modules it uses.  Their records are plain classes or NamedTuples, so
+# no command loads `dataclasses` and the `inspect` and `ast` it imports.
 
 OK, FAIL, BAD_INPUT = 0, 1, 2
 

@@ -19,8 +19,8 @@ generating set of 1-cells, so no check walks composable hcomp triples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 
 class StructureError(ValueError):
@@ -35,18 +35,18 @@ class InternalInconsistency(RuntimeError):
     """
 
 
-@dataclass(eq=False)
 class TwoCat:
-    objects: tuple[str, ...]
-    mor_src: dict[str, str]
-    mor_dst: dict[str, str]
-    comp1: dict[tuple[str, str], str]
-    id1: dict[str, str]
-    cell_src: dict[str, str]
-    cell_dst: dict[str, str]
-    vcomp_table: dict[tuple[str, str], str]
-    hcomp_table: dict[tuple[str, str], str]
-    id2: dict[str, str]
+    """The tables of a strict 2-category; equal only to itself, as it owns its stores."""
+
+    def __init__(self, objects: tuple[str, ...], mor_src: dict[str, str],
+                 mor_dst: dict[str, str], comp1: dict[tuple[str, str], str],
+                 id1: dict[str, str], cell_src: dict[str, str], cell_dst: dict[str, str],
+                 vcomp_table: dict[tuple[str, str], str],
+                 hcomp_table: dict[tuple[str, str], str], id2: dict[str, str]):
+        self.objects, self.mor_src, self.mor_dst = objects, mor_src, mor_dst
+        self.comp1, self.id1 = comp1, id1
+        self.cell_src, self.cell_dst = cell_src, cell_dst
+        self.vcomp_table, self.hcomp_table, self.id2 = vcomp_table, hcomp_table, id2
 
     # -- 1-cell structure ---------------------------------------------------
 
@@ -196,10 +196,10 @@ class TwoCat:
 # validation
 
 
-@dataclass
 class ValidationReport:
-    structural: list[str] = field(default_factory=list)
-    failures: list[tuple[str, str]] = field(default_factory=list)
+    def __init__(self):
+        self.structural: list[str] = []
+        self.failures: list[tuple[str, str]] = []
 
     @property
     def ok(self) -> bool:
@@ -559,8 +559,7 @@ def validate(c: TwoCat) -> ValidationReport:
 # internal equivalences
 
 
-@dataclass(frozen=True)
-class EquivalenceWitness:
+class EquivalenceWitness(NamedTuple):
     """e with quasi-inverse e_bar and invertible delta: id ⇒ ē∘e, xi: e∘ē ⇒ id."""
 
     e: str

@@ -52,7 +52,6 @@ applies s first, and `vcomp_fraction(loc, c1, c2)` applies c1 first.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -148,14 +147,29 @@ def rep_problems(c: TwoCat, w, rep: CellRep) -> list[str]:
 # 2-cell classes
 
 
-@dataclass(frozen=True)
 class FractionCell:
-    """A 2-cell of the localization: a full refinement-equivalence class."""
+    """A 2-cell of the localization: a full refinement-equivalence class.
 
-    src_span: Span
-    dst_span: Span
-    canonical: CellRep
-    _keys: tuple[tuple, ...] = field(compare=False, repr=False)  # (apex, v1, v2, α, β)
+    Compared, hashed and printed by its spans and canonical member only.
+    """
+
+    def __init__(self, src_span: Span, dst_span: Span, canonical: CellRep,
+                 _keys: tuple[tuple, ...]):  # (apex, v1, v2, α, β) of each member
+        self.src_span, self.dst_span, self.canonical = src_span, dst_span, canonical
+        self._keys = _keys
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.src_span, self.dst_span, self.canonical) == (
+            other.src_span, other.dst_span, other.canonical)
+
+    def __hash__(self):
+        return hash((self.src_span, self.dst_span, self.canonical))
+
+    def __repr__(self):
+        return (f"FractionCell(src_span={self.src_span!r}, dst_span={self.dst_span!r}, "
+                f"canonical={self.canonical!r})")
 
     @cached_property
     def members(self) -> frozenset[CellRep]:
@@ -482,20 +496,16 @@ def u_cell(loc: Localization, gamma: str) -> FractionCell:
 # the localized bicategory: a choice of fillers, and span composition
 
 
-@dataclass(eq=False)
 class Localization:
     """C[W⁻¹] with a filler for every cospan (f, v ∈ W), normalised per C1/C2/C3.
 
     Built by `build_choices`; reads its classes and W_sat in its store.
     """
 
-    c: TwoCat
-    w: frozenset[str]
-    entries: dict[tuple[str, str], tuple[str, str, str, str]]
-    _store: _HomPartitions = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._store = _partitions(self.c, self.w)
+    def __init__(self, c: TwoCat, w: frozenset[str],
+                 entries: dict[tuple[str, str], tuple[str, str, str, str]]):
+        self.c, self.w, self.entries = c, w, entries
+        self._store = _partitions(c, w)
 
     def entry(self, f: str, v: str) -> tuple[str, str, str, str]:
         try:
@@ -768,8 +778,7 @@ def find_associator_witness(loc: Localization, s: Span, t: Span, u: Span) -> Fra
     return _comparison_cell(loc, left, right, "associator")
 
 
-@dataclass(frozen=True)
-class SpanEquivalence:
+class SpanEquivalence(NamedTuple):
     """Internal-equivalence witness for a span in the localization."""
 
     e: Span

@@ -35,22 +35,21 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .core import StructureError, TwoCat, ValidationReport
 
 
-@dataclass(eq=False)
 class FiniteGroupoid:
-    name: str
-    objects: tuple[str, ...]
-    arr_src: dict[str, str]
-    arr_dst: dict[str, str]
-    comp: dict[tuple[str, str], str]  # comp[(g, f)] = g∘f, f applied first
-    inv: dict[str, str]
-    unit: dict[str, str]
+    def __init__(self, name: str, objects: tuple[str, ...], arr_src: dict[str, str],
+                 arr_dst: dict[str, str], comp: dict[tuple[str, str], str],
+                 inv: dict[str, str], unit: dict[str, str]):
+        self.name, self.objects = name, objects
+        self.arr_src, self.arr_dst = arr_src, arr_dst
+        self.comp = comp  # comp[(g, f)] = g∘f, f applied first
+        self.inv, self.unit = inv, unit
 
     @cached_property
     def arrows(self) -> tuple[str, ...]:
@@ -135,22 +134,20 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     return rep
 
 
-@dataclass(eq=False)
 class GroupoidFunctor:
-    """A functor given by its object and arrow tables.
+    """A functor given by its object and arrow tables; equal only to itself.
 
     The Morita verdicts below are decided on first use and kept on the
     functor, so its tables (and those of its source and target) must not
     be mutated after that.
     """
 
-    source: FiniteGroupoid
-    target: FiniteGroupoid
-    obj_map: dict[str, str]
-    arr_map: dict[str, str]
-    # g -> is g∘self Morita?  Keyed by identity; holds verdicts, not composites.
-    composites_decided: dict[GroupoidFunctor, bool] = field(
-        default_factory=dict, init=False, repr=False)
+    def __init__(self, source: FiniteGroupoid, target: FiniteGroupoid,
+                 obj_map: dict[str, str], arr_map: dict[str, str]):
+        self.source, self.target = source, target
+        self.obj_map, self.arr_map = obj_map, arr_map
+        # g -> is g∘self Morita?  Keyed by identity; holds verdicts, not composites.
+        self.composites_decided: dict[GroupoidFunctor, bool] = {}
 
     @cached_property
     def morita(self) -> bool:
@@ -285,8 +282,7 @@ def is_morita(fun: GroupoidFunctor) -> bool:
     return is_essentially_surjective(fun) and is_fully_faithful(fun)
 
 
-@dataclass(frozen=True)
-class MoritaCancellation:
+class MoritaCancellation(NamedTuple):
     """Outcome of the two-out-of-six style cancellation for Morita maps.
 
     Every vacuous chain gets the one shared `_VACUOUS` instance, whose

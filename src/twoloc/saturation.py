@@ -10,7 +10,6 @@ deterministic and does not depend on the order a document lists them in.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .core import StructureError, TwoCat
 
@@ -25,12 +24,12 @@ def _as_class(c: TwoCat, w) -> frozenset[str]:
     return members
 
 
-@dataclass
 class BFReport:
     """Per-axiom verdicts with one counterexample for each failure."""
 
-    passed: dict[str, bool] = field(default_factory=dict)
-    counterexamples: dict[str, tuple] = field(default_factory=dict)
+    def __init__(self, passed: dict[str, bool]):
+        self.passed = passed
+        self.counterexamples: dict[str, tuple] = {}
 
     @property
     def ok(self) -> bool:

@@ -33,9 +33,8 @@ not every pair of 1-cells.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import (
     InternalInconsistency,
@@ -59,15 +58,13 @@ from .fractions import (
 from .saturation import _as_class, check_bf, saturate
 
 
-@dataclass(eq=False)
 class StrictTwoFunctor:
     """Tables (objects, 1-cells, 2-cells) preserving all structure strictly."""
 
-    source: TwoCat
-    target: TwoCat
-    f0: dict[str, str]
-    f1: dict[str, str]
-    f2: dict[str, str]
+    def __init__(self, source: TwoCat, target: TwoCat, f0: dict[str, str],
+                 f1: dict[str, str], f2: dict[str, str]):
+        self.source, self.target = source, target
+        self.f0, self.f1, self.f2 = f0, f1, f2
 
     def map_class(self, w) -> frozenset[str]:
         return frozenset(self.f1[m] for m in _as_class(self.source, w))
@@ -148,8 +145,7 @@ def preserves_into(fun: StrictTwoFunctor, w_src, target_class) -> bool:
     return fun.map_class(w_src) <= _as_class(fun.target, target_class)
 
 
-@dataclass
-class SaturationCompat:
+class SaturationCompat(NamedTuple):
     """Both image conditions of the saturation-compatibility equivalence."""
 
     image_in_target_sat: bool       # F1(W_src) ⊆ sat(W_dst)
@@ -187,13 +183,12 @@ def saturation_compatibility(fun: StrictTwoFunctor, w_src, w_dst) -> SaturationC
 # the induced map between localizations
 
 
-@dataclass(eq=False)
 class InducedPseudofunctor:
     """Image of a strict functor on localized 1- and 2-cells."""
 
-    functor: StrictTwoFunctor
-    source_loc: Localization
-    target_loc: Localization
+    def __init__(self, functor: StrictTwoFunctor, source_loc: Localization,
+                 target_loc: Localization):
+        self.functor, self.source_loc, self.target_loc = functor, source_loc, target_loc
 
     def map_object(self, a: str) -> str:
         return self.functor.f0[a]
@@ -314,12 +309,12 @@ class LocalizationView:
         return any(s.f in self.loc.saturation for s in self.loc.spans(a, b))
 
 
-@dataclass
 class WeakEquivalenceReport:
     """Verdicts for the four finite biequivalence conditions."""
 
-    verdicts: dict[str, bool] = field(default_factory=dict)
-    counterexamples: dict[str, tuple] = field(default_factory=dict)
+    def __init__(self):
+        self.verdicts: dict[str, bool] = {}
+        self.counterexamples: dict[str, tuple] = {}
 
     @property
     def ok(self) -> bool:
@@ -416,10 +411,10 @@ def x_conditions_for_induced(ind: InducedPseudofunctor) -> WeakEquivalenceReport
 # choice-table independence
 
 
-@dataclass
 class ChoiceComparison:
-    pairs_checked: int = 0
-    unconnected: list[tuple[Span, Span]] = field(default_factory=list)
+    def __init__(self):
+        self.pairs_checked = 0
+        self.unconnected: list[tuple[Span, Span]] = []
 
     @property
     def ok(self) -> bool:

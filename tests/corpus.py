@@ -316,6 +316,15 @@ def distinct_tables(entries):
     return list({id(e.c): e.c for e in entries}.values())
 
 
+TABLES = ("objects", "mor_src", "mor_dst", "comp1", "id1", "cell_src", "cell_dst",
+          "vcomp_table", "hcomp_table", "id2")
+
+
+def with_tables(c: TwoCat, **changes) -> TwoCat:
+    """A new `TwoCat` with c's ten tables, the ones named in `changes` replaced."""
+    return TwoCat(**{**{name: getattr(c, name) for name in TABLES}, **changes})
+
+
 def classes_to_compare(c, w):
     """W, its right saturation and all 1-cells, without repeats.
 

@@ -2,7 +2,6 @@
 
 import argparse
 import contextlib
-import dataclasses
 import io
 import itertools
 import json
@@ -16,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from corpus import with_tables
 
 from twoloc import build_choices, fixture
 from twoloc import identity_functor as strict_identity
@@ -419,7 +419,7 @@ def test_validate_report_on_a_partial_table_does_not_depend_on_the_hash_seed(tmp
     for key in sorted(hcomp)[:5]:
         del hcomp[key]
     doc = tmp_path / "F6-partial.json"
-    doc.write_text(dump_twocat(dataclasses.replace(c, hcomp_table=hcomp), w))
+    doc.write_text(dump_twocat(with_tables(c, hcomp_table=hcomp), w))
     reports = []
     for seed in ("1", "2", "3"):
         proc = subprocess.run([sys.executable, "-m", "twoloc.cli", "validate", str(doc)],
@@ -517,6 +517,7 @@ def test_groupoid_with_undeclared_composite_is_exit_2(tmp_path, capsys):
 
 
 # The twoloc modules a subcommand loads, beyond those `import twoloc.cli` loads.
+# No command loads `dataclasses` or the `inspect` it imports.
 BASE_MODULES = {"twoloc", "twoloc.cli", "twoloc.core", "twoloc.documents"}
 FOOTPRINTS = [
     ([], set()),
@@ -541,7 +542,8 @@ if argv:
     main(argv)
 else:
     import twoloc.cli
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "twoloc")))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "twoloc" or m in ("dataclasses", "inspect"))))
 """
 
 
@@ -560,6 +562,7 @@ def test_each_command_loads_only_the_modules_it_uses(tmp_path):
         proc = subprocess.run([sys.executable, "-c", LOADED_AFTER_MAIN, json.dumps(argv)],
                               capture_output=True, text=True, env=env, check=True)
         loaded = set(json.loads(proc.stdout))
+        assert not loaded & {"dataclasses", "inspect"}, argv
         assert loaded == BASE_MODULES | {f"twoloc.{m}" for m in extra}, argv
         if argv:
             assert json.loads((tmp_path / "report.json").read_text())["ok"] is True, argv

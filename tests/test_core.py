@@ -1,15 +1,15 @@
 """Ambient 2-category tables, validation, and equivalence witnesses."""
 
-import dataclasses
 import random
 
 import pytest
-from corpus import cyclic_parity, distinct_tables, oracle_inputs
+from corpus import cyclic_parity, distinct_tables, oracle_inputs, with_tables
 from oracles import exhaustive_validate, reached_by_left_composition
 
 from twoloc import (
     StructureError,
     adjointify,
+    build_choices,
     check_bf,
     equivalence_from_cancellation,
     equivalence_of_composite,
@@ -41,7 +41,7 @@ def test_validate_flags_missing_table_entry_as_structural():
     c, _ = fixture("F3")
     comp1 = dict(c.comp1)
     del comp1[("w", "id0")]
-    broken = dataclasses.replace(c, comp1=comp1)
+    broken = with_tables(c, comp1=comp1)
     rep = validate(broken)
     assert not rep.ok
     assert rep.structural and not rep.failures
@@ -53,7 +53,7 @@ def test_validate_flags_wrong_composite_as_law_failure():
     # so this is a pure unit-law failure, not a structural one
     v = dict(c.vcomp_table)
     v[("tau_f", "i_f")] = "i_f"
-    broken = dataclasses.replace(c, vcomp_table=v)
+    broken = with_tables(c, vcomp_table=v)
     rep = validate(broken)
     assert not rep.ok
     assert not rep.structural
@@ -67,7 +67,7 @@ def test_validate_flags_broken_interchange():
     key = ("s_g", "s_f")
     assert h[key] == "i_idX"
     h[key] = "s_idX"
-    broken = dataclasses.replace(c, hcomp_table=h)
+    broken = with_tables(c, hcomp_table=h)
     rep = validate(broken)
     assert not rep.ok
     laws = [law for law, _ in rep.failures]
@@ -84,6 +84,13 @@ def test_lookup_errors_are_structure_errors():
         c.vcomp("i_id0", "i_id1")
     with pytest.raises(StructureError):
         c.hcomp("i_w", "i_id1")
+
+
+def test_twocats_with_equal_tables_are_unequal_and_keep_separate_stores():
+    c, w = fixture("F6")
+    twin = with_tables(c)
+    assert twin != c and len({c, twin}) == 2
+    assert build_choices(twin, w)._store is not build_choices(c, w)._store
 
 
 def test_hom_indices():
@@ -252,7 +259,7 @@ def mutants(c, rng, per_table):
                 g, f = key
                 changes["hcomp_table"] = {**c.hcomp_table,
                                           (c.id2[g], c.id2[f]): c.id2[new]}
-            yield dataclasses.replace(c, **changes)
+            yield with_tables(c, **changes)
 
 
 def test_validate_matches_exhaustive_scan():
@@ -360,7 +367,7 @@ def test_decider_reads_each_whiskering_once():
     catalog = groupoid_twocat([unit_groupoid(), pair_groupoid(2), discrete_groupoid(3)])[0]
     tables = [catalog] + [c for c in distinct_tables(oracle_inputs()) if validate(c).ok]
     for c in tables:
-        counted = dataclasses.replace(c, hcomp_table=CountingDict(c.hcomp_table))
+        counted = with_tables(c, hcomp_table=CountingDict(c.hcomp_table))
         assert _is_two_category(counted)
         bound = 6 * len(c.hcomp_table) + 2 * len(c.cells) + len(c.comp1)
         assert counted.hcomp_table.reads <= bound, (counted.hcomp_table.reads, bound)

@@ -35,9 +35,9 @@ from twoloc import (
     whisker_fraction_right,
 )
 from twoloc.fixtures import FIXTURES
-from twoloc.fractions import rep_problems, span_problems
+from twoloc.fractions import FractionCell, rep_problems, span_problems
 
-from corpus import cyclic_parity, cyclic_plain
+from corpus import cyclic_parity, cyclic_plain, with_tables
 from oracles import pronk_equivalent
 
 
@@ -115,6 +115,41 @@ def test_embed_cell_functorial_for_vcomp():
         lhs = u_cell(loc, c.vcomp(b, a))
         rhs = vcomp_fraction(loc, u_cell(loc, a), u_cell(loc, b))
         assert lhs == rhs, (b, a)
+
+
+# -- a class is a value --------------------------------------------------------
+
+F6_PARITY_CELL = (
+    "FractionCell(src_span=Span(apex='X', w='idX', f='idX'), "
+    "dst_span=Span(apex='X', w='idX', f='idX'), "
+    "canonical=CellRep(src_span=Span(apex='X', w='idX', f='idX'), "
+    "dst_span=Span(apex='X', w='idX', f='idX'), "
+    "apex='X', v1='idX', v2='idX', alpha='i_idX', beta='s_idX'))")
+
+
+def test_fraction_cell_repr_shows_spans_and_canonical_only():
+    # reports print a class by its repr (the X-condition counterexamples)
+    c, w = fixture("F6")
+    s = Span("X", "idX", "idX")
+    cell = build_choices(c, w).hom_cells(s, s)[1]
+    assert len(cell.members) == 2
+    assert repr(cell) == F6_PARITY_CELL
+
+
+def test_fraction_cell_equality_and_hash_hold_across_two_lookups_of_one_class():
+    c, w = fixture("F6")
+    s = Span("X", "idX", "idX")
+    cells = build_choices(c, w).hom_cells(s, s)
+    twin_loc = build_choices(with_tables(c), w)  # the same tables, another store
+    for cell in cells:
+        for rep in sorted(cell.members):
+            found = cell_from_rep(twin_loc, rep)
+            assert found is not cell
+            assert found == cell and hash(found) == hash(cell)
+    assert len(set(cells) | set(twin_loc.hom_cells(s, s))) == len(cells) == 4
+    # the member tuples take no part in equality or hash
+    alias = FractionCell(cells[1].src_span, cells[1].dst_span, cells[1].canonical, ())
+    assert alias == cells[1] and hash(alias) == hash(cells[1]) and alias != cells[0]
 
 
 # -- one class can have many representatives ----------------------------------

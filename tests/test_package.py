@@ -82,3 +82,17 @@ def test_no_test_module_imports_another():
     assert ("test_core.py", "oracles") in imports
     assert [(name, module) for name, module in imports
             if module.startswith("test_") or module == "functor_enum"] == []
+
+
+def test_no_module_of_the_package_imports_dataclasses():
+    # importing it loads inspect, ast and dis, a third of a CLI query's own start-up
+    package = Path(twoloc.__file__).parent
+    imports = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imports.append((path.name, node.module))
+    assert ("core.py", "functools") in imports
+    assert [(name, module) for name, module in imports if module == "dataclasses"] == []

@@ -4,12 +4,11 @@
 `saturation_witnesses` reads each member's least witness with it.
 """
 
-import dataclasses
 import itertools
 from collections import Counter
 
 import pytest
-from corpus import cyclic_parity, cyclic_plain, oracle_inputs, posetal_family
+from corpus import cyclic_parity, cyclic_plain, oracle_inputs, posetal_family, with_tables
 from oracles import search_check_bf, search_witnesses
 
 from twoloc import (
@@ -377,7 +376,7 @@ def test_witnesses_do_not_depend_on_the_order_objects_are_listed():
         c = entry.c
         if len(c.objects) < 2:
             continue
-        flipped = dataclasses.replace(c, objects=c.objects[::-1])
+        flipped = with_tables(c, objects=c.objects[::-1])
         got, want = check_bf(flipped, entry.w), check_bf(c, entry.w)
         assert (got.passed, got.counterexamples) == \
             (want.passed, want.counterexamples), entry.name
