@@ -19,6 +19,7 @@ generating set of 1-cells, so no check walks composable hcomp triples.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 from typing import NamedTuple
 
@@ -224,6 +225,25 @@ def _index(items, key) -> dict:
     return out
 
 
+def _check_domain(table: dict, start: dict, end: dict, name: str, gripe) -> set:
+    """Gripe at the missing, then the non-composable keys of `table`; return the latter.
+
+    A key (b, a) is composable iff start[b] = end[a].  The composable pairs
+    are counted, Σ_x |end⁻¹(x)|·|start⁻¹(x)|, and listed, to name the
+    missing ones in sorted order, only when the table has fewer of them.
+    """
+    stray = {(b, a) for b, a in table if b not in start or start[b] != end.get(a)}
+    outs = Counter(start.values())
+    if len(table) - len(stray) != sum(n * outs[x] for x, n in Counter(end.values()).items()):
+        starting = _index(start, start.get)
+        pairs = {(b, a) for a in end for b in starting.get(end[a], ())}
+        for pair in sorted(pairs - table.keys()):
+            gripe(f"{name} missing entry for {pair}")
+    for pair in sorted(stray):
+        gripe(f"{name} has a non-composable entry {pair}")
+    return stray
+
+
 def _check_structure(c: TwoCat, report: ValidationReport) -> bool:
     """Referential integrity and table totality; False aborts law checking."""
     bad = False
@@ -253,22 +273,11 @@ def _check_structure(c: TwoCat, report: ValidationReport) -> bool:
         return False
 
     morset = set(c.mor_src)
-    comp_dom = {
-        (g, f)
-        for g in morset
-        for f in morset
-        if c.mor_dst[f] == c.mor_src[g]
-    }
-    for pair in sorted(comp_dom - set(c.comp1)):
-        gripe(f"compose1 missing entry for {pair}")
-    for pair in sorted(set(c.comp1) - comp_dom):
-        gripe(f"compose1 has a non-composable entry {pair}")
+    stray = _check_domain(c.comp1, c.mor_src, c.mor_dst, "compose1", gripe)
     for (g, f), h in c.comp1.items():
         if h not in morset:
             gripe(f"compose1[{(g, f)}] = {h} is not a declared 1-cell")
-        elif (g, f) in comp_dom and (
-            c.mor_src[h] != c.mor_src[f] or c.mor_dst[h] != c.mor_dst[g]
-        ):
+        elif (g, f) not in stray and (c.mor_src[h], c.mor_dst[h]) != (c.mor_src[f], c.mor_dst[g]):
             gripe(f"compose1[{(g, f)}] = {h} has the wrong boundary")
 
     for a in c.cell_src:
@@ -289,31 +298,21 @@ def _check_structure(c: TwoCat, report: ValidationReport) -> bool:
         return False
 
     cellset = set(c.cell_src)
-    cells_on = _index(cellset, c.cell_src.get)  # 1-cell -> 2-cells out of it
-    cells_at = _index(cellset, lambda a: c.mor_src[c.cell_src[a]])
-    vdom = {(b, a) for a in cellset for b in cells_on.get(c.cell_dst[a], ())}
-    for pair in sorted(vdom - c.vcomp_table.keys()):
-        gripe(f"vcomp missing entry for {pair}")
-    for pair in sorted(c.vcomp_table.keys() - vdom):
-        gripe(f"vcomp has a non-composable entry {pair}")
+    stray = _check_domain(c.vcomp_table, c.cell_src, c.cell_dst, "vcomp", gripe)
     for (b, a), r in c.vcomp_table.items():
         if r not in cellset:
             gripe(f"vcomp[{(b, a)}] = {r} is not a declared 2-cell")
-        elif (b, a) in vdom and (
-            c.cell_src[r] != c.cell_src[a] or c.cell_dst[r] != c.cell_dst[b]
-        ):
+        elif (b, a) not in stray and (
+                c.cell_src[r], c.cell_dst[r]) != (c.cell_src[a], c.cell_dst[b]):
             gripe(f"vcomp[{(b, a)}] = {r} has the wrong boundary")
 
-    hdom = {(b, a) for a in cellset
-            for b in cells_at.get(c.mor_dst[c.cell_src[a]], ())}
-    for pair in sorted(hdom - c.hcomp_table.keys()):
-        gripe(f"hcomp missing entry for {pair}")
-    for pair in sorted(c.hcomp_table.keys() - hdom):
-        gripe(f"hcomp has a non-composable entry {pair}")
+    starts = {a: c.mor_src[f] for a, f in c.cell_src.items()}
+    ends = {a: c.mor_dst[f] for a, f in c.cell_src.items()}
+    stray = _check_domain(c.hcomp_table, starts, ends, "hcomp", gripe)
     for (b, a), r in c.hcomp_table.items():
         if r not in cellset:
             gripe(f"hcomp[{(b, a)}] = {r} is not a declared 2-cell")
-        elif (b, a) in hdom:
+        elif (b, a) not in stray:
             want_src = c.comp1.get((c.cell_src[b], c.cell_src[a]))
             want_dst = c.comp1.get((c.cell_dst[b], c.cell_dst[a]))
             if c.cell_src[r] != want_src or c.cell_dst[r] != want_dst:

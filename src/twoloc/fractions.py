@@ -16,20 +16,21 @@ s1 sweeps every representative out of s1 in one pass and groups them by
 target span: for each v1 with w1∘v1 ∈ W, the invertible cells out of
 w1∘v1 fix the composites w2∘v2, whose factorisations with w2 ∈ W give
 the v2, and the cells out of f1∘v1 fix the composites f2∘v2, whose left
-factors give the f2.  The groups are s1's row of one table: a hom's
-entry holds its representatives until the hom is first asked for, and
-its classes from then on.  A hom with no entry is empty at no cost,
-whether a hom has an invertible class is read off its entry without
-building any, and the row's keys are the non-empty homs out of s1.
-Within a hom, each member not yet reached as a refinement is expanded
-under a class label, and the members it reaches take that label: a
-refinement r·p refines further only to r·(p∘q), which r reaches itself,
-so it is not expanded.  Labels merge only when one expansion reaches two
-of them.  A class builds its members from the sweep's tuples when they
-are read.  The legs p along which a representative refines are read from
-a table per denominator.  The classes depend only on (C, W), not on the
-fillers: one store per (C, W) is kept on the `TwoCat`, and it alone checks
-input (W once, each span once, a representative by membership).  Classes
+factors give the f2.  A representative is one int, whose order is the
+order of its names, and the α's and β's of one (apex, v1, v2) stay one
+block.  The groups are s1's row of one table: a hom's entry holds its
+blocks until the hom is first asked for, and its classes from then on,
+so only the homs asked for expand their members.  A hom with no entry is
+empty at no cost, whether a hom has an invertible class is read off its
+entry without building any, and the row's keys are the non-empty homs
+out of s1.  Within a hom, each member not yet reached as a refinement is
+expanded under a class label, and the members it reaches take that
+label: a refinement r·p refines further only to r·(p∘q), which r
+reaches itself, so it is not expanded.  Labels merge only when one
+expansion reaches two of them.  A class decodes its members when they
+are read.  The classes depend only on (C, W), not on the fillers: one
+store per (C, W) is kept on the `TwoCat`, and it alone checks input
+(W once, each span once, a representative by membership).  Classes
 are defined on tables that pass `validate`.
 
 A `Localization` is C[W⁻¹] for one choice of fillers: `build_choices`
@@ -147,6 +148,36 @@ def rep_problems(c: TwoCat, w, rep: CellRep) -> list[str]:
 # 2-cell classes
 
 
+class _Coding:
+    """Ids of objects, 1-cells and 2-cells in sorted order; the cells out of each f, coded.
+
+    A member (apex, v1, v2, α, β) is coded as the int
+    (((apex·M + v1)·M + v2)·K + α)·K + β over M 1-cells and K 2-cells, so
+    numeric order is the tuple's lexicographic order.
+    """
+
+    def __init__(self, c: TwoCat):
+        self.objects, self.mors, self.cells = tuple(sorted(c.objects)), c.mors, c.cells
+        self.obj_id, self.mor_id, self.cell_id = (
+            {x: i for i, x in enumerate(names)} for names in (self.objects, self.mors, self.cells))
+        self.m, self.k, self.kk = len(self.mors), len(self.cells), len(self.cells) ** 2
+        self.alphas_from = {f: [(g, tuple(self.cell_id[a] * self.k for a in alphas))
+                                for g, alphas in c.invertible_from(f).items()] for f in c.mors}
+        self.betas_from = {f: [(h, tuple(map(self.cell_id.__getitem__, betas)))
+                               for h, betas in c.cells_from(f).items()] for f in c.mors}
+
+    def encode(self, key: tuple) -> int:  # `KeyError` if key names an unknown cell
+        apex, v1, v2, alpha, beta = key
+        return (((self.obj_id[apex] * self.m + self.mor_id[v1]) * self.m + self.mor_id[v2])
+                * self.k + self.cell_id[alpha]) * self.k + self.cell_id[beta]
+
+    def decode(self, code: int) -> tuple:
+        rest, b = divmod(code, self.k)
+        rest, a = divmod(rest, self.k)
+        apex, v1, v2 = rest // self.m // self.m, rest // self.m % self.m, rest % self.m
+        return self.objects[apex], self.mors[v1], self.mors[v2], self.cells[a], self.cells[b]
+
+
 class FractionCell:
     """A 2-cell of the localization: a full refinement-equivalence class.
 
@@ -154,7 +185,7 @@ class FractionCell:
     """
 
     def __init__(self, src_span: Span, dst_span: Span, canonical: CellRep,
-                 _keys: tuple[tuple, ...]):  # (apex, v1, v2, α, β) of each member
+                 _keys: tuple[list[int], _Coding]):  # the member codes, least first
         self.src_span, self.dst_span, self.canonical = src_span, dst_span, canonical
         self._keys = _keys
 
@@ -173,14 +204,15 @@ class FractionCell:
 
     @cached_property
     def members(self) -> frozenset[CellRep]:
-        return frozenset(CellRep(self.src_span, self.dst_span, *k) for k in self._keys)
+        codes, coding = self._keys
+        return frozenset(CellRep(self.src_span, self.dst_span, *coding.decode(r)) for r in codes)
 
 
 class _Hom(NamedTuple):
-    """The classes of one hom: sorted by canonical, and by member tuple."""
+    """The classes of one hom: sorted by canonical, and by member code."""
 
     cells: tuple[FractionCell, ...]
-    cell_of: dict[tuple, FractionCell]
+    cell_of: dict[int, FractionCell]
 
 
 _EMPTY_HOM = _Hom((), {})
@@ -196,45 +228,34 @@ class _HomPartitions:
     Homs live in one table, `_out[s1][s2]`.  The first request for a hom
     out of s1 sweeps every representative out of s1 and fills s1's row,
     one entry per target span (`targets` reads its keys).  An entry is the
-    swept representatives until `hom` partitions them; then the `_Hom`
-    takes its place, under the caller's s2.  `has_invertible` reads either
-    kind of entry and builds nothing.  Classes are keyed by the sweep's
-    tuples.  Each span is checked once (`require_span`): the spans that
-    passed are kept, not the empty homs, which would take an entry per
-    empty pair, and a failing span raises on every request.  A
-    representative is checked by membership (`cell`).  W_sat and the
-    least saturation witness of each member are computed together on
-    first use (`saturation`, `saturation_witness`).
+    sweep's blocks, (base code of (apex, v1, v2), α codes, β ids), until
+    `hom` expands them into member codes and partitions them; then the
+    `_Hom` takes its place, under the caller's s2.  `has_invertible` reads
+    either kind of entry and builds nothing.  Classes are keyed by code
+    (`_Coding`, made by the first sweep).  Each span is checked once
+    (`require_span`): the spans that passed are kept, not the empty homs,
+    which would take an entry per empty pair, and a failing span raises on
+    every request.  A representative is checked by membership (`cell`).
+    W_sat and the least saturation witness of each member are computed
+    together on first use (`saturation`, `saturation_witness`).
 
     Partitions are defined on tables that pass `validate`: the shortcut in
     `_partition` rests on its composition laws.
 
-    `counters` records the work done: source spans swept, representatives
-    enumerated, class members expanded and refinement edges walked.
+    `counters` records the work done: source spans swept, members of the
+    partitioned homs, class members expanded and refinement edges walked.
     """
 
     def __init__(self, w: frozenset[str]):
         self.w = w
-        self._legs: dict[str, tuple[str, ...]] = {}
+        self._coding: Optional[_Coding] = None
+        self._legs, self._leg_tables = {}, {}  # d ↦ its legs' tables; leg p ↦ `_leg`
         self._out: dict[Span, dict[Span, list[tuple] | _Hom]] = {}
         self._spans: set[Span] = set()  # spans that passed `span_problems`
         self._saturation: Optional[frozenset[str]] = None
         self._witnesses: dict[str, str] = {}  # f ∈ W_sat ↦ its least g
         self.counters = dict.fromkeys(
             ("sweeps", "representatives", "members_expanded", "refinement_edges"), 0)
-
-    def legs(self, c: TwoCat, d: str) -> tuple[str, ...]:
-        """Every p with d∘p ∈ W: the refinement legs at d.
-
-        The identity is left out: refining along it changes nothing.
-        """
-        found = self._legs.get(d)
-        if found is None:
-            a = c.mor_src[d]
-            found = tuple(p for b in sorted(c.objects) for p in c.hom1(b, a)
-                          if p != c.id1[a] and c.comp1[(d, p)] in self.w)
-            self._legs[d] = found
-        return found
 
     def hom(self, c: TwoCat, s1: Span, s2: Span) -> _Hom:
         row = self._swept(c, s1)
@@ -254,14 +275,16 @@ class _HomPartitions:
         A class is invertible iff a member passes `_swappable` (α is always
         invertible), and the classes partition the hom's representatives,
         so this holds iff one of them passes it.  A built hom's members are
-        the keys of its `cell_of`.
+        the keys of its `cell_of`; `_swappable` does not read α, so a block
+        is tested once per β, on its code with α's id 0.
         """
         entry = self._swept(c, s1).get(s2)
         if entry is None:
             self.require_span(c, s2)
             return False
-        reps = entry.cell_of if isinstance(entry, _Hom) else entry
-        return any(_swappable(c, self.w, s2.w, r) for r in reps)
+        reps = entry.cell_of if isinstance(entry, _Hom) else (
+            base + beta for base, _alphas, betas in entry for beta in betas)
+        return any(_swappable(c, self.w, s2.w, self._coding, r) for r in reps)
 
     def targets(self, c: TwoCat, s1: Span):
         """Every s2 with a 2-cell s1 ⇒ s2: the keys of s1's row."""
@@ -283,7 +306,7 @@ class _HomPartitions:
             self._spans.add(s)
 
     def cell(self, c: TwoCat, rep: CellRep, built_by: str = "") -> FractionCell:
-        """The class of rep, looked up in its swept hom.
+        """The class of rep, found by rep's code in its swept hom.
 
         On tables that pass `validate`, the sweep out of a valid s1 yields
         exactly the tuples `rep_problems` accepts: it takes every v1 with
@@ -294,8 +317,8 @@ class _HomPartitions:
         (`InternalInconsistency` if the operation `built_by` made rep).
         """
         try:
-            return self.hom(c, rep.src_span, rep.dst_span).cell_of[rep[2:]]
-        except (StructureError, KeyError):  # a bad span, or not a member
+            return self.hom(c, rep.src_span, rep.dst_span).cell_of[self._coding.encode(rep[2:])]
+        except (StructureError, KeyError):  # a bad span, an unknown cell, or not a member
             pass
         problems = "; ".join(rep_problems(c, self.w, rep))
         if not problems:
@@ -316,65 +339,85 @@ class _HomPartitions:
         self.saturation(c)
         return self._witnesses.get(f)
 
-    def refinements(self, c: TwoCat, w1: str, rep: tuple) -> list[tuple]:
-        """The refinements of rep = (apex, v1, v2, α, β) out of a span with denominator w1.
+    def refinements(self, c: TwoCat, w1: str, code: int) -> list[int]:
+        """The codes of (src p, v1∘p, v2∘p, α∗i_p, β∗i_p) for a member out of denominator w1.
 
-        One per leg p at w1∘v1: (source of p, v1∘p, v2∘p, α∗i_p, β∗i_p).
+        One per leg p at d = w1∘v1: every p ≠ id with d∘p ∈ W, as refining
+        along the identity changes nothing.
         """
-        _apex, v1, v2, alpha, beta = rep
-        comp1, hcomp, id2, mor_src = c.comp1, c.hcomp_table, c.id2, c.mor_src
-        return [(mor_src[p], comp1[(v1, p)], comp1[(v2, p)],
-                 hcomp[(alpha, id2[p])], hcomp[(beta, id2[p])])
-                for p in self.legs(c, comp1[(w1, v1)])]
+        k = self._coding
+        alpha, beta = divmod(code % k.kk, k.k)
+        v1, v2 = code // k.kk // k.m % k.m, code // k.kk % k.m
+        d = c.comp1[(w1, k.mors[v1])]
+        legs = self._legs.get(d)
+        if legs is None:
+            a = c.mor_src[d]
+            legs = self._legs[d] = tuple(self._leg(c, p) for b in k.objects for p in c.hom1(b, a)
+                                         if p != c.id1[a] and c.comp1[(d, p)] in self.w)
+        return [(((src * k.m + vp[v1]) * k.m + vp[v2]) * k.k + ip[alpha]) * k.k + ip[beta]
+                for src, vp, ip in legs]
+
+    def _leg(self, c: TwoCat, p: str) -> tuple:
+        """(src p, v ↦ v∘p, α ↦ α∗i_p) on ids, for the v and α that start at dst p."""
+        if p not in self._leg_tables:
+            k, comp1, hcomp, ip = self._coding, c.comp1, c.hcomp_table, c.id2[p]
+            self._leg_tables[p] = (k.obj_id[c.mor_src[p]], {
+                i: k.mor_id[h] for i, v in enumerate(k.mors)
+                if (h := comp1.get((v, p))) is not None}, {
+                i: k.cell_id[h] for i, a in enumerate(k.cells)
+                if (h := hcomp.get((a, ip))) is not None})
+        return self._leg_tables[p]
 
     def _sweep(self, c: TwoCat, s1: Span) -> dict[Span, list[tuple]]:
-        """Every representative out of s1, as plain tuples grouped by target.
+        """Every representative out of s1, as blocks grouped by target.
 
         Only representatives that exist are visited: for each v1 with
         w1∘v1 ∈ W, each invertible alpha: w1∘v1 ⇒ g, each factorisation
         g = w2∘v2 with w2 ∈ W, each beta out of f1∘v1 with target h, and
         each f2 with f2∘v2 = h give one representative
         (apex, v1, v2, alpha, beta) of the hom s1 ⇒ (B, w2, f2), where B
-        is the target of v2.
+        is the target of v2.  A block holds those of one (v1, g, v2, h, f2).
         """
-        w, comp1, mor_dst = self.w, c.comp1, c.mor_dst
-        groups: dict[Span, list[tuple]] = {}
-        for apex in sorted(c.objects):
+        if self._coding is None:
+            self._coding = _Coding(c)
+        k, w, comp1, mor_dst = self._coding, self.w, c.comp1, c.mor_dst
+        groups: dict[tuple, list[tuple]] = {}
+        for apex in k.objects:
             for v1 in c.hom1(apex, s1.apex):
                 denom = comp1[(s1.w, v1)]
                 if denom not in w:
                     continue
-                betas_to = c.cells_from(comp1[(s1.f, v1)])
-                for g, alphas in c.invertible_from(denom).items():
+                betas_to = k.betas_from[comp1[(s1.f, v1)]]
+                for g, alphas in k.alphas_from[denom]:
                     for w2, v2 in c.factorisations(g):
                         if w2 not in w:
                             continue
-                        for h, betas in betas_to.items():
+                        base = ((k.obj_id[apex] * k.m + k.mor_id[v1]) * k.m + k.mor_id[v2]) * k.kk
+                        for h, betas in betas_to:
                             for f2 in c.left_factors(v2, h):
-                                group = groups.setdefault(Span(mor_dst[v2], w2, f2), [])
-                                group.extend((apex, v1, v2, alpha, beta)
-                                             for alpha in alphas for beta in betas)
+                                groups.setdefault((mor_dst[v2], w2, f2), []).append(
+                                    (base, alphas, betas))
         self.counters["sweeps"] += 1
-        self.counters["representatives"] += sum(map(len, groups.values()))
-        return groups
+        return {Span._make(s2): blocks for s2, blocks in groups.items()}
 
-    def _partition(self, c: TwoCat, s1: Span, s2: Span, reps: list[tuple]) -> _Hom:
-        """Join the representatives s1 ⇒ s2 along refinements, labelling each once.
+    def _partition(self, c: TwoCat, s1: Span, s2: Span, blocks: list[tuple]) -> _Hom:
+        """Join the members s1 ⇒ s2 along refinements, labelling each once.
 
-        The members are visited in order, and each member r not yet reached
-        is expanded under a fresh class label: every refinement r·p that is
-        a member and not yet reached takes r's label at once.  A reached
-        member is not expanded.  It would join nothing new: for a leg q of
-        r·p, (r·p)·q = r·(p∘q), and p∘q is the identity or a leg of r, so r
-        reaches it itself.  That uses associativity of comp1 and hcomp and
-        i_p∗i_q = i_{p∘q}.  So a class is only split across labels when a
-        later expansion reaches a member that an earlier one labelled, and
-        that is the one place two labels merge.  Union-find runs over the
-        labels, one per expanded member, not over the members; each member
-        takes its label once and reads its class off its label's root.
+        The blocks are expanded into member codes, which are visited in
+        order, and each member r not yet reached is expanded under a fresh
+        class label: every refinement r·p that is a member and not yet
+        reached takes r's label at once.  A reached member is not expanded.
+        It would join nothing new: for a leg q of r·p, (r·p)·q = r·(p∘q),
+        and p∘q is the identity or a leg of r, so r reaches it itself.
+        That uses associativity of comp1 and hcomp and i_p∗i_q = i_{p∘q}.
+        So a class is only split across labels when a later expansion
+        reaches a member that an earlier one labelled, and that is the one
+        place two labels merge.  Union-find runs over the labels, one per
+        expanded member, not over the members; each member takes its label
+        once and reads its class off its label's root.
         """
-        label = dict.fromkeys(reps, -1)  # -1: not yet reached
-        parent: list[int] = []  # union-find over class labels
+        label = {base + a + b: -1 for base, alphas, betas in blocks for a in alphas for b in betas}
+        parent: list[int] = []  # union-find over class labels; label -1: not yet reached
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -382,14 +425,13 @@ class _HomPartitions:
                 x = parent[x]
             return x
 
-        expanded = edges = 0
-        for r in reps:
-            if label[r] >= 0:
+        edges = 0
+        for r, x in label.items():  # a value set while iterating is read when reached
+            if x >= 0:
                 continue
             own = label[r] = len(parent)
             parent.append(own)
             refined_all = self.refinements(c, s1.w, r)
-            expanded += 1
             edges += len(refined_all)
             for refined in refined_all:
                 other = label.get(refined)
@@ -401,19 +443,19 @@ class _HomPartitions:
                     other = find(other)
                     if other != own:
                         parent[other] = own
-        self.counters["members_expanded"] += expanded
+        self.counters["representatives"] += len(label)
+        self.counters["members_expanded"] += len(parent)
         self.counters["refinement_edges"] += edges
 
         roots = [find(x) for x in range(len(parent))]
-        classes: dict[int, list[tuple]] = {}
-        for r in reps:
-            classes.setdefault(roots[label[r]], []).append(r)
-        cells, cell_of = [], {}
-        for keys in classes.values():
-            cell = FractionCell(s1, s2, CellRep(s1, s2, *min(keys)), tuple(keys))
+        classes: dict[int, list[int]] = {}
+        for r, x in label.items():
+            classes.setdefault(roots[x], []).append(r)
+        k, cells, cell_of = self._coding, [], {}
+        for codes in sorted(map(sorted, classes.values())):
+            cell = FractionCell(s1, s2, CellRep(s1, s2, *k.decode(codes[0])), (codes, k))
             cells.append(cell)
-            cell_of.update(dict.fromkeys(keys, cell))
-        cells.sort(key=lambda cell: cell.canonical)
+            cell_of.update(dict.fromkeys(codes, cell))
         return _Hom(tuple(cells), cell_of)
 
 
@@ -446,27 +488,27 @@ def cells_equal(loc: Localization, r1: CellRep, r2: CellRep) -> bool:
 
 
 def equality_chain(loc: Localization, r1: CellRep, r2: CellRep) -> Optional[list[CellRep]]:
-    """A witness path r1 ~ ... ~ r2 of single refinements (either direction)."""
+    """A witness path r1 ~ ... ~ r2 of single refinements (either direction), found on codes."""
     if not cells_equal(loc, r1, r2):
         return None
-    nodes = cell_from_rep(loc, r1).members
-    s1, s2 = r1.src_span, r1.dst_span
-    edges: dict[CellRep, set[CellRep]] = {r: set() for r in nodes}
-    for r in nodes:
-        for key in loc._store.refinements(loc.c, s1.w, r[2:]):
-            refined = CellRep(s1, s2, *key)
+    store, (s1, s2) = loc._store, r1[:2]
+    codes = cell_from_rep(loc, r1)._keys[0]
+    edges: dict[int, set[int]] = {r: set() for r in codes}
+    for r in codes:
+        for refined in store.refinements(loc.c, s1.w, r):
             if refined in edges:
                 edges[r].add(refined)
                 edges[refined].add(r)
-    prev: dict[CellRep, CellRep] = {r1: r1}
-    queue = deque([r1])
+    start, goal = (store._coding.encode(r[2:]) for r in (r1, r2))
+    prev = {start: start}
+    queue = deque([start])
     while queue:
         r = queue.popleft()
-        if r == r2:
+        if r == goal:
             path = [r]
-            while path[-1] != r1:
+            while path[-1] != start:
                 path.append(prev[path[-1]])
-            return path[::-1]
+            return [CellRep(s1, s2, *store._coding.decode(r)) for r in reversed(path)]
         for nxt in sorted(edges[r]):
             if nxt not in prev:
                 prev[nxt] = r
@@ -708,32 +750,31 @@ def whisker_fraction_right(loc: Localization, cell: FractionCell, s: Span) -> Fr
 # invertibility, associators, internal equivalences
 
 
-def _swappable(c: TwoCat, w, w2: str, rep: tuple) -> bool:
-    """Tommasini's test on rep = (A, v1, v2, α, β) into denominator w2: β invertible, w2∘v2 ∈ W.
+def _swappable(c: TwoCat, w, w2: str, k: _Coding, code: int) -> bool:
+    """Tommasini's test on the member `code` into denominator w2: β invertible, w2∘v2 ∈ W.
 
     Under BF5 the second clause follows from α: w1∘v1 ⇒ w2∘v2; it is
-    checked because a class that fails BF5 can break it.
+    checked because a class that fails BF5 can break it.  α is not read.
     """
-    return c.is_invertible2(rep[4]) and c.comp1[(w2, rep[2])] in w
+    return (c.is_invertible2(k.cells[code % k.k])
+            and c.comp1[(w2, k.mors[code // k.kk % k.m])] in w)
 
 
 def _invertible_member(loc: Localization, cell: FractionCell) -> Optional[CellRep]:
-    """The first member (A, v1, v2, α, β) of the class whose swap is a representative.
+    """The least member (A, v1, v2, α, β) of the class whose swap is a representative.
 
     A class is invertible iff some member has an invertible β (Tommasini,
     arXiv:1410.3990); the swap (v2, v1, α⁻¹, β⁻¹) then presents the
     inverse.  Classes are closed under refinement, so this reads "β∗i_z is
     invertible for some z with w1∘v1∘z ∈ W".  The swap also needs
     w2∘v2 ∈ W, which BF5 gives through α; it is checked because nothing
-    here requires BF.  The canonical member is tried first, then the
-    member tuples, so `members` is not built; `has_invertible` runs the
-    same test on a hom's sweep.
+    here requires BF.  The member codes are tried least first, so
+    `members` is not built; `has_invertible` runs the same test on a
+    hom's blocks.
     """
-    w2 = cell.dst_span.w
-    if _swappable(loc.c, loc.w, w2, cell.canonical[2:]):
-        return cell.canonical
-    found = min((r for r in cell._keys if _swappable(loc.c, loc.w, w2, r)), default=None)
-    return None if found is None else CellRep(cell.src_span, cell.dst_span, *found)
+    codes, coding = cell._keys
+    found = next((r for r in codes if _swappable(loc.c, loc.w, cell.dst_span.w, coding, r)), None)
+    return None if found is None else CellRep(cell.src_span, cell.dst_span, *coding.decode(found))
 
 
 def fraction_inverse(loc: Localization, cell: FractionCell) -> Optional[FractionCell]:

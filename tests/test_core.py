@@ -47,6 +47,49 @@ def test_validate_flags_missing_table_entry_as_structural():
     assert rep.structural and not rep.failures
 
 
+# (table, the key deleted, the keys added); each table keeps one stray
+# key whose name is undeclared.  The messages were captured from the check
+# that listed every composable pair, before it counted them.
+DAMAGED_TABLES = {
+    "comp1": (("w", "id0"), {("id0", "w"): "w", ("nope", "w"): "w"}),
+    "vcomp_table": (("i_id0", "i_id0"), {("i_w", "i_id0"): "i_w", ("i_w", "nope"): "bad"}),
+    "hcomp_table": (("i_id1", "i_w"), {("i_w", "i_w"): "i_w", ("nope", "i_id0"): "i_w"}),
+}
+STRUCTURAL_MESSAGES = {
+    "comp1": ["compose1 missing entry for ('w', 'id0')",
+              "compose1 has a non-composable entry ('id0', 'w')",
+              "compose1 has a non-composable entry ('nope', 'w')"],
+    "vcomp_table": ["vcomp missing entry for ('i_id0', 'i_id0')",
+                    "vcomp has a non-composable entry ('i_w', 'i_id0')",
+                    "vcomp has a non-composable entry ('i_w', 'nope')",
+                    "vcomp[('i_w', 'nope')] = bad is not a declared 2-cell"],
+    "hcomp_table": ["hcomp missing entry for ('i_id1', 'i_w')",
+                    "hcomp has a non-composable entry ('i_w', 'i_w')",
+                    "hcomp has a non-composable entry ('nope', 'i_id0')"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DAMAGED_TABLES))
+@pytest.mark.parametrize("damage", ["missing", "stray", "both"])
+def test_structural_messages_for_missing_and_stray_entries(name, damage):
+    # the structure check counts the composable pairs and lists them only
+    # when an entry is missing; the messages and their order are unchanged
+    c, _ = fixture("F3")
+    gone, extra = DAMAGED_TABLES[name]
+    table = dict(getattr(c, name))
+    if damage != "stray":
+        del table[gone]
+    if damage != "missing":
+        table.update(extra)
+    want = STRUCTURAL_MESSAGES[name]
+    if damage == "missing":
+        want = want[:1]
+    elif damage == "stray":
+        want = want[1:]
+    rep = validate(with_tables(c, **{name: table}))
+    assert rep.structural == want and not rep.failures
+
+
 def test_validate_flags_wrong_composite_as_law_failure():
     c, _ = fixture("F7")
     # tau_f ⊙ i_f must be tau_f; rerouting it keeps every boundary intact,

@@ -38,7 +38,9 @@ from twoloc.fractions import (
 from twoloc.saturation import saturate
 from twoloc.transport import comparison_to_saturation, x_conditions_for_induced
 
-from corpus import classes_only, classes_to_compare, cyclic_parity, oracle_inputs, span_pairs
+from corpus import (
+    classes_only, classes_to_compare, cyclic_parity, load_bench_module, oracle_inputs, span_pairs,
+)
 from oracles import oracle_equality_chain, oracle_first_invertible_cell, oracle_partition
 
 
@@ -94,6 +96,56 @@ def test_cyclic_parity_partitions_match_oracle(n, twist_name):
         w = frozenset(f"g{k}" for k in range(0, n, step))
         assert saturate(c, w) == frozenset(c.mors)
         assert_partitions_match(c, w)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_renamed_cells_keep_the_oracle_order(seed):
+    # Member codes number the objects, 1-cells and 2-cells in sorted order.
+    # The benchmark's renaming puts that order out of step with the order
+    # Z/8 was built in; canonical members, cell order and members still match.
+    rename_twocat = load_bench_module("workloads").rename_twocat
+    c, w = rename_twocat(cyclic_parity(8, "s"), {"g0", "g4"}, random.Random(seed))
+    assert list(c.mor_src) != sorted(c.mor_src) and list(c.cell_src) != sorted(c.cell_src)
+    two = frozenset(f for f in c.mors if c.compose1(f, f) in w)  # ⟨2⟩: 2f ∈ ⟨4⟩
+    assert len(w) == 2 and len(two) == 4
+    for cls in (w, two, saturate(c, two)):
+        assert assert_partitions_match(c, cls) > 0
+
+
+def test_representatives_naming_unknown_cells_raise_structure_error():
+    c = cyclic_parity(8, "s")
+    w = frozenset({"g0", "g2", "g4", "g6"})
+    loc = classes_only(c, w)
+    spans = loc.spans("x", "x")
+    rep = hom_fraction_cells(c, w, spans[0], spans[0])[0].canonical
+    for field, name in (("apex", "y"), ("v1", "g9"), ("v2", "s_g1"), ("alpha", "g1"),
+                        ("beta", "t_g1")):
+        bad = rep._replace(**{field: name})
+        with pytest.raises(StructureError) as raised:
+            cell_from_rep(loc, bad)
+        assert str(raised.value) == "; ".join(rep_problems(c, w, bad)), field
+
+
+def test_a_hom_expands_its_members_only_when_partitioned():
+    # Z/8 at ⟨2⟩: the X-conditions read the W_sat store's 32 sweeps, which
+    # reach 8,192 members, but only partition the 128 homs between images of
+    # W-spans, with 32 members each.  Existence questions expand nothing.
+    c = cyclic_parity(8, "s")
+    w = frozenset({"g0", "g2", "g4", "g6"})
+    assert x_conditions_for_induced(comparison_to_saturation(c, w)).ok
+    store = _partitions(c, c.mors)
+    entries = [entry for row in store._out.values() for entry in row.values()]
+    built = [entry for entry in entries if isinstance(entry, _Hom)]
+    swept = sum(len(alphas) * len(betas) for entry in entries if not isinstance(entry, _Hom)
+                for _base, alphas, betas in entry)
+    assert len(built) == 128 and store.counters["sweeps"] == 32
+    assert store.counters["representatives"] == sum(len(hom.cell_of) for hom in built) == 4096
+    assert swept == 8192 - 4096
+
+    fresh = _HomPartitions(frozenset(c.mors))
+    asked = Counter(fresh.has_invertible(c, s1, s2) for s1, s2 in span_pairs(c, c.mors))
+    assert asked == {True: 512, False: 64 * 64 - 512}
+    assert fresh.counters["representatives"] == 0 and fresh.counters["sweeps"] == 64
 
 
 @pytest.mark.parametrize("name", ["F3", "F4", "F5"])
@@ -300,8 +352,9 @@ def test_has_invertible_needs_the_swapped_leg_in_w():
     s1, s2 = Span("A", "m", "f1"), Span("P", "w2", "f2")
     loc = Localization(c, w, {})
     store = loc._store = _HomPartitions(w)
-    assert store._swept(c, s1)[s2] == [("A", "idA", "v2", "alpha", "i_f1")]
     assert not store.has_invertible(c, s1, s2)
+    assert [set(cell.members) for cell in store.hom(c, s1, s2).cells] == \
+        [{CellRep(s1, s2, "A", "idA", "v2", "alpha", "i_f1")}]
     assert oracle_first_invertible_cell(loc, s1, s2) is None
 
 
