@@ -15,6 +15,8 @@ table equality.  `validate` decides it by whiskering: a strict 2-category is
 a sesquicategory whose whiskerings interchange (Street, *Categorical
 structures*, 1996), and the whiskering laws need checking only for a
 generating set of 1-cells, so no check walks composable hcomp triples.
+A `TwoCat` builds its indexes on first use, and its `numbering`, shared
+by every class store of `fractions`, on a store's first sweep.
 """
 
 from __future__ import annotations
@@ -182,6 +184,10 @@ class TwoCat:
         return {f: {g: tuple(v) for g, v in by_dst.items()}
                 for f, by_dst in index.items()}
 
+    @cached_property
+    def numbering(self) -> Numbering:  # shared by every class store of this 2-category
+        return Numbering(self)
+
     # -- stores owned by other modules -------------------------------------
 
     @cached_property
@@ -191,6 +197,48 @@ class TwoCat:
         Each checks W once, each span once and representatives by membership.
         """
         return {}
+
+
+class Numbering:
+    """Ids of objects, 1-cells and 2-cells in sorted order; the cells out of each f, coded.
+
+    A class member (apex, v1, v2, α, β) is the int
+    (((apex·M + v1)·M + v2)·K + α)·K + β over M 1-cells and K 2-cells, so
+    numeric order is the tuple's lexicographic order.  It holds no
+    reference to its `TwoCat`, so `leg` is given the 2-category.
+    """
+
+    def __init__(self, c: TwoCat):
+        self.objects, self.mors, self.cells = tuple(sorted(c.objects)), c.mors, c.cells
+        self.obj_id, self.mor_id, self.cell_id = (
+            {x: i for i, x in enumerate(names)} for names in (self.objects, self.mors, self.cells))
+        self.m, self.k, self.kk = len(self.mors), len(self.cells), len(self.cells) ** 2
+        self.alphas_from = {f: [(g, tuple(self.cell_id[a] * self.k for a in alphas))
+                                for g, alphas in c.invertible_from(f).items()] for f in c.mors}
+        self.betas_from = {f: [(h, tuple(map(self.cell_id.__getitem__, betas)))
+                               for h, betas in c.cells_from(f).items()] for f in c.mors}
+        self._legs: dict[str, tuple] = {}
+
+    def encode(self, key: tuple) -> int:  # `KeyError` if key names an unknown cell
+        apex, v1, v2, alpha, beta = key
+        return (((self.obj_id[apex] * self.m + self.mor_id[v1]) * self.m + self.mor_id[v2])
+                * self.k + self.cell_id[alpha]) * self.k + self.cell_id[beta]
+
+    def decode(self, code: int) -> tuple:
+        rest, a, b = code // self.kk, code // self.k % self.k, code % self.k
+        apex, v1, v2 = rest // self.m // self.m, rest // self.m % self.m, rest % self.m
+        return self.objects[apex], self.mors[v1], self.mors[v2], self.cells[a], self.cells[b]
+
+    def leg(self, c: TwoCat, p: str) -> tuple:
+        """(src p, v ↦ v∘p, α ↦ α∗i_p) on ids, for the v and α that start at dst p."""
+        if p not in self._legs:
+            comp1, hcomp, ip = c.comp1, c.hcomp_table, c.id2[p]
+            self._legs[p] = (self.obj_id[c.mor_src[p]], {
+                i: self.mor_id[h] for i, v in enumerate(self.mors)
+                if (h := comp1.get((v, p))) is not None}, {
+                i: self.cell_id[h] for i, a in enumerate(self.cells)
+                if (h := hcomp.get((a, ip))) is not None})
+        return self._legs[p]
 
 
 # ---------------------------------------------------------------------------

@@ -12,26 +12,21 @@ refinements r ↦ (E, v1∘p, v2∘p, alpha∗i_p, beta∗i_p) along any
 p: E → A3 keeping the denominator leg in W.
 
 Classes are output-sensitive.  The first request for a hom out of a span
-s1 sweeps every representative out of s1 in one pass and groups them by
-target span: for each v1 with w1∘v1 ∈ W, the invertible cells out of
-w1∘v1 fix the composites w2∘v2, whose factorisations with w2 ∈ W give
-the v2, and the cells out of f1∘v1 fix the composites f2∘v2, whose left
-factors give the f2.  A representative is one int, whose order is the
-order of its names, and the α's and β's of one (apex, v1, v2) stay one
-block.  The groups are s1's row of one table: a hom's entry holds its
-blocks until the hom is first asked for, and its classes from then on,
-so only the homs asked for expand their members.  A hom with no entry is
-empty at no cost, whether a hom has an invertible class is read off its
-entry without building any, and the row's keys are the non-empty homs
-out of s1.  Within a hom, each member not yet reached as a refinement is
-expanded under a class label, and the members it reaches take that
-label: a refinement r·p refines further only to r·(p∘q), which r
-reaches itself, so it is not expanded.  Labels merge only when one
-expansion reaches two of them.  A class decodes its members when they
-are read.  The classes depend only on (C, W), not on the fillers: one
-store per (C, W) is kept on the `TwoCat`, and it alone checks input
-(W once, each span once, a representative by membership).  Classes
-are defined on tables that pass `validate`.
+s1 sweeps every representative out of s1 in one pass (`_sweep`) and
+groups them by target span into s1's row of one table: a hom's entry
+holds the sweep's blocks until the hom is first asked for, and its
+classes from then on, so only the homs asked for expand their members.
+A hom with no entry is empty at no cost, whether a hom has an invertible
+class is read off its entry without building any, and the row's keys are
+the non-empty homs out of s1.  Within a hom, a member reached as a
+refinement is not expanded (`_partition`), and a class decodes its
+members when they are read.  The classes depend only on (C, W), not on
+the fillers: one store per (C, W) is kept on the `TwoCat`, and it alone
+checks input (W once, each span once, a representative by membership).
+A representative is one int, whose order is the order of its names.  The
+ids and the refinement tables read C alone: they are C's `numbering`,
+which all its stores share, so a store keeps only what depends on W.
+Classes are defined on tables that pass `validate`.
 
 A `Localization` is C[W⁻¹] for one choice of fillers: `build_choices`
 picks a filler for every cospan (f, v ∈ W), honouring C1 (f an
@@ -56,7 +51,7 @@ from collections import deque
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .core import InternalInconsistency, StructureError, TwoCat
+from .core import InternalInconsistency, Numbering, StructureError, TwoCat
 from .saturation import _as_class, fill_cospan, lift_cell, saturation_witnesses
 
 
@@ -148,36 +143,6 @@ def rep_problems(c: TwoCat, w, rep: CellRep) -> list[str]:
 # 2-cell classes
 
 
-class _Coding:
-    """Ids of objects, 1-cells and 2-cells in sorted order; the cells out of each f, coded.
-
-    A member (apex, v1, v2, α, β) is coded as the int
-    (((apex·M + v1)·M + v2)·K + α)·K + β over M 1-cells and K 2-cells, so
-    numeric order is the tuple's lexicographic order.
-    """
-
-    def __init__(self, c: TwoCat):
-        self.objects, self.mors, self.cells = tuple(sorted(c.objects)), c.mors, c.cells
-        self.obj_id, self.mor_id, self.cell_id = (
-            {x: i for i, x in enumerate(names)} for names in (self.objects, self.mors, self.cells))
-        self.m, self.k, self.kk = len(self.mors), len(self.cells), len(self.cells) ** 2
-        self.alphas_from = {f: [(g, tuple(self.cell_id[a] * self.k for a in alphas))
-                                for g, alphas in c.invertible_from(f).items()] for f in c.mors}
-        self.betas_from = {f: [(h, tuple(map(self.cell_id.__getitem__, betas)))
-                               for h, betas in c.cells_from(f).items()] for f in c.mors}
-
-    def encode(self, key: tuple) -> int:  # `KeyError` if key names an unknown cell
-        apex, v1, v2, alpha, beta = key
-        return (((self.obj_id[apex] * self.m + self.mor_id[v1]) * self.m + self.mor_id[v2])
-                * self.k + self.cell_id[alpha]) * self.k + self.cell_id[beta]
-
-    def decode(self, code: int) -> tuple:
-        rest, b = divmod(code, self.k)
-        rest, a = divmod(rest, self.k)
-        apex, v1, v2 = rest // self.m // self.m, rest // self.m % self.m, rest % self.m
-        return self.objects[apex], self.mors[v1], self.mors[v2], self.cells[a], self.cells[b]
-
-
 class FractionCell:
     """A 2-cell of the localization: a full refinement-equivalence class.
 
@@ -185,7 +150,7 @@ class FractionCell:
     """
 
     def __init__(self, src_span: Span, dst_span: Span, canonical: CellRep,
-                 _keys: tuple[list[int], _Coding]):  # the member codes, least first
+                 _keys: tuple[list[int], Numbering]):  # the member codes, least first
         self.src_span, self.dst_span, self.canonical = src_span, dst_span, canonical
         self._keys = _keys
 
@@ -231,8 +196,9 @@ class _HomPartitions:
     sweep's blocks, (base code of (apex, v1, v2), α codes, β ids), until
     `hom` expands them into member codes and partitions them; then the
     `_Hom` takes its place, under the caller's s2.  `has_invertible` reads
-    either kind of entry and builds nothing.  Classes are keyed by code
-    (`_Coding`, made by the first sweep).  Each span is checked once
+    either kind of entry and builds nothing.  Classes are keyed by code in
+    C's shared `numbering`; the store keeps what depends on W, such as the
+    legs p at each d with d∘p ∈ W (`_legs`).  Each span is checked once
     (`require_span`): the spans that passed are kept, not the empty homs,
     which would take an entry per empty pair, and a failing span raises on
     every request.  A representative is checked by membership (`cell`).
@@ -248,8 +214,7 @@ class _HomPartitions:
 
     def __init__(self, w: frozenset[str]):
         self.w = w
-        self._coding: Optional[_Coding] = None
-        self._legs, self._leg_tables = {}, {}  # d ↦ its legs' tables; leg p ↦ `_leg`
+        self._legs: dict[str, tuple] = {}  # d ↦ `Numbering.leg` of each leg p with d∘p ∈ W
         self._out: dict[Span, dict[Span, list[tuple] | _Hom]] = {}
         self._spans: set[Span] = set()  # spans that passed `span_problems`
         self._saturation: Optional[frozenset[str]] = None
@@ -278,13 +243,13 @@ class _HomPartitions:
         the keys of its `cell_of`; `_swappable` does not read α, so a block
         is tested once per β, on its code with α's id 0.
         """
-        entry = self._swept(c, s1).get(s2)
+        entry, k = self._swept(c, s1).get(s2), c.numbering
         if entry is None:
             self.require_span(c, s2)
             return False
         reps = entry.cell_of if isinstance(entry, _Hom) else (
             base + beta for base, _alphas, betas in entry for beta in betas)
-        return any(_swappable(c, self.w, s2.w, self._coding, r) for r in reps)
+        return any(_swappable(c, self.w, s2.w, k, r) for r in reps)
 
     def targets(self, c: TwoCat, s1: Span):
         """Every s2 with a 2-cell s1 ⇒ s2: the keys of s1's row."""
@@ -317,7 +282,7 @@ class _HomPartitions:
         (`InternalInconsistency` if the operation `built_by` made rep).
         """
         try:
-            return self.hom(c, rep.src_span, rep.dst_span).cell_of[self._coding.encode(rep[2:])]
+            return self.hom(c, rep.src_span, rep.dst_span).cell_of[c.numbering.encode(rep[2:])]
         except (StructureError, KeyError):  # a bad span, an unknown cell, or not a member
             pass
         problems = "; ".join(rep_problems(c, self.w, rep))
@@ -345,28 +310,17 @@ class _HomPartitions:
         One per leg p at d = w1∘v1: every p ≠ id with d∘p ∈ W, as refining
         along the identity changes nothing.
         """
-        k = self._coding
+        k = c.numbering
         alpha, beta = divmod(code % k.kk, k.k)
         v1, v2 = code // k.kk // k.m % k.m, code // k.kk % k.m
         d = c.comp1[(w1, k.mors[v1])]
         legs = self._legs.get(d)
         if legs is None:
             a = c.mor_src[d]
-            legs = self._legs[d] = tuple(self._leg(c, p) for b in k.objects for p in c.hom1(b, a)
+            legs = self._legs[d] = tuple(k.leg(c, p) for b in k.objects for p in c.hom1(b, a)
                                          if p != c.id1[a] and c.comp1[(d, p)] in self.w)
         return [(((src * k.m + vp[v1]) * k.m + vp[v2]) * k.k + ip[alpha]) * k.k + ip[beta]
                 for src, vp, ip in legs]
-
-    def _leg(self, c: TwoCat, p: str) -> tuple:
-        """(src p, v ↦ v∘p, α ↦ α∗i_p) on ids, for the v and α that start at dst p."""
-        if p not in self._leg_tables:
-            k, comp1, hcomp, ip = self._coding, c.comp1, c.hcomp_table, c.id2[p]
-            self._leg_tables[p] = (k.obj_id[c.mor_src[p]], {
-                i: k.mor_id[h] for i, v in enumerate(k.mors)
-                if (h := comp1.get((v, p))) is not None}, {
-                i: k.cell_id[h] for i, a in enumerate(k.cells)
-                if (h := hcomp.get((a, ip))) is not None})
-        return self._leg_tables[p]
 
     def _sweep(self, c: TwoCat, s1: Span) -> dict[Span, list[tuple]]:
         """Every representative out of s1, as blocks grouped by target.
@@ -378,9 +332,7 @@ class _HomPartitions:
         (apex, v1, v2, alpha, beta) of the hom s1 ⇒ (B, w2, f2), where B
         is the target of v2.  A block holds those of one (v1, g, v2, h, f2).
         """
-        if self._coding is None:
-            self._coding = _Coding(c)
-        k, w, comp1, mor_dst = self._coding, self.w, c.comp1, c.mor_dst
+        k, w, comp1, mor_dst = c.numbering, self.w, c.comp1, c.mor_dst
         groups: dict[tuple, list[tuple]] = {}
         for apex in k.objects:
             for v1 in c.hom1(apex, s1.apex):
@@ -451,7 +403,7 @@ class _HomPartitions:
         classes: dict[int, list[int]] = {}
         for r, x in label.items():
             classes.setdefault(roots[x], []).append(r)
-        k, cells, cell_of = self._coding, [], {}
+        k, cells, cell_of = c.numbering, [], {}
         for codes in sorted(map(sorted, classes.values())):
             cell = FractionCell(s1, s2, CellRep(s1, s2, *k.decode(codes[0])), (codes, k))
             cells.append(cell)
@@ -491,7 +443,7 @@ def equality_chain(loc: Localization, r1: CellRep, r2: CellRep) -> Optional[list
     """A witness path r1 ~ ... ~ r2 of single refinements (either direction), found on codes."""
     if not cells_equal(loc, r1, r2):
         return None
-    store, (s1, s2) = loc._store, r1[:2]
+    store, k, (s1, s2) = loc._store, loc.c.numbering, r1[:2]
     codes = cell_from_rep(loc, r1)._keys[0]
     edges: dict[int, set[int]] = {r: set() for r in codes}
     for r in codes:
@@ -499,7 +451,7 @@ def equality_chain(loc: Localization, r1: CellRep, r2: CellRep) -> Optional[list
             if refined in edges:
                 edges[r].add(refined)
                 edges[refined].add(r)
-    start, goal = (store._coding.encode(r[2:]) for r in (r1, r2))
+    start, goal = (k.encode(r[2:]) for r in (r1, r2))
     prev = {start: start}
     queue = deque([start])
     while queue:
@@ -508,7 +460,7 @@ def equality_chain(loc: Localization, r1: CellRep, r2: CellRep) -> Optional[list
             path = [r]
             while path[-1] != start:
                 path.append(prev[path[-1]])
-            return [CellRep(s1, s2, *store._coding.decode(r)) for r in reversed(path)]
+            return [CellRep(s1, s2, *k.decode(r)) for r in reversed(path)]
         for nxt in sorted(edges[r]):
             if nxt not in prev:
                 prev[nxt] = r
@@ -750,7 +702,7 @@ def whisker_fraction_right(loc: Localization, cell: FractionCell, s: Span) -> Fr
 # invertibility, associators, internal equivalences
 
 
-def _swappable(c: TwoCat, w, w2: str, k: _Coding, code: int) -> bool:
+def _swappable(c: TwoCat, w, w2: str, k: Numbering, code: int) -> bool:
     """Tommasini's test on the member `code` into denominator w2: β invertible, w2∘v2 ∈ W.
 
     Under BF5 the second clause follows from α: w1∘v1 ⇒ w2∘v2; it is
@@ -772,9 +724,9 @@ def _invertible_member(loc: Localization, cell: FractionCell) -> Optional[CellRe
     `members` is not built; `has_invertible` runs the same test on a
     hom's blocks.
     """
-    codes, coding = cell._keys
-    found = next((r for r in codes if _swappable(loc.c, loc.w, cell.dst_span.w, coding, r)), None)
-    return None if found is None else CellRep(cell.src_span, cell.dst_span, *coding.decode(found))
+    k = loc.c.numbering
+    found = next((r for r in cell._keys[0] if _swappable(loc.c, loc.w, cell.dst_span.w, k, r)), None)
+    return None if found is None else CellRep(cell.src_span, cell.dst_span, *k.decode(found))
 
 
 def fraction_inverse(loc: Localization, cell: FractionCell) -> Optional[FractionCell]:

@@ -28,6 +28,10 @@ where the proof that the two agree is written.
 - `pronk_equivalent`: no production code yet; the hom partition should be
   this relation and is finer; test_fractions test_*_pronk_equivalen* (one a
   strict xfail); Pronk 1996, §2.3.
+- `biequivalence_count`: the class count of `Localization.hom_cells` wherever
+  W consists of equivalences, and the number of Pronk classes; test_biequivalence
+  (the Z/n store totals and F6 are strict xfails, as the partition is finer
+  than Pronk's relation); its docstring.
 - `search_constancy`: `transport.induce`; test_transport test_constancy_*,
   test_comparison_to_saturation_agrees_with_constancy_search,
   test_induced_swap_on_walking_iso, test_acceptance test_c07_*; the lemma in
@@ -48,7 +52,7 @@ import itertools
 from collections import deque
 
 from twoloc import StrictTwoFunctor, validate_functor
-from twoloc.core import TwoCat, ValidationReport, _check_structure
+from twoloc.core import TwoCat, ValidationReport, _check_structure, find_quasi_inverse
 from twoloc.fractions import (
     CellRep, Span, SpanEquivalence, cell_from_rep, compose_fractions, first_invertible_cell,
     hom_fraction_cells, identity_fraction_cell, identity_span, is_invertible_fraction_cell,
@@ -352,6 +356,38 @@ def pronk_equivalent(c, w, r1: CellRep, r2: CellRep) -> bool:
                                                           (r1.beta, r2.beta, s1.f, s2.f))):
                             return True
     return False
+
+
+def biequivalence_count(c, w, s1: Span, s2: Span) -> int | None:
+    """The number of 2-cells s1 ⇒ s2 of C[W⁻¹], for W of internal equivalences.
+
+    Each denominator w gets its first quasi-inverse w* (`find_quasi_inverse`:
+    `hom1` order, invertible cells both ways), and the count is
+    `len(c.hom2(f1∘w1*, f2∘w2*))`.  Returns None when some denominator
+    lies outside W or has none.  The caller checks that every member of W
+    is an equivalence.
+
+    Proof.  Let every w ∈ W be an internal equivalence of C.  The identity
+    of C sends W to equivalences, so by the universal property of C[W⁻¹]
+    (Pronk 1996) it factors as G∘U ≅ id_C, and U∘G ≅ id follows from the
+    same property, as U∘G∘U ≅ U.  So U: C → C[W⁻¹] is a biequivalence, and
+    it bijects C's 2-cells g ⇒ h with the 2-cells U(g) ⇒ U(h).  In C[W⁻¹],
+    s = (A′, w, f) ≅ U(f)∘(A′, w, id); both (A′, w, id) and U(w*) are
+    quasi-inverses of U(w), so they are isomorphic, and s ≅ U(f∘w*).
+    Conjugating by invertible 2-cells bijects the 2-cells between
+    isomorphic 1-cells, so the 2-cells s1 ⇒ s2 biject with C's 2-cells
+    f1∘w1* ⇒ f2∘w2*.  Two quasi-inverses w*, w** of w, with δ*: id ⇒ w*∘w
+    and ξ**: w∘w** ⇒ id, are joined by the invertible 2-cell
+    (δ*⁻¹∗i_{w**})⊙(i_{w*}∗ξ**⁻¹): w* ⇒ w**, so f∘w* ≅ f∘w**, and the
+    count does not depend on which w* is taken.
+    """
+    legs = []
+    for s in (s1, s2):
+        found = find_quasi_inverse(c, s.w) if s.w in w else None
+        if found is None:
+            return None
+        legs.append(c.compose1(s.f, found.e_bar))
+    return len(c.hom2(*legs))
 
 
 def search_constancy(ind: InducedPseudofunctor) -> CellRep | None:

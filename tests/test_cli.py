@@ -517,7 +517,8 @@ def test_groupoid_with_undeclared_composite_is_exit_2(tmp_path, capsys):
 
 
 # The twoloc modules a subcommand loads, beyond those `import twoloc.cli` loads.
-# No command loads `dataclasses` or the `inspect` it imports.
+# No command loads `dataclasses` or the `inspect` it imports, and the ones that
+# only read the tables and W never build a 2-category's numbering.
 BASE_MODULES = {"twoloc", "twoloc.cli", "twoloc.core", "twoloc.documents"}
 FOOTPRINTS = [
     ([], set()),
@@ -536,14 +537,19 @@ FOOTPRINTS = [
 ]
 LOADED_AFTER_MAIN = """
 import json, sys
+import twoloc.core
+numbered = []
+init = twoloc.core.Numbering.__init__
+twoloc.core.Numbering.__init__ = lambda self, c: numbered.append(c) or init(self, c)
 argv = json.loads(sys.argv[1])
 if argv:
     from twoloc.cli import main
     main(argv)
 else:
     import twoloc.cli
-print(json.dumps(sorted(m for m in sys.modules
-                        if m.split(".")[0] == "twoloc" or m in ("dataclasses", "inspect"))))
+print(json.dumps([sorted(m for m in sys.modules
+                         if m.split(".")[0] == "twoloc" or m in ("dataclasses", "inspect")),
+                  len(numbered)]))
 """
 
 
@@ -561,9 +567,11 @@ def test_each_command_loads_only_the_modules_it_uses(tmp_path):
             argv += ["--output", str(tmp_path / "report.json")]
         proc = subprocess.run([sys.executable, "-c", LOADED_AFTER_MAIN, json.dumps(argv)],
                               capture_output=True, text=True, env=env, check=True)
-        loaded = set(json.loads(proc.stdout))
-        assert not loaded & {"dataclasses", "inspect"}, argv
-        assert loaded == BASE_MODULES | {f"twoloc.{m}" for m in extra}, argv
+        loaded, numbered = json.loads(proc.stdout)
+        assert not set(loaded) & {"dataclasses", "inspect"}, argv
+        assert set(loaded) == BASE_MODULES | {f"twoloc.{m}" for m in extra}, argv
+        if argv[:1] in (["validate"], ["check-bf"], ["saturate"]):
+            assert numbered == 0, argv
         if argv:
             assert json.loads((tmp_path / "report.json").read_text())["ok"] is True, argv
 

@@ -497,14 +497,65 @@ def test_closed_form_saturates_once(monkeypatch):
 # -- lifetime: partitions live and die with their 2-category -----------------
 
 
+def swept_and_compared(c, w) -> weakref.ref:
+    """A weak reference to c, once it has a store per class and a numbering."""
+    spans = classes_only(c, w).spans(c.objects[0], c.objects[0])
+    assert hom_fraction_cells(c, w, spans[0], spans[0])
+    x_conditions_for_induced(comparison_to_saturation(c, w))
+    assert "numbering" in vars(c) and c._hom_partitions
+    return weakref.ref(c)
+
+
 def test_partitions_do_not_outlive_their_twocat():
-    c, w = fixture("F3")
-    spans = classes_only(c, w).spans("0", "0")
-    assert hom_fraction_cells(c, w, spans[0], spans[-1])
-    ref = weakref.ref(c)
-    del c
-    gc.collect()
-    assert ref() is None
+    # refcounting alone frees the 2-category: neither its stores nor its
+    # numbering refer back to it, so the collector is not needed.  F3's W
+    # is saturated, so it has one store; Z/8 at <g4> has two.
+    gc.disable()
+    try:
+        refs = [swept_and_compared(*fixture("F3")),
+                swept_and_compared(cyclic_parity(8, "s"), frozenset({"g0", "g4"}))]
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+# -- the numbering: one per 2-category, shared by its stores -----------------
+
+
+def test_the_stores_of_a_twocat_share_one_numbering(monkeypatch):
+    import twoloc.core as core
+
+    built = []
+    init = core.Numbering.__init__
+    monkeypatch.setattr(core.Numbering, "__init__",
+                        lambda self, c: built.append(c) or init(self, c))
+    c = cyclic_parity(8, "s")
+    w = frozenset({"g0", "g4"})
+    assert x_conditions_for_induced(comparison_to_saturation(c, w)).ok
+    assert built == [c]
+    stores = c._hom_partitions
+    assert set(stores) == {w, frozenset(c.mors)}
+    classes = {key: [(s1, s2, cell) for s1, row in store._out.items()
+                     for s2, hom in row.items() if isinstance(hom, _Hom) for cell in hom.cells]
+               for key, store in stores.items()}
+    assert all(classes.values())
+    assert all(cell._keys[1] is c.numbering for found in classes.values() for _, _, cell in found)
+    # every representative at W is one at W_sat, under the same code and names
+    sat_store = stores[frozenset(c.mors)]
+    for s1, s2, cell in classes[w]:
+        code = cell._keys[0][0]
+        sat_cell = sat_store.hom(c, s1, s2).cell_of[code]
+        assert sat_cell._keys[1].decode(code) == tuple(cell.canonical[2:])
+    assert len(built) == 1
+
+
+def test_validate_check_bf_and_saturate_build_no_numbering():
+    for c, w in [fixture(name) for name in sorted(FIXTURES)] + [
+            (cyclic_parity(8, "s"), frozenset({"g0", "g4"}))]:
+        validate(c)
+        check_bf(c, w)
+        saturate(c, w)
+        assert "numbering" not in vars(c)
 
 
 def localize_fresh_z6():
