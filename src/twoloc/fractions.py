@@ -11,22 +11,16 @@ representatives are identified when they are connected by a chain of
 refinements r ↦ (E, v1∘p, v2∘p, alpha∗i_p, beta∗i_p) along any
 p: E → A3 keeping the denominator leg in W.
 
-Classes are output-sensitive.  The first request for a hom out of a span
-s1 sweeps every representative out of s1 in one pass (`_sweep`) and
-groups them by target span into s1's row of one table: a hom's entry
-holds the sweep's blocks until the hom is first asked for, and its
-classes from then on, so only the homs asked for expand their members.
-A hom with no entry is empty at no cost, whether a hom has an invertible
-class is read off its entry without building any, and the row's keys are
-the non-empty homs out of s1.  Within a hom, a member reached as a
-refinement is not expanded (`_partition`), and a class decodes its
-members when they are read.  The classes depend only on (C, W), not on
-the fillers: one store per (C, W) is kept on the `TwoCat`, and it alone
-checks input (W once, each span once, a representative by membership).
-A representative is one int, whose order is the order of its names.  The
-ids and the refinement tables read C alone: they are C's `numbering`,
-which all its stores share, so a store keeps only what depends on W.
-Classes are defined on tables that pass `validate`.
+Classes are output-sensitive.  A store (`_HomPartitions`) sweeps the
+representatives out of a span once, partitions a hom only when it is
+asked for, and keeps its classes as code lists and integer labels, so a
+FractionCell is made only when one is asked for.  The classes depend only
+on (C, W), not on the fillers: one store per (C, W) is kept on the
+`TwoCat`, and it alone checks input (W once, each span once, a
+representative by membership).  A representative is one int, whose order
+is the order of its names; the ids and the refinement tables read C alone
+and are C's `numbering`, which all its stores share.  Classes are defined
+on tables that pass `validate`.
 
 A `Localization` is C[W⁻¹] for one choice of fillers: `build_choices`
 picks a filler for every cospan (f, v ∈ W), honouring C1 (f an
@@ -173,14 +167,24 @@ class FractionCell:
         return frozenset(CellRep(self.src_span, self.dst_span, *coding.decode(r)) for r in codes)
 
 
-class _Hom(NamedTuple):
-    """The classes of one hom: sorted by canonical, and by member code."""
+class _Hom:
+    """The classes of one hom: code lists by canonical, each least first.
 
-    cells: tuple[FractionCell, ...]
-    cell_of: dict[int, FractionCell]
+    `labels` gives each member code its class's position; the
+    FractionCells are built on first read, and kept.
+    """
+
+    def __init__(self, s1: Span, s2: Span, classes: list[list[int]], labels: dict[int, int], k):
+        self.s1, self.s2, self.classes, self.labels, self.k = s1, s2, classes, labels, k
+
+    @cached_property
+    def cells(self) -> tuple[FractionCell, ...]:
+        s1, s2, k = self.s1, self.s2, self.k
+        return tuple(FractionCell(s1, s2, CellRep(s1, s2, *k.decode(codes[0])), (codes, k))
+                     for codes in self.classes)
 
 
-_EMPTY_HOM = _Hom((), {})
+_EMPTY_HOM = _Hom(None, None, [], {}, None)
 
 
 class _HomPartitions:
@@ -194,10 +198,9 @@ class _HomPartitions:
     out of s1 sweeps every representative out of s1 and fills s1's row,
     one entry per target span (`targets` reads its keys).  An entry is the
     sweep's blocks, (base code of (apex, v1, v2), α codes, β ids), until
-    `hom` expands them into member codes and partitions them; then the
-    `_Hom` takes its place, under the caller's s2.  `has_invertible` reads
-    either kind of entry and builds nothing.  Classes are keyed by code in
-    C's shared `numbering`; the store keeps what depends on W, such as the
+    `hom` partitions them into a `_Hom`, kept under the caller's s2; a hom
+    with no entry is empty.  `has_invertible` reads either kind of entry
+    and builds nothing.  The store keeps what depends on W, such as the
     legs p at each d with d∘p ∈ W (`_legs`).  Each span is checked once
     (`require_span`): the spans that passed are kept, not the empty homs,
     which would take an entry per empty pair, and a failing span raises on
@@ -240,14 +243,14 @@ class _HomPartitions:
         A class is invertible iff a member passes `_swappable` (α is always
         invertible), and the classes partition the hom's representatives,
         so this holds iff one of them passes it.  A built hom's members are
-        the keys of its `cell_of`; `_swappable` does not read α, so a block
+        the keys of its `labels`; `_swappable` does not read α, so a block
         is tested once per β, on its code with α's id 0.
         """
         entry, k = self._swept(c, s1).get(s2), c.numbering
         if entry is None:
             self.require_span(c, s2)
             return False
-        reps = entry.cell_of if isinstance(entry, _Hom) else (
+        reps = entry.labels if isinstance(entry, _Hom) else (
             base + beta for base, _alphas, betas in entry for beta in betas)
         return any(_swappable(c, self.w, s2.w, k, r) for r in reps)
 
@@ -282,7 +285,8 @@ class _HomPartitions:
         (`InternalInconsistency` if the operation `built_by` made rep).
         """
         try:
-            return self.hom(c, rep.src_span, rep.dst_span).cell_of[c.numbering.encode(rep[2:])]
+            hom = self.hom(c, rep.src_span, rep.dst_span)
+            return hom.cells[hom.labels[c.numbering.encode(rep[2:])]]
         except (StructureError, KeyError):  # a bad span, an unknown cell, or not a member
             pass
         problems = "; ".join(rep_problems(c, self.w, rep))
@@ -313,14 +317,16 @@ class _HomPartitions:
         k = c.numbering
         alpha, beta = divmod(code % k.kk, k.k)
         v1, v2 = code // k.kk // k.m % k.m, code // k.kk % k.m
-        d = c.comp1[(w1, k.mors[v1])]
+        return [(((src * k.m + vp[v1]) * k.m + vp[v2]) * k.k + ip[alpha]) * k.k + ip[beta]
+                for src, vp, ip in self._legs_at(c, c.comp1[(w1, k.mors[v1])])]
+
+    def _legs_at(self, c: TwoCat, d: str) -> tuple:
         legs = self._legs.get(d)
         if legs is None:
-            a = c.mor_src[d]
+            a, k = c.mor_src[d], c.numbering
             legs = self._legs[d] = tuple(k.leg(c, p) for b in k.objects for p in c.hom1(b, a)
                                          if p != c.id1[a] and c.comp1[(d, p)] in self.w)
-        return [(((src * k.m + vp[v1]) * k.m + vp[v2]) * k.k + ip[alpha]) * k.k + ip[beta]
-                for src, vp, ip in legs]
+        return legs
 
     def _sweep(self, c: TwoCat, s1: Span) -> dict[Span, list[tuple]]:
         """Every representative out of s1, as blocks grouped by target.
@@ -364,51 +370,48 @@ class _HomPartitions:
         That uses associativity of comp1 and hcomp and i_p∗i_q = i_{p∘q}.
         So a class is only split across labels when a later expansion
         reaches a member that an earlier one labelled, and that is the one
-        place two labels merge.  Union-find runs over the labels, one per
-        expanded member, not over the members; each member takes its label
-        once and reads its class off its label's root.
+        place two labels merge: the smaller one's members move to the
+        larger, so a member is relabelled O(log n) times at most.  Each label
+        keeps its member list, and the lists left are the classes.
         """
+        k = c.numbering
+        m, kd, kk = k.m, k.k, k.kk
         label = {base + a + b: -1 for base, alphas, betas in blocks for a in alphas for b in betas}
-        parent: list[int] = []  # union-find over class labels; label -1: not yet reached
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        members: list[list[int]] = []  # each label's members; label -1: not yet reached
+        legs_of: dict[int, tuple] = {}  # v1's id ↦ the legs at w1∘v1
         edges = 0
         for r, x in label.items():  # a value set while iterating is read when reached
             if x >= 0:
                 continue
-            own = label[r] = len(parent)
-            parent.append(own)
-            refined_all = self.refinements(c, s1.w, r)
-            edges += len(refined_all)
-            for refined in refined_all:
+            own = label[r] = len(members)
+            mine = [r]
+            members.append(mine)
+            alpha, beta = divmod(r % kk, kd)
+            v1, v2 = r // kk // m % m, r // kk % m
+            legs = legs_of.get(v1)
+            if legs is None:
+                legs = legs_of[v1] = self._legs_at(c, c.comp1[(s1.w, k.mors[v1])])
+            edges += len(legs)
+            for src, vp, ip in legs:
+                refined = (((src * m + vp[v1]) * m + vp[v2]) * kd + ip[alpha]) * kd + ip[beta]
                 other = label.get(refined)
-                if other is None:
+                if other is None or other == own:
                     continue
                 if other < 0:
                     label[refined] = own
-                else:
-                    other = find(other)
-                    if other != own:
-                        parent[other] = own
+                    mine.append(refined)
+                    continue
+                if len(members[other]) > len(mine):
+                    own, other, mine = other, own, members[other]
+                for moved in members[other]:
+                    label[moved] = own
+                mine += members[other]
+                members[other] = []
         self.counters["representatives"] += len(label)
-        self.counters["members_expanded"] += len(parent)
+        self.counters["members_expanded"] += len(members)
         self.counters["refinement_edges"] += edges
-
-        roots = [find(x) for x in range(len(parent))]
-        classes: dict[int, list[int]] = {}
-        for r, x in label.items():
-            classes.setdefault(roots[x], []).append(r)
-        k, cells, cell_of = c.numbering, [], {}
-        for codes in sorted(map(sorted, classes.values())):
-            cell = FractionCell(s1, s2, CellRep(s1, s2, *k.decode(codes[0])), (codes, k))
-            cells.append(cell)
-            cell_of.update(dict.fromkeys(codes, cell))
-        return _Hom(tuple(cells), cell_of)
+        classes = sorted(sorted(codes) for codes in members if codes)
+        return _Hom(s1, s2, classes, {r: i for i, codes in enumerate(classes) for r in codes}, k)
 
 
 def _partitions(c: TwoCat, w) -> _HomPartitions:

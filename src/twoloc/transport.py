@@ -12,9 +12,10 @@ composed with r's first leg).  So F maps each refinement class into one
 class; this is the "simple description" of the induced pseudofunctor in
 arXiv:1410.5075.  F also sends a conjugate of r by invertible cells to the
 conjugate of F(r) by their images, so the lemma carries over unchanged
-once the classes join conjugates as well (Pronk 1996, §2.3).  `induce`
-takes both localizations, source and target, each with its class and
-fillers; F is validated once, by `StrictTwoFunctor.validation`.
+once the classes join conjugates as well (Pronk 1996, §2.3).  So a class
+is mapped by its canonical code through F's tables on ids, with no name
+built.  `induce` takes both localizations, source and target, each with
+its class and fillers; F is validated once, by `StrictTwoFunctor.validation`.
 
 `weak_equivalence_report` checks the four finite biequivalence conditions
 (essential surjectivity on objects up to internal equivalence, local
@@ -23,7 +24,9 @@ bijectivity on 2-cells) against enumerable views of either an ambient
 2-category or a localization.  The 1-cell condition asks a view only
 whether an invertible 2-cell G(f) ⇒ g exists (`invertible_between`); a
 localization reads that off its class store's sweep, so only the 2-cell
-conditions build classes, and only between images of source spans.
+conditions partition homs, and only between images of source spans.
+Cells are keys, names in a 2-category and class labels in a localization
+(`map_labels`); only a counterexample becomes a `FractionCell`.
 The 2-cell conditions visit only the pairs (f1, f2) whose source hom or
 image hom holds a 2-cell, read off each view's `targets`; a localization
 keeps those from the same sweep, so the walk costs the non-empty homs,
@@ -204,7 +207,33 @@ class InducedPseudofunctor:
                        f.f2[rep.alpha], f.f2[rep.beta])
 
     def map_cell(self, cell: FractionCell) -> FractionCell:
-        return cell_from_rep(self.target_loc, self.map_rep(cell.canonical))
+        hom, (label,) = self._image(cell.src_span, cell.dst_span, cell._keys[0][:1])
+        return hom.cells[label]
+
+    def map_labels(self, s1: Span, s2: Span, labels) -> list[int]:
+        """The labels in G(s1) ⇒ G(s2) of the images of the classes `labels` of s1 ⇒ s2."""
+        classes = self.source_loc._store.hom(self.source_loc.c, s1, s2).classes
+        return self._image(s1, s2, [classes[i][0] for i in labels])[1]
+
+    @cached_property
+    def _ids(self) -> tuple[list[int], ...]:  # f0, f1, f2 from source ids to target ids
+        f, ks, kt = self.functor, self.source_loc.c.numbering, self.target_loc.c.numbering
+        return ([kt.obj_id[f.f0[o]] for o in ks.objects], [kt.mor_id[f.f1[m]] for m in ks.mors],
+                [kt.cell_id[f.f2[a]] for a in ks.cells])
+
+    def _image(self, s1: Span, s2: Span, codes: list[int]):
+        """G(s1) ⇒ G(s2) and the labels there of codes mapped as `map_rep` and `encode` would."""
+        (f0, f1, f2), ks, tl = self._ids, self.source_loc.c.numbering, self.target_loc
+        m, kk, kd, tm, tk = ks.m, ks.kk, ks.k, tl.c.numbering.m, tl.c.numbering.k
+        try:
+            hom = tl._store.hom(tl.c, self.map_span(s1), self.map_span(s2))
+            return hom, [hom.labels[(((f0[r // kk // m // m] * tm + f1[r // kk // m % m]) * tm
+                                      + f1[r // kk % m]) * tk + f2[r // kd % kd]) * tk + f2[r % kd]]
+                         for r in codes]
+        except (StructureError, KeyError):  # `cell_from_rep` raises what is wrong
+            for r in codes:
+                cell_from_rep(tl, self.map_rep(CellRep(s1, s2, *ks.decode(r))))
+            raise InternalInconsistency(f"a class image out of {s1} is not found by its code")
 
     def compositor(self, s: Span, t: Span) -> FractionCell:
         """Invertible witness G(s;t) ⇒ G(s);G(t) for a composable pair."""
@@ -267,6 +296,9 @@ class AmbientView:
     def twos(self, f, g):
         return self.c.hom2(f, g)
 
+    def cell(self, f, g, key):
+        return key
+
     def targets(self, f: str):
         return self.c.cells_from(f).keys()
 
@@ -294,8 +326,11 @@ class LocalizationView:
     def ones(self, a: str, b: str):
         return self.loc.spans(a, b)
 
-    def twos(self, s, t):
-        return self.loc.hom_cells(s, t)
+    def twos(self, s, t):  # class labels: positions in `hom_cells`
+        return range(len(self.loc._store.hom(self.loc.c, s, t).classes))
+
+    def cell(self, s, t, label: int) -> FractionCell:
+        return self.loc.hom_cells(s, t)[label]
 
     def targets(self, s: Span):
         return self.loc._store.targets(self.loc.c, s)
@@ -327,14 +362,16 @@ class WeakEquivalenceReport:
 
 def weak_equivalence_report(
     src_view, dst_view,
-    map_object: Callable, map_one: Callable, map_two: Callable,
+    map_object: Callable, map_one: Callable, map_twos: Callable,
 ) -> WeakEquivalenceReport:
-    """The four finite biequivalence conditions of G = (map_object, map_one, map_two).
+    """The four finite biequivalence conditions of G = (map_object, map_one, map_twos).
 
-    A view offers `objects`, `ones(a, b)`, `twos(f, g)`, `targets(f)`
+    A view offers `objects`, `ones(a, b)`, `twos(f, g)` (hashable cell
+    keys), `cell(f, g, key)` (the 2-cell a key stands for), `targets(f)`
     (every g with a 2-cell f ⇒ g), `invertible_between(f, g)` and
-    `equivalent_objects(a, b)`.  Each verdict keeps its first
-    counterexample: objects in view order, then 1-cells in `ones` order.
+    `equivalent_objects(a, b)`; `map_twos(f1, f2, keys)` lists the keys of
+    the images.  Each verdict keeps its first counterexample, in view,
+    `ones`, `twos` and `combinations` order, and only it becomes a 2-cell.
 
     Each source 1-cell is mapped once per pair of objects.  The cell
     conditions visit a pair (f1, f2) only if f2 is a target of f1 or G(f2)
@@ -377,34 +414,34 @@ def weak_equivalence_report(
             for i in sorted(visit):
                 f2, m2 = src_ones[i], mapped[i]
                 cells = src_view.twos(f1, f2)
-                images = [map_two(al) for al in cells]
-                if rep.verdicts["cell_injective"]:
-                    for (a1, i1), (a2, i2) in itertools.combinations(
-                            zip(cells, images), 2):
-                        if i1 == i2:
-                            rep.verdicts["cell_injective"] = False
-                            rep.counterexamples["cell_injective"] = (f1, f2, a1, a2)
-                            break
+                images = map_twos(f1, f2, cells) if cells else []
+                image_set = set(images)
+                if rep.verdicts["cell_injective"] and len(image_set) < len(images):
+                    i1 = next(j for j, image in enumerate(images) if images.count(image) > 1)
+                    i2 = images.index(images[i1], i1 + 1)
+                    rep.verdicts["cell_injective"] = False
+                    rep.counterexamples["cell_injective"] = (
+                        f1, f2, src_view.cell(f1, f2, cells[i1]), src_view.cell(f1, f2, cells[i2]))
                 if rep.verdicts["cell_surjective"]:
-                    image_set = set(images)
-                    for t in dst_view.twos(m1, m2):
-                        if t not in image_set:
-                            rep.verdicts["cell_surjective"] = False
-                            rep.counterexamples["cell_surjective"] = (f1, f2, t)
-                            break
+                    missed = next((t for t in dst_view.twos(m1, m2) if t not in image_set), None)
+                    if missed is not None:
+                        rep.verdicts["cell_surjective"] = False
+                        rep.counterexamples["cell_surjective"] = (
+                            f1, f2, dst_view.cell(m1, m2, missed))
     return rep
 
 
 def x_conditions_for_functor(fun: StrictTwoFunctor) -> WeakEquivalenceReport:
     return weak_equivalence_report(
         AmbientView(fun.source), AmbientView(fun.target),
-        lambda o: fun.f0[o], lambda f: fun.f1[f], lambda a: fun.f2[a])
+        lambda o: fun.f0[o], lambda f: fun.f1[f],
+        lambda _f1, _f2, cells: [fun.f2[a] for a in cells])
 
 
 def x_conditions_for_induced(ind: InducedPseudofunctor) -> WeakEquivalenceReport:
     return weak_equivalence_report(
         LocalizationView(ind.source_loc), LocalizationView(ind.target_loc),
-        ind.map_object, ind.map_span, ind.map_cell)
+        ind.map_object, ind.map_span, ind.map_labels)
 
 
 # ---------------------------------------------------------------------------

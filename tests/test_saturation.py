@@ -368,6 +368,115 @@ def test_bf4c_fails_alone_on_the_first_lift_path(monkeypatch):
     assert (rep.passed, rep.counterexamples) == (want.passed, want.counterexamples)
 
 
+def category(ids, arrows, products):
+    """A finite category: the identity of each object, every arrow's (src, dst), and
+    the composites g∘f of non-identities as products[(g, f)]."""
+    comp = {(g, f): f if g in ids.values() else g if f in ids.values() else products[(g, f)]
+            for g, (gs, _) in arrows.items() for f, (_, fd) in arrows.items() if fd == gs}
+    return ids, arrows, comp
+
+
+def functor_twocat(cats, gens) -> TwoCat:
+    """Finite categories, the functors that `gens` generate, and every natural transformation.
+
+    A functor is (source, target, object map, arrow map).  A composite is
+    named "g.f" after the first pair found to give it, and a 2-cell f ⇒ g
+    "f>g:" followed by its components.
+    """
+    mors = dict(gens)
+    for n, (ids, arrows, _) in cats.items():
+        mors[f"id{n}"] = (n, n, {x: x for x in ids}, {a: a for a in arrows})
+    key = lambda f: (f[0], f[1], tuple(sorted(f[2].items())), tuple(sorted(f[3].items())))
+    compose = lambda g, f: (f[0], g[1], {x: g[2][y] for x, y in f[2].items()},
+                            {a: g[3][b] for a, b in f[3].items()})
+    named = {key(f): n for n, f in mors.items()}
+    grown = True
+    while grown:
+        grown = False
+        for g, f in itertools.product(list(mors), repeat=2):
+            gf = compose(mors[g], mors[f]) if mors[f][1] == mors[g][0] else None
+            if gf is not None and key(gf) not in named:
+                mors[f"{g}.{f}"], named[key(gf)], grown = gf, f"{g}.{f}", True
+    comp1 = {(g, f): named[key(compose(mors[g], mors[f]))]
+             for g, f in itertools.product(mors, repeat=2) if mors[f][1] == mors[g][0]}
+    cells = {}
+    for f, g in itertools.product(mors, repeat=2):
+        (src, dst, f0, f1), (g_src, g_dst, g0, g1) = mors[f], mors[g]
+        if (g_src, g_dst) != (src, dst):
+            continue
+        (objects, arrows, _), (_, hom, comp) = cats[src], cats[dst]
+        for eta in itertools.product(*[[b for b, ends in hom.items() if ends == (f0[x], g0[x])]
+                                       for x in objects]):
+            eta = dict(zip(objects, eta))
+            if all(comp[(g1[a], eta[x])] == comp[(eta[y], f1[a])] for a, (x, y) in arrows.items()):
+                cells[f"{f}>{g}:" + ",".join(eta.values())] = (f, g, eta)
+    name = {(f, g, tuple(eta.values())): n for n, (f, g, eta) in cells.items()}
+    vcomp, hcomp = {}, {}
+    for (b, (bf, bg, beta)), (a, (af, ag, alpha)) in itertools.product(cells.items(), repeat=2):
+        comp = cats[mors[bf][1]][2]
+        if ag == bf:
+            vcomp[(b, a)] = name[(af, bg, tuple(comp[(beta[x], alpha[x])] for x in alpha))]
+        if mors[af][1] == mors[bf][0]:  # (β∗α)_x = β_{F′x} ∘ G(α_x) for α: F ⇒ F′, β out of G
+            hcomp[(b, a)] = name[(comp1[(bf, af)], comp1[(bg, ag)], tuple(
+                comp[(beta[mors[ag][2][x]], mors[bf][3][alpha[x]])] for x in alpha))]
+    id2 = {f: name[(f, f, tuple(cats[dst][0][f0[x]] for x in cats[src][0]))]
+           for f, (src, dst, f0, _f1) in mors.items()}
+    return TwoCat(tuple(cats), {f: m[0] for f, m in mors.items()},
+                  {f: m[1] for f, m in mors.items()}, comp1, {n: f"id{n}" for n in cats},
+                  {n: cell[0] for n, cell in cells.items()},
+                  {n: cell[1] for n, cell in cells.items()}, vcomp, hcomp, id2)
+
+
+def merge_reads_f2() -> TwoCat:
+    """Functors among T (terminal), A (Z/2 on a, t), B and Q; see the test below."""
+    one = lambda o: {o: f"1{o}"}
+    cats = {
+        "T": category(one("*"), {"1*": ("*", "*")}, {}),
+        "A": category(one("a"), {"1a": ("a", "a"), "t": ("a", "a")}, {("t", "t"): "1a"}),
+        "B": category(one("b1") | one("b2"), {
+            "1b1": ("b1", "b1"), "1b2": ("b2", "b2"), "x0": ("b1", "b2"), "x1": ("b1", "b2"),
+            "tau": ("b2", "b2")},
+            {("tau", "tau"): "1b2", ("tau", "x0"): "x1", ("tau", "x1"): "x0"}),
+        "Q": category(one("q1") | one("q2"), {
+            "1q1": ("q1", "q1"), "1q2": ("q2", "q2"), "y": ("q1", "q2"), "rho": ("q2", "q2")},
+            {("rho", "rho"): "1q2", ("rho", "y"): "y"}),
+    }
+    return functor_twocat(cats, {
+        "v": ("T", "A", {"*": "a"}, {"1*": "1a"}),
+        "fa": ("A", "B", {"a": "b2"}, {"1a": "1b2", "t": "tau"}),
+        "fb": ("A", "B", {"a": "b2"}, {"1a": "1b2", "t": "1b2"}),
+        "fc": ("A", "B", {"a": "b1"}, {"1a": "1b1", "t": "1b1"}),
+        "wm": ("B", "Q", {"b1": "q1", "b2": "q2"},
+               {"1b1": "1q1", "1b2": "1q2", "x0": "y", "x1": "y", "tau": "rho"}),
+    })
+
+
+def test_bf4c_merge_reads_f2():
+    """Two lifts of one α merge for f2 but not for f2′, where f2∘v = f2′∘v.
+
+    f2 = fa and f2′ = fb send A's object to b2, but fa sends t to τ and
+    fb kills it, so fa∘v = fb∘v.  Both x0 and x1 lift α = y: wm∘fc ⇒ wm∘f2
+    through wm along v; for fa they merge along ν = t: v ⇒ v, as
+    τ∘x0 = x1, and for fb they do not.  So `_check_bf4`'s memo key must
+    hold f2: without it, fb's pair reuses fa's answer and BF4c passes.
+    No class that passes BF2 and BF4a shows this with both lifts along one
+    leg v: a lift (z, γ) of ν through v turns the zig into (s∘z, p∘z,
+    i_v∗γ), whose equation reads f2∘v only.  Here t does not lift through
+    v, so BF4a fails, and so do BF1 and BF3.
+    """
+    c, w = merge_reads_f2(), frozenset({"idB", "idQ", "v", "wm"})
+    assert validate(c).ok and c.comp1[("fb", "v")] == "fa.v"
+    lifts = (("v", "fc.v>fa.v:x0"), ("v", "fc.v>fa.v:x1"))
+    zigs = saturation._zigs(c, w, "v", "v")
+    assert [saturation._coequalized(c, "fc", f2, *lifts, zigs) for f2 in ("fa", "fb")] == \
+        [True, False]
+    rep = check_bf(c, w)
+    assert [a for a in AXIOMS if not rep.passed[a]] == ["BF1", "BF3", "BF4a", "BF4c"]
+    assert rep.counterexamples["BF4c"] == ("wm", "wm.fc>wm.fb:y", *lifts)
+    want = search_check_bf(c, w)
+    assert (rep.passed, rep.counterexamples) == (want.passed, want.counterexamples)
+
+
 def test_witnesses_do_not_depend_on_the_order_objects_are_listed():
     # the searches run over sorted objects, so a document that lists them
     # the other way round gets the same counterexamples and fillers

@@ -31,6 +31,7 @@ from twoloc import (
     x_conditions_for_functor,
     x_conditions_for_induced,
 )
+from twoloc.core import TwoCat
 from twoloc.fixtures import parity_twocat
 from twoloc.fractions import Localization, Span, _Hom
 from twoloc.saturation import cospan_fillers
@@ -374,6 +375,32 @@ def parallel_pair_onto_an_arrow() -> StrictTwoFunctor:
                             {src.id2[m]: dst.id2[f1[m]] for m in src.mors})
 
 
+def klein_onto_parity() -> StrictTwoFunctor:
+    """The Klein group as the 2-cells k0..k3 of one identity 1-cell, onto the parity point.
+
+    ki and kj compose, either way, to k(i xor j), and F sends ki to the
+    parity of i's bits: k0, k3 to i_e and k1, k2 to s_e.  At W = {id}
+    each (α, β) is its own class, so the first four classes of the one hom
+    map to A, B, B, A: the first repeated pair in `combinations` order is
+    (0, 3), while a scan for the first repeat would stop at (1, 2).
+    """
+    cells = [f"k{i}" for i in range(4)]
+    table = {(b, a): f"k{int(b[1]) ^ int(a[1])}" for b in cells for a in cells}
+    src = TwoCat(("x",), {"id": "x"}, {"id": "x"}, {("id", "id"): "id"}, {"x": "id"},
+                 dict.fromkeys(cells, "id"), dict.fromkeys(cells, "id"), table, dict(table),
+                 {"id": "k0"})
+    dst = parity_twocat(["p"], {"e": ("p", "p")}, {"p": "e"}, {("e", "e"): "e"})
+    return StrictTwoFunctor(src, dst, {"x": "p"}, {"id": "e"},
+                            {"k0": "i_e", "k1": "s_e", "k2": "s_e", "k3": "i_e"})
+
+
+class FractionCellView(LocalizationView):
+    """A localization's view with FractionCells as cell keys, as the oracle walks it."""
+
+    def twos(self, s, t):
+        return self.loc.hom_cells(s, t)
+
+
 def ambient_case(fun: StrictTwoFunctor):
     return (x_conditions_for_functor, fun,
             (AmbientView(fun.source), AmbientView(fun.target),
@@ -382,7 +409,7 @@ def ambient_case(fun: StrictTwoFunctor):
 
 def induced_case(ind: InducedPseudofunctor):
     return (x_conditions_for_induced, ind,
-            (LocalizationView(ind.source_loc), LocalizationView(ind.target_loc),
+            (FractionCellView(ind.source_loc), FractionCellView(ind.target_loc),
              ind.map_object, ind.map_span, ind.map_cell))
 
 
@@ -401,6 +428,7 @@ def test_x_conditions_match_the_all_pairs_walk(corpus_entries):
     assert {f"Z/8-{name}-<g{step}>" for name in "sa" for step in (4, 2)} <= names
     functors = [(point_into_z8(name), {"e"}, ({"g0"}, {"g0", "g4"})) for name in "sa"]
     functors.append((parallel_pair_onto_an_arrow(), {"id0", "id1"}, ({"id0", "id1"},)))
+    functors.append((klein_onto_parity(), {"id"}, ({"e"},)))
     for fun, w_src, targets in functors:
         cases.append(ambient_case(fun))
         for w in targets:
@@ -418,8 +446,15 @@ def test_x_conditions_match_the_all_pairs_walk(corpus_entries):
     assert set(failures) == {"obj_surjective_up_to_equiv", "mor_surjective_up_to_iso",
                              "cell_injective", "cell_surjective"}, failures
     # the parallel pair's two reports fail cell_surjective at an empty source hom
-    assert [got.counterexamples["cell_surjective"][:2] for got in reports[-2:]] == \
+    assert [got.counterexamples["cell_surjective"][:2] for got in reports[-4:-2]] == \
         [("f", "g"), (Span("0", "id0", "f"), Span("0", "id0", "g"))]
+    # Klein onto parity: sixteen classes share four images, and the pair kept
+    # is the first in combinations order, (k0, k3) and not (k1, k2)
+    ambient, induced = reports[-2:]
+    assert ambient.counterexamples["cell_injective"] == ("id", "id", "k0", "k3")
+    f1, f2, a1, a2 = induced.counterexamples["cell_injective"]
+    assert f1 == f2 == Span("x", "id", "id")
+    assert (a1.canonical[5:], a2.canonical[5:]) == (("k0", "k0"), ("k0", "k3"))
 
 
 def test_x_conditions_ask_only_the_non_empty_source_homs(monkeypatch):
