@@ -2,8 +2,9 @@
 
 `golden_cli.json` holds, for each fixture, the reports of `validate`,
 `check-bf`, `saturate`, `localize`, `equiv` on one fixed span and
-`induce <F> <F> id --xchecks`, with `timing_s` dropped.  Documents are
-named relative to the working directory, so reports carry no paths.
+`induce <F> <F> id --xchecks`, then three reports whose verdicts fail
+(`FAILING`), with `timing_s` dropped.  Documents are named relative to
+the working directory, so reports carry no paths.
 
 Regenerate (only when a report is meant to change) with
 
@@ -16,7 +17,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from twoloc import dump_twocat, dump_twofunctor, fixture, identity_functor
+from twoloc import collapse_functor, dump_twocat, dump_twofunctor, fixture, identity_functor
 from twoloc.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
@@ -30,6 +31,29 @@ def queries(name: str) -> list[list[str]]:
             ["equiv", doc, EQUIV_SPANS[name]], ["induce", doc, doc, fun, "--xchecks"]]
 
 
+# A lawless vcomp table, a class failing BF1, BF3 and BF4a, and a functor
+# that is no weak equivalence; `write_failing_documents` writes their inputs.
+FAILING = [["validate", "F7-vcomp.json"], ["check-bf", "F3-w.json"],
+           ["induce", "F7.json", "F1.json", "F7-F1.json", "--xchecks"]]
+
+
+def write_failing_documents() -> None:
+    c, w = fixture("F7")
+    c.vcomp_table = {**c.vcomp_table, ("i_f", "tau_f"): "i_f"}  # the law gives tau_f
+    Path("F7-vcomp.json").write_text(dump_twocat(c, w), encoding="utf-8")
+    Path("F3-w.json").write_text(dump_twocat(fixture("F3")[0], frozenset({"w"})),
+                                 encoding="utf-8")
+    Path("F7-F1.json").write_text(
+        dump_twofunctor(collapse_functor(fixture("F7")[0], fixture("F1")[0])), encoding="utf-8")
+
+
+def run(argv: list[str]) -> dict:
+    code = main(argv + ["--output", "report.json"])
+    report = json.loads(Path("report.json").read_text(encoding="utf-8"))
+    del report["timing_s"]
+    return {"argv": argv, "exit": code, "report": report}
+
+
 def reports() -> list[dict]:
     """Run every query in the working directory; one entry per query."""
     out = []
@@ -38,12 +62,9 @@ def reports() -> list[dict]:
         Path(f"{name}.json").write_text(dump_twocat(c, w), encoding="utf-8")
         Path(f"{name}-id.json").write_text(dump_twofunctor(identity_functor(c)),
                                            encoding="utf-8")
-        for argv in queries(name):
-            code = main(argv + ["--output", "report.json"])
-            report = json.loads(Path("report.json").read_text(encoding="utf-8"))
-            del report["timing_s"]
-            out.append({"argv": argv, "exit": code, "report": report})
-    return out
+        out += [run(argv) for argv in queries(name)]
+    write_failing_documents()
+    return out + [run(argv) for argv in FAILING]
 
 
 def test_cli_reports_match_the_golden_file(tmp_path, monkeypatch):
