@@ -22,14 +22,14 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "core": (
-        "EquivalenceWitness", "InternalInconsistency", "StructureError",
-        "TwoCat", "ValidationReport", "adjointify",
+        "EquivalenceWitness", "InternalInconsistency", "Report", "StructureError",
+        "TwoCat", "adjointify",
         "equivalence_from_cancellation", "equivalence_of_composite",
         "find_quasi_inverse", "internal_equivalences", "quasi_inverse_witness",
         "transport_witness", "validate", "witness_problems",
     ),
     "saturation": (
-        "AXIOMS", "BFReport", "check_bf", "fill_cospan", "is_right_saturated",
+        "AXIOMS", "check_bf", "fill_cospan", "is_right_saturated",
         "lift_cell", "quasi_units", "saturate",
     ),
     "fractions": (
@@ -44,10 +44,9 @@ _EXPORTS = {
     ),
     "transport": (
         "InducedPseudofunctor", "SaturationCompat", "StrictTwoFunctor",
-        "WeakEquivalenceReport", "collapse_functor", "compare_choice_tables",
-        "comparison_to_saturation", "identity_functor", "induce",
-        "preserves_into", "saturation_compatibility", "validate_functor",
-        "weak_equivalence_report", "x_conditions_for_functor",
+        "collapse_functor", "compare_choice_tables", "comparison_to_saturation",
+        "identity_functor", "induce", "preserves_into", "saturation_compatibility",
+        "validate_functor", "weak_equivalence_report", "x_conditions_for_functor",
         "x_conditions_for_induced",
     ),
     "groupoids": (

@@ -108,6 +108,11 @@ class _Command:
         if not value and counterexample is not None:
             self.report["counterexamples"][name] = counterexample
 
+    def verdicts_of(self, rep, prefix: str = "") -> None:
+        """Copy a `core.Report`'s verdicts, each under `prefix` + its name."""
+        for name, value in rep.verdicts.items():
+            self.verdict(prefix + name, value, rep.counterexamples.get(name))
+
     def finish(self) -> int:
         ok = all(self.report["verdicts"].values())
         self.report["ok"] = ok and self.forced_exit in (None, OK)
@@ -171,7 +176,7 @@ def cmd_validate(cmd: _Command, args) -> int:
     if rep.structural:
         cmd.report["data"]["structural"] = rep.structural
         return cmd.bad_input("document is not a 2-category (structural problems)")
-    cmd.verdict("valid", rep.ok, rep.failures or None)
+    cmd.verdict("valid", rep.ok, [(law, repr(w)) for law, w in rep.counterexamples.items()] or None)
     cmd.report["data"]["checks"] = rep.lines()
     return cmd.finish()
 
@@ -180,9 +185,7 @@ def cmd_check_bf(cmd: _Command, args) -> int:
     from .saturation import check_bf
 
     c, w = _load_checked(cmd, args.path)
-    bf = check_bf(c, w)
-    for axiom, passed in bf.passed.items():
-        cmd.verdict(axiom, passed, bf.counterexamples.get(axiom))
+    cmd.verdicts_of(check_bf(c, w))
     cmd.report["data"]["W"] = sorted(w)
     return cmd.finish()
 
@@ -203,8 +206,7 @@ def _require_bf(cmd: _Command, c, w) -> bool:
 
     bf = check_bf(c, w)
     if not bf.ok:
-        for axiom, passed in bf.passed.items():
-            cmd.verdict(axiom, passed, bf.counterexamples.get(axiom))
+        cmd.verdicts_of(bf)
     return bf.ok
 
 
@@ -316,9 +318,7 @@ def cmd_induce(cmd: _Command, args) -> int:
         for s in ind.source_loc.spans(a, b)
     ]
     if args.xchecks:
-        xrep = x_conditions_for_induced(ind)
-        for name, value in xrep.verdicts.items():
-            cmd.verdict(f"x_{name}", value, xrep.counterexamples.get(name))
+        cmd.verdicts_of(x_conditions_for_induced(ind), "x_")
     return cmd.finish()
 
 

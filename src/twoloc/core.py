@@ -15,6 +15,7 @@ table equality.  `validate` decides it by whiskering: a strict 2-category is
 a sesquicategory whose whiskerings interchange (Street, *Categorical
 structures*, 1996), and the whiskering laws need checking only for a
 generating set of 1-cells, so no check walks composable hcomp triples.
+Every check of the package returns a `Report` of named verdicts.
 A `TwoCat` builds its indexes on first use, and its `numbering`, shared
 by every class store of `fractions`, on a store's first sweep.
 """
@@ -245,24 +246,31 @@ class Numbering:
 # validation
 
 
-class ValidationReport:
-    def __init__(self):
+class Report:
+    """Named verdicts of one check, each failure with its first witness.
+
+    `structural` lists the problems that stopped the check.  The names
+    given are declared passing; any other enters when it first fails.
+    """
+
+    def __init__(self, names=()):
         self.structural: list[str] = []
-        self.failures: list[tuple[str, str]] = []
+        self.verdicts: dict[str, bool] = dict.fromkeys(names, True)
+        self.counterexamples: dict[str, object] = {}
 
     @property
     def ok(self) -> bool:
-        return not self.structural and not self.failures
+        return not self.structural and all(self.verdicts.values())
 
-    def fail(self, law: str, witness) -> None:
-        """Record that `law` fails; only its first witness is kept."""
-        if all(name != law for name, _ in self.failures):
-            self.failures.append((law, repr(witness)))
+    def fail(self, name: str, witness) -> None:
+        """Record that `name` fails; only its first witness is kept."""
+        if self.verdicts.get(name, True):
+            self.verdicts[name] = False
+            self.counterexamples[name] = witness
 
     def lines(self) -> list[str]:
-        out = [f"structural: {msg}" for msg in self.structural]
-        out += [f"{law}: {detail}" for law, detail in self.failures]
-        return out
+        return [f"structural: {msg}" for msg in self.structural] + [
+            f"{name}: {witness!r}" for name, witness in self.counterexamples.items()]
 
 
 def _index(items, key) -> dict:
@@ -292,7 +300,7 @@ def _check_domain(table: dict, start: dict, end: dict, name: str, gripe) -> set:
     return stray
 
 
-def _check_structure(c: TwoCat, report: ValidationReport) -> bool:
+def _check_structure(c: TwoCat, report: Report) -> bool:
     """Referential integrity and table totality; False aborts law checking."""
     bad = False
 
@@ -528,7 +536,7 @@ def _is_two_category(c: TwoCat) -> bool:
     return True
 
 
-def validate(c: TwoCat) -> ValidationReport:
+def validate(c: TwoCat) -> Report:
     """Decide the strict 2-category laws; name a first witness for each failure.
 
     Structural problems (dangling identifiers, partial tables) are reported
@@ -544,7 +552,7 @@ def validate(c: TwoCat) -> ValidationReport:
     first counterexample is the one an all-tuples scan in that order would
     find.
     """
-    report = ValidationReport()
+    report = Report()
     if not _check_structure(c, report) or _is_two_category(c):
         return report
 

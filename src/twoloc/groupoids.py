@@ -39,7 +39,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .core import StructureError, TwoCat, ValidationReport
+from .core import Report, StructureError, TwoCat
 
 
 class FiniteGroupoid:
@@ -80,8 +80,8 @@ class FiniteGroupoid:
             raise StructureError(f"arrows not composable: ({g!r}, {f!r})") from None
 
 
-def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
-    rep = ValidationReport()
+def validate_groupoid(g: FiniteGroupoid) -> Report:
+    rep = Report()
     objs = set(g.objects)
     if len(objs) != len(g.objects) or not objs:
         rep.structural.append("objects not a nonempty set of distinct names")

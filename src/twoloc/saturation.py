@@ -5,13 +5,14 @@ with its ambient `TwoCat`; helpers normalise and sanity-check membership at
 the boundary.  All searches run in a fixed lexicographic order, over sorted
 objects and 1-cells, so that any reported filler or counterexample is
 deterministic and does not depend on the order a document lists them in.
+`check_bf` returns a `core.Report` with one verdict per axiom.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .core import StructureError, TwoCat
+from .core import Report, StructureError, TwoCat
 
 AXIOMS = ("BF1", "BF2", "BF3", "BF4a", "BF4b", "BF4c", "BF5")
 
@@ -22,24 +23,6 @@ def _as_class(c: TwoCat, w) -> frozenset[str]:
     if unknown:
         raise StructureError(f"not 1-cells of this 2-category: {sorted(unknown)}")
     return members
-
-
-class BFReport:
-    """Per-axiom verdicts with one counterexample for each failure."""
-
-    def __init__(self, passed: dict[str, bool]):
-        self.passed = passed
-        self.counterexamples: dict[str, tuple] = {}
-
-    @property
-    def ok(self) -> bool:
-        return all(self.passed.get(a, False) for a in AXIOMS)
-
-    def fail(self, axiom: str, counterexample: tuple) -> None:
-        """Mark axiom failed; its first counterexample is the one kept."""
-        if self.passed.get(axiom, True):
-            self.passed[axiom] = False
-            self.counterexamples[axiom] = counterexample
 
 
 def cospan_fillers(c: TwoCat, w: frozenset[str], f: str, v: str):
@@ -145,7 +128,7 @@ def _lift_pairs(first, rest, first_only: bool):
     return itertools.combinations([first, *rest], 2)
 
 
-def _check_bf4(c: TwoCat, w: frozenset[str], rep: BFReport, first_only: bool) -> None:
+def _check_bf4(c: TwoCat, w: frozenset[str], rep: Report, first_only: bool) -> None:
     """Decide BF4a-c over every alpha: wm∘f1 ⇒ wm∘f2 with wm ∈ W."""
     zigs: dict[tuple[str, str], tuple] = {}  # (v, v') -> _zigs(c, w, v, v')
     merged: dict[tuple, bool] = {}  # (f1, f2, l, l') -> _coequalized's answer
@@ -163,7 +146,7 @@ def _check_bf4(c: TwoCat, w: frozenset[str], rep: BFReport, first_only: bool) ->
                     lifted_invertibly = c.is_invertible2(first[1])
                     for l1, l2 in _lift_pairs(first, lifts, first_only):
                         lifted_invertibly = lifted_invertibly or c.is_invertible2(l2[1])
-                        if not rep.passed["BF4c"]:
+                        if not rep.verdicts["BF4c"]:
                             continue
                         key = (f1, f2, l1, l2)
                         if key not in merged:
@@ -177,7 +160,7 @@ def _check_bf4(c: TwoCat, w: frozenset[str], rep: BFReport, first_only: bool) ->
                         rep.fail("BF4b", (wm, f1, f2, alpha))
 
 
-def check_bf(c: TwoCat, w) -> BFReport:
+def check_bf(c: TwoCat, w) -> Report:
     """Exhaustively verify BF1-BF5 for the class w inside c, a table that passes `validate`.
 
     BF4c asks that a zig of `_zigs(v, v')` merges (`_coequalized`) any two
@@ -199,7 +182,7 @@ def check_bf(c: TwoCat, w) -> BFReport:
     merge equation read f1, f2, l and l' only, never wm or α.
     """
     w = _as_class(c, w)
-    rep = BFReport(dict.fromkeys(AXIOMS, True))
+    rep = Report(AXIOMS)
 
     bad = sorted(i for i in c.id1.values() if i not in w)
     if bad:
@@ -220,11 +203,11 @@ def check_bf(c: TwoCat, w) -> BFReport:
                 if v not in w and c.mor_src[v] == c.mor_src[wm]
                 and c.mor_dst[v] == c.mor_dst[wm] and c.invertible_cells(v, wm)), None)
 
-    first_only = rep.passed["BF2"] and rep.passed["BF3"] and bf5 is None
+    first_only = rep.verdicts["BF2"] and rep.verdicts["BF3"] and bf5 is None
     _check_bf4(c, w, rep, first_only)
-    if first_only and not (rep.passed["BF4a"] and rep.passed["BF4b"]):
+    if first_only and not (rep.verdicts["BF4a"] and rep.verdicts["BF4b"]):
         for axiom in ("BF4a", "BF4b", "BF4c"):
-            rep.passed[axiom] = True
+            rep.verdicts[axiom] = True
             rep.counterexamples.pop(axiom, None)
         _check_bf4(c, w, rep, first_only=False)
     if bf5 is not None:

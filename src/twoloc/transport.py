@@ -21,16 +21,17 @@ its class and fillers; F is validated once, by `StrictTwoFunctor.validation`.
 (essential surjectivity on objects up to internal equivalence, local
 essential surjectivity on 1-cells up to invertible 2-cell, and local
 bijectivity on 2-cells) against enumerable views of either an ambient
-2-category or a localization.  The 1-cell condition asks a view only
-whether an invertible 2-cell G(f) ⇒ g exists (`invertible_between`); a
-localization reads that off its class store's sweep, so only the 2-cell
-conditions partition homs, and only between images of source spans.
-Cells are keys, names in a 2-category and class labels in a localization
-(`map_labels`); only a counterexample becomes a `FractionCell`.
-The 2-cell conditions visit only the pairs (f1, f2) whose source hom or
-image hom holds a 2-cell, read off each view's `targets`; a localization
-keeps those from the same sweep, so the walk costs the non-empty homs,
-not every pair of 1-cells.
+2-category or a localization, into a `core.Report`.  The 1-cell condition
+asks a view only whether an invertible 2-cell G(f) ⇒ g exists
+(`invertible_between`); a localization reads that off its class store's
+sweep, so only the 2-cell conditions partition homs, and only between
+images of source spans.  Cells are keys, names in a 2-category and a
+class's least member code in a localization (`map_hom`); only a
+counterexample becomes a `FractionCell`.  The 2-cell conditions visit
+only the pairs (f1, f2) whose source hom or image hom holds a 2-cell,
+read off each view's `targets`; a localization keeps those from the same
+sweep, so the walk costs the non-empty homs, not every pair of 1-cells,
+and reads each of those homs and its image once.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from typing import Callable, NamedTuple
 
 from .core import (
     InternalInconsistency,
+    Report,
     StructureError,
     TwoCat,
-    ValidationReport,
     internal_equivalences,
 )
 from .fractions import (
@@ -73,7 +74,7 @@ class StrictTwoFunctor:
         return frozenset(self.f1[m] for m in _as_class(self.source, w))
 
     @cached_property
-    def validation(self) -> ValidationReport:
+    def validation(self) -> Report:
         """`validate_functor` of these tables, decided once."""
         return validate_functor(self)
 
@@ -96,12 +97,12 @@ def collapse_functor(c: TwoCat, point: TwoCat) -> StrictTwoFunctor:
     )
 
 
-def validate_functor(fun: StrictTwoFunctor) -> ValidationReport:
+def validate_functor(fun: StrictTwoFunctor) -> Report:
     """Exhaustive strict-preservation check; gaps are structural failures.
 
     Each failing law keeps its first witness.
     """
-    rep = ValidationReport()
+    rep = Report()
     s, t = fun.source, fun.target
     if set(fun.f0) != set(s.objects):
         rep.structural.append("object table does not match the source objects")
@@ -210,10 +211,11 @@ class InducedPseudofunctor:
         hom, (label,) = self._image(cell.src_span, cell.dst_span, cell._keys[0][:1])
         return hom.cells[label]
 
-    def map_labels(self, s1: Span, s2: Span, labels) -> list[int]:
-        """The labels in G(s1) ⇒ G(s2) of the images of the classes `labels` of s1 ⇒ s2."""
-        classes = self.source_loc._store.hom(self.source_loc.c, s1, s2).classes
-        return self._image(s1, s2, [classes[i][0] for i in labels])[1]
+    def map_hom(self, s1: Span, s2: Span, codes) -> tuple[list[int], list[int]]:
+        """The keys in G(s1) ⇒ G(s2) of the images of the classes keyed `codes`; all its keys."""
+        hom, labels = self._image(s1, s2, codes)
+        keys = [members[0] for members in hom.classes]  # least member codes, as in `twos`
+        return [keys[label] for label in labels], keys
 
     @cached_property
     def _ids(self) -> tuple[list[int], ...]:  # f0, f1, f2 from source ids to target ids
@@ -326,11 +328,12 @@ class LocalizationView:
     def ones(self, a: str, b: str):
         return self.loc.spans(a, b)
 
-    def twos(self, s, t):  # class labels: positions in `hom_cells`
-        return range(len(self.loc._store.hom(self.loc.c, s, t).classes))
+    def twos(self, s, t):  # the least member code of each class, in `hom_cells` order
+        return [members[0] for members in self.loc._store.hom(self.loc.c, s, t).classes]
 
-    def cell(self, s, t, label: int) -> FractionCell:
-        return self.loc.hom_cells(s, t)[label]
+    def cell(self, s, t, code: int) -> FractionCell:
+        hom = self.loc._store.hom(self.loc.c, s, t)
+        return hom.cells[hom.labels[code]]
 
     def targets(self, s: Span):
         return self.loc._store.targets(self.loc.c, s)
@@ -344,34 +347,19 @@ class LocalizationView:
         return any(s.f in self.loc.saturation for s in self.loc.spans(a, b))
 
 
-class WeakEquivalenceReport:
-    """Verdicts for the four finite biequivalence conditions."""
-
-    def __init__(self):
-        self.verdicts: dict[str, bool] = {}
-        self.counterexamples: dict[str, tuple] = {}
-
-    @property
-    def ok(self) -> bool:
-        return all(self.verdicts.values())
-
-    def lines(self) -> list[str]:
-        return [f"{k}: {'pass' if v else 'FAIL ' + repr(self.counterexamples.get(k))}"
-                for k, v in self.verdicts.items()]
-
-
 def weak_equivalence_report(
     src_view, dst_view,
     map_object: Callable, map_one: Callable, map_twos: Callable,
-) -> WeakEquivalenceReport:
+) -> Report:
     """The four finite biequivalence conditions of G = (map_object, map_one, map_twos).
 
     A view offers `objects`, `ones(a, b)`, `twos(f, g)` (hashable cell
     keys), `cell(f, g, key)` (the 2-cell a key stands for), `targets(f)`
     (every g with a 2-cell f ⇒ g), `invertible_between(f, g)` and
     `equivalent_objects(a, b)`; `map_twos(f1, f2, keys)` lists the keys of
-    the images.  Each verdict keeps its first counterexample, in view,
-    `ones`, `twos` and `combinations` order, and only it becomes a 2-cell.
+    the images and every key of the image hom, so that each hom is read
+    once.  Each verdict keeps its first counterexample, in view, `ones`,
+    `twos` and `combinations` order, and only it becomes a 2-cell.
 
     Each source 1-cell is mapped once per pair of objects.  The cell
     conditions visit a pair (f1, f2) only if f2 is a target of f1 or G(f2)
@@ -381,27 +369,21 @@ def weak_equivalence_report(
     is the one the all-pairs walk would find.  The targets of G(f1) are
     read only while `cell_surjective` holds, since only it needs them.
     """
-    rep = WeakEquivalenceReport()
-
-    rep.verdicts["obj_surjective_up_to_equiv"] = True
+    rep = Report(("obj_surjective_up_to_equiv", "mor_surjective_up_to_iso",
+                  "cell_injective", "cell_surjective"))
     for y in dst_view.objects:
         if not any(dst_view.equivalent_objects(map_object(x), y)
                    for x in src_view.objects):
-            rep.verdicts["obj_surjective_up_to_equiv"] = False
-            rep.counterexamples["obj_surjective_up_to_equiv"] = (y,)
+            rep.fail("obj_surjective_up_to_equiv", (y,))
             break
 
-    rep.verdicts["mor_surjective_up_to_iso"] = True
-    rep.verdicts["cell_injective"] = True
-    rep.verdicts["cell_surjective"] = True
     for a, b in itertools.product(src_view.objects, src_view.objects):
         src_ones = src_view.ones(a, b)
         mapped = [map_one(f) for f in src_ones]
         for g in dst_view.ones(map_object(a), map_object(b)):
             if rep.verdicts["mor_surjective_up_to_iso"] and not any(
                     dst_view.invertible_between(m, g) for m in mapped):
-                rep.verdicts["mor_surjective_up_to_iso"] = False
-                rep.counterexamples["mor_surjective_up_to_iso"] = (a, b, g)
+                rep.fail("mor_surjective_up_to_iso", (a, b, g))
         position = {f: i for i, f in enumerate(src_ones)}
         preimages: dict = {}
         for i, m in enumerate(mapped):
@@ -414,34 +396,32 @@ def weak_equivalence_report(
             for i in sorted(visit):
                 f2, m2 = src_ones[i], mapped[i]
                 cells = src_view.twos(f1, f2)
-                images = map_twos(f1, f2, cells) if cells else []
+                images, image_hom = map_twos(f1, f2, cells)
                 image_set = set(images)
                 if rep.verdicts["cell_injective"] and len(image_set) < len(images):
                     i1 = next(j for j, image in enumerate(images) if images.count(image) > 1)
                     i2 = images.index(images[i1], i1 + 1)
-                    rep.verdicts["cell_injective"] = False
-                    rep.counterexamples["cell_injective"] = (
-                        f1, f2, src_view.cell(f1, f2, cells[i1]), src_view.cell(f1, f2, cells[i2]))
+                    rep.fail("cell_injective", (f1, f2, src_view.cell(f1, f2, cells[i1]),
+                                                src_view.cell(f1, f2, cells[i2])))
                 if rep.verdicts["cell_surjective"]:
-                    missed = next((t for t in dst_view.twos(m1, m2) if t not in image_set), None)
+                    missed = next((t for t in image_hom if t not in image_set), None)
                     if missed is not None:
-                        rep.verdicts["cell_surjective"] = False
-                        rep.counterexamples["cell_surjective"] = (
-                            f1, f2, dst_view.cell(m1, m2, missed))
+                        rep.fail("cell_surjective", (f1, f2, dst_view.cell(m1, m2, missed)))
     return rep
 
 
-def x_conditions_for_functor(fun: StrictTwoFunctor) -> WeakEquivalenceReport:
+def x_conditions_for_functor(fun: StrictTwoFunctor) -> Report:
     return weak_equivalence_report(
         AmbientView(fun.source), AmbientView(fun.target),
         lambda o: fun.f0[o], lambda f: fun.f1[f],
-        lambda _f1, _f2, cells: [fun.f2[a] for a in cells])
+        lambda f1, f2, cells: ([fun.f2[a] for a in cells],
+                               fun.target.hom2(fun.f1[f1], fun.f1[f2])))
 
 
-def x_conditions_for_induced(ind: InducedPseudofunctor) -> WeakEquivalenceReport:
+def x_conditions_for_induced(ind: InducedPseudofunctor) -> Report:
     return weak_equivalence_report(
         LocalizationView(ind.source_loc), LocalizationView(ind.target_loc),
-        ind.map_object, ind.map_span, ind.map_labels)
+        ind.map_object, ind.map_span, ind.map_hom)
 
 
 # ---------------------------------------------------------------------------

@@ -52,18 +52,18 @@ import itertools
 from collections import deque
 
 from twoloc import StrictTwoFunctor, validate_functor
-from twoloc.core import TwoCat, ValidationReport, _check_structure, find_quasi_inverse
+from twoloc.core import Report, TwoCat, _check_structure, find_quasi_inverse
 from twoloc.fractions import (
     CellRep, Span, SpanEquivalence, cell_from_rep, compose_fractions, first_invertible_cell,
     hom_fraction_cells, identity_fraction_cell, identity_span, is_invertible_fraction_cell,
     span_dst, span_src, vcomp_fraction,
 )
-from twoloc.saturation import AXIOMS, BFReport, _as_class, cell_lifts
-from twoloc.transport import InducedPseudofunctor, WeakEquivalenceReport
+from twoloc.saturation import AXIOMS, _as_class, cell_lifts
+from twoloc.transport import InducedPseudofunctor
 
 
 def exhaustive_validate(c):
-    report = ValidationReport()
+    report = Report()
     if not _check_structure(c, report):
         return report
 
@@ -176,7 +176,7 @@ def search_check_bf(c, w):
     called but `cell_lifts`, the lifts' enumeration in search order.
     """
     w = _as_class(c, w)
-    rep = BFReport(dict.fromkeys(AXIOMS, True))
+    rep = Report(AXIOMS)
     mors, cells, comp1 = sorted(c.mors), sorted(c.cells), c.comp1
     inv = {a for a in cells for b in cells
            if c.vcomp_table.get((b, a)) == c.id2[c.cell_src[a]]
@@ -416,7 +416,7 @@ def reference_weak_equivalence_report(src_view, dst_view, map_object, map_one, m
     Every pair of parallel source 1-cells is visited, the empty homs too,
     and each 1-cell is mapped again wherever it is used.
     """
-    rep = WeakEquivalenceReport()
+    rep = Report()
 
     rep.verdicts["obj_surjective_up_to_equiv"] = True
     for y in dst_view.objects:

@@ -25,7 +25,7 @@ from twoloc import (
     validate,
     witness_problems,
 )
-from twoloc.core import TwoCat, ValidationReport, _check_structure, _generators, _is_two_category
+from twoloc.core import Report, TwoCat, _check_structure, _generators, _is_two_category
 from twoloc.fixtures import FIXTURES
 from twoloc.groupoids import CATALOGS
 
@@ -44,7 +44,7 @@ def test_validate_flags_missing_table_entry_as_structural():
     broken = with_tables(c, comp1=comp1)
     rep = validate(broken)
     assert not rep.ok
-    assert rep.structural and not rep.failures
+    assert rep.structural and not rep.verdicts
 
 
 # (table, the key deleted, the keys added); each table keeps one stray
@@ -87,7 +87,7 @@ def test_structural_messages_for_missing_and_stray_entries(name, damage):
     elif damage == "stray":
         want = want[1:]
     rep = validate(with_tables(c, **{name: table}))
-    assert rep.structural == want and not rep.failures
+    assert rep.structural == want and not rep.verdicts
 
 
 def test_validate_flags_wrong_composite_as_law_failure():
@@ -100,7 +100,44 @@ def test_validate_flags_wrong_composite_as_law_failure():
     rep = validate(broken)
     assert not rep.ok
     assert not rep.structural
-    assert ("vcomp-right-unit", "('tau_f',)") in rep.failures
+    assert rep.counterexamples.get("vcomp-right-unit") == ("tau_f",)
+
+
+def test_report_keeps_first_witnesses_in_order_of_first_failure():
+    rep = Report(("declared",))
+    assert rep.ok and rep.verdicts == {"declared": True} and rep.lines() == []
+    rep.fail("later", ("a",))
+    rep.fail("declared", "b")
+    rep.fail("later", ("c",))  # a second witness is dropped
+    rep.fail("first-undeclared-after", 0)
+    assert not rep.ok
+    assert list(rep.verdicts.items()) == [
+        ("declared", False), ("later", False), ("first-undeclared-after", False)]
+    assert list(rep.counterexamples.items()) == [
+        ("later", ("a",)), ("declared", "b"), ("first-undeclared-after", 0)]
+    assert rep.lines() == ["later: ('a',)", "declared: 'b'", "first-undeclared-after: 0"]
+
+    structural = Report(("declared",))
+    structural.structural.append("a table is partial")
+    assert not structural.ok and all(structural.verdicts.values())
+    assert structural.lines() == ["structural: a table is partial"]
+
+
+def test_report_lines_keep_the_validation_text():
+    # the lines validation printed when each failure kept repr(witness)
+    c, _ = fixture("F7")
+    damaged = with_tables(c, vcomp_table={**c.vcomp_table, ("i_f", "tau_f"): "i_f"})
+    assert validate(damaged).lines() == [
+        "vcomp-left-unit: ('tau_f',)", "vcomp-assoc: ('tau_f', 'i_f', 'tau_f')"]
+    c, _ = fixture("F6")
+    damaged = with_tables(c, hcomp_table={**c.hcomp_table, ("s_g", "s_f"): "s_idX"})
+    assert validate(damaged).lines() == [
+        "hcomp-assoc: ('s_g', 's_idY', 'i_f')", "interchange: ('s_g', 'i_g', 'i_f', 's_f')"]
+    c, _ = fixture("F3")
+    comp1 = dict(c.comp1)
+    del comp1[("w", "id0")]
+    assert validate(with_tables(c, comp1=comp1)).lines() == [
+        "structural: compose1 missing entry for ('w', 'id0')"]
 
 
 def test_validate_flags_broken_interchange():
@@ -113,7 +150,7 @@ def test_validate_flags_broken_interchange():
     broken = with_tables(c, hcomp_table=h)
     rep = validate(broken)
     assert not rep.ok
-    laws = [law for law, _ in rep.failures]
+    laws = list(rep.verdicts)
     assert any(law in ("interchange", "hcomp-assoc", "hcomp-identities")
                for law in laws)
     assert len(laws) == len(set(laws)), laws  # one counterexample per law
@@ -320,7 +357,7 @@ def test_validate_matches_exhaustive_scan_on_mutants():
             got = validate(m)
             assert got.lines() == exhaustive_validate(m).lines()
             failing += not got.ok
-            laws_seen.update(law for law, _ in got.failures)
+            laws_seen.update(got.verdicts)
     assert failing > len(small)
     assert laws_seen == set(LAWS)
 
@@ -351,7 +388,7 @@ def test_decider_matches_exhaustive_scan():
             # the decider is defined on tables that pass the structure
             # check; most redirected composites break it, since the other
             # entries over them still name the old composite
-            if not _check_structure(c, ValidationReport()):
+            if not _check_structure(c, Report()):
                 continue
             ok = exhaustive_validate(c).ok
             assert _is_two_category(c) == ok, label
@@ -495,7 +532,7 @@ ONE_CHECK_FAILS = {
 @pytest.mark.parametrize("check", sorted(ONE_CHECK_FAILS))
 def test_decider_needs_each_check(check):
     c = ONE_CHECK_FAILS[check]
-    assert _check_structure(c, ValidationReport())
+    assert _check_structure(c, Report())
     assert not exhaustive_validate(c).ok
     assert validate(c).lines() == exhaustive_validate(c).lines()
     assert not _is_two_category(c)

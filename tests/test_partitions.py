@@ -364,7 +364,7 @@ def test_has_invertible_needs_the_swapped_leg_in_w():
     # leg w2∘v2 = n outside W, so no 2-cell of the hom is invertible; a test
     # of β alone would say there is one.  BF5 fails (alpha: m ⇒ n, m ∈ W).
     c, w = swapped_leg_outside_w()
-    assert validate(c).ok and not check_bf(c, w).passed["BF5"]
+    assert validate(c).ok and not check_bf(c, w).verdicts["BF5"]
     s1, s2 = Span("A", "m", "f1"), Span("P", "w2", "f2")
     loc = Localization(c, w, {})
     store = loc._store = _HomPartitions(w)

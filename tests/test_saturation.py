@@ -44,14 +44,14 @@ def test_default_classes_pass_bf():
         c, w = fixture(name)
         rep = check_bf(c, w)
         assert rep.ok, (name, rep.counterexamples)
-        assert all(a in rep.passed for a in AXIOMS)
+        assert all(a in rep.verdicts for a in AXIOMS)
 
 
 def test_f4_fails_exactly_bf5():
     c, w = fixture("F4")
     rep = check_bf(c, w)
     assert not rep.ok
-    assert [a for a in AXIOMS if not rep.passed[a]] == ["BF5"]
+    assert [a for a in AXIOMS if not rep.verdicts[a]] == ["BF5"]
     # q sits outside W but is invertibly isomorphic to p inside it; the
     # first witnessing cell in lexicographic order is mu_inv: q ⇒ p
     assert rep.counterexamples["BF5"] == ("mu_inv", "q")
@@ -60,14 +60,14 @@ def test_f4_fails_exactly_bf5():
 def test_bf1_needs_all_identities():
     c, _ = fixture("F3")
     rep = check_bf(c, {"id0"})
-    assert not rep.passed["BF1"]
+    assert not rep.verdicts["BF1"]
     assert rep.counterexamples["BF1"] == ("id1",)
 
 
 def test_bf2_composition_escape():
     # Z/4 as endo-1-cells of one object: {g0, g1} is not closed
     rep = check_bf(cyclic_plain(4), {"g0", "g1"})
-    assert not rep.passed["BF2"]
+    assert not rep.verdicts["BF2"]
     assert rep.counterexamples["BF2"] == ("g1", "g1", "g2")
 
 
@@ -84,7 +84,7 @@ def test_bf3_unfillable_cospan():
     c = parity_twocat(["P", "Q", "R"], mors,
                       {"P": "idP", "Q": "idQ", "R": "idR"}, comp, twisted=set())
     rep = check_bf(c, {"idP", "idQ", "idR", "v"})
-    assert not rep.passed["BF3"]
+    assert not rep.verdicts["BF3"]
     assert rep.counterexamples["BF3"] == ("u", "v")
 
 
@@ -93,7 +93,7 @@ def test_bf4a_undescendable_cell():
     # the only denominator into A is idA and hom(idA, idA) has no image of tau
     c, w = fixture("F7")
     rep = check_bf(c, w | {"f"})
-    assert not rep.passed["BF4a"]
+    assert not rep.verdicts["BF4a"]
     assert rep.counterexamples["BF4a"] == ("f", "idA", "idA", "tau_f")
 
 
@@ -290,9 +290,9 @@ def test_check_bf_matches_per_pair_search(monkeypatch):
             got = check_bf(c, w)
             paths[tuple(dict.fromkeys(modes))] += 1
             want = search_check_bf(c, w)
-            assert (got.passed, got.counterexamples) == \
-                (want.passed, want.counterexamples), (entry.name, sorted(w))
-            bf4c_failures += not got.passed["BF4c"]
+            assert (got.verdicts, got.counterexamples) == \
+                (want.verdicts, want.counterexamples), (entry.name, sorted(w))
+            bf4c_failures += not got.verdicts["BF4c"]
     assert bf4c_failures > 0
     # (True, False): BF4a or BF4b failed, so BF4 was decided again on all pairs
     assert min(paths[(True,)], paths[(False,)], paths[(True, False)]) > 0, paths
@@ -306,9 +306,9 @@ def test_check_bf_matches_search_without_identities():
         c = entry.c
         w = frozenset(c.mors) - frozenset(c.id1.values())
         got, want = check_bf(c, w), search_check_bf(c, w)
-        assert (got.passed, got.counterexamples) == \
-            (want.passed, want.counterexamples), entry.name
-        failed.update(a for a in AXIOMS if not got.passed[a])
+        assert (got.verdicts, got.counterexamples) == \
+            (want.verdicts, want.counterexamples), entry.name
+        failed.update(a for a in AXIOMS if not got.verdicts[a])
     assert set(failed) == set(AXIOMS), failed
 
 
@@ -362,10 +362,10 @@ def test_bf4c_fails_alone_on_the_first_lift_path(monkeypatch):
     modes = lift_pair_modes(monkeypatch)
     rep = check_bf(c, w)
     assert modes and all(modes)
-    assert [a for a in AXIOMS if not rep.passed[a]] == ["BF4c"]
+    assert [a for a in AXIOMS if not rep.verdicts[a]] == ["BF4c"]
     assert rep.counterexamples == {"BF4c": ("w", "i_wg", ("idA", "i_g"), ("idA", "x"))}
     want = search_check_bf(c, w)
-    assert (rep.passed, rep.counterexamples) == (want.passed, want.counterexamples)
+    assert (rep.verdicts, rep.counterexamples) == (want.verdicts, want.counterexamples)
 
 
 def category(ids, arrows, products):
@@ -471,10 +471,10 @@ def test_bf4c_merge_reads_f2():
     assert [saturation._coequalized(c, "fc", f2, *lifts, zigs) for f2 in ("fa", "fb")] == \
         [True, False]
     rep = check_bf(c, w)
-    assert [a for a in AXIOMS if not rep.passed[a]] == ["BF1", "BF3", "BF4a", "BF4c"]
+    assert [a for a in AXIOMS if not rep.verdicts[a]] == ["BF1", "BF3", "BF4a", "BF4c"]
     assert rep.counterexamples["BF4c"] == ("wm", "wm.fc>wm.fb:y", *lifts)
     want = search_check_bf(c, w)
-    assert (rep.passed, rep.counterexamples) == (want.passed, want.counterexamples)
+    assert (rep.verdicts, rep.counterexamples) == (want.verdicts, want.counterexamples)
 
 
 def test_witnesses_do_not_depend_on_the_order_objects_are_listed():
@@ -487,9 +487,9 @@ def test_witnesses_do_not_depend_on_the_order_objects_are_listed():
             continue
         flipped = with_tables(c, objects=c.objects[::-1])
         got, want = check_bf(flipped, entry.w), check_bf(c, entry.w)
-        assert (got.passed, got.counterexamples) == \
-            (want.passed, want.counterexamples), entry.name
-        if want.passed["BF3"]:
+        assert (got.verdicts, got.counterexamples) == \
+            (want.verdicts, want.counterexamples), entry.name
+        if want.verdicts["BF3"]:
             assert build_choices(flipped, entry.w).entries == \
                 build_choices(c, entry.w).entries, entry.name
         flipped_inputs += 1

@@ -33,7 +33,7 @@ from twoloc import (
 )
 from twoloc.core import TwoCat
 from twoloc.fixtures import parity_twocat
-from twoloc.fractions import Localization, Span, _Hom
+from twoloc.fractions import Localization, Span, _Hom, _HomPartitions
 from twoloc.saturation import cospan_fillers
 from twoloc.transport import AmbientView, LocalizationView
 from corpus import CorpusEntry, cyclic_family, cyclic_parity, posetal_family
@@ -64,7 +64,7 @@ def test_validate_functor_catches_breakage():
                               {**fun.f2, "s_g": "i_g"})
     rep = validate_functor(broken)
     assert not rep.ok
-    assert any(law == "hcomp" for law, _ in rep.failures)
+    assert "hcomp" in rep.verdicts
 
 
 def test_validate_functor_keeps_one_witness_per_law():
@@ -73,7 +73,7 @@ def test_validate_functor_keeps_one_witness_per_law():
     fun = identity_functor(c)
     broken = StrictTwoFunctor(c, c, dict(fun.f0), dict(fun.f1),
                               {**fun.f2, "s_f": "i_f"})
-    laws = [law for law, _ in validate_functor(broken).failures]
+    laws = list(validate_functor(broken).verdicts)
     assert laws.count("hcomp") == 1
     assert len(laws) == len(set(laws))
 
@@ -476,3 +476,22 @@ def test_x_conditions_ask_only_the_non_empty_source_homs(monkeypatch):
     non_empty = [(s, t) for s in spans for t in spans if ind.source_loc.hom_cells(s, t)]
     assert len(spans) == 32 and len(non_empty) == 128
     assert asked == non_empty
+
+
+def test_x_conditions_read_each_hom_and_its_image_once(monkeypatch):
+    # Z/8 at <4> and <2>: the walk visits the 32 and 128 non-empty source
+    # homs and reads each, and its image hom, once
+    read = Counter()
+    hom = _HomPartitions.hom
+
+    def spy(store, c, s1, s2):
+        read[(store is ind.source_loc._store, s1, s2)] += 1
+        return hom(store, c, s1, s2)
+
+    monkeypatch.setattr(_HomPartitions, "hom", spy)
+    for step, pairs in ((4, 32), (2, 128)):
+        ind = comparison_to_saturation(cyclic_parity(8, "s"), {f"g{k}" for k in range(0, 8, step)})
+        read.clear()
+        assert x_conditions_for_induced(ind).ok
+        assert sum(read.values()) == 2 * pairs and set(read.values()) == {1}
+        assert sum(source for source, _s1, _s2 in read) == pairs
