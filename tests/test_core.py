@@ -106,16 +106,16 @@ def test_validate_flags_wrong_composite_as_law_failure():
 def test_report_keeps_first_witnesses_in_order_of_first_failure():
     rep = Report(("declared",))
     assert rep.ok and rep.verdicts == {"declared": True} and rep.lines() == []
-    rep.fail("later", ("a",))
+    rep.fail("undeclared", ("a",))
     rep.fail("declared", "b")
-    rep.fail("later", ("c",))  # a second witness is dropped
-    rep.fail("first-undeclared-after", 0)
+    rep.fail("undeclared", ("c",))  # a second witness is dropped
+    rep.fail("another", 0)
     assert not rep.ok
-    assert list(rep.verdicts.items()) == [
-        ("declared", False), ("later", False), ("first-undeclared-after", False)]
+    assert list(rep.verdicts.items()) == [("declared", False), ("undeclared", False),
+                                          ("another", False)]
     assert list(rep.counterexamples.items()) == [
-        ("later", ("a",)), ("declared", "b"), ("first-undeclared-after", 0)]
-    assert rep.lines() == ["later: ('a',)", "declared: 'b'", "first-undeclared-after: 0"]
+        ("undeclared", ("a",)), ("declared", "b"), ("another", 0)]
+    assert rep.lines() == ["undeclared: ('a',)", "declared: 'b'", "another: 0"]
 
     structural = Report(("declared",))
     structural.structural.append("a table is partial")
