@@ -67,10 +67,7 @@ class TwoCat:
 
     @cached_property
     def _hom1_index(self) -> dict[tuple[str, str], tuple[str, ...]]:
-        index: dict[tuple[str, str], list[str]] = {}
-        for f in self.mors:
-            index.setdefault((self.mor_src[f], self.mor_dst[f]), []).append(f)
-        return {k: tuple(v) for k, v in index.items()}
+        return _index(self.mors, lambda f: (self.mor_src[f], self.mor_dst[f]))
 
     def compose1(self, g: str, f: str) -> str:
         try:
@@ -84,10 +81,7 @@ class TwoCat:
 
     @cached_property
     def _factorisation_index(self) -> dict[str, tuple[tuple[str, str], ...]]:
-        index: dict[str, list[tuple[str, str]]] = {}
-        for gf, h in sorted(self.comp1.items()):
-            index.setdefault(h, []).append(gf)
-        return {k: tuple(v) for k, v in index.items()}
+        return _index(sorted(self.comp1), self.comp1.get)
 
     def left_factors(self, f: str, h: str) -> tuple[str, ...]:
         """All 1-cells g with g∘f = h, in sorted order."""
@@ -95,10 +89,8 @@ class TwoCat:
 
     @cached_property
     def _left_factor_index(self) -> dict[tuple[str, str], tuple[str, ...]]:
-        index: dict[tuple[str, str], list[str]] = {}
-        for (g, f), h in sorted(self.comp1.items()):
-            index.setdefault((f, h), []).append(g)
-        return {k: tuple(v) for k, v in index.items()}
+        index = _index(sorted(self.comp1), lambda gf: (gf[1], self.comp1[gf]))
+        return {fh: tuple(g for g, _ in pairs) for fh, pairs in index.items()}
 
     # -- 2-cell structure ---------------------------------------------------
 
@@ -108,10 +100,7 @@ class TwoCat:
 
     @cached_property
     def _hom2_index(self) -> dict[tuple[str, str], tuple[str, ...]]:
-        index: dict[tuple[str, str], list[str]] = {}
-        for a in self.cells:
-            index.setdefault((self.cell_src[a], self.cell_dst[a]), []).append(a)
-        return {k: tuple(v) for k, v in index.items()}
+        return _index(self.cells, lambda a: (self.cell_src[a], self.cell_dst[a]))
 
     def cells_from(self, f: str) -> dict[str, tuple[str, ...]]:
         """g -> the 2-cells f ⇒ g, for every g that has one."""
@@ -119,10 +108,8 @@ class TwoCat:
 
     @cached_property
     def _cells_from_index(self) -> dict[str, dict[str, tuple[str, ...]]]:
-        index: dict[str, dict[str, tuple[str, ...]]] = {}
-        for (f, g), cells in self._hom2_index.items():
-            index.setdefault(f, {})[g] = cells
-        return index
+        return {f: _index(cells, self.cell_dst.get)
+                for f, cells in _index(self.cells, self.cell_src.get).items()}
 
     def vcomp(self, b: str, a: str) -> str:
         """b⊙a: first a, then b."""
@@ -177,13 +164,9 @@ class TwoCat:
 
     @cached_property
     def _invertible_from_index(self) -> dict[str, dict[str, tuple[str, ...]]]:
-        index: dict[str, dict[str, list[str]]] = {}
-        for a in self.cells:
-            if a in self._inverse2:
-                index.setdefault(self.cell_src[a], {}).setdefault(
-                    self.cell_dst[a], []).append(a)
-        return {f: {g: tuple(v) for g, v in by_dst.items()}
-                for f, by_dst in index.items()}
+        invertible = [a for a in self.cells if a in self._inverse2]
+        return {f: _index(cells, self.cell_dst.get)
+                for f, cells in _index(invertible, self.cell_src.get).items()}
 
     @cached_property
     def numbering(self) -> Numbering:  # shared by every class store of this 2-category
@@ -273,12 +256,12 @@ class Report:
             f"{name}: {witness!r}" for name, witness in self.counterexamples.items()]
 
 
-def _index(items, key) -> dict:
-    """key(x) -> the items x with that key, in the order given."""
+def _index(items, key) -> dict[object, tuple]:
+    """key(x) -> the tuple of items x with that key, in the order given."""
     out: dict = {}
     for x in items:
         out.setdefault(key(x), []).append(x)
-    return out
+    return {k: tuple(v) for k, v in out.items()}
 
 
 def _check_domain(table: dict, start: dict, end: dict, name: str, gripe) -> set:
@@ -689,7 +672,8 @@ def quasi_inverse_witness(c: TwoCat, w: EquivalenceWitness) -> EquivalenceWitnes
     """The witness showing ē is itself an equivalence, via (e, ξ⁻¹, δ⁻¹)."""
     xi_inv = c.inverse2(w.xi)
     delta_inv = c.inverse2(w.delta)
-    assert xi_inv is not None and delta_inv is not None
+    if xi_inv is None or delta_inv is None:
+        raise StructureError(f"not a valid equivalence witness: {w}")
     return EquivalenceWitness(w.e_bar, w.e, xi_inv, delta_inv)
 
 
@@ -766,7 +750,6 @@ def equivalence_from_cancellation(
 
     u = c.compose1(g, m)                       # candidate quasi-inverse of f
     x2_inv = c.inverse2(x2)
-    assert x2_inv is not None
     hl = c.compose1(h, l)
     delta_f = c.vcomp(
         c.whisker_left(c.compose1(u, f), x2),
@@ -786,7 +769,6 @@ def equivalence_from_cancellation(
     # ξ_h: h∘(l∘g) ⇒ id_C, conjugating the whiskered ξ² by δ_g on both sides.
     delta_g = w_g.delta
     delta_g_inv = c.inverse2(delta_g)
-    assert delta_g_inv is not None
     xi_h = c.vcomp(
         delta_g_inv,
         c.vcomp(

@@ -1,9 +1,11 @@
 """Built-in test 2-categories F1..F7 and small construction helpers.
 
-The builder `parity_twocat` produces fully tabulated strict 2-categories:
-it puts a Z/2 worth of 2-cells on every chosen 1-cell (an extra
-invertible endo-cell squaring to the identity), with both compositions
-adding parities; with no chosen 1-cell the only 2-cells are identities.
+Two builders produce fully tabulated strict 2-categories.  `parity_twocat`
+puts a Z/2 worth of 2-cells on every chosen 1-cell (an extra invertible
+endo-cell squaring to the identity), with both compositions adding
+parities; with no chosen 1-cell the only 2-cells are identities.
+`thin_twocat` takes at most one named 2-cell between two 1-cells, so
+every composite is forced by its boundary.
 
 Each fixture ships with a default W class (used by the CLI emitter).
 """
@@ -92,6 +94,50 @@ def parity_twocat(
     )
 
 
+def thin_twocat(
+    objects: list[str],
+    mors: dict[str, tuple[str, str]],
+    id1: dict[str, str],
+    comp: dict[tuple[str, str], str],
+    cells: dict[str, tuple[str, str]],
+) -> TwoCat:
+    """One named 2-cell f ⇒ g for each pair (f, g) in `cells`, and no others.
+
+    With at most one 2-cell between two 1-cells every composite is forced:
+    b⊙a runs from src a to dst b, and b∗a from src b∘src a to dst b∘dst a.
+    Raises ValueError when two names share a pair, or when the pairs lack
+    an identity or are not closed under either composition.
+    """
+    comp = _close_composition(mors, id1, comp)
+    named = {pair: a for a, pair in cells.items()}
+    if len(named) != len(cells):
+        raise ValueError("two 2-cells share a boundary")
+
+    def cell(f: str, g: str) -> str:
+        try:
+            return named[(f, g)]
+        except KeyError:
+            raise ValueError(f"the pairs have no 2-cell {f} ⇒ {g}") from None
+
+    vcomp = {(b, a): cell(sa, db) for b, (sb, db) in cells.items()
+             for a, (sa, da) in cells.items() if da == sb}
+    hcomp = {(b, a): cell(comp[(sb, sa)], comp[(db, da)])
+             for b, (sb, db) in cells.items()
+             for a, (sa, da) in cells.items() if mors[sa][1] == mors[sb][0]}
+    return TwoCat(
+        objects=tuple(objects),
+        mor_src={f: s for f, (s, _) in mors.items()},
+        mor_dst={f: d for f, (_, d) in mors.items()},
+        comp1=comp,
+        id1=dict(id1),
+        cell_src={a: f for a, (f, _) in cells.items()},
+        cell_dst={a: g for a, (_, g) in cells.items()},
+        vcomp_table=vcomp,
+        hcomp_table=hcomp,
+        id2={f: cell(f, f) for f in mors},
+    )
+
+
 def disjoint_union(c1: TwoCat, c2: TwoCat) -> TwoCat:
     """Side-by-side union with identifier prefixes "l." and "r."; no cross composites exist."""
 
@@ -154,47 +200,13 @@ def f3() -> tuple[TwoCat, frozenset[str]]:
 
 def f4() -> tuple[TwoCat, frozenset[str]]:
     """Parallel p, q: A→B joined by an invertible mu: p ⇒ q."""
-    mors = {"idA": ("A", "A"), "idB": ("B", "B"), "p": ("A", "B"), "q": ("A", "B")}
-    cell_src = {
-        "i_idA": "idA", "i_idB": "idB", "i_p": "p", "i_q": "q",
-        "mu": "p", "mu_inv": "q",
-    }
-    cell_dst = dict(cell_src)
-    cell_dst["mu"] = "q"
-    cell_dst["mu_inv"] = "p"
-    cells = {"i_idA": ("idA", "idA"), "i_idB": ("idB", "idB"),
-             "i_p": ("p", "p"), "i_q": ("q", "q"),
-             "mu": ("p", "q"), "mu_inv": ("q", "p")}
-    vcomp: dict[tuple[str, str], str] = {}
-    for b, (sb, db) in cells.items():
-        for a, (sa, da) in cells.items():
-            if da != sb:
-                continue
-            # parallel hom-sets here form the contractible groupoid on {p, q}
-            vcomp[(b, a)] = {("p", "p"): "i_p", ("q", "q"): "i_q",
-                             ("p", "q"): "mu", ("q", "p"): "mu_inv",
-                             ("idA", "idA"): "i_idA", ("idB", "idB"): "i_idB"}[(sa, db)]
-    hcomp: dict[tuple[str, str], str] = {}
-    for b, (sb, db) in cells.items():
-        for a, (sa, da) in cells.items():
-            if mors[sa][1] != mors[sb][0]:
-                continue
-            key = ({"idA": None, "idB": None, "p": "p", "q": "q"}[sa] or sb,
-                   {"idA": None, "idB": None, "p": "p", "q": "q"}[da] or db)
-            hcomp[(b, a)] = {("p", "p"): "i_p", ("q", "q"): "i_q",
-                             ("p", "q"): "mu", ("q", "p"): "mu_inv",
-                             ("idA", "idA"): "i_idA", ("idB", "idB"): "i_idB"}[key]
-    c = TwoCat(
-        objects=("A", "B"),
-        mor_src={f: s for f, (s, _) in mors.items()},
-        mor_dst={f: d for f, (_, d) in mors.items()},
-        comp1=_close_composition(mors, {"A": "idA", "B": "idB"}, {}),
-        id1={"A": "idA", "B": "idB"},
-        cell_src={a: s for a, (s, _) in cells.items()},
-        cell_dst={a: d for a, (_, d) in cells.items()},
-        vcomp_table=vcomp,
-        hcomp_table=hcomp,
-        id2={"idA": "i_idA", "idB": "i_idB", "p": "i_p", "q": "i_q"},
+    c = thin_twocat(
+        ["A", "B"],
+        {"idA": ("A", "A"), "idB": ("B", "B"), "p": ("A", "B"), "q": ("A", "B")},
+        {"A": "idA", "B": "idB"},
+        {},
+        {"i_idA": ("idA", "idA"), "i_idB": ("idB", "idB"), "i_p": ("p", "p"),
+         "i_q": ("q", "q"), "mu": ("p", "q"), "mu_inv": ("q", "p")},
     )
     return c, frozenset({"idA", "idB", "p"})
 
@@ -204,35 +216,15 @@ def f5() -> tuple[TwoCat, frozenset[str]]:
 
     u∘u = u and an invertible eps: u ⇒ idA make u a non-identity quasi-unit,
     so the minimal BF class {idA, u} is strictly bigger than {idA}.
+    Horizontally, whiskering by u crushes everything onto i_u.
     """
-    mors = {"idA": ("A", "A"), "u": ("A", "A")}
-    comp = _close_composition(mors, {"A": "idA"}, {("u", "u"): "u"})
-    cells = {"i_idA": ("idA", "idA"), "i_u": ("u", "u"),
-             "eps": ("u", "idA"), "eps_inv": ("idA", "u")}
-    # vertical composition in the contractible groupoid on {idA, u}
-    pick = {("idA", "idA"): "i_idA", ("u", "u"): "i_u",
-            ("u", "idA"): "eps", ("idA", "u"): "eps_inv"}
-    vcomp = {}
-    for b, (sb, db) in cells.items():
-        for a, (sa, da) in cells.items():
-            if da == sb:
-                vcomp[(b, a)] = pick[(sa, db)]
-    # horizontally, whiskering by u crushes everything onto i_u
-    hcomp = {}
-    for b, (sb, db) in cells.items():
-        for a, (sa, da) in cells.items():
-            hcomp[(b, a)] = pick[(comp[(sb, sa)], comp[(db, da)])]
-    c = TwoCat(
-        objects=("A",),
-        mor_src={f: s for f, (s, _) in mors.items()},
-        mor_dst={f: d for f, (_, d) in mors.items()},
-        comp1=comp,
-        id1={"A": "idA"},
-        cell_src={a: s for a, (s, _) in cells.items()},
-        cell_dst={a: d for a, (_, d) in cells.items()},
-        vcomp_table=vcomp,
-        hcomp_table=hcomp,
-        id2={"idA": "i_idA", "u": "i_u"},
+    c = thin_twocat(
+        ["A"],
+        {"idA": ("A", "A"), "u": ("A", "A")},
+        {"A": "idA"},
+        {("u", "u"): "u"},
+        {"i_idA": ("idA", "idA"), "i_u": ("u", "u"),
+         "eps": ("u", "idA"), "eps_inv": ("idA", "u")},
     )
     return c, frozenset({"idA", "u"})
 

@@ -39,7 +39,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .core import Report, StructureError, TwoCat
+from .core import Report, StructureError, TwoCat, _index
 
 
 class FiniteGroupoid:
@@ -57,10 +57,7 @@ class FiniteGroupoid:
 
     @cached_property
     def _hom(self) -> dict[tuple[str, str], tuple[str, ...]]:
-        out: dict[tuple[str, str], list[str]] = {}
-        for a in self.arrows:
-            out.setdefault((self.arr_src[a], self.arr_dst[a]), []).append(a)
-        return {k: tuple(v) for k, v in out.items()}
+        return _index(self.arrows, lambda a: (self.arr_src[a], self.arr_dst[a]))
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
         return self._hom.get((x, y), ())
@@ -68,10 +65,8 @@ class FiniteGroupoid:
     @cached_property
     def reach(self) -> dict[str, frozenset[str]]:
         """object -> the objects it has an arrow to (objects with no arrow out are absent)."""
-        out: dict[str, set[str]] = {}
-        for a in self.arrows:
-            out.setdefault(self.arr_src[a], set()).add(self.arr_dst[a])
-        return {o: frozenset(v) for o, v in out.items()}
+        return {o: frozenset(map(self.arr_dst.get, arrows))
+                for o, arrows in _index(self.arrows, self.arr_src.get).items()}
 
     def compose(self, g: str, f: str) -> str:
         try:
@@ -122,9 +117,7 @@ def validate_groupoid(g: FiniteGroupoid) -> Report:
         elif g.comp[(ia, a)] != g.unit[g.arr_src[a]] or \
                 g.comp[(a, ia)] != g.unit[g.arr_dst[a]]:
             rep.fail("inverse law", a)
-    into: dict[str, list[str]] = {}  # object -> arrows into it, sorted
-    for a in g.arrows:
-        into.setdefault(g.arr_dst[a], []).append(a)
+    into = _index(g.arrows, g.arr_dst.get)  # object -> arrows into it, sorted
     for c_ in g.arrows:
         for b in into.get(g.arr_src[c_], ()):
             cb = g.comp[(c_, b)]
@@ -374,11 +367,9 @@ def groupoid_twocat(catalog: list[FiniteGroupoid]) -> tuple[TwoCat, frozenset[st
     # composable pairs only, b-major with a in cell order: `validate` names
     # its first witness in that order.  Items are sorted by object, so the
     # composites' items come out sorted.
-    into: dict[str, list[str]] = {}  # functor -> the cells ending at it
-    landing: dict[str, list[str]] = {}  # groupoid -> the cells whose functors land in it
-    for aid, (af, ag, _) in cells.items():
-        into.setdefault(ag, []).append(aid)
-        landing.setdefault(mor_dst[af], []).append(aid)
+    into = _index(cells, lambda aid: cells[aid][1])  # functor -> the cells ending at it
+    # groupoid -> the cells whose functors land in it
+    landing = _index(cells, lambda aid: mor_dst[cells[aid][0]])
     vcomp = {}
     hcomp = {}
     for bid, (bf, bg, bitems) in cells.items():

@@ -57,7 +57,6 @@ from .fractions import (
     build_choices,
     cell_from_rep,
     compose_fractions,
-    first_invertible_cell,
 )
 from .saturation import _as_class, check_bf, saturate
 
@@ -442,8 +441,9 @@ def compare_choice_tables(ch1: Localization, ch2: Localization) -> ChoiceCompari
     """Connect every pair of composites computed with two different tables.
 
     The composites present the same localized 1-cell, so an invertible
-    comparison cell must exist; any pair without one is reported.  Both
-    tables must be built for the same 2-category and class W.
+    comparison cell must exist; one is looked for on the sweep, building no
+    class, and any pair without one is reported.  Both tables must be built
+    for the same 2-category and class W.
     """
     if ch2.c is not ch1.c or ch2.w != ch1.w:
         raise StructureError("choice table was built for another 2-category or class W")
@@ -455,6 +455,6 @@ def compare_choice_tables(ch1: Localization, ch2: Localization) -> ChoiceCompari
                 out.pairs_checked += 1
                 left = compose_fractions(ch1, s, t)
                 right = compose_fractions(ch2, s, t)
-                if left != right and first_invertible_cell(ch1, left, right) is None:
+                if left != right and not ch1._store.has_invertible(ch1.c, left, right):
                     out.unconnected.append((s, t))
     return out

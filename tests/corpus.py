@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from twoloc.core import TwoCat, internal_equivalences, validate
-from twoloc.fixtures import FIXTURES, disjoint_union, fixture, parity_twocat
+from twoloc.fixtures import FIXTURES, disjoint_union, fixture, parity_twocat, thin_twocat
 from twoloc.fractions import Localization
 from twoloc.groupoids import (
     CATALOGS,
@@ -176,31 +176,11 @@ def posetal_twocat(
 
     `leq` must be a partial order on each hom, and composition must be
     monotone in both arguments; otherwise the tables are not total and
-    this raises ValueError.  Only the identities `f<=f` are invertible.
+    `thin_twocat` raises ValueError.  Only the identities `f<=f` are
+    invertible.
     """
-    def cell(f: str, g: str) -> str:
-        if (f, g) not in leq:
-            raise ValueError(f"order is not transitive or not compatible at {f} <= {g}")
-        return f"{f}<={g}"
-
-    cell_src = {cell(f, g): f for f, g in leq}
-    cell_dst = {cell(f, g): g for f, g in leq}
-    vcomp = {(cell(g, h), cell(f, g2)): cell(f, h)
-             for f, g2 in leq for g, h in leq if g == g2}
-    hcomp = {(cell(g1, g2), cell(f1, f2)): cell(comp[(g1, f1)], comp[(g2, f2)])
-             for f1, f2 in leq for g1, g2 in leq if (g1, f1) in comp}
-    return TwoCat(
-        objects=tuple(objects),
-        mor_src={f: s for f, (s, _) in mors.items()},
-        mor_dst={f: d for f, (_, d) in mors.items()},
-        comp1=dict(comp),
-        id1=dict(id1),
-        cell_src=cell_src,
-        cell_dst=cell_dst,
-        vcomp_table=vcomp,
-        hcomp_table=hcomp,
-        id2={f: cell(f, f) for f in mors},
-    )
+    return thin_twocat(objects, mors, id1, comp,
+                       {f"{f}<={g}": (f, g) for f, g in sorted(leq)})
 
 
 def _monoid_tables(n: int):

@@ -1,5 +1,6 @@
 """Ambient 2-category tables, validation, and equivalence witnesses."""
 
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from corpus import cyclic_parity, distinct_tables, oracle_inputs, with_tables
 from oracles import exhaustive_validate, reached_by_left_composition
 
 from twoloc import (
+    EquivalenceWitness,
     StructureError,
     adjointify,
     build_choices,
@@ -26,7 +28,8 @@ from twoloc import (
     witness_problems,
 )
 from twoloc.core import Report, TwoCat, _check_structure, _generators, _is_two_category
-from twoloc.fixtures import FIXTURES
+from twoloc.documents import dump_twocat
+from twoloc.fixtures import FIXTURES, thin_twocat
 from twoloc.groupoids import CATALOGS
 
 
@@ -35,6 +38,52 @@ def test_all_fixtures_validate():
         c, _w = fixture(name)
         rep = validate(c)
         assert rep.ok, (name, rep.lines())
+
+
+# SHA-256 of each shipped fixture's document, as `twoloc fixtures` writes it
+FIXTURE_DIGESTS = {
+    "F1": "14dc42464fe18f28406599eee67f8a43897c3e9b6d12bd894f4b26ced57ca5b8",
+    "F2": "6a556ca122caaf81c48deba79cb46c0fadc8313dd2c5a818dcc4e1e47c594b89",
+    "F3": "d5fff13b31fdfda6446bc146757a1dc0270238c91e40297169d23b2efd3b6105",
+    "F4": "2900446f24fd8ebbeb847620e9f4e1a4312b6f4e4cd14f125bfc1c4f7931a5f2",
+    "F5": "2f01282d8ea97a0437d309296f0edffebf6e0e6fe2ace0c6b2717df6a3345b6b",
+    "F6": "59c7632a0c2b6aa487d2f3ec16d7018fc16afeeaea8bcea24d202eb3b5f9b817",
+    "F7": "5d15aea94ccb2c1ed41c9f66037c3e44d6ea889f360ac9a1be8ebe5b04b446e9",
+}
+
+
+def test_shipped_fixture_documents_are_pinned():
+    assert FIXTURE_DIGESTS.keys() == FIXTURES.keys()
+    for name, digest in FIXTURE_DIGESTS.items():
+        doc = dump_twocat(*fixture(name))
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest, name
+
+
+ONE_OBJECT = (["A"], {"1": ("A", "A"), "a": ("A", "A")}, {"A": "1"})
+TWO_OBJECTS = (["0", "1"], {"id0": ("0", "0"), "id1": ("1", "1"), "p": ("0", "1"),
+                            "q": ("0", "1"), "r": ("0", "1")}, {"0": "id0", "1": "id1"})
+
+
+@pytest.mark.parametrize("tables, comp, pairs, missing", [
+    # Z/2 ordered by 1 <= a, an order `posetal_family` rejects as not
+    # monotone: i_a ∗ (1<=a) would run a ⇒ a∘a = 1
+    (ONE_OBJECT, {("a", "a"): "1"}, [("1", "1"), ("a", "a"), ("1", "a")], "a ⇒ 1"),
+    # p <= q <= r without p <= r: (q<=r) ⊙ (p<=q) would run p ⇒ r
+    (TWO_OBJECTS, {}, [("id0", "id0"), ("id1", "id1"), ("p", "p"), ("q", "q"),
+                        ("r", "r"), ("p", "q"), ("q", "r")], "p ⇒ r"),
+    # no identity 2-cell on a
+    (ONE_OBJECT, {("a", "a"): "a"}, [("1", "1")], "a ⇒ a"),
+])
+def test_thin_twocat_needs_pairs_closed_under_composition(tables, comp, pairs, missing):
+    cells = {f"{f}<={g}": (f, g) for f, g in pairs}
+    with pytest.raises(ValueError, match=f"no 2-cell {missing}$"):
+        thin_twocat(*tables, comp, cells)
+
+
+def test_thin_twocat_needs_one_cell_per_pair():
+    with pytest.raises(ValueError, match="share a boundary"):
+        thin_twocat(*ONE_OBJECT, {("a", "a"): "a"},
+                    {"i_1": ("1", "1"), "i_a": ("a", "a"), "j_a": ("a", "a")})
 
 
 def test_validate_flags_missing_table_entry_as_structural():
@@ -242,8 +291,6 @@ def test_adjointify_satisfies_triangles():
 
 def test_adjointify_rejects_invalid_witness():
     c, _ = fixture("F5")
-    from twoloc import EquivalenceWitness
-
     with pytest.raises(StructureError):
         adjointify(c, EquivalenceWitness("u", "u", "eps", "eps"))
 
@@ -254,6 +301,17 @@ def test_quasi_inverse_witness_swaps_direction():
     back = quasi_inverse_witness(c, w)
     assert back.e == "g" and back.e_bar == "f"
     assert witness_problems(c, back) == []
+
+
+def test_quasi_inverse_witness_rejects_a_non_invertible_cell():
+    # {1, e} with e∘e = e ordered by 1 <= e: δ = 1<=e runs 1 ⇒ e∘e but has
+    # no inverse, so there is no witness for ē to carry it
+    c = thin_twocat(["A"], {"1": ("A", "A"), "e": ("A", "A")}, {"A": "1"},
+                    {("e", "e"): "e"},
+                    {"1<=1": ("1", "1"), "e<=e": ("e", "e"), "1<=e": ("1", "e")})
+    assert validate(c).ok and not c.is_invertible2("1<=e")
+    with pytest.raises(StructureError, match="not a valid equivalence witness"):
+        quasi_inverse_witness(c, EquivalenceWitness("e", "e", "1<=e", "e<=e"))
 
 
 def test_transport_witness_along_parity_cell():

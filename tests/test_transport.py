@@ -36,7 +36,7 @@ from twoloc.fixtures import parity_twocat
 from twoloc.fractions import Localization, Span, _Hom, _HomPartitions
 from twoloc.saturation import cospan_fillers
 from twoloc.transport import AmbientView, LocalizationView
-from corpus import CorpusEntry, cyclic_family, cyclic_parity, posetal_family
+from corpus import CorpusEntry, cyclic_family, cyclic_parity, posetal_family, with_tables
 from oracles import enumerate_strict_functors, reference_weak_equivalence_report, search_constancy
 
 
@@ -325,7 +325,8 @@ def test_collapse_of_f7_fails_cell_injectivity():
 
 def test_compare_choice_tables_connects_everything(corpus_entries):
     # against a table that takes the last filler of every cospan, at W
-    # and at W_sat wherever BF passes
+    # and at W_sat wherever BF passes; on fresh tables, whose class stores
+    # show that the comparison partitioned no hom
     inputs = [CorpusEntry(name, *fixture(name)) for name in sorted(FIXTURES)]
     inputs += corpus_entries
     pairs = differing = 0
@@ -334,13 +335,15 @@ def test_compare_choice_tables_connects_everything(corpus_entries):
             if not check_bf(entry.c, cls).ok:
                 continue
             pairs += 1
-            ch1 = build_choices(entry.c, cls)
-            ch2 = Localization(entry.c, ch1.w, {
-                k: list(cospan_fillers(entry.c, ch1.w, *k))[-1] for k in ch1.entries})
+            c = with_tables(entry.c)
+            ch1 = build_choices(c, cls)
+            ch2 = Localization(c, ch1.w, {
+                k: list(cospan_fillers(c, ch1.w, *k))[-1] for k in ch1.entries})
             differing += ch1.entries != ch2.entries
             comp = compare_choice_tables(ch1, ch2)
             assert comp.ok and not comp.unconnected, (entry.name, sorted(cls))
             assert comp.pairs_checked > 0
+            assert ch1._store.counters["representatives"] == 0, entry.name
     assert pairs == 12 + 202  # F4 fails BF at W and at W_sat
     assert differing > 0  # the two tables are not always the same
     c, w = fixture("F3")
