@@ -670,11 +670,9 @@ def adjointify(c: TwoCat, w: EquivalenceWitness) -> EquivalenceWitness:
 
 def quasi_inverse_witness(c: TwoCat, w: EquivalenceWitness) -> EquivalenceWitness:
     """The witness showing ē is itself an equivalence, via (e, ξ⁻¹, δ⁻¹)."""
-    xi_inv = c.inverse2(w.xi)
-    delta_inv = c.inverse2(w.delta)
-    if xi_inv is None or delta_inv is None:
+    if witness_problems(c, w):
         raise StructureError(f"not a valid equivalence witness: {w}")
-    return EquivalenceWitness(w.e_bar, w.e, xi_inv, delta_inv)
+    return EquivalenceWitness(w.e_bar, w.e, c.inverse2(w.xi), c.inverse2(w.delta))
 
 
 def transport_witness(c: TwoCat, w: EquivalenceWitness, gamma: str) -> EquivalenceWitness:
@@ -682,6 +680,8 @@ def transport_witness(c: TwoCat, w: EquivalenceWitness, gamma: str) -> Equivalen
 
     New witness: (ē, (i_ē∗γ)⊙δ, ξ⊙(γ⁻¹∗i_ē)).
     """
+    if witness_problems(c, w):
+        raise StructureError(f"not a valid equivalence witness: {w}")
     g_inv = c.inverse2(gamma)
     if g_inv is None:
         raise StructureError(f"transporting 2-cell {gamma} is not invertible")

@@ -27,6 +27,11 @@ first decision on them (`FiniteGroupoid.reach` already assumes this).
 The verdict of a chain is frozen, and every vacuous chain (~99% of the
 chains of a catalog) shares one vacuous verdict, so it allocates nothing.
 
+In the catalog 2-category a functor y → x is identified by its image
+tuples, (y, x, object images in `y.objects` order, arrow images in
+`y.arrows` order), so a composite is found by composing tuples; a
+transformation by its functors and its components in sorted-object order.
+
 Enumeration cost is exponential in groupoid size; keep catalogs to ~3
 groupoids with ≤3 objects and ≤12 arrows each.
 """
@@ -322,7 +327,8 @@ def groupoid_twocat(catalog: list[FiniteGroupoid]) -> tuple[TwoCat, frozenset[st
 
     Returns the strict 2-category (objects = groupoid names, 1-cells =
     functors, 2-cells = natural transformations) and the class of 1-cells
-    that are Morita equivalences.
+    that are Morita equivalences.  Functors and transformations are
+    identified by image tuples, as the module docstring says.
     """
     by_name = {}
     for g in catalog:
@@ -331,62 +337,61 @@ def groupoid_twocat(catalog: list[FiniteGroupoid]) -> tuple[TwoCat, frozenset[st
         by_name[g.name] = g
     names = sorted(by_name)
 
+    ordered = {n: tuple(sorted(g.objects)) for n, g in by_name.items()}
+    image = lambda table, keys: tuple(map(table.__getitem__, keys))
     funs: dict[str, GroupoidFunctor] = {}
-    by_sig: dict[tuple, str] = {}
+    images: dict[str, tuple] = {}  # fid -> (source, target, object images, arrow images)
+    by_images: dict[tuple, str] = {}
     for a, b in itertools.product(names, names):
-        for k, fun in enumerate(enumerate_gfunctors(by_name[a], by_name[b])):
+        y = by_name[a]
+        for k, fun in enumerate(enumerate_gfunctors(y, by_name[b])):
             fid = f"{a}>{b}#{k}"
             funs[fid] = fun
-            by_sig[fun.signature()] = fid
+            images[fid] = (a, b, image(fun.obj_map, y.objects), image(fun.arr_map, y.arrows))
+            by_images[images[fid]] = fid
 
     mor_src = {fid: fun.source.name for fid, fun in funs.items()}
     mor_dst = {fid: fun.target.name for fid, fun in funs.items()}
-    id1 = {n: by_sig[identity_gfunctor(by_name[n]).signature()] for n in names}
+    id1 = {n: by_images[(n, n, tuple(by_name[n].objects), by_name[n].arrows)] for n in names}
     comp1 = {}
     for gid, fid in itertools.product(funs, funs):
         if mor_dst[fid] == mor_src[gid]:
-            comp1[(gid, fid)] = by_sig[
-                compose_gfunctors(funs[gid], funs[fid]).signature()]
+            g, (src, _, objs, arrs) = funs[gid], images[fid]
+            comp1[(gid, fid)] = by_images[
+                (src, mor_dst[gid], image(g.obj_map, objs), image(g.arr_map, arrs))]
 
-    cells: dict[str, tuple[str, str, tuple]] = {}  # cid -> (src fid, dst fid, items)
+    cells: dict[str, tuple[str, str, tuple]] = {}  # cid -> (src fid, dst fid, components)
     by_nt: dict[tuple[str, str, tuple], str] = {}
-    id2 = {}
     for fid, gid in itertools.product(sorted(funs), sorted(funs)):
         if (mor_src[fid], mor_dst[fid]) != (mor_src[gid], mor_dst[gid]):
             continue
         for j, eta in enumerate(natural_transformations(funs[fid], funs[gid])):
             cid = f"{fid}~{gid}.{j}"
-            items = tuple(sorted(eta.items()))
-            cells[cid] = (fid, gid, items)
-            by_nt[(fid, gid, items)] = cid
-    for fid, fun in funs.items():
-        ident = tuple(sorted((o, fun.target.unit[fun.obj_map[o]])
-                             for o in fun.source.objects))
-        id2[fid] = by_nt[(fid, fid, ident)]
+            comps = image(eta, ordered[mor_src[fid]])
+            cells[cid] = (fid, gid, comps)
+            by_nt[(fid, gid, comps)] = cid
+    id2 = {fid: by_nt[(fid, fid, image(fun.target.unit, image(fun.obj_map, ordered[mor_src[fid]])))]
+           for fid, fun in funs.items()}
 
     # composable pairs only, b-major with a in cell order: `validate` names
-    # its first witness in that order.  Items are sorted by object, so the
-    # composites' items come out sorted.
+    # its first witness in that order.
     into = _index(cells, lambda aid: cells[aid][1])  # functor -> the cells ending at it
     # groupoid -> the cells whose functors land in it
     landing = _index(cells, lambda aid: mor_dst[cells[aid][0]])
     vcomp = {}
     hcomp = {}
-    for bid, (bf, bg, bitems) in cells.items():
-        etap = dict(bitems)
+    for bid, (bf, bg, bcomps) in cells.items():
         g1 = funs[bf]
         x = g1.target
         for aid in into.get(bf, ()):  # vertically composable: a then b
-            af, _, aitems = cells[aid]
-            comp_items = tuple([(o, x.comp[(etap[o], ao)]) for o, ao in aitems])
-            vcomp[(bid, aid)] = by_nt[(af, bg, comp_items)]
+            af, _, acomps = cells[aid]
+            vcomp[(bid, aid)] = by_nt[(af, bg, image(x.comp, zip(bcomps, acomps)))]
+        # (b∗a)_o = b_{dst a_o} ∘ g1(a_o), so b∗a maps a's components through `after`
+        etap, y = dict(zip(ordered[mor_src[bf]], bcomps)), g1.source
+        after = {ao: x.comp[(etap[y.arr_dst[ao]], g1.arr_map[ao])] for ao in y.arrows}
         for aid in landing.get(mor_src[bf], ()):  # horizontally composable: a earlier
-            af, ag, aitems = cells[aid]
-            f2 = funs[ag]
-            comp_items = tuple([(o, x.comp[(etap[f2.obj_map[o]], g1.arr_map[ao])])
-                                for o, ao in aitems])
-            hcomp[(bid, aid)] = by_nt[(
-                comp1[(bf, af)], comp1[(bg, ag)], comp_items)]
+            af, ag, acomps = cells[aid]
+            hcomp[(bid, aid)] = by_nt[(comp1[(bf, af)], comp1[(bg, ag)], image(after, acomps))]
 
     c = TwoCat(
         objects=tuple(names),

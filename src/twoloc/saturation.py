@@ -49,21 +49,29 @@ def fill_cospan(c: TwoCat, w: frozenset[str], f: str, v: str) -> tuple[str, str,
     raise StructureError(f"no filler for cospan ({f!r}, {v!r})")
 
 
+def _lift_candidates(c: TwoCat, w: frozenset[str], f1: str, f2: str) -> tuple:
+    """(v, the 2-cells f1∘v ⇒ f2∘v) for each v ∈ W into src f1: sorted apex, then `hom1` order."""
+    a = c.mor_src[f1]
+    return tuple((v, c.hom2(c.compose1(f1, v), c.compose1(f2, v)))
+                 for apex in sorted(c.objects) for v in c.hom1(apex, a) if v in w)
+
+
+def _whiskered_lifts(c: TwoCat, wm: str, alpha: str, candidates: tuple):
+    """The candidates (v, beta) with alpha∗i_v = i_wm∗beta, in order."""
+    for v, betas in candidates:
+        lhs = c.whisker_right(alpha, v)
+        for beta in betas:
+            if c.whisker_left(wm, beta) == lhs:
+                yield v, beta
+
+
 def cell_lifts(c: TwoCat, w: frozenset[str], wm: str, f1: str, f2: str, alpha: str):
     """All (v ∈ W, beta: f1∘v ⇒ f2∘v) with alpha∗i_v = i_wm∗beta.
 
     Here alpha: wm∘f1 ⇒ wm∘f2 with wm ∈ W; the condition says beta becomes
     alpha after whiskering with wm (up to restriction along v).
     """
-    a = c.mor_src[f1]
-    for apex in sorted(c.objects):
-        for v in c.hom1(apex, a):
-            if v not in w:
-                continue
-            lhs = c.whisker_right(alpha, v)
-            for beta in c.hom2(c.compose1(f1, v), c.compose1(f2, v)):
-                if c.whisker_left(wm, beta) == lhs:
-                    yield v, beta
+    yield from _whiskered_lifts(c, wm, alpha, _lift_candidates(c, w, f1, f2))
 
 
 def lift_cell(
@@ -129,35 +137,43 @@ def _lift_pairs(first, rest, first_only: bool):
 
 
 def _check_bf4(c: TwoCat, w: frozenset[str], rep: Report, first_only: bool) -> None:
-    """Decide BF4a-c over every alpha: wm∘f1 ⇒ wm∘f2 with wm ∈ W."""
+    """Decide BF4a-c over every alpha: wm∘f1 ⇒ wm∘f2 with wm ∈ W.
+
+    The lift candidates, like the merge memo, read f1 and f2 only.
+    """
+    candidates: dict[tuple[str, str], tuple] = {}  # (f1, f2) -> _lift_candidates
     zigs: dict[tuple[str, str], tuple] = {}  # (v, v') -> _zigs(c, w, v, v')
     merged: dict[tuple, bool] = {}  # (f1, f2, l, l') -> _coequalized's answer
     for wm in sorted(w):
         b = c.mor_src[wm]
         for a_obj in sorted(c.objects):
             legs = [(f, c.compose1(wm, f)) for f in c.hom1(a_obj, b)]
-            for (f1, wm_f1), (f2, wm_f2) in itertools.product(legs, legs):
-                for alpha in c.hom2(wm_f1, wm_f2):
-                    lifts = cell_lifts(c, w, wm, f1, f2, alpha)
-                    first = next(lifts, None)
-                    if first is None:
-                        rep.fail("BF4a", (wm, f1, f2, alpha))
-                        continue
-                    lifted_invertibly = c.is_invertible2(first[1])
-                    for l1, l2 in _lift_pairs(first, lifts, first_only):
-                        lifted_invertibly = lifted_invertibly or c.is_invertible2(l2[1])
-                        if not rep.verdicts["BF4c"]:
+            for f1, wm_f1 in legs:
+                alphas_to = c.cells_from(wm_f1)
+                for f2, wm_f2 in legs:
+                    for alpha in alphas_to.get(wm_f2, ()):
+                        if (f1, f2) not in candidates:
+                            candidates[(f1, f2)] = _lift_candidates(c, w, f1, f2)
+                        lifts = _whiskered_lifts(c, wm, alpha, candidates[(f1, f2)])
+                        first = next(lifts, None)
+                        if first is None:
+                            rep.fail("BF4a", (wm, f1, f2, alpha))
                             continue
-                        key = (f1, f2, l1, l2)
-                        if key not in merged:
-                            vv = (l1[0], l2[0])
-                            if vv not in zigs:
-                                zigs[vv] = _zigs(c, w, *vv)
-                            merged[key] = _coequalized(c, f1, f2, l1, l2, zigs[vv])
-                        if not merged[key]:
-                            rep.fail("BF4c", (wm, alpha, l1, l2))
-                    if c.is_invertible2(alpha) and not lifted_invertibly:
-                        rep.fail("BF4b", (wm, f1, f2, alpha))
+                        lifted_invertibly = c.is_invertible2(first[1])
+                        for l1, l2 in _lift_pairs(first, lifts, first_only):
+                            lifted_invertibly = lifted_invertibly or c.is_invertible2(l2[1])
+                            if not rep.verdicts["BF4c"]:
+                                continue
+                            key = (f1, f2, l1, l2)
+                            if key not in merged:
+                                vv = (l1[0], l2[0])
+                                if vv not in zigs:
+                                    zigs[vv] = _zigs(c, w, *vv)
+                                merged[key] = _coequalized(c, f1, f2, l1, l2, zigs[vv])
+                            if not merged[key]:
+                                rep.fail("BF4c", (wm, alpha, l1, l2))
+                        if c.is_invertible2(alpha) and not lifted_invertibly:
+                            rep.fail("BF4b", (wm, f1, f2, alpha))
 
 
 def check_bf(c: TwoCat, w) -> Report:
@@ -179,7 +195,9 @@ def check_bf(c: TwoCat, w) -> Report:
     first only when they pass, and is decided again with all pairs if BF4a
     or BF4b then fails.  Each pair is asked once per (f1, f2, l, l'), and
     its answer serves every α with those lifts: `_zigs(v, v')` and the
-    merge equation read f1, f2, l and l' only, never wm or α.
+    merge equation read f1, f2, l and l' only, never wm or α.  The lift
+    candidates (`_lift_candidates`), like the merge memo, read f1 and f2
+    only, so they are listed once per (f1, f2) and each α whiskers them.
     """
     w = _as_class(c, w)
     rep = Report(AXIOMS)

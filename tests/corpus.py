@@ -305,6 +305,16 @@ def with_tables(c: TwoCat, **changes) -> TwoCat:
     return TwoCat(**{**{name: getattr(c, name) for name in TABLES}, **changes})
 
 
+class CountingDict(dict):
+    """A dict that counts its `[]` reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
 def classes_to_compare(c, w):
     """W, its right saturation and all 1-cells, without repeats.
 

@@ -13,7 +13,12 @@ where the proof that the two agree is written.
 - `search_check_bf`, `search_coequalized`: `saturation.check_bf`, all seven
   axioms, and its one answer per BF4c lift pair; test_saturation
   test_check_bf_matches_per_pair_search, test_check_bf_matches_search_without_identities,
+  test_check_bf_matches_search_on_catalogs,
   test_bf4c_fails_alone_on_the_first_lift_path; `check_bf`'s docstring.
+- `literal_cell_lifts`: `saturation.cell_lifts` and the lift candidates
+  `check_bf` builds once per (f1, f2); test_saturation
+  test_cell_lifts_match_literal_search and, through `search_check_bf`, the
+  tests above; `check_bf`'s docstring.
 - `oracle_partition`, `oracle_refinement_legs`, `oracle_refine`,
   `oracle_equality_chain`: `fractions.hom_fraction_cells`, `equality_chain`;
   test_partitions test_*_match_oracle; the `fractions` module docstring.
@@ -58,7 +63,7 @@ from twoloc.fractions import (
     hom_fraction_cells, identity_fraction_cell, identity_span, is_invertible_fraction_cell,
     span_dst, span_src, vcomp_fraction,
 )
-from twoloc.saturation import AXIOMS, _as_class, cell_lifts
+from twoloc.saturation import AXIOMS, _as_class
 from twoloc.transport import InducedPseudofunctor
 
 
@@ -151,6 +156,18 @@ def search_witnesses(c, w):
     return out
 
 
+def literal_cell_lifts(c, w, wm, f1, f2, alpha):
+    a = c.mor_src[f1]
+    for apex in sorted(c.objects):
+        for v in c.hom1(apex, a):
+            if v not in w:
+                continue
+            lhs = c.whisker_right(alpha, v)
+            for beta in c.hom2(c.compose1(f1, v), c.compose1(f2, v)):
+                if c.whisker_left(wm, beta) == lhs:
+                    yield v, beta
+
+
 def search_coequalized(c, w, f1, f2, lift1, lift2):
     v, beta = lift1
     v2, beta2 = lift2
@@ -173,7 +190,7 @@ def search_check_bf(c, w):
     """BF1-BF5 by all-tuples search, each first counterexample in `check_bf`'s order.
 
     Invertibility is read off the vcomp table, and no `check_bf` helper is
-    called but `cell_lifts`, the lifts' enumeration in search order.
+    called: the lifts come from `literal_cell_lifts`, in search order.
     """
     w = _as_class(c, w)
     rep = Report(AXIOMS)
@@ -206,7 +223,7 @@ def search_check_bf(c, w):
         for a_obj in sorted(c.objects):
             for f1, f2 in itertools.product(c.hom1(a_obj, b), c.hom1(a_obj, b)):
                 for alpha in c.hom2(c.compose1(wm, f1), c.compose1(wm, f2)):
-                    lifts = list(cell_lifts(c, w, wm, f1, f2, alpha))
+                    lifts = list(literal_cell_lifts(c, w, wm, f1, f2, alpha))
                     if not lifts:
                         rep.fail("BF4a", (wm, f1, f2, alpha))
                         continue

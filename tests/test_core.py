@@ -4,7 +4,7 @@ import hashlib
 import random
 
 import pytest
-from corpus import cyclic_parity, distinct_tables, oracle_inputs, with_tables
+from corpus import CountingDict, cyclic_parity, distinct_tables, oracle_inputs, with_tables
 from oracles import exhaustive_validate, reached_by_left_composition
 
 from twoloc import (
@@ -314,6 +314,19 @@ def test_quasi_inverse_witness_rejects_a_non_invertible_cell():
         quasi_inverse_witness(c, EquivalenceWitness("e", "e", "1<=e", "e<=e"))
 
 
+@pytest.mark.parametrize("build", [
+    quasi_inverse_witness, lambda c, w: transport_witness(c, w, "s_f")],
+    ids=["quasi_inverse_witness", "transport_witness"])
+def test_witness_builders_reject_an_invalid_witness(build):
+    # ē = f runs X→Y like e itself; the builders must say the witness is
+    # invalid, not hand back one as invalid or fail on a missing composite
+    c, _ = fixture("F6")
+    bad = EquivalenceWitness("f", "f", "s_f", "s_f")
+    assert witness_problems(c, bad) == ["quasi-inverse f has the wrong boundary"]
+    with pytest.raises(StructureError, match="not a valid equivalence witness"):
+        build(c, bad)
+
+
 def test_transport_witness_along_parity_cell():
     c, _ = fixture("F6")
     w = find_quasi_inverse(c, "f")
@@ -481,16 +494,6 @@ def test_validate_decides_the_four_groupoid_catalog():
     c, w = groupoid_twocat(CATALOGS["unit-pair-disc"]() + [pair_groupoid(3)])
     assert validate(c).ok
     assert check_bf(c, w).ok
-
-
-class CountingDict(dict):
-    """A dict that counts its `[]` reads."""
-
-    reads = 0
-
-    def __getitem__(self, key):
-        self.reads += 1
-        return super().__getitem__(key)
 
 
 def test_decider_reads_each_whiskering_once():

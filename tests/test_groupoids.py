@@ -1,5 +1,6 @@
 """Finite groupoids, functor enumeration, and Morita equivalence."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -266,6 +267,71 @@ def test_catalog_twocat_is_lawful():
     assert validate(c).ok
     assert len(c.mors) == 21 and len(w) == 10
     assert check_bf(c, w).ok
+
+
+# SHA-256 of each `groupoid_twocat` table's items, in insertion order
+CATALOG_TABLE_DIGESTS = {
+    "unit": {
+        "objects": "a55b4504cd35b84f340ac3e936b8b0c85344068b737f9623ac6b2e6cbafbe84c",
+        "mor_src": "412ffe9644a3407401e1ba1f9b34b3dbcbe6e4d14e50033c99e29135bb1ae607",
+        "mor_dst": "412ffe9644a3407401e1ba1f9b34b3dbcbe6e4d14e50033c99e29135bb1ae607",
+        "comp1": "270844e088c3eda62afc02f23d86152e5e6a826c2da7abb5274dcd353fffdd6e",
+        "id1": "20e304ee191e90706097f29cc4a4d498f5e4df4f93e73036dcb27eff26663a6c",
+        "cell_src": "fa1b28419c44f6e336559ef3926dde8b65b5b6ab1f2276299865b7b313dd0c7a",
+        "cell_dst": "fa1b28419c44f6e336559ef3926dde8b65b5b6ab1f2276299865b7b313dd0c7a",
+        "vcomp_table": "b3a041e8a482e21387bba0d57ef147735033ab11daea14cf95719fb4835ac96f",
+        "hcomp_table": "b3a041e8a482e21387bba0d57ef147735033ab11daea14cf95719fb4835ac96f",
+        "id2": "2547b106b6a37648b2987712c1fae05edafa74bbe9387887de86174da89e5b68",
+    },
+    "unit-pair": {
+        "objects": "7cbd29d509d08516a7b7523556af57be8e1f304c0638e2f5485b506bf3b0611a",
+        "mor_src": "4111681712a2854c2c53b9c185b30e45b1f8c7fd898d0de91d90a67720864be9",
+        "mor_dst": "64c115c04ca127922286528b5f2e00ff657a45202e2aa7c7bec8aa75e4d42ecb",
+        "comp1": "2bc821b9b318b9d2f38daa7c4a1ce278f58488c73c57aa9462fde8bbf82d80d0",
+        "id1": "698d60c17e59dda16fde0f88d8e9b7e8ebfb96b5c99143e8caf21f7b8a67dd1a",
+        "cell_src": "e09b003d97a9aa1a7a7986d06365a8408b7b7fbb80cbfef6da00e988a4a25f90",
+        "cell_dst": "deaab02970eedfd2458d55e37794a779bb28e5addd4845b6a7967cadcc2bc20b",
+        "vcomp_table": "fc6e355d5598236a88ac3b725fe1f935da501f45bc2122d6c528dcce4d7e3d4b",
+        "hcomp_table": "5aae2f85a7d0d67bdf1f02e762d434a2dd85a2d6514e2b52297b967db2712c03",
+        "id2": "3e425f5787da18c88a8cdd0801320d7cd446ff2040bea13468032c7b66336c69",
+    },
+    "unit-pair-disc": {
+        "objects": "5a79d3826765d7e6e81234c7313e59756dc6d171265013d71674b8a9345885f4",
+        "mor_src": "e13cf2c796b2bbdad66f45863dda967af49ca8e082761f32ce50c941b3469cd5",
+        "mor_dst": "8a8fa19c814ba9e3b4812cc98b73587c7752413736d9d04d89569457b5e4712a",
+        "comp1": "7d23c102139d4b25806e3e239f0736b62d9ba0b42b9113133e92c81d66163dc7",
+        "id1": "9adacfd9d3ac7dab44f4a76364deb127af046fed0be6389882d72ced27eed52b",
+        "cell_src": "78bd1f0b93e2d151b52f5bb4dc4189488d9191330fca8dc193eb54a635b891f0",
+        "cell_dst": "6ce980093d52a3c959ad02570ed074fbad8de2efa724904679fec96e134a5e62",
+        "vcomp_table": "d5c962bf3ebc820bf62042c1c070279724efcc41b2788f29e8d6d3941173da0c",
+        "hcomp_table": "e3acf9071497b44f5ca4289fb80557400fc02da01e9025dc4e39e02d8f2c6078",
+        "id2": "f39646dfc35be1194e4a5da3752930230a672d268053db445d6c23fbb88cf3a8",
+    },
+    "unit-pair2-disc3": {
+        "objects": "590c9c1c8a148a811ccfeb2bb6d47b73dd47de3608744ad0a1b8844bbcd52bb1",
+        "mor_src": "ebd008f0555e18f5701692b38544e12252c99aa57c21c6b05c956b6dc8e1add1",
+        "mor_dst": "f822334ce6cb7845f23cc4757da1607aaf1cb67dcbd41def3e26bef32d602eff",
+        "comp1": "63140a999b30ae97302718d53adb0d1b45c699b9558bc867c8fa0805b6a58468",
+        "id1": "eb4ba5abb7c6fbc74887c6a66e43c4dc6dfa6828325517fd6b19b149f7ec9731",
+        "cell_src": "23bee0ccb032abd027d5e859d2856a2b7f5b4acf580491fcd496c0f33d4889c3",
+        "cell_dst": "d250ae816ff296061825b5692721282da6271da675c5ca1098d62c3da53ee9a7",
+        "vcomp_table": "b9137c5816f2680dd25f897d054902578cc95c614bc6bfa1e2b2734b3cf16138",
+        "hcomp_table": "08e554df1127b2d3dfe89fa2629b1ad4c79441aaebb9a05351ac6f69f210204a",
+        "id2": "3d6c29d31708b373c4121d2bef988f15a451ce5849b719f1676a85349e800af1",
+    },
+}
+
+
+def test_catalog_tables_are_pinned():
+    catalogs = {name: make() for name, make in CATALOGS.items()}
+    catalogs["unit-pair2-disc3"] = [unit_groupoid(), pair_groupoid(2), discrete_groupoid(3)]
+    assert catalogs.keys() == CATALOG_TABLE_DIGESTS.keys()
+    for name, catalog in catalogs.items():
+        c, _w = groupoid_twocat(catalog)
+        for table, digest in CATALOG_TABLE_DIGESTS[name].items():
+            items = getattr(c, table)
+            items = list(items.items()) if isinstance(items, dict) else list(items)
+            assert hashlib.sha256(repr(items).encode()).hexdigest() == digest, (name, table)
 
 
 def test_catalog_localized_decider_matches_morita():

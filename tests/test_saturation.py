@@ -8,8 +8,10 @@ import itertools
 from collections import Counter
 
 import pytest
-from corpus import cyclic_parity, cyclic_plain, oracle_inputs, posetal_family, with_tables
-from oracles import search_check_bf, search_witnesses
+from corpus import (
+    CountingDict, cyclic_parity, cyclic_plain, oracle_inputs, posetal_family, with_tables,
+)
+from oracles import literal_cell_lifts, search_check_bf, search_witnesses
 
 from twoloc import (
     StructureError,
@@ -155,6 +157,24 @@ def test_cell_lifts_all_satisfy_equation(corpus_entries):
                         for v, beta in cell_lifts(c, w, wm, f1, f2, alpha):
                             assert c.whisker_left(wm, beta) == \
                                 c.whisker_right(alpha, v)
+
+
+def test_cell_lifts_match_literal_search():
+    # the lifts, candidates first and then the whisker test, in the order
+    # and number of the per-alpha search
+    lifted = 0
+    for entry in oracle_inputs():
+        c, w = entry.c, entry.w
+        for wm in sorted(w):
+            b = c.mor_src[wm]
+            for a_obj in sorted(c.objects):
+                for f1, f2 in itertools.product(c.hom1(a_obj, b), repeat=2):
+                    for alpha in c.hom2(c.compose1(wm, f1), c.compose1(wm, f2)):
+                        got = list(cell_lifts(c, w, wm, f1, f2, alpha))
+                        assert got == list(literal_cell_lifts(c, w, wm, f1, f2, alpha)), \
+                            (entry.name, wm, alpha)
+                        lifted += len(got)
+    assert lifted > 1000, lifted
 
 
 # -- saturation --------------------------------------------------------------
@@ -327,6 +347,38 @@ def test_bf4c_asks_each_lift_pair_once(monkeypatch):
                         asked.update([(f1, f2, l1, l2)]) or coequalized(c, f1, f2, l1, l2, zigs))
     assert check_bf(c, w).ok
     assert sum(asked.values()) == len(asked) == 568
+
+
+def test_check_bf_reads_each_lift_candidate_once():
+    """On the catalog Unit, Pair2, Disc3, `check_bf` reads comp1 5,580 times.
+
+    The lift candidates of an alpha, each v ∈ W into src f1 with the hom
+    f1∘v ⇒ f2∘v, read f1 and f2 only, so BF4 lists them once per (f1, f2)
+    and not once per alpha (11,400 reads).  The whisker test still reads
+    i_wm∗beta and alpha∗i_v for each alpha, so hcomp is read as often.
+    """
+    c, w = groupoid_twocat([unit_groupoid(), pair_groupoid(2), discrete_groupoid(3)])
+    counted = with_tables(c, comp1=CountingDict(c.comp1),
+                          hcomp_table=CountingDict(c.hcomp_table))
+    assert check_bf(counted, w).ok
+    assert (counted.comp1.reads, counted.hcomp_table.reads) == (5580, 9468)
+
+
+@pytest.mark.parametrize("catalog", sorted(CATALOGS))
+def test_check_bf_matches_search_on_catalogs(catalog):
+    # at the Morita class and, where the catalog has one, at the class
+    # with its least non-Morita endofunctor added, which BF2, BF3 and BF4a
+    # reject on unit-pair-disc
+    c, w = groupoid_twocat(CATALOGS[catalog]())
+    endo = [f for f in c.mors if c.mor_src[f] == c.mor_dst[f] and f not in w]
+    failing = []
+    for cls in (w, w | set(endo[:1])):
+        got, want = check_bf(c, cls), search_check_bf(c, cls)
+        assert (got.verdicts, got.counterexamples) == \
+            (want.verdicts, want.counterexamples), sorted(cls)
+        failing.append([a for a in AXIOMS if not got.verdicts[a]])
+    assert failing == [[], ["BF2", "BF3", "BF4a"] if endo else []]
+    assert bool(endo) == (catalog == "unit-pair-disc")
 
 
 def bf4c_alone() -> tuple[TwoCat, frozenset[str]]:
