@@ -11,10 +11,14 @@ the whole package:
   a 2-cell g1∘f1 ⇒ g2∘f2.
 
 Strictness means all the usual middle-unit/associator bookkeeping is exact
-table equality.  `validate` decides it by whiskering: a strict 2-category is
-a sesquicategory whose whiskerings interchange (Street, *Categorical
-structures*, 1996), and the whiskering laws need checking only for a
-generating set of 1-cells, so no check walks composable hcomp triples.
+table equality.  A strict 2-category is a sesquicategory whose whiskerings
+interchange (Street, *Categorical structures*, 1996), so a `TwoCat` stores
+vcomp and one row of whiskerings i_h∗− and −∗i_h per 1-cell h, and b∗a is
+derived from them.  A table given with a full hcomp is read into rows;
+`groupoid_twocat` builds only the rows.  `validate` checks the
+whiskering laws for a generating set of 1-cells and interchange for
+generators of each hom-category, so no check walks composable hcomp
+triples, and validating a lawful table built from rows derives no hcomp.
 Every check of the package returns a `Report` of named verdicts.
 A `TwoCat` builds its indexes on first use, and its `numbering`, shared
 by every class store of `fractions`, on a store's first sweep.
@@ -40,7 +44,15 @@ class InternalInconsistency(RuntimeError):
 
 
 class TwoCat:
-    """The tables of a strict 2-category; equal only to itself, as it owns its stores."""
+    """The tables of a strict 2-category; equal only to itself, as it owns its stores.
+
+    The 2-cell structure is vcomp and the whisker rows: per 1-cell h,
+    `left_rows[h]` maps each 2-cell a beside it to i_h∗a and
+    `right_rows[h]` maps it to a∗i_h, keyed in `cells` order.  Built with
+    an `hcomp_table`, the rows are read from it and `validate` checks its
+    other entries; built `from_whiskerings`, the table is derived on first
+    read, b-major in `cell_src` order.
+    """
 
     def __init__(self, objects: tuple[str, ...], mor_src: dict[str, str],
                  mor_dst: dict[str, str], comp1: dict[tuple[str, str], str],
@@ -50,7 +62,18 @@ class TwoCat:
         self.objects, self.mor_src, self.mor_dst = objects, mor_src, mor_dst
         self.comp1, self.id1 = comp1, id1
         self.cell_src, self.cell_dst = cell_src, cell_dst
-        self.vcomp_table, self.hcomp_table, self.id2 = vcomp_table, hcomp_table, id2
+        self.vcomp_table, self.id2 = vcomp_table, id2
+        self.given_hcomp = hcomp_table  # None when built from whiskerings
+
+    @classmethod
+    def from_whiskerings(cls, objects, mor_src, mor_dst, comp1, id1, cell_src, cell_dst,
+                         vcomp_table, left_rows: dict[str, dict[str, str]],
+                         right_rows: dict[str, dict[str, str]], id2) -> TwoCat:
+        """The 2-category whose b∗a is (b∗i_f′)⊙(i_g∗a), from its whisker rows."""
+        c = cls(objects, mor_src, mor_dst, comp1, id1, cell_src, cell_dst,
+                vcomp_table, None, id2)
+        c.left_rows, c.right_rows = left_rows, right_rows
+        return c
 
     # -- 1-cell structure ---------------------------------------------------
 
@@ -119,19 +142,57 @@ class TwoCat:
             raise StructureError(f"2-cells not vertically composable: {b} after {a}") from None
 
     def hcomp(self, b: str, a: str) -> str:
-        """b∗a: a over the earlier 1-cell, b over the later one."""
+        """b∗a = (b∗i_f′)⊙(i_g∗a) for a: f ⇒ f′ and b: g ⇒ g′; computed, not stored."""
         try:
-            return self.hcomp_table[(b, a)]
+            return self.vcomp_table[(self.right_rows[self.cell_dst[a]][b],
+                                     self.left_rows[self.cell_src[b]][a])]
         except KeyError:
             raise StructureError(f"2-cells not horizontally composable: {b} beside {a}") from None
 
     def whisker_left(self, f: str, gamma: str) -> str:
         """i_f ∗ γ, for γ over some g: A→B and f: B→C."""
-        return self.hcomp(self.id2[f], gamma)
+        try:
+            return self.left_rows[f][gamma]
+        except KeyError:
+            raise StructureError(f"cannot whisker {gamma} by {f} on the left") from None
 
     def whisker_right(self, gamma: str, f: str) -> str:
         """γ ∗ i_f, for f: A→B and γ over some g: B→C."""
-        return self.hcomp(gamma, self.id2[f])
+        try:
+            return self.right_rows[f][gamma]
+        except KeyError:
+            raise StructureError(f"cannot whisker {gamma} by {f} on the right") from None
+
+    @cached_property
+    def left_rows(self) -> dict[str, dict[str, str]]:
+        return self._rows_from_table(True)
+
+    @cached_property
+    def right_rows(self) -> dict[str, dict[str, str]]:
+        return self._rows_from_table(False)
+
+    def _rows_from_table(self, left: bool) -> dict[str, dict[str, str]]:
+        """The given table's entries i_h∗a (or a∗i_h), per 1-cell h, in `cells` order."""
+        ht, id2, beside = self.given_hcomp, self.id2, self._cells_by_end[left]
+        end = (self.mor_dst, self.mor_src)[left]
+        return {h: {a: r for a in beside.get(end[h], ())
+                    if (r := ht.get((id2.get(h), a) if left else (a, id2.get(h)))) is not None}
+                for h in self.mors}
+
+    @cached_property
+    def _cells_by_end(self) -> tuple[dict, dict]:
+        """(object -> 2-cells over 1-cells out of it, object -> those into it), in `cells` order."""
+        return tuple(_index(self.cells, lambda a, end=end: end[self.cell_src[a]])
+                     for end in (self.mor_src, self.mor_dst))
+
+    @cached_property
+    def hcomp_table(self) -> dict[tuple[str, str], str]:
+        """b∗a for every composable pair: the given table, or derived b-major in `cell_src` order."""
+        if self.given_hcomp is not None:
+            return self.given_hcomp
+        landing = _index(self.cell_src, lambda a: self.mor_dst[self.cell_src[a]])
+        return {(b, a): self.hcomp(b, a) for b in self.cell_src
+                for a in landing.get(self.mor_src[self.cell_src[b]], ())}
 
     @cached_property
     def _inverse2(self) -> dict[str, str]:
@@ -216,12 +277,11 @@ class Numbering:
     def leg(self, c: TwoCat, p: str) -> tuple:
         """(src p, v ↦ v∘p, α ↦ α∗i_p) on ids, for the v and α that start at dst p."""
         if p not in self._legs:
-            comp1, hcomp, ip = c.comp1, c.hcomp_table, c.id2[p]
+            comp1, cell_id = c.comp1, self.cell_id
             self._legs[p] = (self.obj_id[c.mor_src[p]], {
                 i: self.mor_id[h] for i, v in enumerate(self.mors)
                 if (h := comp1.get((v, p))) is not None}, {
-                i: self.cell_id[h] for i, a in enumerate(self.cells)
-                if (h := hcomp.get((a, ip))) is not None})
+                cell_id[a]: cell_id[h] for a, h in c.right_rows[p].items()})
         return self._legs[p]
 
 
@@ -345,6 +405,24 @@ def _check_structure(c: TwoCat, report: Report) -> bool:
                 c.cell_src[r], c.cell_dst[r]) != (c.cell_src[a], c.cell_dst[b]):
             gripe(f"vcomp[{(b, a)}] = {r} has the wrong boundary")
 
+    if c.given_hcomp is None:  # built from whiskerings: the rows stand in for hcomp
+        morsets = (_index(c.mors, c.mor_src.get), _index(c.mors, c.mor_dst.get))
+        for left, rows in ((True, c.left_rows), (False, c.right_rows)):
+            side, beside = ("left", "right")[not left], c._cells_by_end[left]
+            for h in sorted(rows.keys() - morset):
+                gripe(f"{side} whisker row for an undeclared 1-cell {h}")
+            for h in c.mors:
+                row, end = rows.get(h, {}), (c.mor_dst, c.mor_src)[left][h]
+                if list(row) != list(beside.get(end, ())):
+                    gripe(f"{side} whisker row of {h} is not keyed by the 2-cells beside it, in order")
+                    continue
+                composite = {f: c.comp1.get((h, f) if left else (f, h))  # the 1-cells beside h
+                             for f in morsets[left].get(end, ())}
+                for a, r in row.items():
+                    if r not in cellset or (c.cell_src[r], c.cell_dst[r]) != (
+                            composite[c.cell_src[a]], composite[c.cell_dst[a]]):
+                        gripe(f"{side} whisker of {a} by {h} is {r}, not a 2-cell of its boundary")
+        return not bad
     starts = {a: c.mor_src[f] for a, f in c.cell_src.items()}
     ends = {a: c.mor_dst[f] for a, f in c.cell_src.items()}
     stray = _check_domain(c.hcomp_table, starts, ends, "hcomp", gripe)
@@ -359,18 +437,21 @@ def _check_structure(c: TwoCat, report: Report) -> bool:
     return not bad
 
 
-def _generators(c: TwoCat) -> list[str]:
-    """A set S of 1-cells from which left composition reaches every 1-cell.
+def _generators(items, units, table: dict, src: dict, dst: dict) -> list[str]:
+    """A set S of `items` from which left composition in `table` reaches every item.
 
-    The 1-cells reached start as the identities and are kept closed under
-    x ↦ s∘x for s ∈ S; a 1-cell of `c.mors` not reached when its turn comes
-    joins S.  So, in the order in which 1-cells are reached, each one is an
-    identity, a member of S, or s∘x with s ∈ S and x reached earlier.
+    `table[(s, x)]` is s after x, defined when dst x = src s, and `units`
+    are the identities: the 1-cells under comp1, or the 2-cells under
+    vcomp, whose S then holds generators of every hom-category.  The items
+    reached start as the units and are kept closed under x ↦ s∘x for
+    s ∈ S; an item not reached when its turn comes joins S.  So, in the
+    order in which items are reached, each one is a unit, a member of S,
+    or s∘x with s ∈ S and x reached earlier.  S follows the order of
+    `items`, never that of a set.
     """
-    comp1, mor_src, mor_dst = c.comp1, c.mor_src, c.mor_dst
     gens: list[str] = []
-    gens_from: dict[str, list[str]] = {}     # object -> members of S out of it
-    reached_into: dict[str, list[str]] = {}  # object -> reached 1-cells into it
+    gens_from: dict[str, list[str]] = {}     # src -> members of S starting there
+    reached_into: dict[str, list[str]] = {}  # dst -> reached items ending there
     reached: set[str] = set()
 
     def close(todo: list[str]) -> None:
@@ -378,80 +459,118 @@ def _generators(c: TwoCat) -> list[str]:
             y = todo.pop()
             if y not in reached:
                 reached.add(y)
-                reached_into.setdefault(mor_dst[y], []).append(y)
-                todo += [comp1[(s, y)] for s in gens_from.get(mor_dst[y], ())]
+                reached_into.setdefault(dst[y], []).append(y)
+                todo += [table[(s, y)] for s in gens_from.get(dst[y], ())]
 
-    close(list(c.id1.values()))
-    for f in c.mors:
+    close(list(units))
+    for f in items:
         if f not in reached:
             gens.append(f)
-            gens_from.setdefault(mor_src[f], []).append(f)
-            close([f] + [comp1[(f, x)] for x in reached_into.get(mor_src[f], ())])
+            gens_from.setdefault(src[f], []).append(f)
+            close([f] + [table[(f, x)] for x in reached_into.get(src[f], ())])
     return gens
 
 
 def _is_two_category(c: TwoCat) -> bool:
     """Decide the strict 2-category laws on tables that pass `_check_structure`.
 
-    Write L_h = i_h∗− and R_e = −∗i_e for the whiskerings.  Checked in
-    full: the compose1 and vcomp unit laws, vcomp-assoc, the hcomp unit
-    laws, i_g∗i_f = i_{g∘f}, and for every hcomp entry b∗a, with
-    a: f1 ⇒ f2 and b: g1 ⇒ g2,
+    Write L_h = i_h∗− and R_h = −∗i_h for the whisker rows.  The tables
+    are lawful when the rows are the whiskerings of a strict 2-category
+    and every hcomp entry b∗a, with a: f1 ⇒ f2 and b: g1 ⇒ g2, is
 
-        (W)  b∗a = R_{f2}b ⊙ L_{g1}a = L_{g2}a ⊙ R_{f1}b.
+        (W)  b∗a = R_{f2}b ⊙ L_{g1}a,
 
-    Checked only for h and d in the set S of `_generators`, and for every
-    composable g, e and 2-cells:
+    as `TwoCat.hcomp` defines it for a table built from whiskerings.  Let
+    S be the `_generators` of the 1-cells under comp1, and G those of the
+    2-cells under vcomp.  Checked in full: the compose1 and vcomp unit
+    laws, that L_id and R_id are identity maps, L_g i_f = R_f i_g =
+    i_{g∘f}, and (W) for each given entry whose cells are not identities
+    (at i_g∗a and b∗i_f it holds by the last two checks and the vcomp unit
+    laws).  Checked for b ∈ G, every 1-cell h other than an identity, and
+    every d and a with d⊙b⊙a defined:
 
-        (A)  (h∘g)∘e = h∘(g∘e);
-        (F)  L_h(b⊙a) = L_h b ⊙ L_h a  and  R_d(b⊙a) = R_d b ⊙ R_d a;
-        (L)  L_h L_g = L_{h∘g};
-        (R)  R_d R_e = R_{e∘d};
-        (M)  R_e L_h = L_h R_e.
+        (V)  (d⊙b)⊙a = d⊙(b⊙a);
+        (F)  L_h(b⊙a) = L_h b ⊙ L_h a  and  R_h(b⊙a) = R_h b ⊙ R_h a.
+
+    Checked for s, s′ ∈ S, every composable 1-cell g, d and e (g and d
+    not identities, where the unit checks give these), and a ∈ G:
+
+        (A)  (s∘g)∘e = s∘(g∘e);
+        (L)  L_s L_g a = L_{s∘g} a;
+        (R)  R_d R_s a = R_{s∘d} a;
+        (M)  R_{s′} L_s a = L_s R_{s′} a;
+        (I)  R_{f2}b ⊙ L_{g1}a = L_{g2}a ⊙ R_{f1}b, for b ∈ G too.
 
     Each check is an instance of the laws, so lawful tables pass.  The
-    converse takes two steps.
+    converse takes five steps.
 
-    (b) Generators: (A), and then (F), (L), (R) and (M), hold for every h
-    and d, by induction along the order in which `_generators` reaches
-    1-cells.  For an identity they follow from the unit laws, since L_id
-    and R_id are identity maps by the hcomp unit laws.  For s ∈ S they were
-    checked.  For h = s∘x with x reached earlier:
+    (v) vcomp-assoc, by Light's test: the b for which (V) holds for all d
+    and a contain the identities, by the unit laws, and are closed under
+    ⊙, as (d⊙(b⊙b′))⊙a = ((d⊙b)⊙b′)⊙a = (d⊙b)⊙(b′⊙a) = d⊙(b⊙(b′⊙a))
+    = d⊙((b⊙b′)⊙a) by (V) at b, b′, b and b′.  In the order in which
+    `_generators` reaches 2-cells, each b is an identity, in G, or b′⊙x
+    with b′ ∈ G and x reached earlier, so (V) holds for every b.
+
+    (f) Functors: every L_h and R_h keeps identities and ⊙, so two
+    composites of them that agree on G and on identities agree on every
+    2-cell, and (L), (R) and (M) hold for every a.  In the order in which
+    `_generators` reaches 2-cells, each b is an identity, in G, or b′⊙x
+    with b′ ∈ G and x reached earlier, and then
+    L_h((b′⊙x)⊙a) = L_h b′ ⊙ L_h(x⊙a) = L_h(b′⊙x) ⊙ L_h a by (F) for b′
+    and x and vcomp-assoc; likewise for R_h.
+
+    (b) 1-cells: (A), (L), (R) and (M) hold with any 1-cells in place of
+    s and s′, by induction along the order in which `_generators` reaches
+    1-cells.  For an identity they follow from the unit checks.  For s ∈ S
+    they were checked.  For s∘x with x reached earlier:
 
     * (A): ((s∘x)∘g)∘e = (s∘(x∘g))∘e = s∘((x∘g)∘e) = s∘(x∘(g∘e))
       = (s∘x)∘(g∘e), by (A) at s, s, x and s; the steps below use (A) at
       any 1-cell;
-    * L_h = L_s L_x by (L) at s, so (F) and (M) at h follow from (F) and
-      (M) at s and x, and L_h L_g = L_s L_{x∘g} = L_{s∘(x∘g)} = L_{h∘g} by
-      (L) at x and s and then (A);
-    * R_h = R_x R_s by (R) at x, so (F) at h follows from (F) at s and x,
-      and R_h R_e = R_x R_{e∘s} = R_{(e∘s)∘x} = R_{e∘h} by (R) at s and x
-      and then (A).
+    * (L): L_{(s∘x)∘g} = L_s L_{x∘g} = L_s L_x L_g = L_{s∘x} L_g;
+    * (R): R_{(s∘x)∘d} = R_{x∘d} R_s = R_d R_x R_s = R_d R_{s∘x};
+    * (M): R_{s∘x} = R_x R_s and L_{s∘x} = L_s L_x by (R) and (L), so (M)
+      at s∘x, on either side, follows from (M) at s and x.
 
-    (a) Whiskering: with (W), and (A) to (M) for all 1-cells, hcomp is
-    associative and interchanges; its unit laws were checked directly.  The
-    structure check fixes the boundary of every composite (d∗b runs from
-    k1∘g1), which the formulas below read.  Take d: k1 ⇒ k2 after b after a,
-    and a2: f2 ⇒ f3, b2: g2 ⇒ g3.  Then, up to brackets (vcomp-assoc),
+    (c) Interchange: (I) holds for all a and b.  Fix b.  The a for which
+    (I) holds contain the identities, as R_{f}b ⊙ L_{g1}i_f = R_{f}b =
+    L_{g2}i_f ⊙ R_{f}b, and are closed under ⊙, by (F) for L:
+
+        R_{f3}b ⊙ L_{g1}(a2⊙a) = L_{g2}a2 ⊙ R_{f2}b ⊙ L_{g1}a
+                               = L_{g2}(a2⊙a) ⊙ R_{f1}b.
+
+    By the induction of (f), (I) holds for b ∈ G and every a.  Now fix any
+    a; the same argument in b, by (F) for R, gives (I) for every b.
+
+    (a) Whiskering: with (W), (I), and (A) to (M) for all 1-cells, hcomp
+    is associative and interchanges; its unit laws follow from (W) and the
+    unit checks.  The structure check fixes the boundary of every
+    composite (d∗b runs from k1∘g1), which the formulas below read.  Take
+    d: k1 ⇒ k2 after b after a, and a2: f2 ⇒ f3, b2: g2 ⇒ g3.  Then, up to
+    brackets (vcomp-assoc),
 
     * (d∗b)∗a = R_{f2}(R_{g2}d ⊙ L_{k1}b) ⊙ L_{k1∘g1}a
       = R_{g2∘f2}d ⊙ L_{k1}R_{f2}b ⊙ L_{k1}L_{g1}a
       = R_{g2∘f2}d ⊙ L_{k1}(R_{f2}b ⊙ L_{g1}a) = d∗(b∗a), by (F), (R),
       (M) and (L);
     * (b2⊙b)∗(a2⊙a) = R_{f3}b2 ⊙ (R_{f3}b ⊙ L_{g1}a2) ⊙ L_{g1}a
-      = R_{f3}b2 ⊙ (L_{g2}a2 ⊙ R_{f2}b) ⊙ L_{g1}a = (b2∗a2)⊙(b∗a), by (F)
-      and both forms of (W) for b∗a2.
+      = R_{f3}b2 ⊙ (L_{g2}a2 ⊙ R_{f2}b) ⊙ L_{g1}a = (b2∗a2)⊙(b∗a), by (F),
+      (W) and (I) for b∗a2.
 
-    Cost.  vcomp-assoc walks vcomp entries against the 2-cells after them,
-    as `validate`'s loop does, and (W) reads four whiskerings per hcomp
-    entry.  The maps L_h, R_h and h∘− are built once per 1-cell, reading
-    each whiskering once, and (F) to (M) at s compare lists of their
-    values.  So hcomp_table is read at most 6·|hcomp| + 2·|cells| + |comp1|
-    times in all, where the law loops walk composable hcomp triples and
-    interchange pairs.
+    Cost.  (V) walks the 2-cells before and after each generator, where
+    `validate`'s loop walks every vcomp entry against the 2-cells after
+    it.  (W) reads two row entries per given entry
+    that is not a whiskering; a table built from whiskerings has none, so
+    no hcomp entry is derived.  The unit and identity checks read two row
+    entries per 2-cell and per comp1 entry, (F) one per (h, b) and two per
+    a after b, (L) and (R) three per generator a, (M) one per (s, a) and
+    three per s′, and (I) four per pair of generators: 132 pairs on the
+    catalog Unit, Pair2, Disc3, where hcomp has 4,740 entries, and 6,424 on
+    the 4-groupoid catalog, where it has 727,484.
     """
     mors, cells = c.mors, c.cells
-    comp1, vt, ht, id1, id2 = c.comp1, c.vcomp_table, c.hcomp_table, c.id1, c.id2
+    comp1, vt, id1, id2 = c.comp1, c.vcomp_table, c.id1, c.id2
+    L, R = c.left_rows, c.right_rows  # L[h] = i_h∗−, R[h] = −∗i_h
     mor_src, mor_dst = c.mor_src, c.mor_dst
     cell_src, cell_dst = c.cell_src, c.cell_dst
 
@@ -461,61 +580,75 @@ def _is_two_category(c: TwoCat) -> bool:
     if any(vt[(a, id2[cell_src[a]])] != a or vt[(id2[cell_dst[a]], a)] != a
            for a in cells):
         return False
-    cells_on = _index(cells, cell_src.get)
-    if any(vt[(vt[(d, b)], a)] != vt[(d, ba)]
-           for (b, a), ba in vt.items() for d in cells_on.get(cell_dst[b], ())):
+    if any(L[g][id2[f]] != id2[gf] or R[f][id2[g]] != id2[gf] for (g, f), gf in comp1.items()):
+        return False
+    if any(L[id1[mor_dst[cell_src[a]]]][a] != a or R[id1[mor_src[cell_src[a]]]][a] != a
+           for a in cells):
+        return False
+    units = set(id2.values())
+    if c.given_hcomp is not None and any(                                # (W)
+            vt[(R[cell_dst[a]][b], L[cell_src[b]][a])] != ba
+            for (b, a), ba in c.given_hcomp.items() if b not in units and a not in units):
         return False
 
-    if any(ht[(id2[g], id2[f])] != id2[gf] for (g, f), gf in comp1.items()):
-        return False
-    if any(ht[(a, id2[id1[mor_src[cell_src[a]]]])] != a
-           or ht[(id2[id1[mor_dst[cell_src[a]]]], a)] != a for a in cells):
-        return False
-    for (b, a), ba in ht.items():
-        i_f1, i_f2 = id2[cell_src[a]], id2[cell_dst[a]]
-        i_g1, i_g2 = id2[cell_src[b]], id2[cell_dst[b]]
-        if (vt[(ht[(b, i_f2)], ht[(i_g1, a)])] != ba
-                or vt[(ht[(i_g2, a)], ht[(b, i_f1)])] != ba):
-            return False
+    S = _generators(mors, id1.values(), comp1, mor_src, mor_dst)
+    G = _generators(cells, units, vt, cell_src, cell_dst)
+    # 1-cell -> the 2-cells starting at it, and those ending at it
+    starting, ending = _index(cells, cell_src.get), _index(cells, cell_dst.get)
+    for b in G:                                                           # (V)
+        before = ending.get(cell_src[b], ())
+        b_before = [vt[(b, a)] for a in before]
+        for d in starting.get(cell_dst[b], ()):
+            db = vt[(d, b)]
+            if any(vt[(db, a)] != vt[(d, ba)] for a, ba in zip(before, b_before)):
+                return False
 
-    # by object: the 1-cells out of and into it, the 2-cells over 1-cells
-    # out of it, into it and from z to it, and the vcomp pairs over those
-    mors_from, mors_into = _index(mors, mor_src.get), _index(mors, mor_dst.get)
-    cells_at = _index(cells, lambda a: mor_src[cell_src[a]])
-    cells_into = _index(cells, lambda a: mor_dst[cell_src[a]])
-    cells_hom = _index(cells, lambda a: (mor_src[cell_src[a]], mor_dst[cell_src[a]]))
-    vpairs_at = _index(vt, lambda ba: mor_src[cell_src[ba[1]]])
-    vpairs_into = _index(vt, lambda ba: mor_dst[cell_src[ba[1]]])
-    # per 1-cell h, keyed in the order of those indexes: L[h] = i_h∗−,
-    # R[h] = −∗i_h and C[h] = h∘−
-    L = {h: {a: ht[(id2[h], a)] for a in cells_into.get(mor_src[h], ())} for h in mors}
-    R = {h: {a: ht[(a, id2[h])] for a in cells_at.get(mor_dst[h], ())} for h in mors}
-    C = {h: {g: comp1[(h, g)] for g in mors_into.get(mor_src[h], ())} for h in mors}
+    # by object: the generators over 1-cells into it, out of it, and from z
+    # to it; the 1-cells into it, and the members of S into it
+    g_into = _index(G, lambda a: mor_dst[cell_src[a]])
+    g_from = _index(G, lambda a: mor_src[cell_src[a]])
+    g_hom = _index(G, lambda a: (mor_src[cell_src[a]], mor_dst[cell_src[a]]))
+    mors_into, s_into = _index(mors, mor_dst.get), _index(S, mor_dst.get)
+    C = {h: {g: comp1[(h, g)] for g in mors_into.get(mor_src[h], ())} for h in mors}  # h∘−
+    ids = set(id1.values())  # at an identity, (F), (A), (L) and (R) hold by the unit checks
 
     def image(m: dict, xs) -> list:
         return list(map(m.__getitem__, xs))
 
-    for s in _generators(c):
+    for rows, end, gens in ((L, mor_src, g_into), (R, mor_dst, g_from)):  # (F)
+        for h in mors:
+            m = rows[h]
+            for b in () if h in ids else gens.get(end[h], ()):
+                mb = m[b]
+                if any(m[vt[(b, a)]] != vt[(mb, m[a])] for a in ending.get(cell_src[b], ())):
+                    return False
+
+    for s in S:
         x, y, Ls, Rs, Cs = mor_src[s], mor_dst[s], L[s], R[s], C[s]
-        if any(Ls[vt[(b, a)]] != vt[(Ls[b], Ls[a])]                       # (F)
-               for b, a in vpairs_into.get(x, ())):
-            return False
-        if any(Rs[vt[(b, a)]] != vt[(Rs[b], Rs[a])] for b, a in vpairs_at.get(y, ())):
-            return False
         for g in mors_into.get(x, ()):
+            if g in ids:
+                continue
             sg = Cs[g]
-            if (image(Cs, C[g].values()) != list(C[sg].values())           # (A)
-                    or image(Ls, L[g].values()) != list(L[sg].values())):  # (L)
+            if image(Cs, C[g].values()) != list(C[sg].values()):           # (A)
                 return False
-        if any(image(Rs, R[e].values()) != list(R[C[e][s]].values())      # (R)
-               for e in mors_from.get(y, ())):
-            return False
+            xs = g_into.get(mor_src[g], ())
+            if image(Ls, image(L[g], xs)) != image(L[sg], xs):            # (L)
+                return False
+            xs = g_from.get(y, ())
+            if image(R[g], image(Rs, xs)) != image(R[sg], xs):            # (R)
+                return False
         for z in c.objects:
-            z_to_x = cells_hom.get((z, x), ())
-            s_z_to_x = image(Ls, z_to_x)
-            if z_to_x and any(image(R[e], s_z_to_x) != image(Ls, image(R[e], z_to_x))
-                              for e in mors_into.get(z, ())):             # (M)
+            xs = g_hom.get((z, x), ())
+            s_xs = image(Ls, xs)
+            if xs and any(image(R[e], s_xs) != image(Ls, image(R[e], xs))
+                          for e in s_into.get(z, ())):                    # (M)
                 return False
+
+    for b in G:                                                           # (I)
+        Lg1, Lg2 = L[cell_src[b]], L[cell_dst[b]]
+        if any(vt[(R[cell_dst[a]][b], Lg1[a])] != vt[(Lg2[a], R[cell_src[a]][b])]
+               for a in g_into.get(mor_src[cell_src[b]], ())):
+            return False
     return True
 
 
@@ -545,7 +678,7 @@ def validate(c: TwoCat) -> Report:
     cell_src, cell_dst = c.cell_src, c.cell_dst
     mors_from = _index(mors, mor_src.get)       # object -> 1-cells out of it
     cells_on = _index(cells, cell_src.get)      # 1-cell -> 2-cells out of it
-    cells_at = _index(cells, lambda a: mor_src[cell_src[a]])   # by object
+    cells_at = c._cells_by_end[False]             # object -> 2-cells over 1-cells out of it
     vpairs_at = _index(vt, lambda ba: mor_src[cell_src[ba[1]]])  # vcomp pairs by object
 
     for f in mors:
@@ -570,7 +703,7 @@ def validate(c: TwoCat) -> Report:
                 report.fail("vcomp-assoc", (d, b, a))
 
     for (g, f), gf in comp1.items():
-        if ht[(c.id2[g], c.id2[f])] != c.id2[gf]:
+        if c.whisker_left(g, c.id2[f]) != c.id2[gf] or c.whisker_right(c.id2[g], f) != c.id2[gf]:
             report.fail("hcomp-identities", (g, f))
     for a in cells:
         f = cell_src[a]

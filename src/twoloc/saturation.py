@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from .core import Report, StructureError, TwoCat
+from .core import Report, StructureError, TwoCat, _index
 
 AXIOMS = ("BF1", "BF2", "BF3", "BF4a", "BF4b", "BF4c", "BF5")
 
@@ -47,6 +47,29 @@ def fill_cospan(c: TwoCat, w: frozenset[str], f: str, v: str) -> tuple[str, str,
     for filler in cospan_fillers(c, w, f, v):
         return filler
     raise StructureError(f"no filler for cospan ({f!r}, {v!r})")
+
+
+def _bf3_failure(c: TwoCat, w: frozenset[str]) -> tuple[str, str] | None:
+    """The first cospan (f, v ∈ W), f-major and then sorted v, with no filler; None if none.
+
+    `cospan_fillers` has one iff some v2 ∈ W into src f and some v∘f2 with
+    f2: src v2 → src v have an invertible 2-cell f∘v2 ⇒ v∘f2.  So the
+    composites f∘v2 are listed once per f, and those v∘f2 once per v, by
+    apex, and each v2 tests its apex's set against `invertible_from(f∘v2)`.
+    """
+    w_into = _index(sorted(w), c.mor_dst.get)  # object -> the members of W into it
+    after: dict[str, dict[str, frozenset[str]]] = {}  # v -> apex -> the v∘f2
+    for f in c.mors:
+        vs = w_into.get(c.mor_dst[f], ())
+        legs = [(c.mor_src[v2], c.invertible_from(c.compose1(f, v2)))
+                for v2 in w_into.get(c.mor_src[f], ())] if vs else ()
+        for v in vs:
+            if v not in after:
+                after[v] = {apex: frozenset(c.compose1(v, f2) for f2 in c.hom1(apex, c.mor_src[v]))
+                            for apex in c.objects}
+            if all(to.keys().isdisjoint(after[v][apex]) for apex, to in legs):
+                return f, v
+    return None
 
 
 def _lift_candidates(c: TwoCat, w: frozenset[str], f1: str, f2: str) -> tuple:
@@ -211,10 +234,9 @@ def check_bf(c: TwoCat, w) -> Report:
             rep.fail("BF2", (g, f, c.compose1(g, f)))
             break
 
-    for f, v in itertools.product(c.mors, sorted(w)):
-        if c.mor_dst[v] == c.mor_dst[f] and next(cospan_fillers(c, w, f, v), None) is None:
-            rep.fail("BF3", (f, v))
-            break
+    bf3 = _bf3_failure(c, w)
+    if bf3 is not None:
+        rep.fail("BF3", bf3)
 
     bf5 = next(((c.invertible_cells(v, wm)[0], v)
                 for wm, v in itertools.product(sorted(w), c.mors)

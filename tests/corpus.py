@@ -276,6 +276,52 @@ def cyclic_family() -> list[CorpusEntry]:
     return out
 
 
+def product_twocat(c1: TwoCat, c2: TwoCat) -> TwoCat:
+    """C×D with componentwise tables; the pair of x and y is named "(x|y)"."""
+
+    def pair(x: str, y: str) -> str:
+        return f"({x}|{y})"
+
+    def pairs(d1: dict, d2: dict) -> dict:
+        return {pair(k1, k2): pair(v1, v2) for k1, v1 in d1.items() for k2, v2 in d2.items()}
+
+    def pair_table(t1: dict, t2: dict) -> dict:
+        return {(pair(b1, b2), pair(a1, a2)): pair(r1, r2)
+                for (b1, a1), r1 in t1.items() for (b2, a2), r2 in t2.items()}
+
+    return TwoCat(
+        objects=tuple(pair(x, y) for x in c1.objects for y in c2.objects),
+        mor_src=pairs(c1.mor_src, c2.mor_src),
+        mor_dst=pairs(c1.mor_dst, c2.mor_dst),
+        comp1=pair_table(c1.comp1, c2.comp1),
+        id1=pairs(c1.id1, c2.id1),
+        cell_src=pairs(c1.cell_src, c2.cell_src),
+        cell_dst=pairs(c1.cell_dst, c2.cell_dst),
+        vcomp_table=pair_table(c1.vcomp_table, c2.vcomp_table),
+        hcomp_table=pair_table(c1.hcomp_table, c2.hcomp_table),
+        id2=pairs(c1.id2, c2.id2),
+    )
+
+
+def product_family(count: int = 60, seed: int = SEED) -> list[tuple[CorpusEntry, ...]]:
+    """(C, D, C×D): seeded pairs of lawful oracle inputs with at most 4 1-cells.
+
+    Each factor keeps its W or, half the time, gets one more 1-cell, which
+    may break the BF axioms; the product is taken at W×V.  A product has
+    up to 16 objects and 16 1-cells, past the corpus caps.
+    """
+    rng = random.Random(seed)
+    small = [e for e in oracle_inputs() if len(e.c.mors) <= 4 and validate(e.c).ok]
+    out = []
+    for _ in range(count):
+        e1, e2 = (rng.choice(small) for _ in range(2))
+        e1, e2 = (CorpusEntry(e.name, e.c, e.w | {rng.choice(e.c.mors)} if rng.random() < 0.5
+                              else e.w) for e in (e1, e2))
+        w = frozenset(f"({f}|{g})" for f in e1.w for g in e2.w)
+        out.append((e1, e2, CorpusEntry(f"{e1.name}×{e2.name}", product_twocat(e1.c, e2.c), w)))
+    return out
+
+
 def oracle_inputs() -> list[CorpusEntry]:
     """The inputs the oracle tests share, each with its W.
 
@@ -298,10 +344,19 @@ def distinct_tables(entries):
 
 TABLES = ("objects", "mor_src", "mor_dst", "comp1", "id1", "cell_src", "cell_dst",
           "vcomp_table", "hcomp_table", "id2")
+ROWS = ("left_rows", "right_rows")
 
 
 def with_tables(c: TwoCat, **changes) -> TwoCat:
-    """A new `TwoCat` with c's ten tables, the ones named in `changes` replaced."""
+    """A new `TwoCat` with c's ten tables, the ones named in `changes` replaced.
+
+    When `changes` names a whisker row table, the copy is built from
+    whiskerings: c's rows stand in for its `hcomp_table`.
+    """
+    if changes.keys() & set(ROWS):
+        names = TABLES[:-2] + ROWS + TABLES[-1:]
+        return TwoCat.from_whiskerings(**{**{name: getattr(c, name) for name in names},
+                                          **changes})
     return TwoCat(**{**{name: getattr(c, name) for name in TABLES}, **changes})
 
 
@@ -313,6 +368,17 @@ class CountingDict(dict):
     def __getitem__(self, key):
         self.reads += 1
         return super().__getitem__(key)
+
+
+def counted_rows(c: TwoCat, **changes) -> TwoCat:
+    """`with_tables(c, **changes)` built from c's rows, each a `CountingDict`; see `row_reads`."""
+    return with_tables(c, **{name: {h: CountingDict(row) for h, row in getattr(c, name).items()}
+                             for name in ROWS}, **changes)
+
+
+def row_reads(c: TwoCat) -> int:
+    """The `[]` reads of the rows of a `counted_rows` copy so far."""
+    return sum(row.reads for name in ROWS for row in getattr(c, name).values())
 
 
 def classes_to_compare(c, w):

@@ -123,14 +123,14 @@ def exhaustive_validate(c):
     return report
 
 
-def reached_by_left_composition(c, gens):
-    """The identities and `gens`, closed under x ↦ s∘x for s in `gens`."""
-    reached = set(c.id1.values()) | set(gens)
+def reached_by_left_composition(units, table, gens):
+    """The units and `gens`, closed under x ↦ s∘x = table[(s, x)] for s in `gens`."""
+    reached = set(units) | set(gens)
     todo = list(reached)
     while todo:
         x = todo.pop()
         for s in gens:
-            y = c.comp1.get((s, x))
+            y = table.get((s, x))
             if y is not None and y not in reached:
                 reached.add(y)
                 todo.append(y)

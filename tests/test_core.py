@@ -4,7 +4,9 @@ import hashlib
 import random
 
 import pytest
-from corpus import CountingDict, cyclic_parity, distinct_tables, oracle_inputs, with_tables
+from corpus import (
+    ROWS, counted_rows, cyclic_parity, distinct_tables, oracle_inputs, row_reads, with_tables,
+)
 from oracles import exhaustive_validate, reached_by_left_composition
 
 from twoloc import (
@@ -413,6 +415,42 @@ def mutants(c, rng, per_table):
             yield with_tables(c, **changes)
 
 
+def whisker_mutants(c, rng, per_table):
+    """Copies of c built from whiskerings, with one entry of comp1, vcomp or a row redirected.
+
+    As in `mutants`, the new value is parallel to the old one, and a
+    redirected g∘f takes i_g∗i_f along to the new identity cell, in both
+    rows.  The catalogs have at most one 2-cell between two functors, so
+    there only comp1 has mutants.
+    """
+    rows = {name: getattr(c, name) for name in ROWS}
+    mor_edge = lambda f: (c.mor_src[f], c.mor_dst[f])
+    cell_edge = lambda a: (c.cell_src[a], c.cell_dst[a])
+    for name in ("comp1", "vcomp_table") + ROWS:
+        for _ in range(per_table):
+            if name in ROWS:
+                h = rng.choice([h for h in c.mors if rows[name][h]])
+                table = rows[name][h]
+                key = rng.choice(list(table))
+            else:
+                table = getattr(c, name)
+                key = rng.choice(sorted(table))
+            pool, edge = (c.mors, mor_edge) if name == "comp1" else (c.cells, cell_edge)
+            old = table[key]
+            parallel = [x for x in pool if x != old and edge(x) == edge(old)]
+            if not parallel:
+                continue
+            new = {**table, key: rng.choice(parallel)}
+            changes = {name: {**rows[name], h: new}} if name in ROWS else {name: new}
+            if name == "comp1":
+                (g, f), i_new = key, c.id2[new[key]]
+                changes["left_rows"] = {**rows["left_rows"],
+                                        g: {**rows["left_rows"][g], c.id2[f]: i_new}}
+                changes["right_rows"] = {**rows["right_rows"],
+                                         f: {**rows["right_rows"][f], c.id2[g]: i_new}}
+            yield with_tables(c, **{**rows, **changes})
+
+
 def test_validate_matches_exhaustive_scan():
     for entry in oracle_inputs():
         assert validate(entry.c).lines() == exhaustive_validate(entry.c).lines(), entry.name
@@ -442,12 +480,20 @@ def test_validate_matches_exhaustive_scan_on_mutants():
 
 
 def decider_inputs(rng):
-    """(label, tables): seeded single-entry mutants, then every oracle table."""
+    """(label, tables): seeded single-entry mutants, then every oracle table.
+
+    The catalog is built from whiskerings, so `mutants` copies it with its
+    derived hcomp, and `whisker_mutants` keeps it built from its rows.
+    """
     catalog = groupoid_twocat([unit_groupoid(), pair_groupoid(2),
                                discrete_groupoid(3)])[0]
+    z8 = cyclic_parity(8, "s")
     yield "catalog mutant", mutants(catalog, rng, per_table=20)
-    yield "Z/8 mutant", mutants(cyclic_parity(8, "s"), rng, per_table=100)
+    yield "Z/8 mutant", mutants(z8, rng, per_table=100)
     yield "oracle table", distinct_tables(oracle_inputs())
+    yield "catalog whisker mutant", whisker_mutants(catalog, rng, per_table=8)
+    z8_rows = with_tables(z8, **{name: getattr(z8, name) for name in ROWS})
+    yield "Z/8 whisker mutant", whisker_mutants(z8_rows, rng, per_table=60)
 
 
 def test_decider_matches_exhaustive_scan():
@@ -466,63 +512,93 @@ def test_decider_matches_exhaustive_scan():
             verdicts[ok] += 1
     assert seen["catalog mutant"][False] >= 15
     assert seen["Z/8 mutant"][False] >= 200
+    assert seen["catalog whisker mutant"][False] >= 5
+    assert seen["Z/8 whisker mutant"][False] >= 150
     assert seen["oracle table"] == [0, len(distinct_tables(oracle_inputs()))]
 
 
 def test_generators_reach_every_one_cell():
-    """The order `_is_two_category`'s induction runs along exists.
+    """The orders `_is_two_category`'s inductions run along exist.
 
     Every 1-cell is an identity, a generator, or s∘x with s a generator and
     x reached before it; the generators are distinct and in `c.mors` order.
+    The same holds for the 2-cells under vcomp, in `c.cells` order.
     """
     tables = distinct_tables(oracle_inputs()) + [cyclic_parity(8, "s")]
     for c in tables:
-        gens = _generators(c)
-        assert reached_by_left_composition(c, gens) == set(c.mors)
-        assert gens == sorted(set(gens), key=c.mors.index)
-        assert not set(gens) & set(c.id1.values())
+        for items, units, table, src, dst in (
+                (c.mors, c.id1.values(), c.comp1, c.mor_src, c.mor_dst),
+                (c.cells, c.id2.values(), c.vcomp_table, c.cell_src, c.cell_dst)):
+            gens = _generators(items, units, table, src, dst)
+            assert reached_by_left_composition(units, table, gens) == set(items)
+            assert gens == sorted(set(gens), key=items.index)
+            assert not set(gens) & set(units)
     z8 = cyclic_parity(8, "s")
-    assert _generators(z8) == ["g1"]
+    assert _generators(z8.mors, z8.id1.values(), z8.comp1, z8.mor_src, z8.mor_dst) == ["g1"]
+    assert _generators(z8.cells, z8.id2.values(), z8.vcomp_table, z8.cell_src,
+                       z8.cell_dst) == [f"s_g{k}" for k in range(8)]
 
 
-def test_validate_decides_the_four_groupoid_catalog():
-    # 80 1-cells, 1,014 2-cells, 727,484 hcomp entries: the law loops walk
-    # 5.4·10⁸ hcomp-associativity triples here and do not finish, and BF4c
-    # over all pairs of lifts takes about a minute.  validate reads each
-    # whiskering once, and spends most of its ~2 s on the structure check
-    # and (W); check_bf asks each of 31,682 BF4c lift pairs once, in ~2 s
-    c, w = groupoid_twocat(CATALOGS["unit-pair-disc"]() + [pair_groupoid(3)])
-    assert validate(c).ok
-    assert check_bf(c, w).ok
+def test_validate_decides_the_four_groupoid_catalog(monkeypatch):
+    # Unit, Pair2, Disc2, Pair3: 80 1-cells, 1,014 2-cells, 727,484 hcomp
+    # entries.  The law loops walk 5.4·10⁸ hcomp-associativity triples here
+    # and do not finish, and BF4c over all pairs of lifts takes about a
+    # minute.  The tables are built from 77,104 whisker row entries, and
+    # validate checks vcomp-assoc on 116 vcomp-generators and interchange
+    # on 6,424 pairs of them, in ~0.3 s together; check_bf asks each of
+    # 31,682 BF4c lift pairs once, in ~1.5 s.  On this catalog and on Unit,
+    # Pair2, Disc3, no hcomp entry beyond the whiskerings is derived.
+    def derived(*args):
+        raise AssertionError("an hcomp entry was derived")
+
+    monkeypatch.setattr(TwoCat, "hcomp", derived)
+    for groupoids in ([unit_groupoid(), pair_groupoid(2), discrete_groupoid(3)],
+                      CATALOGS["unit-pair-disc"]() + [pair_groupoid(3)]):
+        c, w = groupoid_twocat(groupoids)
+        assert validate(c).ok
+        assert check_bf(c, w).ok
+        build_choices(c, w)
+        assert "hcomp_table" not in vars(c)
 
 
 def test_decider_reads_each_whiskering_once():
-    """`_is_two_category` reads hcomp_table at most 6·|hcomp| + 2·|cells| + |comp1| times.
+    """`_is_two_category` reads the rows at most 6·|hcomp| + 2·|cells| + |comp1| times.
 
-    (W) reads four whiskerings per hcomp entry.  Each L_h = i_h∗− and
-    R_h = −∗i_h map reads one entry per key, and its keys are distinct hcomp
-    keys, so the maps read at most |hcomp| entries each.  The two hcomp unit
-    laws read two entries per 2-cell, and i_g∗i_f one per comp1 entry.
-    Nothing else reads the table: (F) to (M) read the maps.
+    Counted on copies built from the whisker rows, so no entry of hcomp is
+    given and (W) reads none.  The unit and identity checks read two row
+    entries per 2-cell and per comp1 entry.  With S and G the generators of
+    the 1-cells and of the 2-cells, (F) reads L_h b and R_h b once per
+    1-cell h other than an identity and b ∈ G beside it, and two entries
+    per a with b⊙a; (L) and (R) read three per s ∈ S, 1-cell g before s
+    other than an identity, and a ∈ G; (M) one per s and a ∈ G ending at
+    src s, and three more per s′ ∈ S beside a; (I) four per pair of
+    generators.  On the catalog Unit, Pair2, Disc3 that is 27,208 reads
+    where the bound is 29,998: (F) to (M) read the rows themselves, as
+    they read the maps the decider built from hcomp before.
     """
     catalog = groupoid_twocat([unit_groupoid(), pair_groupoid(2), discrete_groupoid(3)])[0]
     tables = [catalog] + [c for c in distinct_tables(oracle_inputs()) if validate(c).ok]
     for c in tables:
-        counted = with_tables(c, hcomp_table=CountingDict(c.hcomp_table))
+        counted = counted_rows(c)
         assert _is_two_category(counted)
         bound = 6 * len(c.hcomp_table) + 2 * len(c.cells) + len(c.comp1)
-        assert counted.hcomp_table.reads <= bound, (counted.hcomp_table.reads, bound)
+        assert row_reads(counted) <= bound, (row_reads(counted), bound)
+    counted = counted_rows(catalog)
+    assert _is_two_category(counted) and row_reads(counted) == 27208
 
 
 # -- one table per decider check ---------------------------------------------
 #
 # Single-entry mutants break several checks at once, so they cannot show
 # that a check is needed.  Each table below breaks the laws but fails
-# exactly one check of `_is_two_category`, which must then say no.  Four
-# checks can have no such table.  The hcomp unit laws imply the compose1
-# unit laws (i_f∗i_id runs from f∘id) and, with (W) at i_id∗a, the vcomp
-# unit laws.  With (L) and the hcomp unit laws, i_g∗i_f = i_{g∘f} and (A)
-# each imply the other.
+# exactly one check of `_is_two_category`, which must then say no.  "(W)
+# first form" breaks one given entry that is not a whiskering; "(W) second
+# form", b∗a = L_{g2}a ⊙ R_{f1}b, breaks only (I), on two vcomp-generators,
+# and so does its copy built from the whisker rows, which has no given
+# entry.  Built from identity rows, a 0 that is no unit for vcomp breaks
+# only the vcomp unit laws.  The compose1 unit laws have no such table: the structure check
+# runs R_id i_f from f∘id, and the unit check makes it i_f.  (A) and the
+# identity check L_g i_f = R_f i_g = i_{g∘f} have none here.
 
 
 def action_twocat(monoid, add, left=(), right=(), flipped=False):
@@ -576,12 +652,20 @@ SWAP_12 = {"t": {"0": "0", "1": "2", "2": "1", "3": "3"}}     # not additive on 
 LEFT_ZERO = unital({(v, u): v for v in "pq" for u in "pq"})   # p + q = p, q + p = q
 NONASSOC = unital({("x", "x"): "y", ("x", "y"): "x", ("y", "x"): "x", ("y", "y"): "0"})
 
+NULL = action_twocat(TRIVIAL, {(v, u): "0" for v in "0x" for u in "0x"})  # no unit
+LAWFUL_KLEIN = action_twocat(TRIVIAL, KLEIN)
+INTERCHANGE = action_twocat(TRIVIAL, LEFT_ZERO)
+
 ONE_CHECK_FAILS = {
     "vcomp-assoc": action_twocat(TRIVIAL, NONASSOC),
+    "vcomp unit laws": with_tables(NULL, **dict.fromkeys(ROWS, {"1": {"1:0": "1:0", "1:x": "1:x"}})),
     "hcomp unit laws": action_twocat(TRIVIAL, unital({("z", "z"): "0"}),
                                      right={"1": {"0": "0", "z": "0"}}),
-    "(W) first form": action_twocat(TRIVIAL, LEFT_ZERO, flipped=True),
-    "(W) second form": action_twocat(TRIVIAL, LEFT_ZERO),
+    "(W) first form": with_tables(LAWFUL_KLEIN, hcomp_table={
+        **LAWFUL_KLEIN.hcomp_table, ("1:a", "1:b"): "1:a"}),
+    "(W) second form": INTERCHANGE,
+    "(I) on whisker rows": with_tables(INTERCHANGE, **{
+        name: getattr(INTERCHANGE, name) for name in ROWS}),
     "(F) for L": action_twocat(Z2, Z4, left=SWAP_12),
     "(F) for R": action_twocat(Z2, Z4, right=SWAP_12),
     "(L)": action_twocat(Z2, KLEIN, left=CYCLE),
@@ -597,6 +681,8 @@ def test_decider_needs_each_check(check):
     assert not exhaustive_validate(c).ok
     assert validate(c).lines() == exhaustive_validate(c).lines()
     assert not _is_two_category(c)
+    if check in ("(W) second form", "(I) on whisker rows"):
+        assert validate(c).counterexamples["interchange"] == ("1:0", "1:q", "1:p", "1:0")
 
 
 def test_action_twocat_with_commuting_actions_is_lawful():
