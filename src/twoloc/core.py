@@ -46,12 +46,9 @@ class InternalInconsistency(RuntimeError):
 class TwoCat:
     """The tables of a strict 2-category; equal only to itself, as it owns its stores.
 
-    The 2-cell structure is vcomp and the whisker rows: per 1-cell h,
-    `left_rows[h]` maps each 2-cell a beside it to i_h∗a and
-    `right_rows[h]` maps it to a∗i_h, keyed in `cells` order.  Built with
-    an `hcomp_table`, the rows are read from it and `validate` checks its
-    other entries; built `from_whiskerings`, the table is derived on first
-    read, b-major in `cell_src` order.
+    `left_rows[h]` maps each 2-cell a beside the 1-cell h to i_h∗a, and
+    `right_rows[h]` to a∗i_h, in `cells` order; they are read from a given
+    `hcomp_table`, or given to `from_whiskerings`, which derives the table.
     """
 
     def __init__(self, objects: tuple[str, ...], mor_src: dict[str, str],
@@ -513,11 +510,9 @@ def _is_two_category(c: TwoCat) -> bool:
 
     (f) Functors: every L_h and R_h keeps identities and ⊙, so two
     composites of them that agree on G and on identities agree on every
-    2-cell, and (L), (R) and (M) hold for every a.  In the order in which
-    `_generators` reaches 2-cells, each b is an identity, in G, or b′⊙x
-    with b′ ∈ G and x reached earlier, and then
-    L_h((b′⊙x)⊙a) = L_h b′ ⊙ L_h(x⊙a) = L_h(b′⊙x) ⊙ L_h a by (F) for b′
-    and x and vcomp-assoc; likewise for R_h.
+    2-cell, and (L), (R) and (M) hold for every a.  Along the order of
+    (v), L_h((b′⊙x)⊙a) = L_h b′ ⊙ L_h(x⊙a) = L_h(b′⊙x) ⊙ L_h a by (F) for
+    b′ and x and vcomp-assoc; likewise for R_h.
 
     (b) 1-cells: (A), (L), (R) and (M) hold with any 1-cells in place of
     s and s′, by induction along the order in which `_generators` reaches
@@ -559,12 +554,12 @@ def _is_two_category(c: TwoCat) -> bool:
 
     Cost.  (V) walks the 2-cells before and after each generator, where
     `validate`'s loop walks every vcomp entry against the 2-cells after
-    it.  (W) reads two row entries per given entry
-    that is not a whiskering; a table built from whiskerings has none, so
-    no hcomp entry is derived.  The unit and identity checks read two row
-    entries per 2-cell and per comp1 entry, (F) one per (h, b) and two per
-    a after b, (L) and (R) three per generator a, (M) one per (s, a) and
-    three per s′, and (I) four per pair of generators: 132 pairs on the
+    it.  (W) reads two row entries per given entry that is not a
+    whiskering; a table built from whiskerings has none, so no hcomp entry
+    is derived.  The unit and identity checks read two row entries per
+    2-cell and per comp1 entry, (F) one per (h, b) and two per a after b,
+    (L) and (R) three per generator a, (M) one per (s, a) and three per
+    s′, and (I) four per pair of generators: 132 pairs on the
     catalog Unit, Pair2, Disc3, where hcomp has 4,740 entries, and 6,424 on
     the 4-groupoid catalog, where it has 727,484.
     """
@@ -658,8 +653,9 @@ def validate(c: TwoCat) -> Report:
     Structural problems (dangling identifiers, partial tables) are reported
     separately from law failures and suppress them, since a partial table
     makes the law loops meaningless.  The laws are then decided by
-    `_is_two_category`, which checks them on whiskerings by a generating
-    set of 1-cells; its docstring proves that this is exact.  Only when it
+    `_is_two_category`, which checks them on the whisker rows, for
+    generators of the 1-cells and of each hom-category; its docstring
+    proves that this is exact.  Only when it
     says no do the per-law loops below run, to name one counterexample
     tuple per failing law, by identifier: the first one found.
 
