@@ -14,11 +14,12 @@ Strictness means all the usual middle-unit/associator bookkeeping is exact
 table equality.  A strict 2-category is a sesquicategory whose whiskerings
 interchange (Street, *Categorical structures*, 1996), so a `TwoCat` stores
 vcomp and one row of whiskerings i_h∗− and −∗i_h per 1-cell h, and b∗a is
-derived from them.  A table given with a full hcomp is read into rows;
-`groupoid_twocat` builds only the rows.  `validate` checks the
-whiskering laws for a generating set of 1-cells and interchange for
-generators of each hom-category, so no check walks composable hcomp
-triples, and validating a lawful table built from rows derives no hcomp.
+derived from them.  A table given with a full hcomp is read into rows, and
+its b∗a is the given entry; `groupoid_twocat` builds only the rows.
+`validate` checks the whiskering laws for a generating set of 1-cells and
+interchange for generators of each hom-category, so no check walks
+composable hcomp triples, and validating a lawful table built from rows
+derives no hcomp.
 Every check of the package returns a `Report` of named verdicts.
 A `TwoCat` builds its indexes on first use, and its `numbering`, shared
 by every class store of `fractions`, on a store's first sweep.
@@ -139,8 +140,10 @@ class TwoCat:
             raise StructureError(f"2-cells not vertically composable: {b} after {a}") from None
 
     def hcomp(self, b: str, a: str) -> str:
-        """b∗a = (b∗i_f′)⊙(i_g∗a) for a: f ⇒ f′ and b: g ⇒ g′; computed, not stored."""
+        """b∗a: the given entry, else (b∗i_f′)⊙(i_g∗a) for a: f ⇒ f′, b: g ⇒ g′."""
         try:
+            if self.given_hcomp is not None:
+                return self.given_hcomp[(b, a)]
             return self.vcomp_table[(self.right_rows[self.cell_dst[a]][b],
                                      self.left_rows[self.cell_src[b]][a])]
         except KeyError:

@@ -141,6 +141,39 @@ def test_structural_messages_for_missing_and_stray_entries(name, damage):
     assert rep.structural == want and not rep.verdicts
 
 
+# (row table, 1-cell, its row -> the damaged row or None to delete it, the
+# message), on the Z/2 action on the Klein group built from its whisker rows
+ROW_DAMAGE = {
+    "undeclared 1-cell": ("left_rows", "u", lambda row: {},
+                          "left whisker row for an undeclared 1-cell u"),
+    "missing row": ("left_rows", "1", lambda row: None,
+                    "left whisker row of 1 is not keyed by the 2-cells beside it, in order"),
+    "missing key": ("left_rows", "t", lambda row: {a: r for a, r in row.items() if a != "1:a"},
+                    "left whisker row of t is not keyed by the 2-cells beside it, in order"),
+    "keys out of order": ("right_rows", "t", lambda row: dict(reversed(row.items())),
+                          "right whisker row of t is not keyed by the 2-cells beside it, in order"),
+    "wrong boundary": ("left_rows", "t", lambda row: {**row, "1:a": "1:a"},
+                       "left whisker of 1:a by t is 1:a, not a 2-cell of its boundary"),
+    "undeclared 2-cell": ("right_rows", "t", lambda row: {**row, "t:b": "nope"},
+                          "right whisker of t:b by t is nope, not a 2-cell of its boundary"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(ROW_DAMAGE))
+def test_structural_messages_for_damaged_whisker_rows(damage):
+    klein = action_twocat(Z2, KLEIN)
+    rows = {name: dict(getattr(klein, name)) for name in ROWS}
+    assert validate(with_tables(klein, **rows)).ok
+    name, h, change, message = ROW_DAMAGE[damage]
+    row = change(rows[name].get(h))
+    if row is None:
+        del rows[name][h]
+    else:
+        rows[name][h] = row
+    rep = validate(with_tables(klein, **rows))
+    assert rep.structural == [message] and not rep.verdicts
+
+
 def test_validate_flags_wrong_composite_as_law_failure():
     c, _ = fixture("F7")
     # tau_f ⊙ i_f must be tau_f; rerouting it keeps every boundary intact,
@@ -215,6 +248,15 @@ def test_lookup_errors_are_structure_errors():
         c.vcomp("i_id0", "i_id1")
     with pytest.raises(StructureError):
         c.hcomp("i_w", "i_id1")
+
+
+def test_hcomp_reads_a_given_table():
+    # a given entry is returned as it is, lawful or not; a table built
+    # from whiskerings derives b∗a = (b∗i_f′)⊙(i_g∗a), here a + b
+    c = ONE_CHECK_FAILS["(W) first form"]
+    assert c.hcomp("1:a", "1:b") == c.hcomp_table[("1:a", "1:b")] == "1:a"
+    from_rows = with_tables(c, **{name: getattr(c, name) for name in ROWS})
+    assert from_rows.hcomp("1:a", "1:b") == from_rows.hcomp_table[("1:a", "1:b")] == "1:c"
 
 
 def test_twocats_with_equal_tables_are_unequal_and_keep_separate_stores():
@@ -480,7 +522,7 @@ def test_validate_matches_exhaustive_scan_on_mutants():
 
 
 def decider_inputs(rng):
-    """(label, tables): seeded single-entry mutants, then every oracle table.
+    """(label, tables): seeded single-entry mutants, every oracle table, then `TRANSPOSED`.
 
     The catalog is built from whiskerings, so `mutants` copies it with its
     derived hcomp, and `whisker_mutants` keeps it built from its rows.
@@ -494,6 +536,7 @@ def decider_inputs(rng):
     yield "catalog whisker mutant", whisker_mutants(catalog, rng, per_table=8)
     z8_rows = with_tables(z8, **{name: getattr(z8, name) for name in ROWS})
     yield "Z/8 whisker mutant", whisker_mutants(z8_rows, rng, per_table=60)
+    yield "transposed table", [TRANSPOSED]
 
 
 def test_decider_matches_exhaustive_scan():
@@ -515,6 +558,8 @@ def test_decider_matches_exhaustive_scan():
     assert seen["catalog whisker mutant"][False] >= 5
     assert seen["Z/8 whisker mutant"][False] >= 150
     assert seen["oracle table"] == [0, len(distinct_tables(oracle_inputs()))]
+    assert seen["transposed table"] == [1, 0]
+    assert validate(TRANSPOSED).lines() == exhaustive_validate(TRANSPOSED).lines()
 
 
 def test_generators_reach_every_one_cell():
@@ -601,13 +646,13 @@ def test_decider_reads_each_whiskering_once():
 # identity check L_g i_f = R_f i_g = i_{g∘f} have none here.
 
 
-def action_twocat(monoid, add, left=(), right=(), flipped=False):
+def action_twocat(monoid, add, left=(), right=()):
     """One object; 1-cells the elements of a monoid, with unit "1".
 
     The 2-cells f ⇒ f are the pairs "f:v" for v in a unital magma A, with
-    unit "0"; vcomp adds in A, and (g:v)∗(f:u) is g∘f:(right_f v + left_g u),
-    summed the other way round when `flipped`.  `left` and `right` map a
-    1-cell to a map of A (the identity where not given).  This is a strict
+    unit "0"; vcomp adds in A, and (g:v)∗(f:u) is g∘f:(right_f v + left_g u).
+    `left` and `right` map a 1-cell to a map of A (the identity where not
+    given).  This is a strict
     2-category when A is a commutative monoid, left_g and right_f are monoid
     maps, left is a left action, right a right action, and they commute.
     """
@@ -619,8 +664,7 @@ def action_twocat(monoid, add, left=(), right=(), flipped=False):
         return maps[f][v] if f in maps else v
 
     def hcomp(g, v, f, u):
-        terms = (act(right, f, v), act(left, g, u))
-        return f"{monoid[(g, f)]}:{add[terms[::-1] if flipped else terms]}"
+        return f"{monoid[(g, f)]}:{add[(act(right, f, v), act(left, g, u))]}"
 
     return TwoCat(
         objects=("x",), mor_src=dict.fromkeys(mors, "x"), mor_dst=dict.fromkeys(mors, "x"),
@@ -655,6 +699,9 @@ NONASSOC = unital({("x", "x"): "y", ("x", "y"): "x", ("y", "x"): "x", ("y", "y")
 NULL = action_twocat(TRIVIAL, {(v, u): "0" for v in "0x" for u in "0x"})  # no unit
 LAWFUL_KLEIN = action_twocat(TRIVIAL, KLEIN)
 INTERCHANGE = action_twocat(TRIVIAL, LEFT_ZERO)
+# b∗a = a+b: fails (W) on its given entries and (I), so it is no one-check table
+TRANSPOSED = with_tables(INTERCHANGE, hcomp_table={
+    (b, a): ab for (a, b), ab in INTERCHANGE.hcomp_table.items()})
 
 ONE_CHECK_FAILS = {
     "vcomp-assoc": action_twocat(TRIVIAL, NONASSOC),
