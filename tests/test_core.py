@@ -590,9 +590,11 @@ def test_validate_decides_the_four_groupoid_catalog(monkeypatch):
     # and do not finish, and BF4c over all pairs of lifts takes about a
     # minute.  The tables are built from 77,104 whisker row entries, and
     # validate checks vcomp-assoc on 116 vcomp-generators and interchange
-    # on 6,424 pairs of them, in ~0.3 s together; check_bf asks each of
-    # 31,682 BF4c lift pairs once, in ~1.5 s.  On this catalog and on Unit,
-    # Pair2, Disc3, no hcomp entry beyond the whiskerings is derived.
+    # on 6,424 pairs of them, in ~0.3 s together; check_bf settles BF4 by
+    # the equivalence lemma, in ~0.01 s (its search, which asks each of
+    # 31,682 BF4c lift pairs once in ~1 s, is run in test_saturation).  On
+    # this catalog and on Unit, Pair2, Disc3, no hcomp entry beyond the
+    # whiskerings is derived.
     def derived(*args):
         raise AssertionError("an hcomp entry was derived")
 

@@ -133,6 +133,16 @@ def test_content_equal_functors_are_distinct_dict_keys():
     ident, ident_twin = identity_gfunctor(u), identity_gfunctor(u)
     assert fun.morita_after(ident) and fun.morita_after(ident_twin)
     assert len(fun.composites_decided) == 2 and twin.composites_decided == {}
+    # the two composites are equal, so their verdict is decided once
+    assert len(p.morita_out) == 1
+
+
+def test_morita_after_rejects_a_non_composable_pair():
+    u, p = unit_groupoid(), pair_groupoid(2)
+    fun = enumerate_gfunctors(p, u)[0]
+    with pytest.raises(StructureError, match="not composable"):
+        fun.morita_after(enumerate_gfunctors(p, u)[0])
+    assert fun.composites_decided == {} and p.morita_out == {}
 
 
 def test_compose_gfunctors_unit_laws():
@@ -360,8 +370,9 @@ def test_shipped_catalogs_are_saturated():
 # `is_essentially_surjective` reads the target's reach sets and
 # `is_fully_faithful` compares homs one pair of source objects at a time;
 # `morita_two_out_of_six` reads verdicts memoized on the functors, one per
-# functor and one per composable pair.  The oracle for two-out-of-six
-# builds both composites afresh for every chain.
+# functor and one per composable pair, and decides a pair's verdict once
+# per distinct composite.  The oracle for two-out-of-six builds both
+# composites afresh for every chain.
 
 
 def cyclic_group(n):
@@ -455,6 +466,8 @@ def test_two_out_of_six_decides_each_pair_once(monkeypatch):
     functors = sum(len(fs) for fs in funs.values())
     pairs = sum(len(funs[(a.name, b.name)]) * len(funs[(b.name, c.name)])
                 for a, b, c in itertools.product(cat, repeat=3))
-    assert 0 < decisions <= pairs + functors < chains
+    # a composite is a functor of the catalog, decided once however many
+    # composable pairs give it, and each functor's own verdict once
+    assert 0 < decisions <= 2 * functors < pairs < chains
     assert sum(len(f.composites_decided)
                for fs in funs.values() for f in fs) <= pairs

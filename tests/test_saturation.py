@@ -9,8 +9,8 @@ from collections import Counter
 
 import pytest
 from corpus import (
-    CountingDict, counted_rows, cyclic_parity, cyclic_plain, oracle_inputs, posetal_family,
-    row_reads, with_tables,
+    CountingDict, counted_rows, cyclic_family, cyclic_parity, cyclic_plain, oracle_inputs,
+    posetal_family, product_family, row_reads, with_tables,
 )
 from oracles import literal_cell_lifts, search_check_bf, search_witnesses
 
@@ -26,7 +26,7 @@ from twoloc import (
     validate,
 )
 from twoloc import saturation
-from twoloc.core import TwoCat
+from twoloc.core import Report, TwoCat, find_quasi_inverse
 from twoloc.fixtures import FIXTURES, parity_twocat
 from twoloc.groupoids import (
     CATALOGS, discrete_groupoid, groupoid_twocat, pair_groupoid, unit_groupoid,
@@ -176,6 +176,24 @@ def test_cell_lifts_match_literal_search():
                             (entry.name, wm, alpha)
                         lifted += len(got)
     assert lifted > 1000, lifted
+
+
+def test_lift_candidates_skip_denominators_with_no_cell():
+    # a v ∈ W with no 2-cell f1∘v ⇒ f2∘v lifts nothing, so it is no
+    # candidate and no alpha is whiskered by it
+    skipped = 0
+    for entry in oracle_inputs():
+        c, w = entry.c, entry.w
+        for f1, f2 in itertools.product(c.mors, repeat=2):
+            if (c.mor_src[f1], c.mor_dst[f1]) != (c.mor_src[f2], c.mor_dst[f2]):
+                continue
+            every = [(v, c.hom2(c.compose1(f1, v), c.compose1(f2, v)))
+                     for apex in sorted(c.objects) for v in c.hom1(apex, c.mor_src[f1])
+                     if v in w]
+            got = saturation._lift_candidates(c, w, f1, f2)
+            assert got == tuple((v, betas) for v, betas in every if betas), entry.name
+            skipped += len(every) - len(got)
+    assert skipped > 0
 
 
 # -- saturation --------------------------------------------------------------
@@ -333,39 +351,101 @@ def test_check_bf_matches_search_without_identities():
     assert set(failed) == set(AXIOMS), failed
 
 
+def unit_pair_disc3() -> tuple[TwoCat, frozenset[str]]:
+    return groupoid_twocat([unit_groupoid(), pair_groupoid(2), discrete_groupoid(3)])
+
+
+def search_bf4(c: TwoCat, w: frozenset[str], first_only: bool = True) -> Report:
+    """BF4a-c by `_check_bf4`'s search alone, as `check_bf` runs it without the lemma."""
+    rep = Report(AXIOMS)
+    saturation._check_bf4(c, w, rep, first_only)
+    return rep
+
+
 def test_bf4c_asks_each_lift_pair_once(monkeypatch):
-    """On the catalog Unit, Pair2, Disc3, `_coequalized` runs 568 times.
+    """On the catalog Unit, Pair2, Disc3, the BF4 search runs `_coequalized` 568 times.
 
     Whether a zig merges the lifts l = (v, β) and l' = (v', β') of α
     depends on f1, f2, l and l' alone: the zigs are `_zigs(v, v')`, and the
-    equation reads β, β', f1 and f2, never wm or α.  So `check_bf` asks
+    equation reads β, β', f1 and f2, never wm or α.  So the search asks
     each (f1, f2, l, l') once: 568 times, for 2,971 (α, lift pair) instances.
+    `check_bf` asks none: every Morita map is an equivalence, so BF4 holds
+    by the lemma in its docstring.
     """
-    c, w = groupoid_twocat([unit_groupoid(), pair_groupoid(2), discrete_groupoid(3)])
+    c, w = unit_pair_disc3()
     asked = Counter()
     coequalized = saturation._coequalized
     monkeypatch.setattr(saturation, "_coequalized", lambda c, f1, f2, l1, l2, zigs:
                         asked.update([(f1, f2, l1, l2)]) or coequalized(c, f1, f2, l1, l2, zigs))
-    assert check_bf(c, w).ok
+    assert search_bf4(c, w).ok
     assert sum(asked.values()) == len(asked) == 568
+    asked.clear()
+    assert check_bf(c, w).ok and not asked
 
 
 def test_check_bf_reads_each_lift_candidate_once():
-    """On the catalog Unit, Pair2, Disc3, `check_bf` reads comp1 3,415 times.
+    """On the catalog Unit, Pair2, Disc3, the BF4 search reads comp1 2,790 times.
 
-    The lift candidates of an alpha, each v ∈ W into src f1 with the hom
-    f1∘v ⇒ f2∘v, read f1 and f2 only, so BF4 lists them once per (f1, f2)
-    and not once per alpha (11,400 reads in all).  BF3 lists f∘v2 once per
-    f with a cospan and v2 ∈ W into src f (276 reads), and v∘f2 once per
-    v ∈ W and f2 into src v (277), where it recomposed both for each
-    (f, v): 553 reads where there were 2,718, so 3,415 where there were
-    5,580.  The whisker test still reads i_wm∗beta and alpha∗i_v for each
-    alpha, now from the whisker rows, as often as it read hcomp: 9,468.
+    The lift candidates of an alpha, each v ∈ W into src f1 with a 2-cell
+    f1∘v ⇒ f2∘v, read f1 and f2 only, so the search lists them once per
+    (f1, f2) and not once per alpha.  The whisker test reads i_wm∗beta and
+    alpha∗i_v for each alpha from the whisker rows, as often as it read
+    hcomp: 9,468.  `check_bf` lists no lift there (BF4 holds by the lemma)
+    and reads no whisker row; its 734 comp1 reads are BF2's 72, BF3's 553
+    and the 14 quasi-inverse searches' 109.
     """
-    c, w = groupoid_twocat([unit_groupoid(), pair_groupoid(2), discrete_groupoid(3)])
+    c, w = unit_pair_disc3()
+    counted = counted_rows(c, comp1=CountingDict(c.comp1))
+    assert search_bf4(counted, w).ok
+    assert (counted.comp1.reads, row_reads(counted)) == (2790, 9468)
     counted = counted_rows(c, comp1=CountingDict(c.comp1))
     assert check_bf(counted, w).ok
-    assert (counted.comp1.reads, row_reads(counted)) == (3415, 9468)
+    assert (counted.comp1.reads, row_reads(counted)) == (734, 0)
+
+
+def lemma_holds(c: TwoCat, w: frozenset[str]) -> bool:
+    """The equivalence lemma's hypotheses: BF1, and every member of W has a quasi-inverse."""
+    return set(c.id1.values()) <= w and all(find_quasi_inverse(c, v) is not None for v in w)
+
+
+def test_bf4_lemma_matches_the_search(monkeypatch):
+    """Where W holds the identities and consists of equivalences, BF4a-c hold.
+
+    On each such input (W and the internal equivalences of each oracle
+    input, Z/n and product) the all-pairs search finds BF4a-c true, and
+    `check_bf`, which skips the search there, gives the search oracle's
+    report.  So does the control, W minus one identity: BF1 fails there,
+    so `check_bf` searches.  On the 4-groupoid catalog the search runs as
+    `check_bf` would run it there (BF2, BF3 and BF5 hold), and derives no
+    hcomp entry.
+    """
+    searched = []
+    check_bf4 = saturation._check_bf4
+    monkeypatch.setattr(saturation, "_check_bf4", lambda c, w, rep, first_only:
+                        searched.append(first_only) or check_bf4(c, w, rep, first_only))
+    inputs = oracle_inputs() + cyclic_family() + [p for _e1, _e2, p in product_family()]
+    seen = set()
+    for entry in inputs:
+        c = entry.c
+        for w in (entry.w, internal_equivalences(c)):
+            if (id(c), w) in seen or not lemma_holds(c, w):
+                continue
+            seen.add((id(c), w))
+            assert all(search_bf4(c, w, first_only=False).verdicts[a]
+                       for a in ("BF4a", "BF4b", "BF4c")), (entry.name, sorted(w))
+            for cls, by_lemma in ((w, True), (w - {min(c.id1.values())}, False)):
+                searched.clear()
+                got, want = check_bf(c, cls), search_check_bf(c, cls)
+                assert (got.verdicts, got.counterexamples) == \
+                    (want.verdicts, want.counterexamples), (entry.name, sorted(cls))
+                assert bool(searched) != by_lemma, (entry.name, sorted(cls))
+    assert len(seen) > 250, len(seen)
+
+    c, w = groupoid_twocat(CATALOGS["unit-pair-disc"]() + [pair_groupoid(3)])
+    assert internal_equivalences(c) == w
+    searched.clear()
+    assert check_bf(c, w).ok and not searched
+    assert search_bf4(c, w).ok and "hcomp_table" not in vars(c)
 
 
 @pytest.mark.parametrize("catalog", sorted(CATALOGS))
