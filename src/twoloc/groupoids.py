@@ -40,7 +40,7 @@ transformations.  Enumeration cost is still exponential in groupoid size.
 Catalogs of up to ~6 groupoids with ≤4 objects each, and no Pair_n past
 n = 3, stay in reach: Unit, Pair2, Disc2, Pair3 builds, validates and
 passes `check_bf` in ~0.3 s, and adding Disc3 and Disc4 (712 functors,
-9,124 transformations) in ~12 s at ~190 MB.  `check_bf` takes ~0.01 s
+9,124 transformations) in ~10 s at ~190 MB.  `check_bf` takes ~0.01 s
 and ~0.1 s of these: every Morita map is an internal equivalence, so
 BF4 holds by the lemma in its docstring and no lift is listed.
 Pair4 in place of Disc4 brings 82,940 transformations.

@@ -270,8 +270,8 @@ def check_bf(c: TwoCat, w) -> Report:
 
     by_lemma = rep.verdicts["BF1"] and all(find_quasi_inverse(c, v) is not None
                                            for v in sorted(w))
-    first_only = rep.verdicts["BF2"] and rep.verdicts["BF3"] and bf5 is None
     if not by_lemma:
+        first_only = rep.verdicts["BF2"] and rep.verdicts["BF3"] and bf5 is None
         _check_bf4(c, w, rep, first_only)
         if first_only and not (rep.verdicts["BF4a"] and rep.verdicts["BF4b"]):
             for axiom in ("BF4a", "BF4b", "BF4c"):
