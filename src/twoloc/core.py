@@ -117,11 +117,7 @@ class TwoCat:
 
     def hom2(self, f: str, g: str) -> tuple[str, ...]:
         """All 2-cells f ⇒ g (f, g parallel 1-cells)."""
-        return self._hom2_index.get((f, g), ())
-
-    @cached_property
-    def _hom2_index(self) -> dict[tuple[str, str], tuple[str, ...]]:
-        return _index(self.cells, lambda a: (self.cell_src[a], self.cell_dst[a]))
+        return self.cells_from(f).get(g, ())
 
     def cells_from(self, f: str) -> dict[str, tuple[str, ...]]:
         """g -> the 2-cells f ⇒ g, for every g that has one."""
@@ -782,22 +778,22 @@ def internal_equivalences(c: TwoCat) -> frozenset[str]:
 
 
 def adjointify(c: TwoCat, w: EquivalenceWitness) -> EquivalenceWitness:
-    """Keep (e, ē, δ) and search an invertible ξ' making both triangles hold.
+    """Keep (e, ē, δ) and take ξ' = ξ ⊙ (i_e∗δ⁻¹∗i_ē) ⊙ (ξ⁻¹∗i_{e∘ē}).
 
-    Existence is a theorem for any valid witness, so an exhausted search is
-    reported as data corruption rather than a normal miss.
+    The triangle identities determine the counit of an adjoint equivalence
+    by its unit, and this ξ' satisfies them for any valid witness, so a
+    built witness that fails them is reported as data corruption.
     """
     if witness_problems(c, w):
         raise StructureError(f"not a valid equivalence witness: {w}")
-    eb = c.compose1(w.e, w.e_bar)
-    tgt = c.id1[c.mor_dst[w.e]]
-    for xi in c.invertible_cells(eb, tgt):
-        cand = EquivalenceWitness(w.e, w.e_bar, w.delta, xi, adjoint=True)
-        if not witness_problems(c, cand):
-            return cand
-    raise InternalInconsistency(
-        f"no adjoint completion for witness on {w.e}; tables are corrupted"
-    )
+    middle = c.whisker_left(w.e, c.whisker_right(c.inverse2(w.delta), w.e_bar))
+    first = c.whisker_right(c.inverse2(w.xi), c.compose1(w.e, w.e_bar))
+    out = EquivalenceWitness(w.e, w.e_bar, w.delta,
+                             c.vcomp(w.xi, c.vcomp(middle, first)), adjoint=True)
+    probs = witness_problems(c, out)
+    if probs:
+        raise InternalInconsistency(f"adjoint witness on {w.e} invalid: {probs}")
+    return out
 
 
 def quasi_inverse_witness(c: TwoCat, w: EquivalenceWitness) -> EquivalenceWitness:

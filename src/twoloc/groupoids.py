@@ -108,6 +108,8 @@ def validate_groupoid(g: FiniteGroupoid) -> Report:
         rep.structural.append("unit table not total over objects")
     if set(g.inv) != set(g.arr_src) or any(v not in g.arr_src for v in g.inv.values()):
         rep.structural.append("inverse table not total over arrows")
+    if rep.structural:  # the composition checks read both endpoints of every arrow
+        return rep
     arrows = set(g.arr_src)
     pairs = {(b, a) for b in arrows for a in arrows
              if g.arr_dst[a] == g.arr_src[b]}

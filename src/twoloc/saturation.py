@@ -156,17 +156,6 @@ def _coequalized(
     return False
 
 
-def _lift_pairs(first, rest, first_only: bool):
-    """The pairs of one alpha's lifts that BF4c compares, in `combinations` order.
-
-    With `first_only` each later lift meets only the first, as it is found,
-    so no lift is kept.
-    """
-    if first_only:
-        return ((first, lift) for lift in rest)
-    return itertools.combinations([first, *rest], 2)
-
-
 def _check_bf4(c: TwoCat, w: frozenset[str], rep: Report, first_only: bool) -> None:
     """Decide BF4a-c over every alpha: wm∘f1 ⇒ wm∘f2 with wm ∈ W.
 
@@ -185,16 +174,13 @@ def _check_bf4(c: TwoCat, w: frozenset[str], rep: Report, first_only: bool) -> N
                     for alpha in alphas_to.get(wm_f2, ()):
                         if (f1, f2) not in candidates:
                             candidates[(f1, f2)] = _lift_candidates(c, w, f1, f2)
-                        lifts = _whiskered_lifts(c, wm, alpha, candidates[(f1, f2)])
-                        first = next(lifts, None)
-                        if first is None:
+                        lifts = list(_whiskered_lifts(c, wm, alpha, candidates[(f1, f2)]))
+                        if not lifts:
                             rep.fail("BF4a", (wm, f1, f2, alpha))
                             continue
-                        lifted_invertibly = c.is_invertible2(first[1])
-                        for l1, l2 in _lift_pairs(first, lifts, first_only):
-                            lifted_invertibly = lifted_invertibly or c.is_invertible2(l2[1])
-                            if not rep.verdicts["BF4c"]:
-                                continue
+                        pairs = (((lifts[0], lift) for lift in lifts[1:]) if first_only
+                                 else itertools.combinations(lifts, 2))
+                        for l1, l2 in pairs if rep.verdicts["BF4c"] else ():
                             key = (f1, f2, l1, l2)
                             if key not in merged:
                                 vv = (l1[0], l2[0])
@@ -203,7 +189,9 @@ def _check_bf4(c: TwoCat, w: frozenset[str], rep: Report, first_only: bool) -> N
                                 merged[key] = _coequalized(c, f1, f2, l1, l2, zigs[vv])
                             if not merged[key]:
                                 rep.fail("BF4c", (wm, alpha, l1, l2))
-                        if c.is_invertible2(alpha) and not lifted_invertibly:
+                                break
+                        if c.is_invertible2(alpha) and not any(c.is_invertible2(beta)
+                                                               for _v, beta in lifts):
                             rep.fail("BF4b", (wm, f1, f2, alpha))
 
 

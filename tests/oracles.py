@@ -37,6 +37,11 @@ where the proof that the two agree is written.
   W consists of equivalences, and the number of Pronk classes; test_biequivalence
   (the Z/n store totals and F6 are strict xfails, as the partition is finer
   than Pronk's relation); its docstring.
+- `fibre_partition`: no production code yet; the hom partition should be
+  this partition; test_biequivalence test_fibre_partition_*; its docstring
+  (Tommasini, arXiv:1410.3990, §0).
+- `search_adjointify`: `core.adjointify`; test_core
+  test_adjointify_matches_search; `adjointify`'s docstring.
 - `search_constancy`: `transport.induce`; test_transport test_constancy_*,
   test_comparison_to_saturation_agrees_with_constancy_search,
   test_induced_swap_on_walking_iso, test_acceptance test_c07_*; the lemma in
@@ -57,7 +62,10 @@ import itertools
 from collections import deque
 
 from twoloc import StrictTwoFunctor, validate_functor
-from twoloc.core import Report, TwoCat, _check_structure, find_quasi_inverse
+from twoloc.core import (
+    EquivalenceWitness, InternalInconsistency, Report, StructureError, TwoCat, _check_structure,
+    find_quasi_inverse, witness_problems,
+)
 from twoloc.fractions import (
     CellRep, Span, SpanEquivalence, cell_from_rep, compose_fractions, first_invertible_cell,
     hom_fraction_cells, identity_fraction_cell, identity_span, is_invertible_fraction_cell,
@@ -405,6 +413,53 @@ def biequivalence_count(c, w, s1: Span, s2: Span) -> int | None:
             return None
         legs.append(c.compose1(s.f, found.e_bar))
     return len(c.hom2(*legs))
+
+
+def fibre_partition(loc, s1: Span, s2: Span) -> list[frozenset[tuple[str, str]]]:
+    """The 2-cells s1 ⇒ s2 of C[W⁻¹] as classes of the chosen filler's fibre.
+
+    With (A3, v1, v2, α) = `loc.entry(w1, w2)`, the fibre is the pairs
+    (u, β) with w1∘v1∘u ∈ W and β: f1∘v1∘u ⇒ f2∘v2∘u, and (u, β) is joined
+    with (u∘q, β∗i_q) wherever w1∘v1∘u∘q ∈ W, that is, wherever the latter
+    is in the fibre.  Classes come in the order of their first member.
+    """
+    c, w = loc.c, loc.w
+    apex, v1, v2, _alpha = loc.entry(s1.w, s2.w)
+    fibre = []
+    for b in sorted(c.objects):
+        for u in c.hom1(b, apex):
+            v1u = c.compose1(v1, u)
+            if c.compose1(s1.w, v1u) in w:
+                fibre += [(u, beta) for beta in c.hom2(c.compose1(s1.f, v1u),
+                                                        c.compose1(s2.f, c.compose1(v2, u)))]
+    root = {x: x for x in fibre}
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for u, beta in fibre:
+        for x in c.objects:
+            for q in c.hom1(x, c.mor_src[u]):
+                joined = (c.compose1(u, q), c.whisker_right(beta, q))
+                if joined in root:
+                    root[find(joined)] = find((u, beta))
+    classes: dict = {}
+    for x in fibre:
+        classes.setdefault(find(x), []).append(x)
+    return [frozenset(members) for members in classes.values()]
+
+
+def search_adjointify(c, w: EquivalenceWitness) -> EquivalenceWitness:
+    """Keep (e, ē, δ) and search the invertible ξ' that makes both triangles hold."""
+    if witness_problems(c, w):
+        raise StructureError(f"not a valid equivalence witness: {w}")
+    for xi in c.invertible_cells(c.compose1(w.e, w.e_bar), c.id1[c.mor_dst[w.e]]):
+        cand = EquivalenceWitness(w.e, w.e_bar, w.delta, xi, adjoint=True)
+        if not witness_problems(c, cand):
+            return cand
+    raise InternalInconsistency(f"no adjoint completion for witness on {w.e}")
 
 
 def search_constancy(ind: InducedPseudofunctor) -> CellRep | None:

@@ -18,7 +18,7 @@ from twoloc.core import internal_equivalences
 from twoloc.fixtures import fixture
 
 from corpus import classes_only, cyclic_family, oracle_inputs, span_pairs
-from oracles import biequivalence_count, pronk_equivalent
+from oracles import biequivalence_count, fibre_partition, pronk_equivalent
 
 PARTITION_IS_FINER = (
     "known defect: the hom partition joins representatives only along a "
@@ -57,6 +57,37 @@ def test_count_matches_the_classes_where_w_consists_of_equivalences():
 @pytest.mark.xfail(strict=True, reason=PARTITION_IS_FINER + " (16 homs of F6)")
 def test_count_matches_the_classes_of_f6():
     assert disagreements(*fixture("F6")) == []
+
+
+def fibre_mismatches(equivalences: bool) -> tuple[int, list]:
+    """Span pairs compared, and those where `fibre_partition` disagrees.
+
+    Over the BF-passing `oracle_inputs()` and `cyclic_family()` entries
+    whose W consists of equivalences (or, with `equivalences` false, does
+    not), against `biequivalence_count` (or the store's class count).
+    """
+    pairs, mismatches = 0, []
+    for e in oracle_inputs() + cyclic_family():
+        if (e.w <= internal_equivalences(e.c)) != equivalences \
+                or not (validate(e.c).ok and check_bf(e.c, e.w).ok):
+            continue
+        loc = build_choices(e.c, e.w)
+        for s1, s2 in span_pairs(e.c, e.w):
+            pairs += 1
+            want = biequivalence_count(e.c, e.w, s1, s2) if equivalences \
+                else len(loc.hom_cells(s1, s2))
+            if len(fibre_partition(loc, s1, s2)) != want:
+                mismatches.append((e.name, s1, s2))
+    return pairs, mismatches
+
+
+def test_fibre_partition_matches_the_count_where_w_consists_of_equivalences():
+    # F6 and Z/n included, where the store holds too many classes
+    assert fibre_mismatches(equivalences=True) == (55_986, [])
+
+
+def test_fibre_partition_matches_the_store_elsewhere():
+    assert fibre_mismatches(equivalences=False) == (8_623, [])
 
 
 def cyclic_entries():

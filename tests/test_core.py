@@ -5,9 +5,10 @@ import random
 
 import pytest
 from corpus import (
-    ROWS, counted_rows, cyclic_parity, distinct_tables, oracle_inputs, row_reads, with_tables,
+    ROWS, counted_rows, cyclic_family, cyclic_parity, distinct_tables, oracle_inputs, row_reads,
+    with_tables,
 )
-from oracles import exhaustive_validate, reached_by_left_composition
+from oracles import exhaustive_validate, reached_by_left_composition, search_adjointify
 
 from twoloc import (
     EquivalenceWitness,
@@ -331,6 +332,19 @@ def test_adjointify_satisfies_triangles():
             assert adj.adjoint
             assert witness_problems(c, adj) == []
             assert (adj.e, adj.e_bar, adj.delta) == (w.e, w.e_bar, w.delta)
+
+
+def test_adjointify_matches_search():
+    # the built ξ' is the one invertible cell the triangle identities allow
+    tables = [e.c for e in oracle_inputs() + cyclic_family()]
+    tables += [groupoid_twocat(make())[0] for make in CATALOGS.values()]
+    checked = 0
+    for c in (c for c in tables if validate(c).ok):
+        for e in sorted(internal_equivalences(c)):
+            w = find_quasi_inverse(c, e)
+            assert adjointify(c, w) == search_adjointify(c, w), e
+            checked += 1
+    assert checked == 830
 
 
 def test_adjointify_rejects_invalid_witness():

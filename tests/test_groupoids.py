@@ -79,6 +79,14 @@ def test_validate_groupoid_reports_units_that_do_not_compose():
     assert "unit endpoints" in laws and "unit law" in laws
 
 
+def test_validate_groupoid_reports_an_arrow_without_a_target():
+    g = FiniteGroupoid("G", ("x",), {"e": "x", "f": "x"}, {"e": "x"},
+                       {("e", "e"): "e"}, {"e": "e", "f": "f"}, {"x": "e"})
+    rep = validate_groupoid(g)
+    assert rep.structural == ["arrow 'f' has dangling endpoints",
+                              "arr_src and arr_dst index different arrow sets"]
+
+
 # -- functor enumeration -------------------------------------------------------
 #
 # counts by hand over {Unit, Pair2, Disc2}:

@@ -306,11 +306,11 @@ def test_bf_survives_saturation_on_fixtures():
 
 
 def lift_pair_modes(monkeypatch) -> list[bool]:
-    """The `first_only` flag of each alpha's BF4c pairs, as `check_bf` runs."""
+    """The `first_only` flag of each `_check_bf4` run, as `check_bf` runs."""
     modes = []
-    lift_pairs = saturation._lift_pairs
-    monkeypatch.setattr(saturation, "_lift_pairs", lambda first, rest, first_only:
-                        modes.append(first_only) or lift_pairs(first, rest, first_only))
+    check_bf4 = saturation._check_bf4
+    monkeypatch.setattr(saturation, "_check_bf4", lambda c, w, rep, first_only:
+                        modes.append(first_only) or check_bf4(c, w, rep, first_only))
     return modes
 
 
@@ -327,7 +327,7 @@ def test_check_bf_matches_per_pair_search(monkeypatch):
                   quasi_units(c) | frozenset(c.id1.values())):
             modes.clear()
             got = check_bf(c, w)
-            paths[tuple(dict.fromkeys(modes))] += 1
+            paths[tuple(modes)] += 1
             want = search_check_bf(c, w)
             assert (got.verdicts, got.counterexamples) == \
                 (want.verdicts, want.counterexamples), (entry.name, sorted(w))
@@ -419,10 +419,7 @@ def test_bf4_lemma_matches_the_search(monkeypatch):
     `check_bf` would run it there (BF2, BF3 and BF5 hold), and derives no
     hcomp entry.
     """
-    searched = []
-    check_bf4 = saturation._check_bf4
-    monkeypatch.setattr(saturation, "_check_bf4", lambda c, w, rep, first_only:
-                        searched.append(first_only) or check_bf4(c, w, rep, first_only))
+    searched = lift_pair_modes(monkeypatch)
     inputs = oracle_inputs() + cyclic_family() + [p for _e1, _e2, p in product_family()]
     seen = set()
     for entry in inputs:
