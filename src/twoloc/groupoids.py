@@ -29,21 +29,30 @@ first decision on them (`FiniteGroupoid.reach` already assumes this).
 The verdict of a chain is frozen, and every vacuous chain (~99% of the
 chains of a catalog) shares one vacuous verdict, so it allocates nothing.
 
-In the catalog 2-category a functor y → x is identified by its image
-tuples, (y, x, object images in `y.objects` order, arrow images in
-`y.arrows` order), so a composite is found by composing tuples; a
-transformation by its functors and its components in sorted-object order.
+In the catalog 2-category a functor y → x is keyed by (y, x, arrow
+images in `y.arrows` order): units go to units, so the arrow images fix
+the object map.  A composite is found by mapping the inner functor's
+arrow images through the outer one; a transformation is keyed by its
+functors and its components in sorted-object order.  Composable pairs
+come from an index of functors by target, and transformations are sought
+only between functors that send each object into one connected component.
+A composite or whiskering of transformations is natural between its two
+functors, so where exactly one transformation joins those (every pair of
+a catalog without isotropy) it is that one, read without building its
+components; they are built and hashed only where several join them (Z/2
+or Z/3 in the catalog).
 
 Only the whiskerings i_h∗− and −∗i_h are built (`TwoCat.from_whiskerings`),
 not the hcomp table, whose size grows with the square of the number of
 transformations.  Enumeration cost is still exponential in groupoid size.
 Catalogs of up to ~6 groupoids with ≤4 objects each, and no Pair_n past
 n = 3, stay in reach: Unit, Pair2, Disc2, Pair3 builds, validates and
-passes `check_bf` in ~0.3 s, and adding Disc3 and Disc4 (712 functors,
-9,124 transformations) in ~10 s at ~190 MB.  `check_bf` takes ~0.01 s
-and ~0.1 s of these: every Morita map is an internal equivalence, so
-BF4 holds by the lemma in its docstring and no lift is listed.
-Pair4 in place of Disc4 brings 82,940 transformations.
+passes `check_bf` in ~0.2 s, and adding Disc3 and Disc4 (712 functors,
+9,124 transformations) in ~6 s at ~200 MB, of which the build is ~1.6 s
+and `validate` most of the rest.  `check_bf` takes ~0.01 s and ~0.1 s of
+these: every Morita map is an internal equivalence, so BF4 holds by the
+lemma in its docstring and no lift is listed.  Pair4 in place of Disc4
+brings 82,940 transformations.
 """
 
 from __future__ import annotations
@@ -170,7 +179,9 @@ class GroupoidFunctor:
         """Is g∘self Morita?  Kept per g, and decided once per distinct composite.
 
         The verdict reads the composite's tables only, so it is kept on the
-        source groupoid by the composite's target and image tuples.
+        source groupoid by the composite's target and image tuples.  The
+        object images stay in that key: a hand-built functor need not
+        preserve units, so its arrow images need not fix its object map.
         """
         try:
             return self.composites_decided[g]
@@ -311,18 +322,16 @@ class MoritaCancellation(NamedTuple):
     """Outcome of the two-out-of-six style cancellation for Morita maps.
 
     Every vacuous chain gets the one shared `_VACUOUS` instance, whose
-    `verdicts` is a read-only empty mapping.
+    `verdicts` is a read-only empty mapping.  `ok` is set with the
+    verdicts: vacuous, or every factor Morita.
     """
 
     vacuous: bool
     verdicts: Mapping[str, bool]
-
-    @property
-    def ok(self) -> bool:
-        return self.vacuous or all(self.verdicts.values())
+    ok: bool
 
 
-_VACUOUS = MoritaCancellation(True, MappingProxyType({}))
+_VACUOUS = MoritaCancellation(True, MappingProxyType({}), True)
 
 
 def morita_two_out_of_six(xi: GroupoidFunctor, psi: GroupoidFunctor,
@@ -338,11 +347,8 @@ def morita_two_out_of_six(xi: GroupoidFunctor, psi: GroupoidFunctor,
         raise StructureError("functors do not form a composable chain")
     if not (psi.morita_after(phi) and xi.morita_after(psi)):
         return _VACUOUS
-    return MoritaCancellation(False, {
-        "phi": phi.morita,
-        "psi": psi.morita,
-        "xi": xi.morita,
-    })
+    verdicts = {"phi": phi.morita, "psi": psi.morita, "xi": xi.morita}
+    return MoritaCancellation(False, verdicts, all(verdicts.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +361,8 @@ def groupoid_twocat(catalog: list[FiniteGroupoid]) -> tuple[TwoCat, frozenset[st
     Returns the strict 2-category (objects = groupoid names, 1-cells =
     functors, 2-cells = natural transformations) and the class of 1-cells
     that are Morita equivalences.  Functors and transformations are
-    identified by image tuples, as the module docstring says.
+    keyed as the module docstring says.  Composable and parallel pairs
+    are listed from indexes, in the order of a scan over all pairs.
     """
     by_name = {}
     for g in catalog:
@@ -367,70 +374,76 @@ def groupoid_twocat(catalog: list[FiniteGroupoid]) -> tuple[TwoCat, frozenset[st
     ordered = {n: tuple(sorted(g.objects)) for n, g in by_name.items()}
     image = lambda table, keys: tuple(map(table.__getitem__, keys))
     funs: dict[str, GroupoidFunctor] = {}
-    images: dict[str, tuple] = {}  # fid -> (source, target, object images, arrow images)
-    by_images: dict[tuple, str] = {}
+    arrows: dict[str, tuple] = {}  # fid -> arrow images, in source `arrows` order
+    by_key: dict[tuple, str] = {}  # (source, target, arrow images) -> fid
     for a, b in itertools.product(names, names):
         y = by_name[a]
         for k, fun in enumerate(enumerate_gfunctors(y, by_name[b])):
             fid = f"{a}>{b}#{k}"
-            funs[fid] = fun
-            images[fid] = (a, b, image(fun.obj_map, y.objects), image(fun.arr_map, y.arrows))
-            by_images[images[fid]] = fid
+            funs[fid], arrows[fid] = fun, image(fun.arr_map, y.arrows)
+            by_key[(a, b, arrows[fid])] = fid
 
     mor_src = {fid: fun.source.name for fid, fun in funs.items()}
     mor_dst = {fid: fun.target.name for fid, fun in funs.items()}
-    id1 = {n: by_images[(n, n, tuple(by_name[n].objects), by_name[n].arrows)] for n in names}
-    comp1 = {}
-    for gid, fid in itertools.product(funs, funs):
-        if mor_dst[fid] == mor_src[gid]:
-            g, (src, _, objs, arrs) = funs[gid], images[fid]
-            comp1[(gid, fid)] = by_images[
-                (src, mor_dst[gid], image(g.obj_map, objs), image(g.arr_map, arrs))]
+    id1 = {n: by_key[(n, n, by_name[n].arrows)] for n in names}
+    into = _index(funs, mor_dst.get)  # groupoid -> the functors into it
+    after = {gid: {fid: by_key[(mor_src[fid], mor_dst[gid], image(g.arr_map, arrows[fid]))]
+                   for fid in into.get(mor_src[gid], ())}
+             for gid, g in funs.items()}  # h -> {f: h∘f}
+    comp1 = {(gid, fid): gf for gid, row in after.items() for fid, gf in row.items()}
 
+    # a transformation f ⇒ g has components f(o) → g(o), so it joins only
+    # functors that send each object into the same connected component,
+    # which `reach` is in a groupoid
+    reached = {fid: (mor_src[fid], mor_dst[fid], tuple(map(
+        fun.target.reach.get, image(fun.obj_map, fun.source.objects))))
+        for fid, fun in funs.items()}
+    parallel = _index(sorted(funs), reached.get)
     cells: dict[str, tuple[str, str, tuple]] = {}  # cid -> (src fid, dst fid, components)
+    only: dict[tuple[str, str], str | None] = {}  # (fid, gid) -> the one cell fid ⇒ gid, else None
     by_nt: dict[tuple[str, str, tuple], str] = {}
-    for fid, gid in itertools.product(sorted(funs), sorted(funs)):
-        if (mor_src[fid], mor_dst[fid]) != (mor_src[gid], mor_dst[gid]):
-            continue
-        for j, eta in enumerate(natural_transformations(funs[fid], funs[gid])):
-            cid = f"{fid}~{gid}.{j}"
-            comps = image(eta, ordered[mor_src[fid]])
-            cells[cid] = (fid, gid, comps)
-            by_nt[(fid, gid, comps)] = cid
-    id2 = {fid: by_nt[(fid, fid, image(fun.target.unit, image(fun.obj_map, ordered[mor_src[fid]])))]
-           for fid, fun in funs.items()}
-
-    into = _index(cells, lambda aid: cells[aid][1])  # functor -> the cells ending at it
+    for fid in sorted(funs):
+        for gid in parallel[reached[fid]]:
+            etas = natural_transformations(funs[fid], funs[gid])
+            for j, eta in enumerate(etas):
+                cid = only[(fid, gid)] = f"{fid}~{gid}.{j}"
+                comps = image(eta, ordered[mor_src[fid]])
+                cells[cid] = (fid, gid, comps)
+                by_nt[(fid, gid, comps)] = cid
+            if len(etas) > 1:
+                only[(fid, gid)] = None
+    # an identity, composite or whiskering of transformations is natural
+    # between its two functors, so where exactly one cell joins those it is
+    # that cell, and its components are not built
+    id2 = {fid: only[(fid, fid)] or by_nt[(fid, fid, image(
+        fun.target.unit, image(fun.obj_map, ordered[mor_src[fid]])))]
+        for fid, fun in funs.items()}
+    ending = _index(cells, lambda aid: cells[aid][1])  # functor -> the cells ending at it
     vcomp = {}
     for bid, (bf, bg, bcomps) in cells.items():
         x = funs[bf].target
-        for aid in into.get(bf, ()):  # vertically composable: a then b
+        for aid in ending.get(bf, ()):  # vertically composable: a then b
             af, _, acomps = cells[aid]
-            vcomp[(bid, aid)] = by_nt[(af, bg, image(x.comp, zip(bcomps, acomps)))]
+            vcomp[(bid, aid)] = only[(af, bg)] or by_nt[(af, bg, image(x.comp, zip(bcomps, acomps)))]
 
     # whiskerings only, each row in sorted cell order: for h: X → Y,
-    # (i_h∗a)_o = h(a_o), and (a∗i_h)_o = a_{h(o)} for a over functors out
-    # of Y; an identity whiskers to the identity on the composite, read
-    # without building its components (50 of the 120 cells of Unit, Pair2,
-    # Disc3 are identities)
-    cell_order = sorted(cells)
-    landing = _index(cell_order, lambda aid: mor_dst[cells[aid][0]])
-    leaving = _index(cell_order, lambda aid: mor_src[cells[aid][0]])
+    # (i_h∗a)_o = h(a_o), and (a∗i_h)_o = a_{h(o)} for a over functors out of Y
+    order = [(aid, cells[aid]) for aid in sorted(cells)]
+    landing = _index(order, lambda item: mor_dst[item[1][0]])
+    leaving = _index(order, lambda item: mor_src[item[1][0]])
     left_rows, right_rows = {}, {}
     for hid, h in funs.items():
-        x, y = mor_src[hid], mor_dst[hid]
+        x, y, h_after = mor_src[hid], mor_dst[hid], after[hid]
         left = left_rows[hid] = {}
-        for aid in landing.get(x, ()):
-            af, ag, acomps = cells[aid]
-            left[aid] = id2[comp1[(hid, af)]] if aid == id2[af] else by_nt[
-                (comp1[(hid, af)], comp1[(hid, ag)], image(h.arr_map, acomps))]
+        for aid, (af, ag, acomps) in landing.get(x, ()):
+            f, g = h_after[af], h_after[ag]
+            left[aid] = only[(f, g)] or by_nt[(f, g, image(h.arr_map, acomps))]
         at = {o: k for k, o in enumerate(ordered[y])}
         slots = [at[h.obj_map[o]] for o in ordered[x]]
         right = right_rows[hid] = {}
-        for aid in leaving.get(y, ()):
-            af, ag, acomps = cells[aid]
-            right[aid] = id2[comp1[(af, hid)]] if aid == id2[af] else by_nt[
-                (comp1[(af, hid)], comp1[(ag, hid)], image(acomps, slots))]
+        for aid, (af, ag, acomps) in leaving.get(y, ()):
+            f, g = after[af][hid], after[ag][hid]
+            right[aid] = only[(f, g)] or by_nt[(f, g, image(acomps, slots))]
 
     c = TwoCat.from_whiskerings(
         objects=tuple(names),

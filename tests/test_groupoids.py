@@ -2,17 +2,21 @@
 
 import hashlib
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
 from twoloc import (
     CATALOGS,
+    StrictTwoFunctor,
     StructureError,
     check_bf,
     compose_gfunctors,
     discrete_groupoid,
     enumerate_gfunctors,
     groupoid_twocat,
+    identity_functor,
     identity_gfunctor,
     is_essentially_surjective,
     is_fully_faithful,
@@ -26,11 +30,17 @@ from twoloc import (
     u_mor,
     unit_groupoid,
     validate,
+    validate_functor,
     validate_groupoid,
 )
 from twoloc.groupoids import FiniteGroupoid, GroupoidFunctor, functor_problems
 
-from oracles import literal_essentially_surjective, literal_fully_faithful, literal_morita
+from oracles import (
+    literal_essentially_surjective,
+    literal_fully_faithful,
+    literal_morita,
+    literal_validate_functor,
+)
 
 
 def test_builders_are_groupoids():
@@ -337,12 +347,53 @@ CATALOG_TABLE_DIGESTS = {
         "hcomp_table": "08e554df1127b2d3dfe89fa2629b1ad4c79441aaebb9a05351ac6f69f210204a",
         "id2": "3d6c29d31708b373c4121d2bef988f15a451ce5849b719f1676a85349e800af1",
     },
+    "unit-z2-z3": {
+        "objects": "a281cfb09c1844365a16644681a43e0b6ee627dc5838cbf683d6b7c471b3aa86",
+        "mor_src": "896ec2501f7e627db5189331619cac2ef80c1a66bd2054ca2b7837c4149b364c",
+        "mor_dst": "c97db5ac3e8ba65b97a0ebe50ad6b147998ce4f6a0ca38c4683898bbc5b187a2",
+        "comp1": "1988ed3fbc1eab431fe842266753171749dd8419bcc73a86c7c908ad71137767",
+        "id1": "01f53841f22a5035ece0e346592cdd815373ba9a70657baf9eb98c4deb2d1c6f",
+        "cell_src": "21cff23532c05e729e0340172c5138ae6e9b4df6dc4e6613d1eefe2861d5bcae",
+        "cell_dst": "21cff23532c05e729e0340172c5138ae6e9b4df6dc4e6613d1eefe2861d5bcae",
+        "vcomp_table": "069fa4e584f8b7349d392ddef058385ce3c81c30da5461f2295a1a4eb6710c09",
+        "hcomp_table": "b8ede1504aa85950e56a799d3a9402d4e9ad903f35b17d3b7b8ba3ab6cae7b27",
+        "id2": "a84031cbc6df6999a783cf837a19a9f60dc346dd598d19b05802bca7d8e753e3",
+    },
+    "z2-pair3-z3": {
+        "objects": "ae717c78a467d8bb54a676e0055b44752c0d711585a07a685fa5aeb468b6c08e",
+        "mor_src": "d9a962c84a0631f6228dab3e7121c2147f6b5e2491eedde74ff38520e9c50528",
+        "mor_dst": "577f5af9c39c4eaf9d9c7ff14397a8771814fe32d81cc0730577b8901bcb286f",
+        "comp1": "c5a77010b1e6f440cd1333f60350c181154344087cadb280f500fc54261d9cba",
+        "id1": "518cd71d397f414a9555f85e20dc8251a3eae96f0e35c2dda91728407d58df69",
+        "cell_src": "42f8f6c29ec5dfb6f2f5cd5f430e1dd1bc459e576416459f3dcaaa4ca0412b01",
+        "cell_dst": "549a307790dbe66ba6915021cbde717bc42cae84f074de4e17539f6fb549e358",
+        "vcomp_table": "6048eadc9a39b2fd9c9308be75d124ddf879b108809f0fe175a444102219ee35",
+        "hcomp_table": "bb27e739e680e7b965ecc95bed93f2b8d010babe9fbb741410ae1f610cc3b42c",
+        "id2": "c5b0e1ea47c866d6d071f3e8b85696cbb010cfd327606df9ff68f2de2dab50d2",
+    },
+    "unit-pair2-disc2-pair3": {
+        "objects": "ec150a19764c2d5f610b90a12c9435160a83370097ed9d1f069041bc1cadce60",
+        "mor_src": "247762f00c6c2ada0e781abf54eb82a5b0146a5a3ea392d28217a72c3a66bc99",
+        "mor_dst": "694f75163b59e89178d897280e15e9cb5b7f547f892a49c6d9a0656529e4d696",
+        "comp1": "93639f331be9d099e905fa9e42d4ffbec1dc01e01d450f423bd97dc96eb1e26d",
+        "id1": "6860fc96fa1ba48fcb8013a54f8c8c2afac02c268504d2df125e008857ffe0be",
+        "cell_src": "6b6f927096faf42357fdf3fa8c4af04e7409fbe2645c0bfece2d65b07a0ff2d5",
+        "cell_dst": "58fa7346b4b38a28b5f1c47963cda1ce8a54b44af767a4ca8f88129f9c3b7a31",
+        "vcomp_table": "3f952e43516b10eeb2ec6bf6261ebecb53bb9d5d2cd331b5d9dcbdbabf695ae2",
+        "hcomp_table": "12883d53a880445965bc30df554bf026b554e0158a49d7f6c8fe29f64510753d",
+        "id2": "b4535abd9da350d19ce3e8f042a0b0885f32d7a06449ae2ace3465a889c41108",
+    },
 }
 
 
 def test_catalog_tables_are_pinned():
     catalogs = {name: make() for name, make in CATALOGS.items()}
     catalogs["unit-pair2-disc3"] = [unit_groupoid(), pair_groupoid(2), discrete_groupoid(3)]
+    # Z2 and Z3 have automorphisms, so some functor pairs of these are
+    # joined by several transformations, whose components are then read
+    catalogs["unit-z2-z3"] = [unit_groupoid(), cyclic_group(2), cyclic_group(3)]
+    catalogs["z2-pair3-z3"] = [cyclic_group(2), pair_groupoid(3), cyclic_group(3)]
+    catalogs["unit-pair2-disc2-pair3"] = CATALOGS["unit-pair-disc"]() + [pair_groupoid(3)]
     assert catalogs.keys() == CATALOG_TABLE_DIGESTS.keys()
     for name, catalog in catalogs.items():
         c, _w = groupoid_twocat(catalog)
@@ -371,6 +422,34 @@ def test_catalog_localized_decider_matches_morita():
 def test_shipped_catalogs_are_saturated():
     for name, make in CATALOGS.items():
         assert morita_saturated_check(make()), name
+
+
+def test_validate_functor_matches_the_literal_walk():
+    """Where both tables are built from whiskerings, hcomp is not walked.
+
+    On the 4-groupoid catalog the identity validates without deriving the
+    hcomp table.  Seeded f2 mutants of two catalogs get the literal walk's
+    report: a mutant moves one or two cells, to a parallel cell or to any.
+    Z2 makes parallel cells, so there some mutants break hcomp alone.
+    """
+    c, _w = groupoid_twocat(CATALOGS["unit-pair-disc"]() + [pair_groupoid(3)])
+    assert validate_functor(identity_functor(c)).ok and "hcomp_table" not in vars(c)
+    first_laws = Counter()
+    for cat in ([unit_groupoid(), pair_groupoid(2), discrete_groupoid(3)],
+                [cyclic_group(2), pair_groupoid(2), discrete_groupoid(2)]):
+        c, _w = groupoid_twocat(cat)
+        fun = identity_functor(c)
+        for seed in range(40):
+            rng = random.Random(seed)
+            f2 = dict(fun.f2)
+            for a in rng.sample(c.cells, rng.choice((1, 2))):
+                f2[a] = rng.choice(c.hom2(c.cell_src[a], c.cell_dst[a]) if seed % 2 else c.cells)
+            mutant = StrictTwoFunctor(c, c, fun.f0, fun.f1, f2)
+            got, want = validate_functor(mutant), literal_validate_functor(mutant)
+            assert (got.structural, got.verdicts, got.counterexamples) == \
+                (want.structural, want.verdicts, want.counterexamples), (cat[0].name, seed)
+            first_laws[next(iter(want.verdicts), "ok")] += 1
+    assert first_laws["ok"] and first_laws["hcomp"] and first_laws["2-cell boundaries"], first_laws
 
 
 # -- Morita predicates against their literal definitions ---------------------------
@@ -438,6 +517,7 @@ def test_two_out_of_six_matches_built_composites():
                 vacuous = not (literal_morita(compose_gfunctors(phi, psi))
                                and literal_morita(compose_gfunctors(psi, xi)))
                 assert rep.vacuous == vacuous
+                assert rep.ok == (rep.vacuous or all(rep.verdicts.values()))
                 if not vacuous:
                     real += 1
                     assert rep.verdicts == {"phi": literal_morita(phi),
