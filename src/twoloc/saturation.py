@@ -14,8 +14,6 @@ lemma, proved in `check_bf`'s docstring, and no lift is listed.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
-from functools import cache, partial
 
 from .core import Report, StructureError, TwoCat, _index, find_quasi_inverse
 
@@ -89,13 +87,12 @@ def _lift_candidates(c: TwoCat, w: frozenset[str], f1: str, f2: str) -> tuple:
     return tuple((v, betas) for v, betas in pairs if betas)
 
 
-def _whiskered_lifts(c: TwoCat, whiskered: Callable[[str], str], alpha: str,
-                     candidates: tuple):
-    """The candidates (v, beta) with alpha∗i_v = whiskered(beta) = i_wm∗beta, in order."""
+def _whiskered_lifts(c: TwoCat, wm: str, alpha: str, candidates: tuple):
+    """The candidates (v, beta) with alpha∗i_v = i_wm∗beta, in order."""
     for v, betas in candidates:
         lhs = c.whisker_right(alpha, v)
         for beta in betas:
-            if whiskered(beta) == lhs:
+            if c.whisker_left(wm, beta) == lhs:
                 yield v, beta
 
 
@@ -105,8 +102,7 @@ def cell_lifts(c: TwoCat, w: frozenset[str], wm: str, f1: str, f2: str, alpha: s
     Here alpha: wm∘f1 ⇒ wm∘f2 with wm ∈ W; the condition says beta becomes
     alpha after whiskering with wm (up to restriction along v).
     """
-    yield from _whiskered_lifts(c, partial(c.whisker_left, wm), alpha,
-                                _lift_candidates(c, w, f1, f2))
+    yield from _whiskered_lifts(c, wm, alpha, _lift_candidates(c, w, f1, f2))
 
 
 def lift_cell(
@@ -163,14 +159,13 @@ def _coequalized(
 def _check_bf4(c: TwoCat, w: frozenset[str], rep: Report, first_only: bool) -> None:
     """Decide BF4a-c over every alpha: wm∘f1 ⇒ wm∘f2 with wm ∈ W.
 
-    The lift candidates, like the merge memo, read f1 and f2 only, and
-    i_wm∗beta is read once per (wm, beta), not once per alpha.
+    The lift candidates, like the merge memo, read f1 and f2 only.
     """
     candidates: dict[tuple[str, str], tuple] = {}  # (f1, f2) -> _lift_candidates
     zigs: dict[tuple[str, str], tuple] = {}  # (v, v') -> _zigs(c, w, v, v')
     merged: dict[tuple, bool] = {}  # (f1, f2, l, l') -> _coequalized's answer
     for wm in sorted(w):
-        b, whiskered = c.mor_src[wm], cache(partial(c.whisker_left, wm))
+        b = c.mor_src[wm]
         for a_obj in sorted(c.objects):
             legs = [(f, c.compose1(wm, f)) for f in c.hom1(a_obj, b)]
             for f1, wm_f1 in legs:
@@ -179,7 +174,7 @@ def _check_bf4(c: TwoCat, w: frozenset[str], rep: Report, first_only: bool) -> N
                     for alpha in alphas_to.get(wm_f2, ()):
                         if (f1, f2) not in candidates:
                             candidates[(f1, f2)] = _lift_candidates(c, w, f1, f2)
-                        lifts = list(_whiskered_lifts(c, whiskered, alpha, candidates[(f1, f2)]))
+                        lifts = list(_whiskered_lifts(c, wm, alpha, candidates[(f1, f2)]))
                         if not lifts:
                             rep.fail("BF4a", (wm, f1, f2, alpha))
                             continue

@@ -99,12 +99,7 @@ def collapse_functor(c: TwoCat, point: TwoCat) -> StrictTwoFunctor:
 def validate_functor(fun: StrictTwoFunctor) -> Report:
     """Exhaustive strict-preservation check; gaps are structural failures.
 
-    Each failing law keeps its first witness.  When both tables are built
-    from whiskerings, every other law holds and the whisker rows are
-    preserved, hcomp is too and its table is not walked: for a: f ⇒ f′
-    and b: g ⇒ g′, b∗a is (b∗i_f′)⊙(i_g∗a) on both sides, and F keeps
-    each factor and their vcomp.  (This reads the source's rows as total,
-    as they are on tables that pass `validate`.)
+    Each failing law keeps its first witness.
     """
     rep = Report()
     s, t = fun.source, fun.target
@@ -142,22 +137,10 @@ def validate_functor(fun: StrictTwoFunctor) -> Report:
     for (b, a), ba in s.vcomp_table.items():
         if t.vcomp_table.get((fun.f2[b], fun.f2[a])) != fun.f2[ba]:
             rep.fail("vcomp", (b, a))
-    if rep.ok and _preserves_whiskerings(fun):
-        return rep
     for (b, a), ba in s.hcomp_table.items():
         if t.hcomp_table.get((fun.f2[b], fun.f2[a])) != fun.f2[ba]:
             rep.fail("hcomp", (b, a))
     return rep
-
-
-def _preserves_whiskerings(fun: StrictTwoFunctor) -> bool:
-    """Are both tables built from whiskerings, with F keeping every whisker row entry?"""
-    s, t, f1, f2 = fun.source, fun.target, fun.f1, fun.f2
-    if s.given_hcomp is not None or t.given_hcomp is not None:
-        return False
-    return all(t_rows.get(f1[h], {}).get(f2[a]) == f2[r]
-               for s_rows, t_rows in ((s.left_rows, t.left_rows), (s.right_rows, t.right_rows))
-               for h, row in s_rows.items() for a, r in row.items())
 
 
 def preserves_into(fun: StrictTwoFunctor, w_src, target_class) -> bool:

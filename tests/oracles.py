@@ -50,9 +50,6 @@ where the proof that the two agree is written.
   test_transport test_x_conditions_match_the_all_pairs_walk; its docstring.
 - `enumerate_strict_functors`: every candidate passes
   `transport.validate_functor`; test_transport test_enumerator_agrees_with_validator.
-- `literal_validate_functor`: `transport.validate_functor`, which skips the
-  hcomp walk where both tables are built from whiskerings and F keeps their
-  rows; test_groupoids test_validate_functor_matches_the_literal_walk; its docstring.
 - `literal_*`: `groupoids.is_essentially_surjective`, `is_fully_faithful`,
   `is_morita`, `morita_two_out_of_six`; test_groupoids
   test_morita_predicates_match_*, test_two_out_of_six_matches_built_composites;
@@ -562,49 +559,6 @@ def enumerate_strict_functors(src: TwoCat, dst: TwoCat) -> list[StrictTwoFunctor
                 if validate_functor(fun).ok:
                     out.append(fun)
     return out
-
-
-def literal_validate_functor(fun: StrictTwoFunctor) -> Report:
-    """Every law of a strict 2-functor, hcomp included, walked entry by entry."""
-    rep = Report()
-    s, t = fun.source, fun.target
-    if set(fun.f0) != set(s.objects):
-        rep.structural.append("object table does not match the source objects")
-    if set(fun.f1) != set(s.mors):
-        rep.structural.append("1-cell table does not match the source 1-cells")
-    if set(fun.f2) != set(s.cells):
-        rep.structural.append("2-cell table does not match the source 2-cells")
-    if not (set(fun.f0.values()) <= set(t.objects)
-            and set(fun.f1.values()) <= set(t.mor_src)
-            and set(fun.f2.values()) <= set(t.cell_src)):
-        rep.structural.append("table values are not cells of the target")
-    if rep.structural:
-        return rep
-
-    for f in s.mors:
-        if t.mor_src[fun.f1[f]] != fun.f0[s.mor_src[f]] or \
-           t.mor_dst[fun.f1[f]] != fun.f0[s.mor_dst[f]]:
-            rep.fail("1-cell boundaries", f)
-    for a in s.cells:
-        if t.cell_src[fun.f2[a]] != fun.f1[s.cell_src[a]] or \
-           t.cell_dst[fun.f2[a]] != fun.f1[s.cell_dst[a]]:
-            rep.fail("2-cell boundaries", a)
-    for o in s.objects:
-        if fun.f1[s.id1[o]] != t.id1[fun.f0[o]]:
-            rep.fail("identity 1-cells", o)
-    for f in s.mors:
-        if fun.f2[s.id2[f]] != t.id2[fun.f1[f]]:
-            rep.fail("identity 2-cells", f)
-    for (g, f), gf in s.comp1.items():
-        if t.comp1.get((fun.f1[g], fun.f1[f])) != fun.f1[gf]:
-            rep.fail("compose1", (g, f))
-    for (b, a), ba in s.vcomp_table.items():
-        if t.vcomp_table.get((fun.f2[b], fun.f2[a])) != fun.f2[ba]:
-            rep.fail("vcomp", (b, a))
-    for (b, a), ba in s.hcomp_table.items():
-        if t.hcomp_table.get((fun.f2[b], fun.f2[a])) != fun.f2[ba]:
-            rep.fail("hcomp", (b, a))
-    return rep
 
 
 def literal_essentially_surjective(fun):

@@ -388,16 +388,16 @@ def test_check_bf_reads_each_lift_candidate_once():
 
     The lift candidates of an alpha, each v ∈ W into src f1 with a 2-cell
     f1∘v ⇒ f2∘v, read f1 and f2 only, so the search lists them once per
-    (f1, f2) and not once per alpha.  The whisker test reads alpha∗i_v for
-    each alpha, and i_wm∗beta once per (wm, beta), not once per alpha: with
-    the merge test's reads, 6,497 row reads.  `check_bf` lists no lift
-    there (BF4 holds by the lemma) and reads no whisker row; its 734 comp1
-    reads are BF2's 72, BF3's 553 and the 14 quasi-inverse searches' 109.
+    (f1, f2) and not once per alpha.  The whisker test reads i_wm∗beta and
+    alpha∗i_v for each alpha from the whisker rows, as often as it read
+    hcomp: 9,468.  `check_bf` lists no lift there (BF4 holds by the lemma)
+    and reads no whisker row; its 734 comp1 reads are BF2's 72, BF3's 553
+    and the 14 quasi-inverse searches' 109.
     """
     c, w = unit_pair_disc3()
     counted = counted_rows(c, comp1=CountingDict(c.comp1))
     assert search_bf4(counted, w).ok
-    assert (counted.comp1.reads, row_reads(counted)) == (2790, 6497)
+    assert (counted.comp1.reads, row_reads(counted)) == (2790, 9468)
     counted = counted_rows(c, comp1=CountingDict(c.comp1))
     assert check_bf(counted, w).ok
     assert (counted.comp1.reads, row_reads(counted)) == (734, 0)
