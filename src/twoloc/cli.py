@@ -234,7 +234,8 @@ def cmd_localize(cmd: _Command, args) -> int:
 
 
 def cmd_equiv(cmd: _Command, args) -> int:
-    from .fractions import build_choices, is_internal_equiv_closed_form, is_internal_equiv_search
+    from .fractions import (build_choices, is_internal_equiv_closed_form,
+                            is_internal_equiv_search, is_invertible_fraction_cell)
 
     c, w = _load_checked(cmd, args.path)
     span = _span_arg(args.span)
@@ -244,8 +245,9 @@ def cmd_equiv(cmd: _Command, args) -> int:
         return cmd.finish()
     loc = build_choices(c, w)
     witness = is_internal_equiv_search(loc, span)
-    cmd.verdict("deciders_agree", closed == (witness is not None),
-                {"closed_form": closed, "witness": witness is not None})
+    invertible = witness is None or all(is_invertible_fraction_cell(loc, x) for x in witness[2:])
+    cmd.verdict("deciders_agree", closed == (witness is not None) and invertible,
+                {"closed_form": closed, "witness": witness is not None, "invertible": invertible})
     cmd.report["data"]["span"] = _span_out(span)
     cmd.report["data"]["is_internal_equivalence"] = closed
     if witness is not None:

@@ -18,9 +18,10 @@ FractionCell is made only when one is asked for.  The classes depend only
 on (C, W), not on the fillers: one store per (C, W) is kept on the
 `TwoCat`, and it alone checks input (W once, each span once, a
 representative by membership).  A representative is one int, whose order
-is the order of its names; the ids and the refinement tables read C alone
-and are C's `numbering`, which all its stores share.  Classes are defined
-on tables that pass `validate`.
+is the order of its names; only C's `numbering`, shared by all its
+stores, builds, refines, maps or unpacks these codes, and other modules
+read classes only through `Localization`.  Classes are defined on tables
+that pass `validate`.
 
 A `Localization` is C[W⁻¹] for one choice of fillers: `build_choices`
 picks a filler for every cospan (f, v ∈ W), honouring C1 (f an
@@ -197,11 +198,11 @@ class _HomPartitions:
     Homs live in one table, `_out[s1][s2]`.  The first request for a hom
     out of s1 sweeps every representative out of s1 and fills s1's row,
     one entry per target span (`targets` reads its keys).  An entry is the
-    sweep's blocks, (base code of (apex, v1, v2), α codes, β ids), until
+    sweep's blocks, ((apex, v1, v2), α codes, β ids), until
     `hom` partitions them into a `_Hom`, kept under the caller's s2; a hom
     with no entry is empty.  `has_invertible` reads either kind of entry
     and builds nothing.  The store keeps what depends on W, such as the
-    legs p at each d with d∘p ∈ W (`_legs`).  Each span is checked once
+    legs p at each d with d∘p ∈ W (`legs_from`).  Each span is checked once
     (`require_span`): the spans that passed are kept, not the empty homs,
     which would take an entry per empty pair, and a failing span raises on
     every request.  A representative is checked by membership (`cell`).
@@ -218,6 +219,7 @@ class _HomPartitions:
     def __init__(self, w: frozenset[str]):
         self.w = w
         self._legs: dict[str, tuple] = {}  # d ↦ `Numbering.leg` of each leg p with d∘p ∈ W
+        self._legs_from: dict[str, dict] = {}  # w1 ↦ `legs_from`
         self._out: dict[Span, dict[Span, list[tuple] | _Hom]] = {}
         self._spans: set[Span] = set()  # spans that passed `span_problems`
         self._saturation: Optional[frozenset[str]] = None
@@ -244,15 +246,15 @@ class _HomPartitions:
         invertible), and the classes partition the hom's representatives,
         so this holds iff one of them passes it.  A built hom's members are
         the keys of its `labels`; `_swappable` does not read α, so a block
-        is tested once per β, on its code with α's id 0.
+        is tested once per β, with no α.
         """
         entry, k = self._swept(c, s1).get(s2), c.numbering
         if entry is None:
             self.require_span(c, s2)
             return False
-        reps = entry.labels if isinstance(entry, _Hom) else (
-            base + beta for base, _alphas, betas in entry for beta in betas)
-        return any(_swappable(c, self.w, s2.w, k, r) for r in reps)
+        pairs = map(k.v2_beta, entry.labels) if isinstance(entry, _Hom) else (
+            (head[2], k.cells[b]) for head, _alphas, betas in entry for b in betas)
+        return any(_swappable(c, self.w, s2.w, v2, beta) for v2, beta in pairs)
 
     def targets(self, c: TwoCat, s1: Span):
         """Every s2 with a 2-cell s1 ⇒ s2: the keys of s1's row."""
@@ -308,19 +310,18 @@ class _HomPartitions:
         self.saturation(c)
         return self._witnesses.get(f)
 
-    def refinements(self, c: TwoCat, w1: str, code: int) -> list[int]:
-        """The codes of (src p, v1∘p, v2∘p, α∗i_p, β∗i_p) for a member out of denominator w1.
-
-        One per leg p at d = w1∘v1: every p ≠ id with d∘p ∈ W, as refining
-        along the identity changes nothing.
-        """
-        k = c.numbering
-        alpha, beta = divmod(code % k.kk, k.k)
-        v1, v2 = code // k.kk // k.m % k.m, code // k.kk % k.m
-        return [(((src * k.m + vp[v1]) * k.m + vp[v2]) * k.k + ip[alpha]) * k.k + ip[beta]
-                for src, vp, ip in self._legs_at(c, c.comp1[(w1, k.mors[v1])])]
+    def legs_from(self, c: TwoCat, w1: str) -> dict[int, tuple]:
+        """v1's id ↦ the legs at w1∘v1 for each v1 with w1∘v1 ∈ W, as `Numbering.refine` reads."""
+        legs = self._legs_from.get(w1)
+        if legs is None:
+            k, a = c.numbering, c.mor_src[w1]
+            legs = self._legs_from[w1] = {
+                k.mor_id[v1]: self._legs_at(c, d) for b in k.objects
+                for v1 in c.hom1(b, a) if (d := c.comp1[(w1, v1)]) in self.w}
+        return legs
 
     def _legs_at(self, c: TwoCat, d: str) -> tuple:
+        """`Numbering.leg` of each p ≠ id (which refines nothing) with d∘p ∈ W."""
         legs = self._legs.get(d)
         if legs is None:
             a, k = c.mor_src[d], c.numbering
@@ -350,11 +351,11 @@ class _HomPartitions:
                     for w2, v2 in c.factorisations(g):
                         if w2 not in w:
                             continue
-                        base = ((k.obj_id[apex] * k.m + k.mor_id[v1]) * k.m + k.mor_id[v2]) * k.kk
+                        head = (apex, v1, v2)
                         for h, betas in betas_to:
                             for f2 in c.left_factors(v2, h):
                                 groups.setdefault((mor_dst[v2], w2, f2), []).append(
-                                    (base, alphas, betas))
+                                    (head, alphas, betas))
         self.counters["sweeps"] += 1
         return {Span._make(s2): blocks for s2, blocks in groups.items()}
 
@@ -375,10 +376,9 @@ class _HomPartitions:
         keeps its member list, and the lists left are the classes.
         """
         k = c.numbering
-        m, kd, kk = k.m, k.k, k.kk
-        label = {base + a + b: -1 for base, alphas, betas in blocks for a in alphas for b in betas}
+        label = dict.fromkeys(k.members(blocks), -1)
         members: list[list[int]] = []  # each label's members; label -1: not yet reached
-        legs_of: dict[int, tuple] = {}  # v1's id ↦ the legs at w1∘v1
+        legs = self.legs_from(c, s1.w)
         edges = 0
         for r, x in label.items():  # a value set while iterating is read when reached
             if x >= 0:
@@ -386,14 +386,9 @@ class _HomPartitions:
             own = label[r] = len(members)
             mine = [r]
             members.append(mine)
-            alpha, beta = divmod(r % kk, kd)
-            v1, v2 = r // kk // m % m, r // kk % m
-            legs = legs_of.get(v1)
-            if legs is None:
-                legs = legs_of[v1] = self._legs_at(c, c.comp1[(s1.w, k.mors[v1])])
-            edges += len(legs)
-            for src, vp, ip in legs:
-                refined = (((src * m + vp[v1]) * m + vp[v2]) * kd + ip[alpha]) * kd + ip[beta]
+            refinements = k.refine(r, legs)
+            edges += len(refinements)
+            for refined in refinements:
                 other = label.get(refined)
                 if other is None or other == own:
                     continue
@@ -446,11 +441,11 @@ def equality_chain(loc: Localization, r1: CellRep, r2: CellRep) -> Optional[list
     """A witness path r1 ~ ... ~ r2 of single refinements (either direction), found on codes."""
     if not cells_equal(loc, r1, r2):
         return None
-    store, k, (s1, s2) = loc._store, loc.c.numbering, r1[:2]
-    codes = cell_from_rep(loc, r1)._keys[0]
+    k, (s1, s2), codes = loc.c.numbering, r1[:2], cell_from_rep(loc, r1)._keys[0]
+    legs = loc._store.legs_from(loc.c, s1.w)
     edges: dict[int, set[int]] = {r: set() for r in codes}
     for r in codes:
-        for refined in store.refinements(loc.c, s1.w, r):
+        for refined in k.refine(r, legs):
             if refined in edges:
                 edges[r].add(refined)
                 edges[refined].add(r)
@@ -496,12 +491,14 @@ def u_cell(loc: Localization, gamma: str) -> FractionCell:
 class Localization:
     """C[W⁻¹] with a filler for every cospan (f, v ∈ W), normalised per C1/C2/C3.
 
-    Built by `build_choices`; reads its classes and W_sat in its store.
+    Built by `build_choices`; reads its classes and W_sat in its store.  It
+    is the view `transport` walks, where a cell's key is its class's least
+    member code; `keys` finds the classes of codes made by `Numbering.map_codes`.
     """
 
     def __init__(self, c: TwoCat, w: frozenset[str],
                  entries: dict[tuple[str, str], tuple[str, str, str, str]]):
-        self.c, self.w, self.entries = c, w, entries
+        self.c, self.w, self.entries, self.objects = c, w, entries, c.objects
         self._store = _partitions(c, w)
 
     def entry(self, f: str, v: str) -> tuple[str, str, str, str]:
@@ -519,13 +516,35 @@ class Localization:
         c, w = self.c, self.w
         return tuple(Span(apex, wm, f) for apex in sorted(c.objects)
                      for wm in c.hom1(apex, src) if wm in w for f in c.hom1(apex, dst))
+    ones = spans  # the name the view `transport` walks gives them
 
     def hom_cells(self, s1: Span, s2: Span) -> tuple[FractionCell, ...]:
         """All 2-cells s1 ⇒ s2, ordered by canonical representative."""
         return self._store.hom(self.c, s1, s2).cells
 
+    def keys(self, s1: Span, s2: Span, codes) -> tuple[list[int], list[int]]:
+        """The key of the class s1 ⇒ s2 holding each code (`KeyError` for none), and all keys."""
+        hom = self._store.hom(self.c, s1, s2)
+        keys = [members[0] for members in hom.classes]
+        return [keys[hom.labels[r]] for r in codes], keys
 
-def _c3_entry(c: TwoCat, f: str) -> tuple[str, str, str, str]:
+    def twos(self, s1: Span, s2: Span) -> list[int]:  # the keys, in `hom_cells` order
+        return self.keys(s1, s2, ())[1]
+
+    def cell(self, s1: Span, s2: Span, key: int) -> FractionCell:
+        return cell_from_rep(self, CellRep(s1, s2, *self.c.numbering.decode(key)))
+
+    def targets(self, s1: Span):  # read off the sweep, as is `invertible_between`
+        return self._store.targets(self.c, s1)
+
+    def invertible_between(self, s1: Span, s2: Span) -> bool:
+        return self._store.has_invertible(self.c, s1, s2)
+
+    def equivalent_objects(self, a: str, b: str) -> bool:  # a span is one iff f ∈ W_sat
+        return any(s.f in self.saturation for s in self.spans(a, b))
+
+
+def c3_entry(c: TwoCat, f: str) -> tuple[str, str, str, str]:
     """C3's filler for the cospan (f, f): the identity square at src f."""
     a = c.mor_src[f]
     return (a, c.id1[a], c.id1[a], c.id2[f])
@@ -545,7 +564,7 @@ def build_choices(c: TwoCat, w) -> Localization:
             elif v in identities:  # C2: nothing to invert
                 entries[(f, v)] = (c.mor_src[f], c.id1[c.mor_src[f]], f, c.id2[f])
             elif f == v:  # C3: a W-leg against itself
-                entries[(f, v)] = _c3_entry(c, f)
+                entries[(f, v)] = c3_entry(c, f)
             else:
                 entries[(f, v)] = fill_cospan(c, w, f, v)
     return Localization(c, w, entries)
@@ -705,14 +724,13 @@ def whisker_fraction_right(loc: Localization, cell: FractionCell, s: Span) -> Fr
 # invertibility, associators, internal equivalences
 
 
-def _swappable(c: TwoCat, w, w2: str, k: Numbering, code: int) -> bool:
-    """Tommasini's test on the member `code` into denominator w2: β invertible, w2∘v2 ∈ W.
+def _swappable(c: TwoCat, w, w2: str, v2: str, beta: str) -> bool:
+    """Tommasini's test on a member (A, v1, v2, α, β) into denominator w2: β invertible, w2∘v2 ∈ W.
 
     Under BF5 the second clause follows from α: w1∘v1 ⇒ w2∘v2; it is
     checked because a class that fails BF5 can break it.  α is not read.
     """
-    return (c.is_invertible2(k.cells[code % k.k])
-            and c.comp1[(w2, k.mors[code // k.kk % k.m])] in w)
+    return c.is_invertible2(beta) and c.comp1[(w2, v2)] in w
 
 
 def _invertible_member(loc: Localization, cell: FractionCell) -> Optional[CellRep]:
@@ -727,8 +745,8 @@ def _invertible_member(loc: Localization, cell: FractionCell) -> Optional[CellRe
     `members` is not built; `has_invertible` runs the same test on a
     hom's blocks.
     """
-    k = loc.c.numbering
-    found = next((r for r in cell._keys[0] if _swappable(loc.c, loc.w, cell.dst_span.w, k, r)), None)
+    k, w2 = loc.c.numbering, cell.dst_span.w
+    found = next((r for r in cell._keys[0] if _swappable(loc.c, loc.w, w2, *k.v2_beta(r))), None)
     return None if found is None else CellRep(cell.src_span, cell.dst_span, *k.decode(found))
 
 
@@ -752,12 +770,12 @@ def first_invertible_cell(loc: Localization, s1: Span, s2: Span) -> Optional[Fra
 
     Whether one exists is read off the sweep; the classes are built only if so.
     """
-    if not loc._store.has_invertible(loc.c, s1, s2):
+    if not loc.invertible_between(s1, s2):
         return None
     return next(cell for cell in loc.hom_cells(s1, s2) if is_invertible_fraction_cell(loc, cell))
 
 
-def _comparison_cell(loc: Localization, left: Span, right: Span, what: str) -> FractionCell:
+def comparison_cell(loc: Localization, left: Span, right: Span, what: str) -> FractionCell:
     """The identity if left == right, else the first invertible cell left ⇒ right."""
     if left == right:
         return identity_fraction_cell(loc, left)
@@ -771,7 +789,7 @@ def find_associator_witness(loc: Localization, s: Span, t: Span, u: Span) -> Fra
     """An invertible cell (s;t);u ⇒ s;(t;u) for a composable triple."""
     left = compose_fractions(loc, compose_fractions(loc, s, t), u)
     right = compose_fractions(loc, s, compose_fractions(loc, t, u))
-    return _comparison_cell(loc, left, right, "associator")
+    return comparison_cell(loc, left, right, "associator")
 
 
 class SpanEquivalence(NamedTuple):

@@ -20,14 +20,15 @@ its class and fillers; F is validated once, by `StrictTwoFunctor.validation`.
 `weak_equivalence_report` checks the four finite biequivalence conditions
 (essential surjectivity on objects up to internal equivalence, local
 essential surjectivity on 1-cells up to invertible 2-cell, and local
-bijectivity on 2-cells) against enumerable views of either an ambient
-2-category or a localization, into a `core.Report`.  The 1-cell condition
-asks a view only whether an invertible 2-cell G(f) ⇒ g exists
+bijectivity on 2-cells) against two enumerable views, an `AmbientView` of
+a 2-category or a `Localization` itself, into a `core.Report`.  The 1-cell
+condition asks a view only whether an invertible 2-cell G(f) ⇒ g exists
 (`invertible_between`); a localization reads that off its class store's
 sweep, so only the 2-cell conditions partition homs, and only between
 images of source spans.  Cells are keys, names in a 2-category and a
-class's least member code in a localization (`map_hom`); only a
-counterexample becomes a `FractionCell`.  The 2-cell conditions visit
+class's least member code in a localization; `map_hom` maps codes with
+`Numbering.map_codes` and finds their classes with `Localization.keys`,
+and only a counterexample becomes a `FractionCell`.  The 2-cell conditions visit
 only the pairs (f1, f2) whose source hom or image hom holds a 2-cell,
 read off each view's `targets`; a localization keeps those from the same
 sweep, so the walk costs the non-empty homs, not every pair of 1-cells,
@@ -52,10 +53,10 @@ from .fractions import (
     FractionCell,
     Localization,
     Span,
-    _c3_entry,
-    _comparison_cell,
     build_choices,
+    c3_entry,
     cell_from_rep,
+    comparison_cell,
     compose_fractions,
 )
 from .saturation import _as_class, check_bf, saturate
@@ -207,14 +208,7 @@ class InducedPseudofunctor:
                        f.f2[rep.alpha], f.f2[rep.beta])
 
     def map_cell(self, cell: FractionCell) -> FractionCell:
-        hom, (label,) = self._image(cell.src_span, cell.dst_span, cell._keys[0][:1])
-        return hom.cells[label]
-
-    def map_hom(self, s1: Span, s2: Span, codes) -> tuple[list[int], list[int]]:
-        """The keys in G(s1) ⇒ G(s2) of the images of the classes keyed `codes`; all its keys."""
-        hom, labels = self._image(s1, s2, codes)
-        keys = [members[0] for members in hom.classes]  # least member codes, as in `twos`
-        return [keys[label] for label in labels], keys
+        return cell_from_rep(self.target_loc, self.map_rep(cell.canonical))
 
     @cached_property
     def _ids(self) -> tuple[list[int], ...]:  # f0, f1, f2 from source ids to target ids
@@ -222,15 +216,12 @@ class InducedPseudofunctor:
         return ([kt.obj_id[f.f0[o]] for o in ks.objects], [kt.mor_id[f.f1[m]] for m in ks.mors],
                 [kt.cell_id[f.f2[a]] for a in ks.cells])
 
-    def _image(self, s1: Span, s2: Span, codes: list[int]):
-        """G(s1) ⇒ G(s2) and the labels there of codes mapped as `map_rep` and `encode` would."""
-        (f0, f1, f2), ks, tl = self._ids, self.source_loc.c.numbering, self.target_loc
-        m, kk, kd, tm, tk = ks.m, ks.kk, ks.k, tl.c.numbering.m, tl.c.numbering.k
+    def map_hom(self, s1: Span, s2: Span, codes) -> tuple[list[int], list[int]]:
+        """The keys in G(s1) ⇒ G(s2) of the images of the classes keyed `codes`; all its keys."""
+        ids, ks, tl = self._ids, self.source_loc.c.numbering, self.target_loc
         try:
-            hom = tl._store.hom(tl.c, self.map_span(s1), self.map_span(s2))
-            return hom, [hom.labels[(((f0[r // kk // m // m] * tm + f1[r // kk // m % m]) * tm
-                                      + f1[r // kk % m]) * tk + f2[r // kd % kd]) * tk + f2[r % kd]]
-                         for r in codes]
+            return tl.keys(self.map_span(s1), self.map_span(s2),
+                           ks.map_codes(codes, ids, tl.c.numbering))
         except (StructureError, KeyError):  # `cell_from_rep` raises what is wrong
             for r in codes:
                 cell_from_rep(tl, self.map_rep(CellRep(s1, s2, *ks.decode(r))))
@@ -241,7 +232,7 @@ class InducedPseudofunctor:
         tl = self.target_loc
         left = self.map_span(compose_fractions(self.source_loc, s, t))
         right = compose_fractions(tl, self.map_span(s), self.map_span(t))
-        return _comparison_cell(tl, left, right, "compositor")
+        return comparison_cell(tl, left, right, "compositor")
 
 
 def induce(fun: StrictTwoFunctor, source_loc: Localization,
@@ -262,7 +253,7 @@ def induce(fun: StrictTwoFunctor, source_loc: Localization,
         raise StructureError("choice table does not belong to the source 2-category")
     if target_loc.c is not fun.target:
         raise StructureError("choice table does not belong to the target 2-category")
-    if any(target_loc.entries.get((f, f)) != _c3_entry(target_loc.c, f)
+    if any(target_loc.entries.get((f, f)) != c3_entry(target_loc.c, f)
            for f in target_loc.w):
         raise StructureError("target choice table must honour C3")
     escaped = fun.map_class(source_loc.w) - target_loc.w
@@ -285,11 +276,7 @@ class AmbientView:
     """Enumerable-bicategory facade over a plain TwoCat."""
 
     def __init__(self, c: TwoCat):
-        self.c = c
-
-    @property
-    def objects(self) -> tuple[str, ...]:
-        return self.c.objects
+        self.c, self.objects = c, c.objects
 
     def ones(self, a: str, b: str):
         return self.c.hom1(a, b)
@@ -312,38 +299,6 @@ class AmbientView:
 
     def equivalent_objects(self, a: str, b: str) -> bool:
         return any(e in self._equivs for e in self.c.hom1(a, b))
-
-
-class LocalizationView:
-    """Enumerable-bicategory facade over a Localization."""
-
-    def __init__(self, loc: Localization):
-        self.loc = loc
-
-    @property
-    def objects(self) -> tuple[str, ...]:
-        return self.loc.c.objects
-
-    def ones(self, a: str, b: str):
-        return self.loc.spans(a, b)
-
-    def twos(self, s, t):  # the least member code of each class, in `hom_cells` order
-        return [members[0] for members in self.loc._store.hom(self.loc.c, s, t).classes]
-
-    def cell(self, s, t, code: int) -> FractionCell:
-        hom = self.loc._store.hom(self.loc.c, s, t)
-        return hom.cells[hom.labels[code]]
-
-    def targets(self, s: Span):
-        return self.loc._store.targets(self.loc.c, s)
-
-    def invertible_between(self, s: Span, t: Span) -> bool:
-        return self.loc._store.has_invertible(self.loc.c, s, t)
-
-    def equivalent_objects(self, a: str, b: str) -> bool:
-        # every span of loc has its denominator in W, so it is an internal
-        # equivalence iff its numerator is in W_sat (the closed form)
-        return any(s.f in self.loc.saturation for s in self.loc.spans(a, b))
 
 
 def weak_equivalence_report(
@@ -418,9 +373,8 @@ def x_conditions_for_functor(fun: StrictTwoFunctor) -> Report:
 
 
 def x_conditions_for_induced(ind: InducedPseudofunctor) -> Report:
-    return weak_equivalence_report(
-        LocalizationView(ind.source_loc), LocalizationView(ind.target_loc),
-        ind.map_object, ind.map_span, ind.map_hom)
+    return weak_equivalence_report(ind.source_loc, ind.target_loc,
+                                   ind.map_object, ind.map_span, ind.map_hom)
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +409,6 @@ def compare_choice_tables(ch1: Localization, ch2: Localization) -> ChoiceCompari
                 out.pairs_checked += 1
                 left = compose_fractions(ch1, s, t)
                 right = compose_fractions(ch2, s, t)
-                if left != right and not ch1._store.has_invertible(ch1.c, left, right):
+                if left != right and not ch1.invertible_between(left, right):
                     out.unconnected.append((s, t))
     return out

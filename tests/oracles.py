@@ -40,6 +40,9 @@ where the proof that the two agree is written.
 - `fibre_partition`: no production code yet; the hom partition should be
   this partition; test_biequivalence test_fibre_partition_*; its docstring
   (Tommasini, arXiv:1410.3990, §0).
+- `conjugating_partition`: no production code yet; Pronk's classes, which
+  the hom partition should be; test_biequivalence test_conjugating_*; its
+  docstring (Pronk 1996, §2.3).
 - `search_adjointify`: `core.adjointify`; test_core
   test_adjointify_matches_search; `adjointify`'s docstring.
 - `search_constancy`: `transport.induce`; test_transport test_constancy_*,
@@ -448,6 +451,44 @@ def fibre_partition(loc, s1: Span, s2: Span) -> list[frozenset[tuple[str, str]]]
     classes: dict = {}
     for x in fibre:
         classes.setdefault(find(x), []).append(x)
+    return [frozenset(members) for members in classes.values()]
+
+
+def conjugating_partition(c, w, s1: Span, s2: Span) -> list[frozenset[CellRep]]:
+    """Pronk's classes s1 ⇒ s2: `oracle_partition`'s, joined by conjugation at one apex.
+
+    A representative (A3, v1, v2, α, β) is joined with (A3, v1′, v2′, α′, β′)
+    for each invertible ε1: v1 ⇒ v1′ and ε2: v2 ⇒ v2′ (`invertible_from`),
+    with α′ = (i_w2∗ε2)⊙α⊙(i_w1∗ε1⁻¹) and β′ = (i_f2∗ε2)⊙β⊙(i_f1∗ε1⁻¹), where
+    that is a representative: Pronk's relation at u = u′ = identity.  With
+    refinement that generates the whole relation, which joins r and r′ along
+    (u, u′, ε1, ε2): r ~ r·u by refinement, r·u ~ r′·u′ by conjugation, and
+    r′·u′ ~ r′ by refinement, as w1∘v1′∘u′ ≅ w1∘v1∘u lies in W under BF5.
+    Classes come in the order of their least member.
+    """
+    part = oracle_partition(c, w, s1, s2)
+    root = {r: min(members) for r, members in part.items()}
+
+    def find(r):
+        while root[r] != r:
+            r = root[r]
+        return r
+
+    for r in part:
+        for v1, epsilons1 in c.invertible_from(r.v1).items():
+            for e1 in epsilons1:
+                back_w, back_f = (c.whisker_left(leg, c.inverse2(e1)) for leg in (s1.w, s1.f))
+                for v2, epsilons2 in c.invertible_from(r.v2).items():
+                    for e2 in epsilons2:
+                        other = CellRep(s1, s2, r.apex, v1, v2,
+                                        c.vcomp(c.whisker_left(s2.w, e2), c.vcomp(r.alpha, back_w)),
+                                        c.vcomp(c.whisker_left(s2.f, e2), c.vcomp(r.beta, back_f)))
+                        if other in root:
+                            a, b = sorted((find(r), find(other)))
+                            root[b] = a
+    classes: dict[CellRep, list[CellRep]] = {}
+    for r in sorted(part):
+        classes.setdefault(find(r), []).append(r)
     return [frozenset(members) for members in classes.values()]
 
 

@@ -10,6 +10,7 @@ Z/8 at ⟨g4⟩ and ⟨g2⟩; the totals it should derive are this count's 64 an
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -18,7 +19,7 @@ from twoloc.core import internal_equivalences
 from twoloc.fixtures import fixture
 
 from corpus import classes_only, cyclic_family, oracle_inputs, span_pairs
-from oracles import biequivalence_count, fibre_partition, pronk_equivalent
+from oracles import biequivalence_count, conjugating_partition, fibre_partition, pronk_equivalent
 
 PARTITION_IS_FINER = (
     "known defect: the hom partition joins representatives only along a "
@@ -147,8 +148,8 @@ def test_identity_store_totals_match_the_count():
     assert got == {e.name: total for e, total in identity_entries()}
 
 
-def pronk_classes(c, w, cells) -> int:
-    """The number of classes of one hom once joined by `pronk_equivalent`."""
+def pronk_unions(c, w, cells) -> set[frozenset]:
+    """The classes of one hom joined by `pronk_equivalent`, as sets of representatives."""
     root = list(range(len(cells)))
 
     def find(i: int) -> int:
@@ -159,7 +160,10 @@ def pronk_classes(c, w, cells) -> int:
     for i, j in itertools.combinations(range(len(cells)), 2):
         if pronk_equivalent(c, w, cells[i].canonical, cells[j].canonical):
             root[find(j)] = find(i)
-    return sum(find(i) == i for i in range(len(cells)))
+    unions: dict[int, frozenset] = {}
+    for i, cell in enumerate(cells):
+        unions[find(i)] = unions.get(find(i), frozenset()) | cell.members
+    return set(unions.values())
 
 
 @pytest.mark.parametrize("entry", [e for e, _total in cyclic_entries()
@@ -168,5 +172,61 @@ def pronk_classes(c, w, cells) -> int:
 def test_count_is_the_number_of_pronk_classes(entry):
     loc = classes_only(entry.c, entry.w)
     for s1, s2 in span_pairs(entry.c, entry.w):
-        assert biequivalence_count(entry.c, entry.w, s1, s2) == pronk_classes(
-            entry.c, entry.w, loc.hom_cells(s1, s2)), (s1, s2)
+        assert biequivalence_count(entry.c, entry.w, s1, s2) == len(pronk_unions(
+            entry.c, entry.w, loc.hom_cells(s1, s2))), (s1, s2)
+
+
+# span pairs per input that the conjugating sweep classifies; an input with
+# more has a seeded sample of this many
+CONJUGATING_SAMPLE = 40
+
+
+def conjugating_mismatches() -> tuple[int, int, list]:
+    """Span pairs compared, those compared with the count too, and the mismatches.
+
+    Over the BF-passing `oracle_inputs()` and `cyclic_family()` entries,
+    `conjugating_partition` must have as many classes as `fibre_partition`,
+    and as `biequivalence_count` where W consists of equivalences.
+    """
+    rng = random.Random(35)
+    pairs = counted = 0
+    mismatches = []
+    for e in oracle_inputs() + cyclic_family():
+        if not (validate(e.c).ok and check_bf(e.c, e.w).ok):
+            continue
+        loc, equivalences = build_choices(e.c, e.w), e.w <= internal_equivalences(e.c)
+        todo = list(span_pairs(e.c, e.w))
+        if len(todo) > CONJUGATING_SAMPLE:
+            todo = rng.sample(todo, CONJUGATING_SAMPLE)
+        for s1, s2 in todo:
+            pairs += 1
+            want = {len(fibre_partition(loc, s1, s2))}
+            if equivalences:
+                counted += 1
+                want.add(biequivalence_count(e.c, e.w, s1, s2))
+            if want != {len(conjugating_partition(e.c, e.w, s1, s2))}:
+                mismatches.append((e.name, s1, s2))
+    return pairs, counted, mismatches
+
+
+def test_conjugating_partition_matches_the_fibre_and_the_count():
+    # Pronk's classes by two routes, conjugation and the filler's fibre,
+    # and `biequivalence_count` where it applies; F6 and Z/n included, where the
+    # store holds too many classes
+    pairs, counted, mismatches = conjugating_mismatches()
+    assert mismatches == []
+    assert (pairs, counted) == (9_599, 3_528)
+
+
+@pytest.mark.parametrize("entry", [e for e in cyclic_family() if e.name.startswith(("Z/4-", "Z/6-"))],
+                         ids=lambda e: e.name)
+def test_conjugating_partition_is_the_union_of_pronk_classes(entry):
+    # every Z/4 and Z/6 entry, ⟨g0⟩ included: each conjugating class is a
+    # union of store classes, joined exactly where `pronk_equivalent` joins them
+    loc = classes_only(entry.c, entry.w)
+    homs = 0
+    for s1, s2 in span_pairs(entry.c, entry.w):
+        want = pronk_unions(entry.c, entry.w, loc.hom_cells(s1, s2))
+        assert set(conjugating_partition(entry.c, entry.w, s1, s2)) == want, (s1, s2)
+        homs += bool(want)
+    assert homs > 0

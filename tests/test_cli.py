@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from corpus import with_tables
+from corpus import posetal_family, with_tables
 
 from twoloc import build_choices, fixture
 from twoloc import identity_functor as strict_identity
@@ -123,6 +124,31 @@ def test_equiv_reports_witness(tmp_path, capsys):
     assert rep["verdicts"]["deciders_agree"] is True
     assert rep["data"]["is_internal_equivalence"] is True
     assert rep["data"]["witness"]["quasi_inverse"] == ["0", "w", "id0"]
+
+
+def test_equiv_fails_a_witness_whose_delta_is_not_invertible(tmp_path, capsys, monkeypatch):
+    # `deciders_agree` also asks that δ and ξ be invertible, so a search
+    # that hands back a non-invertible δ fails it, and the report exits 1
+    import twoloc.fractions as fractions
+
+    for entry in posetal_family():
+        loc = build_choices(entry.c, entry.w)
+        bad = [cell for cell in map(functools.partial(fractions.u_cell, loc), entry.c.cells)
+               if not fractions.is_invertible_fraction_cell(loc, cell)]
+        if bad:
+            break
+    doc = tmp_path / "posetal.json"
+    doc.write_text(dump_twocat(entry.c, entry.w), encoding="utf-8")
+    a = entry.c.objects[0]
+    span = f"({a},{entry.c.id1[a]},{entry.c.id1[a]})"
+    assert run(capsys, "equiv", str(doc), span)[0] == 0
+    search = fractions.is_internal_equiv_search
+    monkeypatch.setattr(fractions, "is_internal_equiv_search",
+                        lambda loc, s: search(loc, s)._replace(delta=bad[0]))
+    code, rep = run(capsys, "equiv", str(doc), span)
+    assert (code, rep["verdicts"]) == (1, {"deciders_agree": False})
+    assert rep["counterexamples"]["deciders_agree"] == {
+        "closed_form": True, "witness": True, "invertible": False}
 
 
 def test_equiv_bad_span_is_exit_2(tmp_path, capsys):

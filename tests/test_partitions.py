@@ -43,7 +43,10 @@ from corpus import (
     classes_only, classes_to_compare, cyclic_parity, load_bench_module, oracle_inputs,
     posetal_family, span_pairs,
 )
-from oracles import oracle_equality_chain, oracle_first_invertible_cell, oracle_partition
+from oracles import (
+    oracle_equality_chain, oracle_first_invertible_cell, oracle_partition, oracle_refine,
+    oracle_refinement_legs,
+)
 
 
 def assert_partitions_match(c, w) -> int:
@@ -601,3 +604,25 @@ def test_repeated_localization_keeps_memory_flat():
     finally:
         tracemalloc.stop()
     assert last <= 1.5 * first, (first, last)
+
+
+def test_refine_matches_oracle_refine():
+    # `Numbering.refine`, with the store's legs, against `oracle_refine` along
+    # each leg p ≠ id, in order, on every member of every hom of F1–F7 and
+    # of Z/4 at ⟨g2⟩
+    inputs = [fixture(name) for name in sorted(FIXTURES)]
+    inputs.append((cyclic_parity(4, "s"), frozenset({"g0", "g2"})))
+    members = 0
+    for c, w in inputs:
+        loc = classes_only(c, w)
+        k = c.numbering
+        for s1, s2 in span_pairs(c, w):
+            legs = loc._store.legs_from(c, s1.w)
+            for cell in loc.hom_cells(s1, s2):
+                for rep in sorted(cell.members):
+                    got = k.refine(k.encode(rep[2:]), legs)
+                    assert [CellRep(s1, s2, *k.decode(r)) for r in got] == [
+                        oracle_refine(c, rep, p) for p in oracle_refinement_legs(c, w, s1, rep)
+                        if p != c.id1[rep.apex]], rep
+                    members += 1
+    assert members == 356

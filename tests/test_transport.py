@@ -33,9 +33,9 @@ from twoloc import (
 )
 from twoloc.core import TwoCat
 from twoloc.fixtures import parity_twocat
-from twoloc.fractions import Localization, Span, _Hom, _HomPartitions
+from twoloc.fractions import CellRep, Localization, Span, _Hom, _HomPartitions
 from twoloc.saturation import cospan_fillers
-from twoloc.transport import AmbientView, LocalizationView
+from twoloc.transport import AmbientView
 from corpus import CorpusEntry, cyclic_family, cyclic_parity, posetal_family, with_tables
 from oracles import enumerate_strict_functors, reference_weak_equivalence_report, search_constancy
 
@@ -285,11 +285,10 @@ def test_localization_view_reads_the_saturation(corpus_entries):
     for entry in inputs:
         c, w = entry.c, entry.w
         loc = build_choices(c, w)
-        view = LocalizationView(loc)
         for a, b in itertools.product(c.objects, repeat=2):
             closed = [is_internal_equiv_closed_form(c, w, s) for s in loc.spans(a, b)]
             assert [s.f in loc.saturation for s in loc.spans(a, b)] == closed, entry.name
-            assert view.equivalent_objects(a, b) == any(closed), (entry.name, a, b)
+            assert loc.equivalent_objects(a, b) == any(closed), (entry.name, a, b)
             spans += len(closed)
     assert spans > 1000
 
@@ -397,8 +396,14 @@ def klein_onto_parity() -> StrictTwoFunctor:
                             {"k0": "i_e", "k1": "s_e", "k2": "s_e", "k3": "i_e"})
 
 
-class FractionCellView(LocalizationView):
+class FractionCellView:
     """A localization's view with FractionCells as cell keys, as the oracle walks it."""
+
+    def __init__(self, loc: Localization):
+        self.loc = loc
+
+    def __getattr__(self, name):
+        return getattr(self.loc, name)
 
     def twos(self, s, t):
         return self.loc.hom_cells(s, t)
@@ -466,14 +471,14 @@ def test_x_conditions_ask_only_the_non_empty_source_homs(monkeypatch):
     c = cyclic_parity(8, "s")
     ind = comparison_to_saturation(c, frozenset({"g0", "g2", "g4", "g6"}))
     asked = []
-    twos = LocalizationView.twos
+    twos = Localization.twos
 
-    def spy(view, s, t):
-        if view.loc is ind.source_loc:
+    def spy(loc, s, t):
+        if loc is ind.source_loc:
             asked.append((s, t))
-        return twos(view, s, t)
+        return twos(loc, s, t)
 
-    monkeypatch.setattr(LocalizationView, "twos", spy)
+    monkeypatch.setattr(Localization, "twos", spy)
     assert x_conditions_for_induced(ind).ok
     spans = ind.source_loc.spans("x", "x")
     non_empty = [(s, t) for s in spans for t in spans if ind.source_loc.hom_cells(s, t)]
@@ -498,3 +503,26 @@ def test_x_conditions_read_each_hom_and_its_image_once(monkeypatch):
         assert x_conditions_for_induced(ind).ok
         assert sum(read.values()) == 2 * pairs and set(read.values()) == {1}
         assert sum(source for source, _s1, _s2 in read) == pairs
+
+
+def test_map_codes_matches_map_rep():
+    # `Numbering.map_codes` through the induced map's id tables against
+    # encode(map_rep(decode(r))), on every member of every class of
+    # `comparison_to_saturation` over the cyclic family, and of F6's swap,
+    # whose object and 1-cell ids move
+    cases = [comparison_to_saturation(e.c, e.w) for e in cyclic_family()]
+    c, w = fixture("F6")
+    swap = next(f for f in enumerate_strict_functors(c, c)
+                if f.f0 == {"X": "Y", "Y": "X"} and f.f2.get("s_f") == "s_g")
+    cases.append(induce(swap, build_choices(c, w), build_choices(c, w)))
+    classes = 0
+    for ind in cases:
+        loc, ks, kt = ind.source_loc, ind.source_loc.c.numbering, ind.target_loc.c.numbering
+        for a, b in itertools.product(loc.objects, repeat=2):
+            for s1, s2 in itertools.product(loc.spans(a, b), repeat=2):
+                for cell in loc.hom_cells(s1, s2):
+                    codes = sorted(ks.encode(r[2:]) for r in cell.members)
+                    assert ks.map_codes(codes, ind._ids, kt) == [
+                        kt.encode(ind.map_rep(CellRep(s1, s2, *ks.decode(r)))[2:]) for r in codes]
+                    classes += 1
+    assert classes > 1000
