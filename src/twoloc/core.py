@@ -21,8 +21,8 @@ interchange for generators of each hom-category, so no check walks
 composable hcomp triples, and validating a lawful table built from rows
 derives no hcomp.
 Every check of the package returns a `Report` of named verdicts.
-A `TwoCat` builds its indexes on first use, and on a store's first sweep
-its `numbering`: the layout of `fractions`' member codes, and their arithmetic.
+A `TwoCat` builds its indexes on first use, and keeps one slot that
+`fractions` fills with its class stores; nothing here knows their layout.
 """
 
 from __future__ import annotations
@@ -225,86 +225,9 @@ class TwoCat:
         return {f: _index(cells, self.cell_dst.get)
                 for f, cells in _index(invertible, self.cell_src.get).items()}
 
-    @cached_property
-    def numbering(self) -> Numbering:  # shared by every class store of this 2-category
-        return Numbering(self)
+    # -- the slot `fractions` owns ------------------------------------------
 
-    # -- stores owned by other modules -------------------------------------
-
-    @cached_property
-    def _hom_partitions(self) -> dict:
-        """The class stores of `fractions`, one per W, as long-lived as this 2-category.
-
-        Each checks W once, each span once and representatives by membership.
-        """
-        return {}
-
-
-class Numbering:
-    """Ids of objects, 1-cells and 2-cells in sorted order; the cells out of each f, coded.
-
-    A class member (apex, v1, v2, α, β) is the int
-    (((apex·M + v1)·M + v2)·K + α)·K + β over M 1-cells and K 2-cells, so
-    numeric order is the tuple's lexicographic order, and no other class
-    reads or writes that layout.  It holds no reference to its `TwoCat`,
-    so `leg` is given the 2-category.
-    """
-
-    def __init__(self, c: TwoCat):
-        self.objects, self.mors, self.cells = tuple(sorted(c.objects)), c.mors, c.cells
-        self.obj_id, self.mor_id, self.cell_id = (
-            {x: i for i, x in enumerate(names)} for names in (self.objects, self.mors, self.cells))
-        self.m, self.k, self.kk = len(self.mors), len(self.cells), len(self.cells) ** 2
-        self.alphas_from = {f: [(g, tuple(self.cell_id[a] * self.k for a in alphas))
-                                for g, alphas in c.invertible_from(f).items()] for f in c.mors}
-        self.betas_from = {f: [(h, tuple(map(self.cell_id.__getitem__, betas)))
-                               for h, betas in c.cells_from(f).items()] for f in c.mors}
-        self._legs: dict[str, tuple] = {}
-
-    def base(self, apex: str, v1: str, v2: str) -> int:  # the code with α and β of id 0
-        return ((self.obj_id[apex] * self.m + self.mor_id[v1]) * self.m + self.mor_id[v2]) * self.kk
-
-    def members(self, blocks) -> list[int]:
-        """The codes of blocks ((apex, v1, v2), α codes of `alphas_from`, β ids of `betas_from`)."""
-        return [base + a + b for (apex, v1, v2), alphas, betas in blocks
-                for base in (self.base(apex, v1, v2),) for a in alphas for b in betas]
-
-    def encode(self, key: tuple) -> int:  # `KeyError` if key names an unknown cell
-        apex, v1, v2, alpha, beta = key
-        return self.base(apex, v1, v2) + self.cell_id[alpha] * self.k + self.cell_id[beta]
-
-    def v2_beta(self, code: int) -> tuple[str, str]:  # all that `fractions._swappable` reads
-        return self.mors[code // self.kk % self.m], self.cells[code % self.k]
-
-    def decode(self, code: int) -> tuple:
-        rest, a, b = code // self.kk, code // self.k % self.k, code % self.k
-        apex, v1, v2 = rest // self.m // self.m, rest // self.m % self.m, rest % self.m
-        return self.objects[apex], self.mors[v1], self.mors[v2], self.cells[a], self.cells[b]
-
-    def refine(self, code: int, legs) -> list[int]:
-        """The codes of (src p, v1∘p, v2∘p, α∗i_p, β∗i_p) for each `leg` p in legs[v1]."""
-        m, k, rest = self.m, self.k, code // self.kk
-        v1, v2, a, b = rest // m % m, rest % m, code // k % k, code % k
-        out = []
-        for src, vp, ip in legs[v1]:
-            out.append((((src * m + vp[v1]) * m + vp[v2]) * k + ip[a]) * k + ip[b])
-        return out
-
-    def map_codes(self, codes, ids: tuple, into: Numbering) -> list[int]:
-        """The codes in `into` of `codes` sent through ids = (object, 1-cell, 2-cell) id lists."""
-        (f0, f1, f2), m, k, kk, tm, tk = ids, self.m, self.k, self.kk, into.m, into.k
-        return [(((f0[r // kk // m // m] * tm + f1[r // kk // m % m]) * tm + f1[r // kk % m]) * tk
-                 + f2[r // k % k]) * tk + f2[r % k] for r in codes]
-
-    def leg(self, c: TwoCat, p: str) -> tuple:
-        """(src p, v ↦ v∘p, α ↦ α∗i_p) on ids, for the v and α that start at dst p."""
-        if p not in self._legs:
-            comp1, cell_id = c.comp1, self.cell_id
-            self._legs[p] = (self.obj_id[c.mor_src[p]], {
-                i: self.mor_id[h] for i, v in enumerate(self.mors)
-                if (h := comp1.get((v, p))) is not None}, {
-                cell_id[a]: cell_id[h] for a, h in c.right_rows[p].items()})
-        return self._legs[p]
+    _fractions = None  # its class stores, one per W, and what they share; set on first use
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,13 @@ Classes are output-sensitive.  A store (`_HomPartitions`) sweeps the
 representatives out of a span once, partitions a hom only when it is
 asked for, and keeps its classes as code lists and integer labels, so a
 FractionCell is made only when one is asked for.  The classes depend only
-on (C, W), not on the fillers: one store per (C, W) is kept on the
-`TwoCat`, and it alone checks input (W once, each span once, a
+on (C, W), not on the fillers: one store per (C, W) is kept in C's slot
+for this module, and it alone checks input (W once, each span once, a
 representative by membership).  A representative is one int, whose order
-is the order of its names; only C's `numbering`, shared by all its
-stores, builds, refines, maps or unpacks these codes, and other modules
-read classes only through `Localization`.  Classes are defined on tables
-that pass `validate`.
+is the order of its names; only C's `Numbering`, shared by its stores,
+builds, refines or unpacks these codes; other modules read classes
+through `Localization`, whose keys are opaque to them.  Classes are
+defined on tables that pass `validate`.
 
 A `Localization` is C[W⁻¹] for one choice of fillers: `build_choices`
 picks a filler for every cospan (f, v ∈ W), honouring C1 (f an
@@ -46,7 +46,7 @@ from collections import deque
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .core import InternalInconsistency, Numbering, StructureError, TwoCat
+from .core import InternalInconsistency, StructureError, TwoCat
 from .saturation import _as_class, fill_cospan, lift_cell, saturation_witnesses
 
 
@@ -138,6 +138,67 @@ def rep_problems(c: TwoCat, w, rep: CellRep) -> list[str]:
 # 2-cell classes
 
 
+class Numbering:
+    """Ids of objects, 1-cells and 2-cells in sorted order; the cells out of each f, coded.
+
+    A class member (apex, v1, v2, α, β) is the int
+    (((apex·M + v1)·M + v2)·K + α)·K + β over M 1-cells and K 2-cells, so
+    numeric order is the tuple's lexicographic order, and no other class
+    reads or writes that layout.  It holds no reference to its `TwoCat`,
+    whose stores share it (`_Stores`), so `leg` is given the 2-category.
+    """
+
+    def __init__(self, c: TwoCat):
+        self.objects, self.mors, self.cells = tuple(sorted(c.objects)), c.mors, c.cells
+        self.obj_id, self.mor_id, self.cell_id = (
+            {x: i for i, x in enumerate(names)} for names in (self.objects, self.mors, self.cells))
+        self.m, self.k, self.kk = len(self.mors), len(self.cells), len(self.cells) ** 2
+        self.alphas_from = {f: [(g, tuple(self.cell_id[a] * self.k for a in alphas))
+                                for g, alphas in c.invertible_from(f).items()] for f in c.mors}
+        self.betas_from = {f: [(h, tuple(map(self.cell_id.__getitem__, betas)))
+                               for h, betas in c.cells_from(f).items()] for f in c.mors}
+        self._legs: dict[str, tuple] = {}
+
+    def base(self, apex: str, v1: str, v2: str) -> int:  # the code with α and β of id 0
+        return ((self.obj_id[apex] * self.m + self.mor_id[v1]) * self.m + self.mor_id[v2]) * self.kk
+
+    def members(self, blocks) -> list[int]:
+        """The codes of blocks ((apex, v1, v2), α codes of `alphas_from`, β ids of `betas_from`)."""
+        return [base + a + b for (apex, v1, v2), alphas, betas in blocks
+                for base in (self.base(apex, v1, v2),) for a in alphas for b in betas]
+
+    def encode(self, key: tuple) -> int:  # `KeyError` if key names an unknown cell
+        apex, v1, v2, alpha, beta = key
+        return self.base(apex, v1, v2) + self.cell_id[alpha] * self.k + self.cell_id[beta]
+
+    def v2_beta(self, code: int) -> tuple[str, str]:  # all that `_swappable` reads
+        return self.mors[code // self.kk % self.m], self.cells[code % self.k]
+
+    def decode(self, code: int) -> tuple:
+        rest, a, b = code // self.kk, code // self.k % self.k, code % self.k
+        apex, v1, v2 = rest // self.m // self.m, rest // self.m % self.m, rest % self.m
+        return self.objects[apex], self.mors[v1], self.mors[v2], self.cells[a], self.cells[b]
+
+    def refine(self, code: int, legs) -> list[int]:
+        """The codes of (src p, v1∘p, v2∘p, α∗i_p, β∗i_p) for each `leg` p in legs[v1]."""
+        m, k, rest = self.m, self.k, code // self.kk
+        v1, v2, a, b = rest // m % m, rest % m, code // k % k, code % k
+        out = []
+        for src, vp, ip in legs[v1]:
+            out.append((((src * m + vp[v1]) * m + vp[v2]) * k + ip[a]) * k + ip[b])
+        return out
+
+    def leg(self, c: TwoCat, p: str) -> tuple:
+        """(src p, v ↦ v∘p, α ↦ α∗i_p) on ids, for the v and α that start at dst p."""
+        if p not in self._legs:
+            comp1, cell_id = c.comp1, self.cell_id
+            self._legs[p] = (self.obj_id[c.mor_src[p]], {
+                i: self.mor_id[h] for i, v in enumerate(self.mors)
+                if (h := comp1.get((v, p))) is not None}, {
+                cell_id[a]: cell_id[h] for a, h in c.right_rows[p].items()})
+        return self._legs[p]
+
+
 class FractionCell:
     """A 2-cell of the localization: a full refinement-equivalence class.
 
@@ -205,7 +266,7 @@ class _HomPartitions:
     legs p at each d with d∘p ∈ W (`legs_from`).  Each span is checked once
     (`require_span`): the spans that passed are kept, not the empty homs,
     which would take an entry per empty pair, and a failing span raises on
-    every request.  A representative is checked by membership (`cell`).
+    every request.  A representative is checked by membership (`label`).
     W_sat and the least saturation witness of each member are computed
     together on first use (`saturation`, `saturation_witness`).
 
@@ -248,7 +309,7 @@ class _HomPartitions:
         the keys of its `labels`; `_swappable` does not read α, so a block
         is tested once per β, with no α.
         """
-        entry, k = self._swept(c, s1).get(s2), c.numbering
+        entry, k = self._swept(c, s1).get(s2), c._fractions.numbering
         if entry is None:
             self.require_span(c, s2)
             return False
@@ -276,7 +337,15 @@ class _HomPartitions:
             self._spans.add(s)
 
     def cell(self, c: TwoCat, rep: CellRep, built_by: str = "") -> FractionCell:
-        """The class of rep, found by rep's code in its swept hom.
+        """The class of rep, found by rep's code in its swept hom."""
+        try:
+            hom = self.hom(c, rep.src_span, rep.dst_span)
+        except StructureError:  # a bad span: `label` names it
+            hom = _EMPTY_HOM
+        return hom.cells[self.label(c, hom, rep, built_by)]
+
+    def label(self, c: TwoCat, hom: _Hom, rep: CellRep, built_by: str = "") -> int:
+        """The position in hom, rep's own, of rep's class; a miss raises what is wrong.
 
         On tables that pass `validate`, the sweep out of a valid s1 yields
         exactly the tuples `rep_problems` accepts: it takes every v1 with
@@ -287,9 +356,8 @@ class _HomPartitions:
         (`InternalInconsistency` if the operation `built_by` made rep).
         """
         try:
-            hom = self.hom(c, rep.src_span, rep.dst_span)
-            return hom.cells[hom.labels[c.numbering.encode(rep[2:])]]
-        except (StructureError, KeyError):  # a bad span, an unknown cell, or not a member
+            return hom.labels[c._fractions.numbering.encode(rep[2:])]
+        except KeyError:  # an unknown cell, or not a member
             pass
         problems = "; ".join(rep_problems(c, self.w, rep))
         if not problems:
@@ -314,7 +382,7 @@ class _HomPartitions:
         """v1's id ↦ the legs at w1∘v1 for each v1 with w1∘v1 ∈ W, as `Numbering.refine` reads."""
         legs = self._legs_from.get(w1)
         if legs is None:
-            k, a = c.numbering, c.mor_src[w1]
+            k, a = c._fractions.numbering, c.mor_src[w1]
             legs = self._legs_from[w1] = {
                 k.mor_id[v1]: self._legs_at(c, d) for b in k.objects
                 for v1 in c.hom1(b, a) if (d := c.comp1[(w1, v1)]) in self.w}
@@ -324,7 +392,7 @@ class _HomPartitions:
         """`Numbering.leg` of each p ≠ id (which refines nothing) with d∘p ∈ W."""
         legs = self._legs.get(d)
         if legs is None:
-            a, k = c.mor_src[d], c.numbering
+            a, k = c.mor_src[d], c._fractions.numbering
             legs = self._legs[d] = tuple(k.leg(c, p) for b in k.objects for p in c.hom1(b, a)
                                          if p != c.id1[a] and c.comp1[(d, p)] in self.w)
         return legs
@@ -339,7 +407,7 @@ class _HomPartitions:
         (apex, v1, v2, alpha, beta) of the hom s1 ⇒ (B, w2, f2), where B
         is the target of v2.  A block holds those of one (v1, g, v2, h, f2).
         """
-        k, w, comp1, mor_dst = c.numbering, self.w, c.comp1, c.mor_dst
+        k, w, comp1, mor_dst = c._fractions.numbering, self.w, c.comp1, c.mor_dst
         groups: dict[tuple, list[tuple]] = {}
         for apex in k.objects:
             for v1 in c.hom1(apex, s1.apex):
@@ -375,7 +443,7 @@ class _HomPartitions:
         larger, so a member is relabelled O(log n) times at most.  Each label
         keeps its member list, and the lists left are the classes.
         """
-        k = c.numbering
+        k = c._fractions.numbering
         label = dict.fromkeys(k.members(blocks), -1)
         members: list[list[int]] = []  # each label's members; label -1: not yet reached
         legs = self.legs_from(c, s1.w)
@@ -409,12 +477,21 @@ class _HomPartitions:
         return _Hom(s1, s2, classes, {r: i for i, codes in enumerate(classes) for r in codes}, k)
 
 
+class _Stores(dict):
+    """C's slot here: W ↦ the store of (C, W), and their numbering; neither refers back to C."""
+
+    def __init__(self, c: TwoCat):
+        self.numbering = Numbering(c)
+
+
 def _partitions(c: TwoCat, w) -> _HomPartitions:
     """The class store of (c, W); W is checked only when its store is made."""
-    key = frozenset(w)
-    store = c._hom_partitions.get(key)
+    key, stores = frozenset(w), c._fractions
+    if stores is None:
+        stores = c._fractions = _Stores(c)
+    store = stores.get(key)
     if store is None:
-        store = c._hom_partitions[key] = _HomPartitions(_as_class(c, key))
+        store = stores[key] = _HomPartitions(_as_class(c, key))
     return store
 
 
@@ -441,7 +518,7 @@ def equality_chain(loc: Localization, r1: CellRep, r2: CellRep) -> Optional[list
     """A witness path r1 ~ ... ~ r2 of single refinements (either direction), found on codes."""
     if not cells_equal(loc, r1, r2):
         return None
-    k, (s1, s2), codes = loc.c.numbering, r1[:2], cell_from_rep(loc, r1)._keys[0]
+    k, (s1, s2), codes = loc.c._fractions.numbering, r1[:2], cell_from_rep(loc, r1)._keys[0]
     legs = loc._store.legs_from(loc.c, s1.w)
     edges: dict[int, set[int]] = {r: set() for r in codes}
     for r in codes:
@@ -492,8 +569,8 @@ class Localization:
     """C[W⁻¹] with a filler for every cospan (f, v ∈ W), normalised per C1/C2/C3.
 
     Built by `build_choices`; reads its classes and W_sat in its store.  It
-    is the view `transport` walks, where a cell's key is its class's least
-    member code; `keys` finds the classes of codes made by `Numbering.map_codes`.
+    is the view `transport` walks, where a cell's key is an opaque name for
+    its class: `canonical` gives its representative, `keys` finds it.
     """
 
     def __init__(self, c: TwoCat, w: frozenset[str],
@@ -522,17 +599,23 @@ class Localization:
         """All 2-cells s1 ⇒ s2, ordered by canonical representative."""
         return self._store.hom(self.c, s1, s2).cells
 
-    def keys(self, s1: Span, s2: Span, codes) -> tuple[list[int], list[int]]:
-        """The key of the class s1 ⇒ s2 holding each code (`KeyError` for none), and all keys."""
+    def keys(self, s1: Span, s2: Span, reps) -> tuple[list[int], list[int]]:
+        """The keys of the classes of reps, each s1 ⇒ s2, and all keys s1 ⇒ s2, in one read.
+
+        A representative no class holds raises what `cell_from_rep` finds wrong with it.
+        """
         hom = self._store.hom(self.c, s1, s2)
         keys = [members[0] for members in hom.classes]
-        return [keys[hom.labels[r]] for r in codes], keys
+        return [keys[self._store.label(self.c, hom, rep)] for rep in reps], keys
 
     def twos(self, s1: Span, s2: Span) -> list[int]:  # the keys, in `hom_cells` order
         return self.keys(s1, s2, ())[1]
 
+    def canonical(self, s1: Span, s2: Span, key: int) -> CellRep:  # reads no hom
+        return CellRep(s1, s2, *self.c._fractions.numbering.decode(key))
+
     def cell(self, s1: Span, s2: Span, key: int) -> FractionCell:
-        return cell_from_rep(self, CellRep(s1, s2, *self.c.numbering.decode(key)))
+        return cell_from_rep(self, self.canonical(s1, s2, key))
 
     def targets(self, s1: Span):  # read off the sweep, as is `invertible_between`
         return self._store.targets(self.c, s1)
@@ -745,7 +828,7 @@ def _invertible_member(loc: Localization, cell: FractionCell) -> Optional[CellRe
     `members` is not built; `has_invertible` runs the same test on a
     hom's blocks.
     """
-    k, w2 = loc.c.numbering, cell.dst_span.w
+    k, w2 = loc.c._fractions.numbering, cell.dst_span.w
     found = next((r for r in cell._keys[0] if _swappable(loc.c, loc.w, w2, *k.v2_beta(r))), None)
     return None if found is None else CellRep(cell.src_span, cell.dst_span, *k.decode(found))
 

@@ -13,9 +13,9 @@ class; this is the "simple description" of the induced pseudofunctor in
 arXiv:1410.5075.  F also sends a conjugate of r by invertible cells to the
 conjugate of F(r) by their images, so the lemma carries over unchanged
 once the classes join conjugates as well (Pronk 1996, §2.3).  So a class
-is mapped by its canonical code through F's tables on ids, with no name
-built.  `induce` takes both localizations, source and target, each with
-its class and fillers; F is validated once, by `StrictTwoFunctor.validation`.
+is mapped by sending its canonical representative through F's tables.
+`induce` takes both localizations, source and target, each with its
+class and fillers; F is validated once, by `StrictTwoFunctor.validation`.
 
 `weak_equivalence_report` checks the four finite biequivalence conditions
 (essential surjectivity on objects up to internal equivalence, local
@@ -25,10 +25,11 @@ a 2-category or a `Localization` itself, into a `core.Report`.  The 1-cell
 condition asks a view only whether an invertible 2-cell G(f) ⇒ g exists
 (`invertible_between`); a localization reads that off its class store's
 sweep, so only the 2-cell conditions partition homs, and only between
-images of source spans.  Cells are keys, names in a 2-category and a
-class's least member code in a localization; `map_hom` maps codes with
-`Numbering.map_codes` and finds their classes with `Localization.keys`,
-and only a counterexample becomes a `FractionCell`.  The 2-cell conditions visit
+images of source spans.  Cells are keys: names in a 2-category, and in
+a localization opaque names for classes.  `map_hom` sends each key's
+canonical representative through F and finds its class with
+`Localization.keys`, which raises what is wrong with an image no class
+holds; only a counterexample becomes a `FractionCell`.  The 2-cell conditions visit
 only the pairs (f1, f2) whose source hom or image hom holds a 2-cell,
 read off each view's `targets`; a localization keeps those from the same
 sweep, so the walk costs the non-empty homs, not every pair of 1-cells,
@@ -202,30 +203,21 @@ class InducedPseudofunctor:
         return Span(f.f0[s.apex], f.f1[s.w], f.f1[s.f])
 
     def map_rep(self, rep: CellRep) -> CellRep:
+        return self._image(rep, self.map_span(rep.src_span), self.map_span(rep.dst_span))
+
+    def _image(self, rep: CellRep, t1: Span, t2: Span) -> CellRep:  # t1, t2: G of its spans
         f = self.functor
-        return CellRep(self.map_span(rep.src_span), self.map_span(rep.dst_span),
-                       f.f0[rep.apex], f.f1[rep.v1], f.f1[rep.v2],
+        return CellRep(t1, t2, f.f0[rep.apex], f.f1[rep.v1], f.f1[rep.v2],
                        f.f2[rep.alpha], f.f2[rep.beta])
 
     def map_cell(self, cell: FractionCell) -> FractionCell:
         return cell_from_rep(self.target_loc, self.map_rep(cell.canonical))
 
-    @cached_property
-    def _ids(self) -> tuple[list[int], ...]:  # f0, f1, f2 from source ids to target ids
-        f, ks, kt = self.functor, self.source_loc.c.numbering, self.target_loc.c.numbering
-        return ([kt.obj_id[f.f0[o]] for o in ks.objects], [kt.mor_id[f.f1[m]] for m in ks.mors],
-                [kt.cell_id[f.f2[a]] for a in ks.cells])
-
-    def map_hom(self, s1: Span, s2: Span, codes) -> tuple[list[int], list[int]]:
-        """The keys in G(s1) ⇒ G(s2) of the images of the classes keyed `codes`; all its keys."""
-        ids, ks, tl = self._ids, self.source_loc.c.numbering, self.target_loc
-        try:
-            return tl.keys(self.map_span(s1), self.map_span(s2),
-                           ks.map_codes(codes, ids, tl.c.numbering))
-        except (StructureError, KeyError):  # `cell_from_rep` raises what is wrong
-            for r in codes:
-                cell_from_rep(tl, self.map_rep(CellRep(s1, s2, *ks.decode(r))))
-            raise InternalInconsistency(f"a class image out of {s1} is not found by its code")
+    def map_hom(self, s1: Span, s2: Span, keys) -> tuple[list, list]:
+        """The keys of the images of the classes keyed `keys`, as `map_cell` sends them; all keys."""
+        t1, t2, canonical = self.map_span(s1), self.map_span(s2), self.source_loc.canonical
+        return self.target_loc.keys(t1, t2, [self._image(canonical(s1, s2, key), t1, t2)
+                                             for key in keys])
 
     def compositor(self, s: Span, t: Span) -> FractionCell:
         """Invertible witness G(s;t) ⇒ G(s);G(t) for a composable pair."""

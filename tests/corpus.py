@@ -322,6 +322,79 @@ def product_family(count: int = 60, seed: int = SEED) -> list[tuple[CorpusEntry,
     return out
 
 
+# ---------------------------------------------------------------------------
+# strict 2-groups from crossed modules
+
+
+def cyclic_group(n: int, prefix: str) -> tuple[tuple[str, ...], dict]:
+    """Z/n as (elements, product): `prefix`k is k, and the unit comes first."""
+    elems = tuple(f"{prefix}{k}" for k in range(n))
+    return elems, {(elems[i], elems[j]): elems[(i + j) % n] for i in range(n) for j in range(n)}
+
+
+def symmetric_group_3() -> tuple[tuple[str, ...], dict]:
+    """S3 as (elements, product): p is named p(0)p(1)p(2), pq is p after q, the unit first."""
+    perms = sorted(itertools.permutations(range(3)))
+    name = {p: "".join(map(str, p)) for p in perms}
+    return tuple(name.values()), {(name[p], name[q]): name[tuple(p[i] for i in q)]
+                                  for p in perms for q in perms}
+
+
+def group_inverse(group: tuple[tuple[str, ...], dict], x: str) -> str:
+    elems, product = group
+    return next(y for y in elems if product[(x, y)] == elems[0])
+
+
+def crossed_module_twocat(G, H, act, d) -> TwoCat:
+    """The one-object strict 2-category of a crossed module ∂: H → G.
+
+    G and H are groups as (elements, product), the unit first; act(g, h)
+    is g ▷ h and d(h) is ∂(h), with ∂(g ▷ h) = g∂(h)g⁻¹ and
+    ∂(h) ▷ h′ = hh′h⁻¹ (Baez–Lauda, arXiv:math/0307200).  The 1-cells
+    are the elements g of G on the object "*", g∘f = gf; the 2-cells are
+    the pairs (g, h): g ⇒ ∂(h)g, named "g:h", with
+    (∂(h)g, h′)⊙(g, h) = (g, h′h).  It is built from its whiskerings,
+    i_k∗(g, h) = (kg, k▷h) and (g, h)∗i_k = (gk, h), so no hcomp table of
+    |G|²|H|² entries is made.
+    """
+    (gs, gmul), (hs, hmul) = G, H
+    pairs = {f"{g}:{h}": (g, h) for g in gs for h in hs}
+    cells = sorted(pairs)
+    return TwoCat.from_whiskerings(
+        objects=("*",), mor_src=dict.fromkeys(gs, "*"), mor_dst=dict.fromkeys(gs, "*"),
+        comp1=dict(gmul), id1={"*": gs[0]},
+        cell_src={a: pairs[a][0] for a in cells},
+        cell_dst={a: gmul[(d(h), g)] for a in cells for g, h in (pairs[a],)},
+        vcomp_table={(f"{gmul[(d(h), g)]}:{h2}", f"{g}:{h}"): f"{g}:{hmul[(h2, h)]}"
+                     for g in gs for h in hs for h2 in hs},
+        left_rows={k: {a: f"{gmul[(k, g)]}:{act(k, h)}" for a in cells for g, h in (pairs[a],)}
+                   for k in gs},
+        right_rows={k: {a: f"{gmul[(g, k)]}:{h}" for a in cells for g, h in (pairs[a],)}
+                    for k in gs},
+        id2={g: f"{g}:{hs[0]}" for g in gs},
+    )
+
+
+def crossed_module_entries() -> list[tuple[CorpusEntry, int, int]]:
+    """(entry, |G|, |H|) for four crossed modules, each at a W with ∂(H)W = W (BF5).
+
+    Z/2 acting on Z/3 by inversion with ∂ = 0, at W = {e} and at W = Z/2;
+    Z/4 → Z/2 mod 2, with the trivial action, at W = Z/2; S3 → S3 by the
+    identity, with the conjugation action, at W = S3.
+    """
+    z2, z3, z4, s3 = (cyclic_group(2, "g"), cyclic_group(3, "h"), cyclic_group(4, "h"),
+                      symmetric_group_3())
+    inverting = crossed_module_twocat(
+        z2, z3, lambda g, h: group_inverse(z3, h) if g == "g1" else h, lambda h: "g0")
+    mod2 = crossed_module_twocat(z2, z4, lambda g, h: h, lambda h: f"g{int(h[1:]) % 2}")
+    conjugation = crossed_module_twocat(
+        s3, s3, lambda g, h: s3[1][(s3[1][(g, h)], group_inverse(s3, g))], lambda h: h)
+    return [(CorpusEntry("Z/2⋉Z/3-{e}", inverting, frozenset({"g0"})), 2, 3),
+            (CorpusEntry("Z/2⋉Z/3-Z/2", inverting, frozenset(z2[0])), 2, 3),
+            (CorpusEntry("Z/4→Z/2", mod2, frozenset(z2[0])), 2, 4),
+            (CorpusEntry("S3→S3", conjugation, frozenset(s3[0])), 6, 6)]
+
+
 def oracle_inputs() -> list[CorpusEntry]:
     """The inputs the oracle tests share, each with its W.
 

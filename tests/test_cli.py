@@ -544,7 +544,8 @@ def test_groupoid_with_undeclared_composite_is_exit_2(tmp_path, capsys):
 
 # The twoloc modules a subcommand loads, beyond those `import twoloc.cli` loads.
 # No command loads `dataclasses` or the `inspect` it imports, and the ones that
-# only read the tables and W never build a 2-category's numbering.
+# only read the tables and W never build a 2-category's numbering: the probe
+# counts those `fractions` builds, and loads it only when a command does.
 BASE_MODULES = {"twoloc", "twoloc.cli", "twoloc.core", "twoloc.documents"}
 FOOTPRINTS = [
     ([], set()),
@@ -562,11 +563,27 @@ FOOTPRINTS = [
     (["fixtures", "unit", "{out}"], {"fixtures", "groupoids"}),
 ]
 LOADED_AFTER_MAIN = """
-import json, sys
-import twoloc.core
+import importlib.machinery, json, sys
 numbered = []
-init = twoloc.core.Numbering.__init__
-twoloc.core.Numbering.__init__ = lambda self, c: numbered.append(c) or init(self, c)
+
+class CountNumberings:
+    # finds twoloc.fractions as the path finder does, and counts the
+    # numberings it builds, without loading it for commands that do not
+    def find_spec(self, name, path, target=None):
+        if name != "twoloc.fractions":
+            return None
+        spec = importlib.machinery.PathFinder.find_spec(name, path)
+        load = spec.loader.exec_module
+
+        def exec_module(module):
+            load(module)
+            init = module.Numbering.__init__
+            module.Numbering.__init__ = lambda self, c: numbered.append(c) or init(self, c)
+
+        spec.loader.exec_module = exec_module
+        return spec
+
+sys.meta_path.insert(0, CountNumberings())
 argv = json.loads(sys.argv[1])
 if argv:
     from twoloc.cli import main
@@ -596,8 +613,10 @@ def test_each_command_loads_only_the_modules_it_uses(tmp_path):
         loaded, numbered = json.loads(proc.stdout)
         assert not set(loaded) & {"dataclasses", "inspect"}, argv
         assert set(loaded) == BASE_MODULES | {f"twoloc.{m}" for m in extra}, argv
-        if argv[:1] in (["validate"], ["check-bf"], ["saturate"]):
+        if argv[:1] in (["validate"], ["check-bf"], ["saturate"], ["groupoid"]):
             assert numbered == 0, argv
+        if argv[:1] == ["localize"]:  # the probe sees a numbering where one is built
+            assert numbered == 1, argv
         if argv:
             assert json.loads((tmp_path / "report.json").read_text())["ok"] is True, argv
 

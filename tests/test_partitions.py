@@ -521,7 +521,7 @@ def swept_and_compared(c, w) -> weakref.ref:
     spans = classes_only(c, w).spans(c.objects[0], c.objects[0])
     assert hom_fraction_cells(c, w, spans[0], spans[0])
     x_conditions_for_induced(comparison_to_saturation(c, w))
-    assert "numbering" in vars(c) and c._hom_partitions
+    assert c._fractions and c._fractions.numbering
     return weakref.ref(c)
 
 
@@ -542,23 +542,24 @@ def test_partitions_do_not_outlive_their_twocat():
 
 
 def test_the_stores_of_a_twocat_share_one_numbering(monkeypatch):
-    import twoloc.core as core
+    import twoloc.fractions as fractions
 
     built = []
-    init = core.Numbering.__init__
-    monkeypatch.setattr(core.Numbering, "__init__",
+    init = fractions.Numbering.__init__
+    monkeypatch.setattr(fractions.Numbering, "__init__",
                         lambda self, c: built.append(c) or init(self, c))
     c = cyclic_parity(8, "s")
     w = frozenset({"g0", "g4"})
     assert x_conditions_for_induced(comparison_to_saturation(c, w)).ok
     assert built == [c]
-    stores = c._hom_partitions
+    stores = c._fractions
     assert set(stores) == {w, frozenset(c.mors)}
     classes = {key: [(s1, s2, cell) for s1, row in store._out.items()
                      for s2, hom in row.items() if isinstance(hom, _Hom) for cell in hom.cells]
                for key, store in stores.items()}
     assert all(classes.values())
-    assert all(cell._keys[1] is c.numbering for found in classes.values() for _, _, cell in found)
+    assert all(cell._keys[1] is stores.numbering
+               for found in classes.values() for _, _, cell in found)
     # every representative at W is one at W_sat, under the same code and names
     sat_store = stores[frozenset(c.mors)]
     for s1, s2, cell in classes[w]:
@@ -575,7 +576,7 @@ def test_validate_check_bf_and_saturate_build_no_numbering():
         validate(c)
         check_bf(c, w)
         saturate(c, w)
-        assert "numbering" not in vars(c)
+        assert c._fractions is None  # no class store, so no numbering
 
 
 def localize_fresh_z6():
@@ -615,7 +616,7 @@ def test_refine_matches_oracle_refine():
     members = 0
     for c, w in inputs:
         loc = classes_only(c, w)
-        k = c.numbering
+        k = c._fractions.numbering
         for s1, s2 in span_pairs(c, w):
             legs = loc._store.legs_from(c, s1.w)
             for cell in loc.hom_cells(s1, s2):

@@ -12,6 +12,7 @@ from twoloc import (
     StructureError,
     StrictTwoFunctor,
     build_choices,
+    cell_from_rep,
     check_bf,
     collapse_functor,
     compare_choice_tables,
@@ -33,7 +34,7 @@ from twoloc import (
 )
 from twoloc.core import TwoCat
 from twoloc.fixtures import parity_twocat
-from twoloc.fractions import CellRep, Localization, Span, _Hom, _HomPartitions
+from twoloc.fractions import Localization, Span, _Hom, _HomPartitions
 from twoloc.saturation import cospan_fillers
 from twoloc.transport import AmbientView
 from corpus import CorpusEntry, cyclic_family, cyclic_parity, posetal_family, with_tables
@@ -200,10 +201,10 @@ def test_comparison_to_saturation_builds_no_partition(step):
     w = frozenset(f"g{k}" for k in range(0, 8, step))
 
     def swept():
-        return {k for k, store in c._hom_partitions.items() if store.counters["sweeps"]}
+        return {k for k, store in c._fractions.items() if store.counters["sweeps"]}
 
     ind = comparison_to_saturation(c, w)
-    assert set(c._hom_partitions) == {w, frozenset(c.mors)} and swept() == set()
+    assert set(c._fractions) == {w, frozenset(c.mors)} and swept() == set()
     ind.map_cell(u_cell(ind.source_loc, "s_g0"))
     assert swept() == {w, frozenset(c.mors)}
 
@@ -217,7 +218,7 @@ def test_x_conditions_build_classes_only_between_source_spans(step):
     w = frozenset(f"g{k}" for k in range(0, 8, step))
     assert x_conditions_for_induced(comparison_to_saturation(c, w)).ok
     sources = set(build_choices(c, w).spans("x", "x"))
-    built = [(s1, s2) for s1, row in c._hom_partitions[frozenset(c.mors)]._out.items()
+    built = [(s1, s2) for s1, row in c._fractions[frozenset(c.mors)]._out.items()
              for s2, entry in row.items() if isinstance(entry, _Hom)]
     assert built and all(s1 in sources and s2 in sources for s1, s2 in built)
 
@@ -505,11 +506,10 @@ def test_x_conditions_read_each_hom_and_its_image_once(monkeypatch):
         assert sum(source for source, _s1, _s2 in read) == pairs
 
 
-def test_map_codes_matches_map_rep():
-    # `Numbering.map_codes` through the induced map's id tables against
-    # encode(map_rep(decode(r))), on every member of every class of
-    # `comparison_to_saturation` over the cyclic family, and of F6's swap,
-    # whose object and 1-cell ids move
+def test_map_hom_sends_a_class_where_map_rep_sends_each_member():
+    # for every member r of every class of `comparison_to_saturation` over the
+    # cyclic family, and of F6's swap, whose object and 1-cell names move:
+    # `map_hom`'s key for the class is the key of the target class of map_rep(r)
     cases = [comparison_to_saturation(e.c, e.w) for e in cyclic_family()]
     c, w = fixture("F6")
     swap = next(f for f in enumerate_strict_functors(c, c)
@@ -517,12 +517,33 @@ def test_map_codes_matches_map_rep():
     cases.append(induce(swap, build_choices(c, w), build_choices(c, w)))
     classes = 0
     for ind in cases:
-        loc, ks, kt = ind.source_loc, ind.source_loc.c.numbering, ind.target_loc.c.numbering
+        loc, tl = ind.source_loc, ind.target_loc
         for a, b in itertools.product(loc.objects, repeat=2):
             for s1, s2 in itertools.product(loc.spans(a, b), repeat=2):
-                for cell in loc.hom_cells(s1, s2):
-                    codes = sorted(ks.encode(r[2:]) for r in cell.members)
-                    assert ks.map_codes(codes, ind._ids, kt) == [
-                        kt.encode(ind.map_rep(CellRep(s1, s2, *ks.decode(r)))[2:]) for r in codes]
+                keys = loc.twos(s1, s2)
+                images, image_hom = ind.map_hom(s1, s2, keys)
+                t1, t2 = ind.map_span(s1), ind.map_span(s2)
+                assert image_hom == tl.twos(t1, t2)
+                for key, image, cell in zip(keys, images, loc.hom_cells(s1, s2), strict=True):
+                    assert loc.cell(s1, s2, key) == cell
+                    target = tl.cell(t1, t2, image)
+                    assert all(cell_from_rep(tl, ind.map_rep(r)) == target for r in cell.members)
                     classes += 1
     assert classes > 1000
+
+
+def test_keys_raise_what_is_wrong_with_a_representative_no_class_holds():
+    # `map_hom`'s lookup in the target: a representative outside every class
+    # raises what `cell_from_rep` finds wrong with it, and the good ones map
+    c = cyclic_parity(4, "s")
+    loc = build_choices(c, {"g0", "g2"})
+    s1 = loc.spans("x", "x")[0]
+    s2 = next(s for s in loc.spans("x", "x") if loc.twos(s1, s))
+    keys = loc.twos(s1, s2)
+    reps = [loc.canonical(s1, s2, key) for key in keys]
+    assert loc.keys(s1, s2, reps) == (keys, keys)
+    wrong = reps[0]._replace(beta="s_g1")
+    with pytest.raises(StructureError, match="beta 's_g1' has wrong boundary"):
+        loc.keys(s1, s2, reps + [wrong])
+    with pytest.raises(StructureError, match="beta 'nope' has wrong boundary"):
+        loc.keys(s1, s2, [reps[0]._replace(beta="nope")])
