@@ -14,13 +14,15 @@ p: E → A3 keeping the denominator leg in W.
 Classes are output-sensitive.  A store (`_HomPartitions`) sweeps the
 representatives out of a span once, partitions a hom only when it is
 asked for, and keeps its classes as code lists and integer labels, so a
-FractionCell is made only when one is asked for.  The classes depend only
+FractionCell is made only when one is asked for, and decodes its
+canonical member only when that is read.  The classes depend only
 on (C, W), not on the fillers: one store per (C, W) is kept in C's slot
 for this module, and it alone checks input (W once, each span once, a
 representative by membership).  A representative is one int, whose order
 is the order of its names; only C's `Numbering`, shared by its stores,
 builds, refines or unpacks these codes; other modules read classes
-through `Localization`, whose keys are opaque to them.  Classes are
+through `Localization`, whose keys are opaque to them, and name a member
+by its five names (`names`, `keys`).  Classes are
 defined on tables that pass `validate`.
 
 A `Localization` is C[W⁻¹] for one choice of fillers: `build_choices`
@@ -203,12 +205,15 @@ class FractionCell:
     """A 2-cell of the localization: a full refinement-equivalence class.
 
     Compared, hashed and printed by its spans and canonical member only.
+    A store passes no canonical: it is decoded from the least member code
+    when first read.
     """
 
-    def __init__(self, src_span: Span, dst_span: Span, canonical: CellRep,
+    def __init__(self, src_span: Span, dst_span: Span, canonical: Optional[CellRep],
                  _keys: tuple[list[int], Numbering]):  # the member codes, least first
-        self.src_span, self.dst_span, self.canonical = src_span, dst_span, canonical
-        self._keys = _keys
+        self.src_span, self.dst_span, self._keys = src_span, dst_span, _keys
+        if canonical is not None:
+            self.canonical = canonical
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -222,6 +227,11 @@ class FractionCell:
     def __repr__(self):
         return (f"FractionCell(src_span={self.src_span!r}, dst_span={self.dst_span!r}, "
                 f"canonical={self.canonical!r})")
+
+    @cached_property
+    def canonical(self) -> CellRep:
+        codes, coding = self._keys
+        return CellRep(self.src_span, self.dst_span, *coding.decode(codes[0]))
 
     @cached_property
     def members(self) -> frozenset[CellRep]:
@@ -242,8 +252,7 @@ class _Hom:
     @cached_property
     def cells(self) -> tuple[FractionCell, ...]:
         s1, s2, k = self.s1, self.s2, self.k
-        return tuple(FractionCell(s1, s2, CellRep(s1, s2, *k.decode(codes[0])), (codes, k))
-                     for codes in self.classes)
+        return tuple(FractionCell(s1, s2, None, (codes, k)) for codes in self.classes)
 
 
 _EMPTY_HOM = _Hom(None, None, [], {}, None)
@@ -342,23 +351,26 @@ class _HomPartitions:
             hom = self.hom(c, rep.src_span, rep.dst_span)
         except StructureError:  # a bad span: `label` names it
             hom = _EMPTY_HOM
-        return hom.cells[self.label(c, hom, rep, built_by)]
+        return hom.cells[self.label(c, hom, rep[:2], rep[2:], built_by)]
 
-    def label(self, c: TwoCat, hom: _Hom, rep: CellRep, built_by: str = "") -> int:
-        """The position in hom, rep's own, of rep's class; a miss raises what is wrong.
+    def label(self, c: TwoCat, hom: _Hom, spans: tuple, names: tuple, built_by: str = "") -> int:
+        """The position in hom, spans' own, of the class of names; a miss raises what is wrong.
 
         On tables that pass `validate`, the sweep out of a valid s1 yields
         exactly the tuples `rep_problems` accepts: it takes every v1 with
         w1∘v1 ∈ W, every invertible α out of w1∘v1 and β out of f1∘v1, and
         reads w2 ∈ W, v2 and f2 off the composition table; the target
         (cod v2, w2, f2) is parallel to s1 since 2-cells join parallel
-        1-cells.  So only a miss runs `rep_problems`, to raise what is wrong
-        (`InternalInconsistency` if the operation `built_by` made rep).
+        1-cells.  So only a miss makes names (apex, v1, v2, α, β) a
+        representative between spans and runs `rep_problems` on it, to raise
+        what is wrong (`InternalInconsistency` if the operation `built_by`
+        made it).
         """
         try:
-            return hom.labels[c._fractions.numbering.encode(rep[2:])]
+            return hom.labels[c._fractions.numbering.encode(names)]
         except KeyError:  # an unknown cell, or not a member
             pass
+        rep = CellRep(*spans, *names)
         problems = "; ".join(rep_problems(c, self.w, rep))
         if not problems:
             raise InternalInconsistency(f"valid representative {rep} is missing from its hom")
@@ -570,7 +582,8 @@ class Localization:
 
     Built by `build_choices`; reads its classes and W_sat in its store.  It
     is the view `transport` walks, where a cell's key is an opaque name for
-    its class: `canonical` gives its representative, `keys` finds it.
+    its class: `names` gives its canonical member's names, and `keys` finds
+    the classes holding members given by their names.
     """
 
     def __init__(self, c: TwoCat, w: frozenset[str],
@@ -599,20 +612,26 @@ class Localization:
         """All 2-cells s1 ⇒ s2, ordered by canonical representative."""
         return self._store.hom(self.c, s1, s2).cells
 
-    def keys(self, s1: Span, s2: Span, reps) -> tuple[list[int], list[int]]:
-        """The keys of the classes of reps, each s1 ⇒ s2, and all keys s1 ⇒ s2, in one read.
+    def keys(self, s1: Span, s2: Span, members) -> tuple[list[int], list[int]]:
+        """The keys of the classes s1 ⇒ s2 holding members, and all keys s1 ⇒ s2, in one read.
 
-        A representative no class holds raises what `cell_from_rep` finds wrong with it.
+        A member is five names (apex, v1, v2, α, β), looked up by its code;
+        only one that no class holds becomes a representative s1 ⇒ s2, and
+        raises what `cell_from_rep` finds wrong with it.
         """
-        hom = self._store.hom(self.c, s1, s2)
-        keys = [members[0] for members in hom.classes]
-        return [keys[self._store.label(self.c, hom, rep)] for rep in reps], keys
+        c, store = self.c, self._store
+        hom = store.hom(c, s1, s2)
+        keys = [codes[0] for codes in hom.classes]
+        return [keys[store.label(c, hom, (s1, s2), names)] for names in members], keys
 
     def twos(self, s1: Span, s2: Span) -> list[int]:  # the keys, in `hom_cells` order
         return self.keys(s1, s2, ())[1]
 
-    def canonical(self, s1: Span, s2: Span, key: int) -> CellRep:  # reads no hom
-        return CellRep(s1, s2, *self.c._fractions.numbering.decode(key))
+    def names(self, key: int) -> tuple:  # its canonical (apex, v1, v2, α, β); reads no hom
+        return self.c._fractions.numbering.decode(key)
+
+    def canonical(self, s1: Span, s2: Span, key: int) -> CellRep:
+        return CellRep(s1, s2, *self.names(key))
 
     def cell(self, s1: Span, s2: Span, key: int) -> FractionCell:
         return cell_from_rep(self, self.canonical(s1, s2, key))

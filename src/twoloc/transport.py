@@ -13,7 +13,7 @@ class; this is the "simple description" of the induced pseudofunctor in
 arXiv:1410.5075.  F also sends a conjugate of r by invertible cells to the
 conjugate of F(r) by their images, so the lemma carries over unchanged
 once the classes join conjugates as well (Pronk 1996, §2.3).  So a class
-is mapped by sending its canonical representative through F's tables.
+is mapped by sending its canonical member's names through F's tables.
 `induce` takes both localizations, source and target, each with its
 class and fillers; F is validated once, by `StrictTwoFunctor.validation`.
 
@@ -26,10 +26,11 @@ condition asks a view only whether an invertible 2-cell G(f) ⇒ g exists
 (`invertible_between`); a localization reads that off its class store's
 sweep, so only the 2-cell conditions partition homs, and only between
 images of source spans.  Cells are keys: names in a 2-category, and in
-a localization opaque names for classes.  `map_hom` sends each key's
-canonical representative through F and finds its class with
-`Localization.keys`, which raises what is wrong with an image no class
-holds; only a counterexample becomes a `FractionCell`.  The 2-cell conditions visit
+a localization opaque names for classes.  `map_hom` sends the five
+names of each key's canonical member (`Localization.names`) through F
+and finds their classes with `Localization.keys`, which builds a
+representative only for names no class holds, and raises what is wrong
+with it; only a counterexample becomes a `FractionCell`.  The 2-cell conditions visit
 only the pairs (f1, f2) whose source hom or image hom holds a 2-cell,
 read off each view's `targets`; a localization keeps those from the same
 sweep, so the walk costs the non-empty homs, not every pair of 1-cells,
@@ -203,21 +204,23 @@ class InducedPseudofunctor:
         return Span(f.f0[s.apex], f.f1[s.w], f.f1[s.f])
 
     def map_rep(self, rep: CellRep) -> CellRep:
-        return self._image(rep, self.map_span(rep.src_span), self.map_span(rep.dst_span))
-
-    def _image(self, rep: CellRep, t1: Span, t2: Span) -> CellRep:  # t1, t2: G of its spans
         f = self.functor
-        return CellRep(t1, t2, f.f0[rep.apex], f.f1[rep.v1], f.f1[rep.v2],
-                       f.f2[rep.alpha], f.f2[rep.beta])
+        return CellRep(self.map_span(rep.src_span), self.map_span(rep.dst_span), f.f0[rep.apex],
+                       f.f1[rep.v1], f.f1[rep.v2], f.f2[rep.alpha], f.f2[rep.beta])
 
     def map_cell(self, cell: FractionCell) -> FractionCell:
         return cell_from_rep(self.target_loc, self.map_rep(cell.canonical))
 
     def map_hom(self, s1: Span, s2: Span, keys) -> tuple[list, list]:
-        """The keys of the images of the classes keyed `keys`, as `map_cell` sends them; all keys."""
-        t1, t2, canonical = self.map_span(s1), self.map_span(s2), self.source_loc.canonical
-        return self.target_loc.keys(t1, t2, [self._image(canonical(s1, s2, key), t1, t2)
-                                             for key in keys])
+        """The keys of the images of the classes keyed `keys`, as `map_cell` sends them; all keys.
+
+        Each canonical member's names go through F's tables, and the target
+        finds their classes in the image hom in one read.
+        """
+        f0, f1, f2 = self.functor.f0, self.functor.f1, self.functor.f2
+        return self.target_loc.keys(self.map_span(s1), self.map_span(s2), [
+            (f0[apex], f1[v1], f1[v2], f2[alpha], f2[beta])
+            for apex, v1, v2, alpha, beta in map(self.source_loc.names, keys)])
 
     def compositor(self, s: Span, t: Span) -> FractionCell:
         """Invertible witness G(s;t) ⇒ G(s);G(t) for a composable pair."""

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -96,3 +97,21 @@ def test_no_module_of_the_package_imports_dataclasses():
                 imports.append((path.name, node.module))
     assert ("core.py", "functools") in imports
     assert [(name, module) for name, module in imports if module == "dataclasses"] == []
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason=(
+    "the 8,192-token buffer is CPython 3.11's parser's; 3.12 splits an f-string into "
+    "several tokens, so the count differs"))
+def test_every_module_of_the_package_stays_under_the_parsers_token_buffer():
+    # past 8,192 tokens CPython 3.11 doubles its token buffer, so compiling the
+    # module, which every process does when no bytecode is written, peaks about
+    # 0.46 MB higher; counted as the parser reads them: no comments, blank
+    # lines or encoding
+    skipped = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    counts = {}
+    for path in sorted(Path(twoloc.__file__).parent.glob("*.py")):
+        with path.open("rb") as f:
+            tokens = tokenize.tokenize(f.readline)
+            counts[path.name] = sum(tok.type not in skipped for tok in tokens)
+    assert counts["fractions.py"] > 7000
+    assert {name: n for name, n in counts.items() if n >= 8192} == {}

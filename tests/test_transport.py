@@ -34,7 +34,8 @@ from twoloc import (
 )
 from twoloc.core import TwoCat
 from twoloc.fixtures import parity_twocat
-from twoloc.fractions import Localization, Span, _Hom, _HomPartitions
+from twoloc.fractions import Localization, Numbering, Span, _Hom, _HomPartitions
+from twoloc.groupoids import CATALOGS, groupoid_twocat
 from twoloc.saturation import cospan_fillers
 from twoloc.transport import AmbientView
 from corpus import CorpusEntry, cyclic_family, cyclic_parity, posetal_family, with_tables
@@ -508,16 +509,27 @@ def test_x_conditions_read_each_hom_and_its_image_once(monkeypatch):
 
 def test_map_hom_sends_a_class_where_map_rep_sends_each_member():
     # for every member r of every class of `comparison_to_saturation` over the
-    # cyclic family, and of F6's swap, whose object and 1-cell names move:
+    # cyclic family, of F6's swap, whose object and 1-cell names move, and of
+    # two functors between different 2-categories, whose member codes differ:
     # `map_hom`'s key for the class is the key of the target class of map_rep(r)
     cases = [comparison_to_saturation(e.c, e.w) for e in cyclic_family()]
     c, w = fixture("F6")
     swap = next(f for f in enumerate_strict_functors(c, c)
                 if f.f0 == {"X": "Y", "Y": "X"} and f.f2.get("s_f") == "s_g")
     cases.append(induce(swap, build_choices(c, w), build_choices(c, w)))
-    classes = 0
+    point, _ = fixture("F1")
+    cases.append(induce(collapse_functor(c, point), build_choices(c, w),
+                        build_choices(point, point.mors)))
+    # Unit and Pair2 into Unit, Pair2 and Disc2: the functor and cell names agree
+    (small, w), (big, w_big) = (groupoid_twocat(CATALOGS[name]())
+                                for name in ("unit-pair", "unit-pair-disc"))
+    inclusion = StrictTwoFunctor(small, big, {o: o for o in small.objects},
+                                 {f: f for f in small.mors}, {a: a for a in small.cells})
+    cases.append(induce(inclusion, build_choices(small, w), build_choices(big, w_big)))
+    counted = []
     for ind in cases:
         loc, tl = ind.source_loc, ind.target_loc
+        classes = 0
         for a, b in itertools.product(loc.objects, repeat=2):
             for s1, s2 in itertools.product(loc.spans(a, b), repeat=2):
                 keys = loc.twos(s1, s2)
@@ -529,21 +541,57 @@ def test_map_hom_sends_a_class_where_map_rep_sends_each_member():
                     target = tl.cell(t1, t2, image)
                     assert all(cell_from_rep(tl, ind.map_rep(r)) == target for r in cell.members)
                     classes += 1
-    assert classes > 1000
+        counted.append(classes)
+    assert sum(counted[:-2]) > 1000 and counted[-2:] == [64, 476]
+    # Disc2 is Morita equivalent to neither Unit nor Pair2, and nothing else fails
+    report = x_conditions_for_induced(cases[-1])
+    assert [k for k, ok in report.verdicts.items() if not ok] == ["obj_surjective_up_to_equiv"]
+    assert report.counterexamples == {"obj_surjective_up_to_equiv": ("Disc2",)}
 
 
 def test_keys_raise_what_is_wrong_with_a_representative_no_class_holds():
-    # `map_hom`'s lookup in the target: a representative outside every class
+    # `map_hom`'s lookup in the target takes names for the hom it is given:
+    # names that no class holds become a representative of that hom, which
     # raises what `cell_from_rep` finds wrong with it, and the good ones map
     c = cyclic_parity(4, "s")
     loc = build_choices(c, {"g0", "g2"})
     s1 = loc.spans("x", "x")[0]
     s2 = next(s for s in loc.spans("x", "x") if loc.twos(s1, s))
     keys = loc.twos(s1, s2)
-    reps = [loc.canonical(s1, s2, key) for key in keys]
-    assert loc.keys(s1, s2, reps) == (keys, keys)
-    wrong = reps[0]._replace(beta="s_g1")
+    assert [loc.canonical(s1, s2, key).beta for key in keys[:2]] == ["i_g0", "s_g0"]
+
+    def sending(cell: str, image: str) -> InducedPseudofunctor:  # F's tables, unchecked
+        fun = identity_functor(c)
+        tables = StrictTwoFunctor(c, c, fun.f0, fun.f1, {**fun.f2, cell: image})
+        return InducedPseudofunctor(tables, loc, loc)
+
+    assert sending("s_g0", "s_g0").map_hom(s1, s2, keys) == (keys, keys)
+    # s_g1: g1 ⇒ g1 is a 2-cell, but not one g0 ⇒ g0; "nope" names no cell
     with pytest.raises(StructureError, match="beta 's_g1' has wrong boundary"):
-        loc.keys(s1, s2, reps + [wrong])
+        sending("s_g0", "s_g1").map_hom(s1, s2, keys)
     with pytest.raises(StructureError, match="beta 'nope' has wrong boundary"):
-        loc.keys(s1, s2, [reps[0]._replace(beta="nope")])
+        sending("s_g0", "nope").map_hom(s1, s2, keys)
+
+
+def test_x_conditions_build_no_representative_and_hom_cells_decode_nothing(monkeypatch):
+    # Z/8 at <2>: the comparison maps each source class on its names, decoded
+    # once, with no `canonical` and no `map_rep`; counting a hom's cells, as
+    # the benchmark does, decodes nothing
+    calls = Counter()
+    for owner, name in ((Localization, "canonical"), (InducedPseudofunctor, "map_rep"),
+                        (Numbering, "decode")):
+        def spy(*args, _method=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+    w = frozenset({"g0", "g2", "g4", "g6"})
+    ind = comparison_to_saturation(cyclic_parity(8, "s"), w)
+    assert x_conditions_for_induced(ind).ok
+    loc = ind.source_loc
+    spans = loc.spans("x", "x")
+    assert calls == {"decode": sum(len(loc.twos(s1, s2)) for s1 in spans for s2 in spans)}
+    loc = build_choices(cyclic_parity(8, "s"), w)  # a fresh store
+    calls.clear()
+    assert sum(len(loc.hom_cells(s1, s2)) for s1 in spans for s2 in spans) == 512
+    assert not calls
