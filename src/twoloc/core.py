@@ -605,12 +605,9 @@ def validate(c: TwoCat) -> Report:
     generators of the 1-cells and of each hom-category; its docstring
     proves that this is exact.  Only when it
     says no do the per-law loops below run, to name one counterexample
-    tuple per failing law, by identifier: the first one found.
-
-    Those loops visit only composable tuples, through boundary indexes built
-    here in the order of `c.mors`, `c.cells` and `c.vcomp_table`, so the
-    first counterexample is the one an all-tuples scan in that order would
-    find.
+    tuple per failing law, by identifier: the first composable tuple that
+    fails, in the order of `c.mors`, `c.cells` and the tables.  They scan
+    all tuples, as they run only on tables the decider has rejected.
     """
     report = Report()
     if not _check_structure(c, report) or _is_two_category(c):
@@ -620,10 +617,6 @@ def validate(c: TwoCat) -> Report:
     comp1, vt, ht = c.comp1, c.vcomp_table, c.hcomp_table
     mor_src, mor_dst = c.mor_src, c.mor_dst
     cell_src, cell_dst = c.cell_src, c.cell_dst
-    mors_from = _index(mors, mor_src.get)       # object -> 1-cells out of it
-    cells_on = _index(cells, cell_src.get)      # 1-cell -> 2-cells out of it
-    cells_at = c._cells_by_end[False]             # object -> 2-cells over 1-cells out of it
-    vpairs_at = _index(vt, lambda ba: mor_src[cell_src[ba[1]]])  # vcomp pairs by object
 
     for f in mors:
         ia, ib = c.id1[mor_src[f]], c.id1[mor_dst[f]]
@@ -632,8 +625,9 @@ def validate(c: TwoCat) -> Report:
         if comp1[(ib, f)] != f:
             report.fail("compose1-left-unit", (ib, f))
     for (g, f), gf in comp1.items():
-        for h in mors_from.get(mor_dst[g], ()):
-            if comp1[(comp1[(h, g)], f)] != comp1[(h, gf)]:
+        x = mor_dst[g]
+        for h in mors:
+            if mor_src[h] == x and comp1[(comp1[(h, g)], f)] != comp1[(h, gf)]:
                 report.fail("compose1-assoc", (h, g, f))
 
     for a in cells:
@@ -642,8 +636,9 @@ def validate(c: TwoCat) -> Report:
         if vt[(c.id2[cell_dst[a]], a)] != a:
             report.fail("vcomp-left-unit", (a,))
     for (b, a), ba in vt.items():
-        for d in cells_on.get(cell_dst[b], ()):
-            if vt[(vt[(d, b)], a)] != vt[(d, ba)]:
+        g = cell_dst[b]
+        for d in cells:
+            if cell_src[d] == g and vt[(vt[(d, b)], a)] != vt[(d, ba)]:
                 report.fail("vcomp-assoc", (d, b, a))
 
     for (g, f), gf in comp1.items():
@@ -658,14 +653,17 @@ def validate(c: TwoCat) -> Report:
         if ht[(ib, a)] != a:
             report.fail("hcomp-left-unit", (a,))
     for (b, a), ba in ht.items():
-        for d in cells_at.get(mor_dst[cell_src[b]], ()):
-            if ht[(ht[(d, b)], a)] != ht[(d, ba)]:
+        x = mor_dst[cell_src[b]]
+        for d in cells:
+            if mor_src[cell_src[d]] == x and ht[(ht[(d, b)], a)] != ht[(d, ba)]:
                 report.fail("hcomp-assoc", (d, b, a))
 
     # interchange: (b2⊙b1)∗(a2⊙a1) = (b2∗a2)⊙(b1∗a1)
     for (a2, a1), a in vt.items():
-        for b2, b1 in vpairs_at.get(mor_dst[cell_src[a1]], ()):
-            if ht[(vt[(b2, b1)], a)] != vt[(ht[(b2, a2)], ht[(b1, a1)])]:
+        x = mor_dst[cell_src[a1]]
+        for b2, b1 in vt:
+            if mor_src[cell_src[b1]] == x and \
+                    ht[(vt[(b2, b1)], a)] != vt[(ht[(b2, a2)], ht[(b1, a1)])]:
                 report.fail("interchange", (b2, b1, a2, a1))
     return report
 

@@ -174,16 +174,20 @@ def f1() -> tuple[TwoCat, frozenset[str]]:
     return c, frozenset({"idA"})
 
 
-def f2() -> tuple[TwoCat, frozenset[str]]:
-    """Walking isomorphism f: X→Y, g: Y→X; identity 2-cells only."""
-    c = parity_twocat(
+def _walking_iso(twisted: set[str] | None) -> TwoCat:
+    """The walking isomorphism f: X→Y, g: Y→X, with parity cells on `twisted`."""
+    return parity_twocat(
         ["X", "Y"],
         {"idX": ("X", "X"), "idY": ("Y", "Y"), "f": ("X", "Y"), "g": ("Y", "X")},
         {"X": "idX", "Y": "idY"},
         {("g", "f"): "idX", ("f", "g"): "idY"},
-        twisted=set(),
+        twisted=twisted,
     )
-    return c, frozenset({"idX", "idY"})
+
+
+def f2() -> tuple[TwoCat, frozenset[str]]:
+    """Walking isomorphism f: X→Y, g: Y→X; identity 2-cells only."""
+    return _walking_iso(set()), frozenset({"idX", "idY"})
 
 
 def f3() -> tuple[TwoCat, frozenset[str]]:
@@ -231,13 +235,7 @@ def f5() -> tuple[TwoCat, frozenset[str]]:
 
 def f6() -> tuple[TwoCat, frozenset[str]]:
     """Walking isomorphism with a Z/2 parity 2-cell on every 1-cell."""
-    c = parity_twocat(
-        ["X", "Y"],
-        {"idX": ("X", "X"), "idY": ("Y", "Y"), "f": ("X", "Y"), "g": ("Y", "X")},
-        {"X": "idX", "Y": "idY"},
-        {("g", "f"): "idX", ("f", "g"): "idY"},
-    )
-    return c, frozenset({"idX", "idY", "f", "g"})
+    return _walking_iso(None), frozenset({"idX", "idY", "f", "g"})
 
 
 def f7() -> tuple[TwoCat, frozenset[str]]:

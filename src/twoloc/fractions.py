@@ -32,7 +32,8 @@ identity spans strict units.  Every operation on spans and 2-cells takes
 it first and reads the store of its (C, W); `hom_fraction_cells`,
 `is_internal_equiv_closed_form` and `u_mor` keep a (c, w) form for the
 benchmark.  Vertical composition and the whiskerings come from fresh
-filler/lift searches, deterministic by their lexicographic order.
+filler/lift searches, deterministic by their lexicographic order; a
+whiskered cell runs between the `compose_fractions` composites.
 
 A span is an internal equivalence iff its numerator lies in W_sat, and
 its quasi-inverse is built from a saturation witness, not searched for
@@ -204,16 +205,14 @@ class Numbering:
 class FractionCell:
     """A 2-cell of the localization: a full refinement-equivalence class.
 
-    Compared, hashed and printed by its spans and canonical member only.
-    A store passes no canonical: it is decoded from the least member code
-    when first read.
+    Compared, hashed and printed by its spans and canonical member only;
+    the canonical member is decoded from the least member code when first
+    read.
     """
 
-    def __init__(self, src_span: Span, dst_span: Span, canonical: Optional[CellRep],
+    def __init__(self, src_span: Span, dst_span: Span,
                  _keys: tuple[list[int], Numbering]):  # the member codes, least first
         self.src_span, self.dst_span, self._keys = src_span, dst_span, _keys
-        if canonical is not None:
-            self.canonical = canonical
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -252,7 +251,7 @@ class _Hom:
     @cached_property
     def cells(self) -> tuple[FractionCell, ...]:
         s1, s2, k = self.s1, self.s2, self.k
-        return tuple(FractionCell(s1, s2, None, (codes, k)) for codes in self.classes)
+        return tuple(FractionCell(s1, s2, (codes, k)) for codes in self.classes)
 
 
 _EMPTY_HOM = _Hom(None, None, [], {}, None)
@@ -735,8 +734,8 @@ def whisker_fraction_left(loc: Localization, t: Span, cell: FractionCell) -> Fra
     if span_dst(c, s1) != span_src(c, t):
         raise StructureError("span does not post-compose with this cell")
     rep = cell.canonical
-    d1, vp1, fp1, rho1 = loc.entry(s1.f, t.w)
-    d2, vp2, fp2, rho2 = loc.entry(s2.f, t.w)
+    _d1, vp1, fp1, rho1 = loc.entry(s1.f, t.w)
+    _d2, vp2, fp2, rho2 = loc.entry(s2.f, t.w)
 
     # Drag the representative apex over both choice pullbacks.
     _p_apex, p, pp, tau1 = fill_cospan(c, w, rep.v1, vp1)
@@ -764,9 +763,7 @@ def whisker_fraction_left(loc: Localization, t: Span, cell: FractionCell) -> Fra
     )
     z, phi = lift_cell(c, w, t.w, c.compose1(fp1, t1), c.compose1(fp2, qp), omega)
 
-    src = Span(d1, c.compose1(s1.w, vp1), c.compose1(t.f, fp1))
-    dst = Span(d2, c.compose1(s2.w, vp2), c.compose1(t.f, fp2))
-    out = CellRep(src, dst, c.mor_src[z],
+    out = CellRep(compose_fractions(loc, s1, t), compose_fractions(loc, s2, t), c.mor_src[z],
                   c.compose1(t1, z), c.compose1(qp, z),
                   c.whisker_right(alpha, z), c.whisker_left(t.f, phi))
     return loc._store.cell(c, out, "whisker_fraction_left")
@@ -780,8 +777,8 @@ def whisker_fraction_right(loc: Localization, cell: FractionCell, s: Span) -> Fr
     if span_dst(c, s) != span_src(c, t1s):
         raise StructureError("span does not pre-compose with this cell")
     rep = cell.canonical
-    d1, vp1, fp1, rho1 = loc.entry(s.f, t1s.w)
-    d2, vp2, fp2, rho2 = loc.entry(s.f, t2s.w)
+    _d1, vp1, fp1, rho1 = loc.entry(s.f, t1s.w)
+    _d2, vp2, fp2, rho2 = loc.entry(s.f, t2s.w)
 
     # Stage 1: compare s's first pullback with the representative apex.
     _p, p, pp, tau = fill_cospan(c, w, c.compose1(s.f, vp1),
@@ -810,14 +807,13 @@ def whisker_fraction_right(loc: Localization, cell: FractionCell, s: Span) -> Fr
     leg2 = c.compose1(qp, z2)
     mid_leg = c.compose1(ppz1, c.compose1(q, z2))
 
-    src = Span(d1, c.compose1(s.w, vp1), c.compose1(t1s.f, fp1))
-    dst = Span(d2, c.compose1(s.w, vp2), c.compose1(t2s.f, fp2))
     beta = c.vcomp(
         c.whisker_left(t2s.f, chi),
         c.vcomp(c.whisker_right(rep.beta, mid_leg),
                 c.whisker_left(t1s.f, c.whisker_right(sigma1, c.compose1(q, z2)))),
     )
-    out = CellRep(src, dst, c.mor_src[z2], leg1, leg2,
+    out = CellRep(compose_fractions(loc, s, t1s), compose_fractions(loc, s, t2s),
+                  c.mor_src[z2], leg1, leg2,
                   c.whisker_left(s.w, c.whisker_right(taup, z2)), beta)
     return loc._store.cell(c, out, "whisker_fraction_right")
 

@@ -95,12 +95,6 @@ class FiniteGroupoid:
         return {o: frozenset(map(self.arr_dst.get, arrows))
                 for o, arrows in _index(self.arrows, self.arr_src.get).items()}
 
-    def compose(self, g: str, f: str) -> str:
-        try:
-            return self.comp[(g, f)]
-        except KeyError:
-            raise StructureError(f"arrows not composable: ({g!r}, {f!r})") from None
-
 
 def validate_groupoid(g: FiniteGroupoid) -> Report:
     rep = Report()
@@ -146,12 +140,16 @@ def validate_groupoid(g: FiniteGroupoid) -> Report:
         elif g.comp[(ia, a)] != g.unit[g.arr_src[a]] or \
                 g.comp[(a, ia)] != g.unit[g.arr_dst[a]]:
             rep.fail("inverse law", a)
-    into = _index(g.arrows, g.arr_dst.get)  # object -> arrows into it, sorted
+    # every composable triple, in the order of product(g.arrows, repeat=3);
+    # a composite with wrong endpoints may have no composite with a
     for c_ in g.arrows:
-        for b in into.get(g.arr_src[c_], ()):
+        for b in g.arrows:
+            if g.arr_dst[b] != g.arr_src[c_]:
+                continue
             cb = g.comp[(c_, b)]
-            for a in into.get(g.arr_src[b], ()):
-                if g.comp.get((c_, g.comp[(b, a)])) != g.comp.get((cb, a)):
+            for a in g.arrows:
+                if g.arr_dst[a] == g.arr_src[b] and \
+                        g.comp.get((c_, g.comp[(b, a)])) != g.comp.get((cb, a)):
                     rep.fail("associativity", (c_, b, a))
     return rep
 

@@ -395,6 +395,122 @@ def crossed_module_entries() -> list[tuple[CorpusEntry, int, int]]:
             (CorpusEntry("S3→S3", conjugation, frozenset(s3[0])), 6, 6)]
 
 
+def dihedral_group(n: int) -> tuple[tuple[str, ...], dict]:
+    """D_n of order 2n as (elements, product): r`k` is the rotation r^k, s`k` is r^k s."""
+    elems = tuple(f"{t}{k}" for t in "rs" for k in range(n))
+
+    def mul(x: str, y: str) -> str:
+        a, b = int(x[1:]), int(y[1:])
+        return f"{'rs'[(x[0] == 's') != (y[0] == 's')]}{(a - b if x[0] == 's' else a + b) % n}"
+
+    return elems, {(x, y): mul(x, y) for x in elems for y in elems}
+
+
+def subgroup(group, xs) -> frozenset[str]:
+    """The subgroup generated by `xs`."""
+    elems, product = group
+    out, todo = {elems[0]}, [elems[0]]
+    for y in todo:
+        for x in xs:
+            z = product[(x, y)]
+            if z not in out:
+                out.add(z)
+                todo.append(z)
+    return frozenset(out)
+
+
+def homomorphisms(G, X) -> list[dict[str, str]]:
+    """Every homomorphism G → X, found from the images of G's greedy generators."""
+    (gs, gmul), (xs, xmul) = G, X
+    gens: list[str] = []
+    for g in gs:
+        if g not in subgroup(G, gens):
+            gens.append(g)
+    out = []
+    for images in itertools.product(xs, repeat=len(gens)):
+        f, todo = {gs[0]: xs[0]}, [gs[0]]
+        for y in todo:
+            for s, x in zip(gens, images):
+                if (z := gmul[(s, y)]) not in f:
+                    f[z] = xmul[(x, f[y])]
+                    todo.append(z)
+        if all(f[gmul[(a, b)]] == xmul[(f[a], f[b])] for a in gs for b in gs):
+            out.append(f)
+    return out
+
+
+def automorphism_group(H) -> tuple[tuple[tuple[str, ...], ...], dict]:
+    """Aut(H) as (elements, product); an automorphism is the tuple of its images of H's elements."""
+    hs, hmul = H
+    index = {h: i for i, h in enumerate(hs)}
+    auts = [a for p in itertools.permutations(hs[1:]) for a in ((hs[0],) + p,)
+            if all(a[index[hmul[(x, y)]]] == hmul[(a[index[x]], a[index[y]])]
+                   for x in hs for y in hs)]
+    return tuple(auts), {(a, b): tuple(a[index[y]] for y in b) for a in auts for b in auts}
+
+
+def is_crossed_module(G, H, act: dict, d: dict) -> bool:
+    """∂(g ▷ h) = g∂(h)g⁻¹ and ∂(h) ▷ h′ = hh′h⁻¹ for all g, h, h′."""
+    (gs, gmul), (hs, hmul) = G, H
+    return all(d[act[(g, h)]] == gmul[(gmul[(g, d[h])], group_inverse(G, g))]
+               for g in gs for h in hs) and \
+        all(act[(d[h], h2)] == hmul[(hmul[(h, h2)], group_inverse(H, h))] for h in hs for h2 in hs)
+
+
+def _kind_of(image: int, h_order: int, g_order: int) -> str | None:
+    """The kind of a ∂: H → G with an image of this size: zero, iso, quotient, or None."""
+    if image == 1:
+        return "zero"
+    if image == h_order == g_order:
+        return "iso"
+    return "quotient" if image < h_order else None
+
+
+def crossed_module_family(count: int = 9, seed: int = SEED) -> list[tuple[CorpusEntry, int, int]]:
+    """(entry, |G|, |H|) for `count` seeded crossed modules ∂: H → G, each at a W = K ⊇ ∂(H).
+
+    G is cyclic or dihedral of order at most 12, and H cyclic of order at
+    most 6 or S3; the action is a homomorphism G → Aut(H).  The kind of ∂
+    takes turns: ∂ = 0; an isomorphism with the action it forces,
+    g ▷ h = ∂⁻¹(g∂(h)g⁻¹) (the identity up to renaming, with conjugation);
+    and a quotient, neither 0 nor injective.  G is cyclic for three entries,
+    then dihedral for three.  A draw of G and H is kept when some action
+    and ∂ of the kind pass both crossed-module axioms; one such pair is
+    drawn, then one subgroup K with ∂(H)K = K (BF5).
+    """
+    rng = random.Random(seed)
+    gees = ([(f"Z/{n}", cyclic_group(n, "g")) for n in range(2, 13)],
+            [(f"D{n}", dihedral_group(n)) for n in range(3, 7)])
+    aitches = [(f"Z/{n}", cyclic_group(n, "h")) for n in range(2, 7)] + [("S3", symmetric_group_3())]
+    out = []
+    while len(out) < count:
+        kind = ("zero", "iso", "quotient")[len(out) % 3]
+        (g_name, G), (h_name, H) = rng.choice(gees[len(out) // 3 % 2]), rng.choice(aitches)
+        (gs, gmul), hs = G, H[0]
+        ds = [d for d in homomorphisms(H, G)
+              if _kind_of(len(set(d.values())), len(hs), len(gs)) == kind]
+        if kind == "iso":
+            candidates = [({(g, h): back[gmul[(gmul[(g, d[h])], group_inverse(G, g))]]
+                            for g in gs for h in hs}, d)
+                          for d in ds for back in ({v: k for k, v in d.items()},)]
+        else:
+            index, aut = {h: i for i, h in enumerate(hs)}, automorphism_group(H)
+            candidates = [({(g, h): phi[g][index[h]] for g in gs for h in hs}, d)
+                          for phi in homomorphisms(G, aut) for d in ds]
+        candidates = [(act, d) for act, d in candidates if is_crossed_module(G, H, act, d)]
+        if not candidates:
+            continue
+        act, d = rng.choice(candidates)
+        image = set(d.values())
+        ks = sorted({subgroup(G, image | {a, b}) for a in gs for b in gs},
+                    key=lambda k: (len(k), sorted(k)))
+        k = rng.choice(ks)
+        c = crossed_module_twocat(G, H, lambda g, h: act[(g, h)], d.__getitem__)
+        name = f"{h_name}→{g_name}-{kind}-{len(out)}-|K|={len(k)}"
+        out.append((CorpusEntry(name, c, k), len(gs), len(hs)))
+    return out
+
+
 def oracle_inputs() -> list[CorpusEntry]:
     """The inputs the oracle tests share, each with its W.
 

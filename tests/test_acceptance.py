@@ -204,7 +204,8 @@ def test_c06_localized_operations_well_defined(capsys):
                     for cell in loc.hom_cells(s, t):
                         # any member representative gives the same composites
                         for r in sorted(cell.members)[:4]:
-                            alias = FractionCell(cell.src_span, cell.dst_span, r, cell._keys)
+                            alias = FractionCell(cell.src_span, cell.dst_span, cell._keys)
+                            alias.canonical = r
                             for u in spans:
                                 for nxt in loc.hom_cells(t, u):
                                     if vcomp_fraction(ch, alias, nxt) != \
